@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conflict_graph import PhaseConflictGraph, is_bipartite
+from .conflict_graph import PhaseConflictGraph, is_bipartite, signed_forest
 from .errors import InternalInvariantError
 from .planar import DualGraph, PlanarEmbedding
 from .tjoin import MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
-from .unionfind import ParityUnionFind
 
 ORIGIN_MATCHING = "matching"
 ORIGIN_PLANARIZATION = "planarization-oddcheck"
@@ -76,9 +75,9 @@ def finalize_conflicts(
     """Fold the planarization casualties back in.
 
     Edges dropped for crossings never saw the matching, so each is re-tested
-    against a two-coloring of the surviving graph: consistent edges rejoin the
-    graph, contradicting ones become conflicts.  Processing goes in edge-id
-    order over a parity union-find, so an edge bridging two color components
+    against the signed forest of the surviving graph: consistent edges rejoin
+    the graph, contradicting ones become conflicts.  Casualties go in edge-id
+    order after every survivor, so an edge bridging two color components
     merges them instead of being charged as a conflict.
     """
     m_set = set(bipartization_set)
@@ -86,35 +85,22 @@ def finalize_conflicts(
     if m_set & p_set:
         raise InternalInvariantError("bipartization set intersects removed set")
 
-    uf = ParityUnionFind()
-    for n in g.nodes:
-        uf.add(n.id)
-    for e in g.edges:
-        if e.id in m_set or e.id in p_set:
-            continue
-        if not uf.union(e.u, e.v, 0 if e.is_equal_constraint else 1):
-            raise InternalInvariantError(
-                "surviving embedded graph is not balanced before re-check"
-            )
-
-    conflicts: list[Conflict] = []
-    for eid in sorted(m_set):
-        e = g.edge(eid)
-        conflicts.append(
-            Conflict(eid, e.shifter_pair, e.required_separation, ORIGIN_MATCHING, e.weight)
-        )
-    for eid in sorted(p_set):
-        e = g.edge(eid)
-        rel = 0 if e.is_equal_constraint else 1
-        if uf.union(e.u, e.v, rel):
-            continue  # survives: its constraint holds under the coloring
-        conflicts.append(
-            Conflict(
-                eid, e.shifter_pair, e.required_separation, ORIGIN_PLANARIZATION, e.weight
-            )
+    survivors = [e for e in g.edges if e.id not in m_set and e.id not in p_set]
+    casualties = [g.edge(eid) for eid in sorted(p_set)]
+    _, contradicted = signed_forest(g, survivors + casualties)
+    if not p_set.issuperset(contradicted):
+        raise InternalInvariantError(
+            "surviving embedded graph is not balanced before re-check"
         )
 
-    conflicts.sort(key=lambda c: c.edge_id)
+    origin = dict.fromkeys(m_set, ORIGIN_MATCHING)
+    origin.update(dict.fromkeys(contradicted, ORIGIN_PLANARIZATION))
+    conflicts = []
+    for eid in sorted(origin):
+        e = g.edge(eid)
+        conflicts.append(
+            Conflict(eid, e.shifter_pair, e.required_separation, origin[eid], e.weight)
+        )
     result = ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts))
     if not is_bipartite(g, frozenset(result.edge_ids)).ok:
         raise InternalInvariantError("graph minus final conflict set is unbalanced")
@@ -130,24 +116,13 @@ def bipartize_greedy(
     forest is grown heaviest-edge-first; leftover (non-forest) edges that close
     an unbalanced cycle are deleted.  The literal count additionally counts
     leftover edges whose cycle was already balanced, i.e. every non-forest
-    edge.
+    edge: E - V + (component count).
     """
-    uf = ParityUnionFind()
-    for n in g.nodes:
-        uf.add(n.id)
-    deleted: list[int] = []
-    leftover = 0
-    ordered = sorted(g.edges, key=lambda e: (-e.weight, e.id))
-    for e in ordered:
-        rel = 0 if e.is_equal_constraint else 1
-        if not uf.connected(e.u, e.v):
-            uf.union(e.u, e.v, rel)
-            continue
-        leftover += 1
-        if not uf.union(e.u, e.v, rel):
-            deleted.append(e.id)
-    deleted.sort()
+    uf, contradicted = signed_forest(g, sorted(g.edges, key=lambda e: (-e.weight, e.id)))
+    components = len({uf.find(n.id)[0] for n in g.nodes})
+    leftover = len(g.edges) - len(g.nodes) + components
+    deleted = tuple(sorted(contradicted))
     weight = sum(g.edge(eid).weight for eid in deleted)
     if not is_bipartite(g, frozenset(deleted)).ok:
         raise InternalInvariantError("greedy deletion left the graph unbalanced")
-    return tuple(deleted), leftover, weight
+    return deleted, leftover, weight

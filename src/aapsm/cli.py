@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=WEIGHT_UNIFORM,
         )
         p.add_argument("--baseline-gb", action="store_true", help="run the greedy baseline")
-        p.add_argument("--timing", action="store_true", help="report matching wall time per gadget mode")
         p.add_argument("--dump-graph", metavar="PATH")
         p.add_argument("--dump-embedding", metavar="PATH")
         p.add_argument("--dump-conflicts", metavar="PATH")
@@ -109,7 +108,6 @@ def _run_one(command: str, path_str: str, args_dict: dict) -> tuple[int, str]:
             gadget_mode=args_dict["gadget"],
             weight_mode=args_dict["weights"],
             run_greedy_baseline=args_dict["baseline_gb"],
-            time_gadget_modes=args_dict["timing"],
         )
         if args_dict["dump_graph"]:
             _dump_path(args_dict["dump_graph"], path.stem, many).write_text(
@@ -179,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         "gadget": args.gadget,
         "weights": args.weights,
         "baseline_gb": args.baseline_gb,
-        "timing": args.timing,
         "dump_graph": args.dump_graph,
         "dump_embedding": args.dump_embedding,
         "dump_conflicts": args.dump_conflicts,

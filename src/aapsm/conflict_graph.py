@@ -87,20 +87,10 @@ class PhaseConflictGraph:
     def edge(self, edge_id: int) -> PcgEdge:
         return self.edges[edge_id]
 
-    def adjacency(self, kept: set[int] | None = None) -> dict[int, list[PcgEdge]]:
-        adj: dict[int, list[PcgEdge]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            if kept is not None and e.id not in kept:
-                continue
-            adj[e.u].append(e)
-            adj[e.v].append(e)
-        return adj
-
 
 @dataclass(frozen=True)
 class BipartiteResult:
     ok: bool
-    coloring: dict[int, int] | None = None  # node id -> 0/1 when ok
     witness: tuple[int, ...] | None = None  # unbalanced cycle edge ids when not
 
 
@@ -181,8 +171,29 @@ def _perturb_degenerate_overlaps(
     by a few quarter-nm when it coincides with another node or when one of its
     incident segments overlaps another segment along a collinear stretch of
     positive length (either situation breaks the rotation system or fabricates
-    crossings).  Edge-shifter positions are fixed by the layout and never move.
+    crossings).  Edge-shifter positions are fixed by the layout; the one
+    exception is two shifters with the same center, where the later node is
+    nudged off the position the earlier one holds (moving overlap nodes alone
+    could never separate them).  Only overlap nodes are listed as perturbed.
     """
+    held: set[tuple[int, int]] = set()
+    for node in nodes:
+        if node.kind != NODE_EDGE_SHIFTER:
+            continue
+        if node.pos in held:
+            free = (
+                d for d in _perturb_deltas() if (node.x + d[0], node.y + d[1]) not in held
+            )
+            dx, dy = next(free, (None, None))
+            if dx is None:
+                raise InternalInvariantError(
+                    f"cannot separate concentric shifter node {node.id} "
+                    f"within {_PERTURB_LIMIT} quarter-nm"
+                )
+            node = replace(node, x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
+            nodes[node.id] = node
+        held.add(node.pos)
+
     perturbed: list[int] = []
     for _sweep in range(3):
         changed = False
@@ -243,60 +254,60 @@ def _is_degenerate(node_id: int, nodes: list[PcgNode], edges: list[PcgEdge]) -> 
     return False
 
 
+def signed_forest(
+    g: PhaseConflictGraph, edges: list[PcgEdge]
+) -> tuple[ParityUnionFind, list[int]]:
+    """Union each edge's parity constraint, in the order given, over all nodes.
+
+    Overlap halves demand equal phase (parity 0), feature edges opposite
+    (parity 1).  Returns the union-find and the ids of the edges that
+    contradicted the edges before them; each closes an unbalanced cycle and
+    stays out of the forest.
+    """
+    uf = ParityUnionFind()
+    for n in g.nodes:
+        uf.add(n.id)
+    contradicted = [
+        e.id for e in edges if not uf.union(e.u, e.v, 0 if e.is_equal_constraint else 1)
+    ]
+    return uf, contradicted
+
+
 def is_bipartite(
     g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...] | frozenset = ()
 ) -> BipartiteResult:
     """Decide whether the graph minus the removed edges is phase-assignable.
 
     Two detectors run on every call: structural two-coloring (every edge read
-    as "endpoints differ") and signed balance (overlap halves read as equal,
+    as "endpoints differ") and the signed forest (overlap halves read as equal,
     feature edges as unequal).  They must agree on every conflict graph; a
-    disagreement is a bug and raises.
+    disagreement is a bug and raises.  The witness is the odd cycle the
+    two-coloring closes: every overlap node has degree two, so on a conflict
+    graph an odd cycle is exactly an unbalanced one.
     """
     removed = set(removed_edge_ids)
     kept = [e for e in g.edges if e.id not in removed]
 
-    structural_ok = _structural_bipartite(g, kept)
-    signed = _signed_balance(g, kept)
+    witness = _odd_cycle(g, kept)
+    _, contradicted = signed_forest(g, kept)
 
-    if structural_ok != signed.ok:
+    if (witness is None) == bool(contradicted):
         raise InternalInvariantError(
             "structural bipartiteness and signed balance disagree "
-            f"(structural={structural_ok}, signed={signed.ok})"
+            f"(structural={witness is None}, signed={not contradicted})"
         )
-    return signed
+    return BipartiteResult(witness is None, witness)
 
 
-def _structural_bipartite(g: PhaseConflictGraph, kept: list[PcgEdge]) -> bool:
+def _odd_cycle(g: PhaseConflictGraph, kept: list[PcgEdge]) -> tuple[int, ...] | None:
+    """Edge ids of the first odd cycle a two-coloring closes; None if bipartite."""
     adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
     for e in kept:
         adj[e.u].append((e.v, e.id))
         adj[e.v].append((e.u, e.id))
     color: dict[int, int] = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v, _eid in sorted(adj[u]):
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def _signed_balance(g: PhaseConflictGraph, kept: list[PcgEdge]) -> BipartiteResult:
-    adj: dict[int, list[PcgEdge]] = {n.id: [] for n in g.nodes}
-    for e in kept:
-        adj[e.u].append(e)
-        adj[e.v].append(e)
-    color: dict[int, int] = {}
     parent: dict[int, tuple[int, int] | None] = {}  # node -> (parent node, edge id)
-    for start in sorted(adj):
+    for start in adj:
         if start in color:
             continue
         color[start] = 0
@@ -304,36 +315,24 @@ def _signed_balance(g: PhaseConflictGraph, kept: list[PcgEdge]) -> BipartiteResu
         stack = [start]
         while stack:
             u = stack.pop()
-            for e in sorted(adj[u], key=lambda e: e.id):
-                v = e.other(u)
-                want = color[u] ^ (0 if e.is_equal_constraint else 1)
+            for v, eid in adj[u]:
                 if v not in color:
-                    color[v] = want
-                    parent[v] = (u, e.id)
+                    color[v] = color[u] ^ 1
+                    parent[v] = (u, eid)
                     stack.append(v)
-                elif color[v] != want:
-                    witness = _cycle_witness(u, v, e.id, parent)
-                    return BipartiteResult(False, None, witness)
-    return BipartiteResult(True, color, None)
+                elif color[v] == color[u]:
+                    # the tree path u..v is even, so closing it is odd
+                    path = _path_to_root(u, parent) ^ _path_to_root(v, parent)
+                    return tuple(sorted(path | {eid}))
+    return None
 
 
-def _cycle_witness(
-    u: int, v: int, closing_edge: int, parent: dict[int, tuple[int, int] | None]
-) -> tuple[int, ...]:
-    def path_to_root(x: int) -> list[tuple[int, int]]:
-        out = []
-        while parent[x] is not None:
-            p, eid = parent[x]
-            out.append((x, eid))
-            x = p
-        return out
-
-    pu = path_to_root(u)
-    pv = path_to_root(v)
-    eu = {eid for _, eid in pu}
-    ev = {eid for _, eid in pv}
-    cycle = sorted((eu ^ ev) | {closing_edge})
-    return tuple(cycle)
+def _path_to_root(x: int, parent: dict[int, tuple[int, int] | None]) -> set[int]:
+    path = set()
+    while parent[x] is not None:
+        x, eid = parent[x]
+        path.add(eid)
+    return path
 
 
 def phase_assign(
@@ -346,18 +345,13 @@ def phase_assign(
     surviving unbalanced cycle makes assignment impossible.
     """
     deleted = set(deleted_edge_ids)
-    uf = ParityUnionFind()
-    for n in g.nodes:
-        uf.add(n.id)
-    for e in g.edges:
-        if e.id in deleted:
-            continue
-        rel = 0 if e.is_equal_constraint else 1
-        if not uf.union(e.u, e.v, rel):
-            raise InternalInvariantError(
-                f"residual unbalanced cycle through edge {e.id}; "
-                "cannot assign phases"
-            )
+    kept = [e for e in g.edges if e.id not in deleted]
+    uf, contradicted = signed_forest(g, kept)
+    if contradicted:
+        raise InternalInvariantError(
+            f"residual unbalanced cycle through edge {contradicted[0]}; "
+            "cannot assign phases"
+        )
     anchor_parity: dict[int, int] = {}
     phases: dict[int, int] = {}
     for n in sorted(g.nodes, key=lambda n: n.id):
@@ -365,9 +359,7 @@ def phase_assign(
         if root not in anchor_parity:
             anchor_parity[root] = parity  # first (lowest) node of the component
         phases[n.id] = PHASE_A if parity == anchor_parity[root] else PHASE_B
-    for e in g.edges:
-        if e.id in deleted:
-            continue
+    for e in kept:
         same = phases[e.u] == phases[e.v]
         if e.is_equal_constraint != same:
             raise InternalInvariantError(f"edge {e.id} constraint violated")

@@ -1,7 +1,7 @@
 """End-to-end orchestration: detection, correction, and report assembly.
 
 Reports are ordered (key, value) lists so their text form is stable; nothing
-non-deterministic (timing, paths) enters a report unless explicitly requested.
+non-deterministic (timing, paths) enters a report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .conflict_graph import (
     phase_assign,
     WEIGHT_UNIFORM,
 )
-from .errors import InternalInvariantError, UncorrectableConflictError
+from .errors import UncorrectableConflictError
 from .layout import (
     Layout,
     Shifter,
@@ -37,7 +37,7 @@ from .spacing import (
     compute_intervals,
     plan_spaces,
 )
-from .tjoin import GADGET_MODES, MODE_GENERALIZED, MODE_OPTIMIZED
+from .tjoin import GADGET_MODES, MODE_GENERALIZED
 
 
 @dataclass
@@ -53,7 +53,6 @@ class DetectionResult:
     conflicts: ConflictSet  # final set including planarization casualties (PCG)
     phases: dict[int, int]
     greedy: tuple[tuple[int, ...], int, int] | None = None
-    match_seconds: dict[str, float] = field(default_factory=dict)
     report: list[tuple[str, str]] = field(default_factory=list)
     gadget_mode: str = MODE_GENERALIZED
     weight_mode: str = WEIGHT_UNIFORM
@@ -76,7 +75,6 @@ def detect(
     gadget_mode: str = MODE_GENERALIZED,
     weight_mode: str = WEIGHT_UNIFORM,
     run_greedy_baseline: bool = False,
-    time_gadget_modes: bool = False,
 ) -> DetectionResult:
     """Run the conflict detection flow and assemble the per-design report."""
     if gadget_mode not in GADGET_MODES:
@@ -89,21 +87,7 @@ def detect(
     embedding = planarize(graph)
     dual = build_dual(embedding)
 
-    match_seconds: dict[str, float] = {}
-    results: dict[str, tuple[tuple[int, ...], int]] = {}
-    modes = GADGET_MODES if time_gadget_modes else (gadget_mode,)
-    for mode in modes:
-        m_ids, m_weight, secs = bipartize_optimal(embedding, dual, mode)
-        match_seconds[mode] = secs
-        results[mode] = (m_ids, m_weight)
-    if time_gadget_modes:
-        w_gen = results[MODE_GENERALIZED][1]
-        w_opt = results[MODE_OPTIMIZED][1]
-        if w_gen != w_opt:
-            raise InternalInvariantError(
-                f"gadget modes disagree: generalized={w_gen} optimized={w_opt}"
-            )
-    optimal_edge_ids, optimal_weight = results[gadget_mode]
+    optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual, gadget_mode)
 
     conflicts = finalize_conflicts(
         graph, embedding.removed_edge_ids, optimal_edge_ids
@@ -136,9 +120,6 @@ def detect(
         report.append(("conflicts_gb_literal", str(literal)))
         report.append(("weight_gb", str(g_weight)))
     report.append(("residual_balanced", "1"))
-    if time_gadget_modes:
-        for mode in GADGET_MODES:
-            report.append((f"match_time_{mode}_s", f"{match_seconds[mode]:.4f}"))
 
     return DetectionResult(
         layout,
@@ -152,7 +133,6 @@ def detect(
         conflicts,
         phases,
         greedy,
-        match_seconds,
         report,
         gadget_mode,
         weight_mode,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import geometry
-from .conflict_graph import PcgEdge, PhaseConflictGraph
+from .conflict_graph import PhaseConflictGraph
 from .errors import GeometryError, InternalInvariantError
 from .unionfind import ParityUnionFind
 
@@ -28,11 +28,6 @@ class PlanarEmbedding:
     rotation: dict[int, tuple[int, ...]]  # node -> incident edge ids, CCW
     faces: tuple[tuple[HalfEdge, ...], ...]
     face_of: dict[HalfEdge, int]
-    outer_faces: frozenset[int]
-    face_component: tuple[int, ...]  # face index -> component label
-
-    def kept_edges(self) -> list[PcgEdge]:
-        return [self.graph.edge(eid) for eid in self.kept_edge_ids]
 
 
 @dataclass(frozen=True)
@@ -139,11 +134,8 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in set(removed))
     rotation = _build_rotation(g, kept)
     faces, face_of = _trace_faces(g, rotation)
-    outer, face_comp = _classify_faces(g, kept, faces)
-    _euler_check(g, kept, faces, face_comp)
-    return PlanarEmbedding(
-        g, kept, tuple(sorted(removed)), rotation, faces, face_of, outer, face_comp
-    )
+    _euler_check(g, kept, faces)
+    return PlanarEmbedding(g, kept, tuple(sorted(removed)), rotation, faces, face_of)
 
 
 def _build_rotation(
@@ -210,35 +202,7 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
     return tuple(faces), face_of
 
 
-def _face_twice_area(g: PhaseConflictGraph, face: tuple[HalfEdge, ...]) -> int:
-    total = 0
-    for tail, eid in face:
-        head = g.edge(eid).other(tail)
-        (x1, y1), (x2, y2) = g.node(tail).pos, g.node(head).pos
-        total += x1 * y2 - x2 * y1
-    return total
-
-
-def _classify_faces(g, kept, faces):
-    uf = ParityUnionFind()
-    for eid in kept:
-        e = g.edge(eid)
-        uf.union(e.u, e.v, 0)
-    face_comp = []
-    for face in faces:
-        tail = face[0][0]
-        face_comp.append(uf.find(tail)[0])
-    outer: set[int] = set()
-    by_comp: dict[int, list[int]] = {}
-    for idx, comp in enumerate(face_comp):
-        by_comp.setdefault(comp, []).append(idx)
-    for comp, members in by_comp.items():
-        members.sort()
-        outer.add(min(members, key=lambda i: (_face_twice_area(g, faces[i]), i)))
-    return frozenset(outer), tuple(face_comp)
-
-
-def _euler_check(g, kept, faces, face_comp):
+def _euler_check(g, kept, faces):
     uf = ParityUnionFind()
     nodes = set()
     for eid in kept:
@@ -252,8 +216,8 @@ def _euler_check(g, kept, faces, face_comp):
         v_count[uf.find(n)[0]] += 1
     for eid in kept:
         e_count[uf.find(g.edge(eid).u)[0]] += 1
-    for comp in face_comp:
-        f_count[comp] += 1
+    for face in faces:
+        f_count[uf.find(face[0][0])[0]] += 1
     for comp in v_count:
         v, e, f = v_count[comp], e_count[comp], f_count[comp]
         if v - e + f != 2:

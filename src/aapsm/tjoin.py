@@ -75,9 +75,6 @@ class TJoinInstance:
                 f"(odd={sorted(odd)}, T={sorted(self.t_nodes)})"
             )
 
-    def degree(self, node: int) -> int:
-        return sum(1 for e in self.edges if node in (e.u, e.v))
-
 
 def tjoin_from_graph(nodes, weighted_edges) -> TJoinInstance:
     """Build an instance with T = odd-degree nodes, dropping self-loops."""
@@ -280,20 +277,6 @@ def build_optimized_gadget_graph(
     return _build_gadget_graph(inst, assign, MODE_OPTIMIZED, group_plan=_chain_groups)
 
 
-def build_decomposed_gadget_graph(
-    inst: TJoinInstance, assign: EdgeAssignment, groups_by_node: dict[int, list[int]]
-) -> GadgetGraph:
-    """Decompose selected gadgets with explicit group sizes (e.g. 3+2 for a
-    degree-5 node); gadgets without a plan stay complete."""
-    return _build_gadget_graph(
-        inst,
-        assign,
-        MODE_OPTIMIZED,
-        group_plan=lambda n: [n],
-        explicit_groups=groups_by_node,
-    )
-
-
 def _chain_groups(n: int) -> list[int]:
     """Original-slot group sizes for the clique chain: 2, 1, 1, ..., 1, 2.
 
@@ -307,14 +290,7 @@ def _chain_groups(n: int) -> list[int]:
     return [2] + [1] * (n - 4) + [2]
 
 
-def decompose_groups_for(n: int, sizes: list[int]) -> list[int]:
-    """Validate an explicit decomposition plan (sum of group sizes == n)."""
-    if sum(sizes) != n or any(s < 1 for s in sizes):
-        raise InternalInvariantError(f"bad gadget decomposition {sizes} for size {n}")
-    return sizes
-
-
-def _build_gadget_graph(inst, assign, mode, group_plan, explicit_groups=None):
+def _build_gadget_graph(inst, assign, mode, group_plan):
     gg = GadgetGraph(mode)
     slot_id: dict[tuple[int, int], int] = {}  # (orig node, edge id) -> gadget node
 
@@ -330,12 +306,7 @@ def _build_gadget_graph(inst, assign, mode, group_plan, explicit_groups=None):
         if group_plan is None or len(ids) <= 3:
             _add_clique(gg, ids)
         else:
-            groups = (
-                decompose_groups_for(len(ids), explicit_groups[v])
-                if explicit_groups and v in explicit_groups
-                else group_plan(len(ids))
-            )
-            _add_clique_chain(gg, ids, groups)
+            _add_clique_chain(gg, ids, group_plan(len(ids)))
 
     for e in inst.edges:
         if assign.owner[e.id] == BOTH:

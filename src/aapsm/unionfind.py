@@ -1,8 +1,8 @@
 """Union-find over integer keys, with a parity bit per element.
 
 The parity of an element is defined relative to its set root, so two elements
-x, y in one set satisfy relation(x, y) == parity(x) ^ parity(y).  Used to
-check balance of graphs whose edges demand equal (0) or unequal (1) colors.
+x, y in one set stand in relation parity(x) ^ parity(y).  Used to check
+balance of graphs whose edges demand equal (0) or unequal (1) colors.
 """
 
 from __future__ import annotations
@@ -54,22 +54,3 @@ class ParityUnionFind:
         if self._rank[rx] == self._rank[ry]:
             self._rank[rx] += 1
         return True
-
-    def check(self, x: int, y: int, relation: int) -> bool:
-        """True unless x, y are connected with a contradicting relation."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx != ry:
-            return True
-        return (px ^ py) == relation
-
-    def connected(self, x: int, y: int) -> bool:
-        return self.find(x)[0] == self.find(y)[0]
-
-    def relation(self, x: int, y: int) -> int | None:
-        """0/1 parity between connected elements, None if disconnected."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx != ry:
-            return None
-        return px ^ py

@@ -20,6 +20,22 @@ def signed_edges(g):
     return [(e.u, e.v, e.weight, e.is_equal_constraint) for e in g.edges]
 
 
+def bfs_connected(edges, a, b):
+    adj = {}
+    for e in edges:
+        adj.setdefault(e.u, []).append(e.v)
+        adj.setdefault(e.v, []).append(e.u)
+    seen = {a}
+    queue = [a]
+    while queue:
+        u = queue.pop(0)
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return b in seen
+
+
 def kept_signed_edges(g, kept_ids):
     kept = set(kept_ids)
     return [
@@ -148,6 +164,19 @@ class TestGreedy:
             deleted, literal, greedy_weight = bipartize_greedy(g)
             assert opt_weight <= greedy_weight
             assert len(deleted) <= literal
+
+    def test_literal_counts_every_non_forest_edge(self):
+        """Naive count: in (-weight, id) order, an edge is non-forest when a
+        BFS over the edges before it already joins its endpoints."""
+        for layout, shifters, pairs, g in sample_micro_pcgs(53, 40, max_features=5):
+            ordered = sorted(g.edges, key=lambda e: (-e.weight, e.id))
+            expect = sum(
+                1
+                for i, e in enumerate(ordered)
+                if bfs_connected(ordered[:i], e.u, e.v)
+            )
+            _, literal, _ = bipartize_greedy(g)
+            assert literal == expect
 
     def test_feature_edges_preferred_in_tree(self, odd_ring_fixture):
         # heavy feature edges enter the spanning forest first, so greedy only

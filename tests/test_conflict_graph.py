@@ -2,6 +2,7 @@
 
 import pytest
 
+from aapsm.cli import main
 from aapsm.conflict_graph import (
     EDGE_FEATURE,
     EDGE_OVERLAP_HALF,
@@ -16,7 +17,12 @@ from aapsm.conflict_graph import (
     phase_assign,
 )
 from aapsm.errors import InternalInvariantError
-from aapsm.layout import DesignRules, find_overlapping_pairs, generate_shifters
+from aapsm.layout import (
+    DesignRules,
+    find_overlapping_pairs,
+    generate_shifters,
+    parse_layout,
+)
 
 from conftest import make_shifter, sample_micro_pcgs
 from oracles import phase_feasible
@@ -138,6 +144,33 @@ class TestPerturbation:
     def test_benign_layouts_not_perturbed(self, comb_layout):
         g = graph_from(comb_layout)
         assert g.perturbed_nodes == ()
+
+    def test_concentric_shifters_separated(self, tmp_path, capsys):
+        """The upper shifter of one bar and the lower shifter of a shorter
+        bar above it share a center, so their nodes coincide until the later
+        one is nudged."""
+        text = (
+            "rules 150 200 50 200\n"
+            "bbox 0 -1000 4000 2500\n"
+            "rect poly 1000 0 2000 100\n"
+            "rect poly 1100 400 1900 500\n"
+        )
+        path = tmp_path / "concentric.lay"
+        path.write_text(text)
+        assert main(["detect", str(path)]) == 0
+        assert "conflicts_pcg=0" in capsys.readouterr().out
+
+        layout = parse_layout(text)
+        shifters = generate_shifters(layout)
+        pairs = find_overlapping_pairs(shifters, layout.rules)
+        g = build_conflict_graph(shifters, pairs, layout.rules)
+        assert len({n.pos for n in g.nodes}) == len(g.nodes)
+        by_feature = {}
+        for s in shifters:
+            by_feature.setdefault(s.feature_id, []).append(s.id)
+        constraints = [(a, b, False) for a, b in by_feature.values()]
+        constraints += [(a, b, True) for a, b, _ in pairs]
+        assert is_bipartite(g).ok == phase_feasible(len(shifters), constraints)
 
 
 class TestIsBipartite:

@@ -54,14 +54,6 @@ class TestReports:
             "conflicts_pcg"
         )
 
-    def test_gadget_modes_timed_and_equal(self):
-        layout = generate_layout(22, features=8, motif_density=1.0)
-        res = detect(layout, time_gadget_modes=True)
-        assert set(res.match_seconds) == {"generalized", "optimized"}
-        report = dict(res.report)
-        assert "match_time_generalized_s" in report
-        assert "match_time_optimized_s" in report
-
     def test_timing_lines_absent_by_default(self):
         layout = generate_layout(23, features=6, motif_density=0.5)
         report = dict(detect(layout).report)

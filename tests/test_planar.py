@@ -162,7 +162,6 @@ class TestFacesAndDual:
         g = raw_graph([(0, 0), (10, 0), (5, 8)], [(0, 1, 2), (1, 2, 3), (2, 0, 4)])
         emb = planarize(g)
         assert len(emb.faces) == 2
-        assert len(emb.outer_faces) == 1
         dual = build_dual(emb)
         assert dual.n_faces == 2
         assert len(dual.edges) == 3
@@ -205,7 +204,6 @@ class TestFacesAndDual:
         emb = planarize(g)
         # each triangle: inner + outer face
         assert len(emb.faces) == 4
-        assert len(emb.outer_faces) == 2
         dual = build_dual(emb)
         assert len(dual.edges) == 6
 

@@ -15,7 +15,6 @@ from aapsm.tjoin import (
     MODE_OPTIMIZED,
     TJoinInstance,
     assign_edges,
-    build_decomposed_gadget_graph,
     build_generalized_gadget_graph,
     build_optimized_gadget_graph,
     solve_tjoin,
@@ -194,21 +193,6 @@ class TestGadgetConstruction:
 
         assert len(gg.nodes) == expect_nodes
         assert sorted(w for _u, _v, w in gg.edges) == sorted(expect_weights)
-
-    def test_explicit_three_two_split_for_degree_five(self):
-        edges = [(0, i, 2 * i + 1) for i in range(1, 6)]
-        inst = tjoin_from_graph(range(6), edges)
-        assign = assign_edges(inst)
-        split = build_decomposed_gadget_graph(inst, assign, {0: [3, 2]})
-        divides = [n for n in split.nodes if n.kind == KIND_DIVIDE]
-        assert len(divides) == 2  # one junction
-        _, w_gen, _ = solve_tjoin(inst, MODE_GENERALIZED)
-        from aapsm.matching import min_weight_perfect_matching
-
-        _, w_split = min_weight_perfect_matching(
-            [n.id for n in split.nodes], split.edges
-        )
-        assert w_split == w_gen
 
 
 class TestSolve:
