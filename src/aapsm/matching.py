@@ -4,6 +4,8 @@ Backed by the blossom (primal-dual with shrinking) implementation in
 networkx, which is exact for integer weights in O(V^3).  Minimization is the
 max-cardinality maximum-weight matching of the negated weights: all perfect
 matchings share the same cardinality, so maximizing sum(-w) minimizes sum(w).
+The T-join solver calls this once per connected component of the dual that
+holds an odd face, so each call sees one component's gadget graph.
 """
 
 from __future__ import annotations

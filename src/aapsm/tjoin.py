@@ -17,6 +17,13 @@ Two gadget shapes are supported:
                  zero-weight divide nodes (parity relays).
 Both yield the same optimal join weight; the chained shape trades extra nodes
 for far fewer edges.
+
+The instance is solved one connected component at a time: a minimum T-join of
+a disjoint union is the union of the components' minimum T-joins, so each
+component gets its own gadget graph and matching call, and a component with
+no T node is skipped (all weights are non-negative, so its empty join is
+optimal).  Matching is cubic in the gadget size, so this is where the split
+pays.
 """
 
 from __future__ import annotations
@@ -121,6 +128,57 @@ class EdgeAssignment:
                 )
 
 
+def _incidence(inst: TJoinInstance) -> dict[int, list[TJoinEdge]]:
+    """Incident edges of every node, in edge-id order."""
+    incident: dict[int, list[TJoinEdge]] = {n: [] for n in inst.nodes}
+    for e in sorted(inst.edges, key=lambda e: e.id):
+        incident[e.u].append(e)
+        incident[e.v].append(e)
+    return incident
+
+
+@dataclass(frozen=True)
+class _SpanningForest:
+    """BFS forest in node-id order, neighbors in edge-id order."""
+
+    incident: dict[int, list[TJoinEdge]]
+    parent: dict[int, tuple[int, TJoinEdge] | None]
+    depth: dict[int, int]
+    components: list[list[int]]  # nodes of each tree, in BFS order
+
+    @classmethod
+    def of(cls, inst: TJoinInstance) -> "_SpanningForest":
+        incident = _incidence(inst)
+        parent: dict[int, tuple[int, TJoinEdge] | None] = {}
+        depth: dict[int, int] = {}
+        components: list[list[int]] = []
+        for start in inst.nodes:
+            if start in parent:
+                continue
+            parent[start] = None
+            depth[start] = 0
+            comp = [start]
+            for u in comp:  # comp doubles as the BFS queue
+                for e in incident[u]:
+                    v = e.u if e.v == u else e.v
+                    if v not in parent:
+                        parent[v] = (u, e)
+                        depth[v] = depth[u] + 1
+                        comp.append(v)
+            components.append(comp)
+        return cls(incident, parent, depth, components)
+
+    def path(self, a: int, b: int) -> list[TJoinEdge]:
+        """Tree edges on the path between a and b (same tree)."""
+        edges = []
+        while a != b:
+            if self.depth[a] < self.depth[b]:
+                a, b = b, a
+            a, e = self.parent[a]
+            edges.append(e)
+        return edges
+
+
 def assign_edges(inst: TJoinInstance) -> EdgeAssignment:
     """Pick an owner per edge so each node owns edges matching its degree parity.
 
@@ -130,71 +188,29 @@ def assign_edges(inst: TJoinInstance) -> EdgeAssignment:
     by assigning one of its incident edges to both endpoints.
     """
     owner = {e.id: min(e.u, e.v) for e in inst.edges}
-    adjacency: dict[int, list[TJoinEdge]] = {n: [] for n in inst.nodes}
-    for e in inst.edges:
-        adjacency[e.u].append(e)
-        adjacency[e.v].append(e)
+    forest = _SpanningForest.of(inst)
+    incident = forest.incident
 
-    # spanning forest (BFS in node-id order, neighbors in edge-id order)
-    parent: dict[int, tuple[int, TJoinEdge] | None] = {}
-    components: list[list[int]] = []
-    for start in inst.nodes:
-        if start in parent:
-            continue
-        parent[start] = None
-        comp = [start]
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for e in sorted(adjacency[u], key=lambda e: e.id):
-                v = e.u if e.v == u else e.v
-                if v not in parent:
-                    parent[v] = (u, e)
-                    comp.append(v)
-                    queue.append(v)
-        components.append(comp)
-
-    def defects(nodes_subset) -> list[int]:
-        out = []
-        for n in nodes_subset:
-            owned = sum(
-                1
-                for e in adjacency[n]
-                if owner[e.id] == n or owner[e.id] == BOTH
-            )
-            if owned % 2 != len(adjacency[n]) % 2:
-                out.append(n)
-        return sorted(out)
-
-    def tree_path_edges(a: int, b: int) -> list[TJoinEdge]:
-        def to_root(x):
-            path = []
-            while parent[x] is not None:
-                p, e = parent[x]
-                path.append(e)
-                x = p
-            return path
-
-        pa, pb = to_root(a), to_root(b)
-        ia, ib = {e.id for e in pa}, {e.id for e in pb}
-        keep = ia ^ ib
-        return [e for e in pa + pb if e.id in keep]
-
-    for comp in components:
-        bad = defects(comp)
-        while len(bad) >= 2:
-            a, b = bad[0], bad[1]
-            for e in tree_path_edges(a, b):
+    for comp in forest.components:
+        bad = sorted(
+            n
+            for n in comp
+            if sum(1 for e in incident[n] if owner[e.id] == n) % 2
+            != len(incident[n]) % 2
+        )
+        # a path flip toggles the parity of its two end nodes only, so the
+        # sorted defects pair off in order
+        for a, b in zip(bad[0::2], bad[1::2]):
+            for e in forest.path(a, b):
                 owner[e.id] = e.v if owner[e.id] == e.u else e.u
-            bad = defects(comp)
-        if bad:
-            d = bad[0]
-            candidates = [e for e in adjacency[d] if owner[e.id] != d]
+        if len(bad) % 2:
+            d = bad[-1]
+            candidates = [e for e in incident[d] if owner[e.id] != d]
             if not candidates:
                 raise InternalInvariantError(
                     f"defect node {d} owns all its incident edges"
                 )
-            owner[min(candidates, key=lambda e: e.id).id] = BOTH
+            owner[candidates[0].id] = BOTH
 
     assignment = EdgeAssignment(owner)
     assignment.validate(inst)
@@ -245,18 +261,6 @@ class GadgetGraph:
         return join
 
 
-def _gadget_members(inst: TJoinInstance, assign: EdgeAssignment, v: int):
-    """Slots of node v's gadget: (edge, is_true, ghost weight), edge-id order."""
-    members = []
-    for e in inst.edges:
-        if v not in (e.u, e.v):
-            continue
-        is_true = assign.owner[e.id] in (v, BOTH)
-        members.append((e, is_true, 0 if is_true else e.weight))
-    members.sort(key=lambda m: m[0].id)
-    return members
-
-
 def build_generalized_gadget_graph(
     inst: TJoinInstance, assign: EdgeAssignment
 ) -> GadgetGraph:
@@ -293,16 +297,17 @@ def _chain_groups(n: int) -> list[int]:
 def _build_gadget_graph(inst, assign, mode, group_plan):
     gg = GadgetGraph(mode)
     slot_id: dict[tuple[int, int], int] = {}  # (orig node, edge id) -> gadget node
+    incident = _incidence(inst)
 
     for v in inst.nodes:
-        members = _gadget_members(inst, assign, v)
-        if not members:
+        if not incident[v]:
             continue
-        ids = []
-        for e, is_true, gw in members:
+        ids = []  # (slot, ghost weight); a true slot is free
+        for e in incident[v]:
+            is_true = assign.owner[e.id] in (v, BOTH)
             nid = gg.new_node(KIND_TRUE if is_true else KIND_GHOST, v, e.id)
             slot_id[(v, e.id)] = nid
-            ids.append((nid, gw))
+            ids.append((nid, 0 if is_true else e.weight))
         if group_plan is None or len(ids) <= 3:
             _add_clique(gg, ids)
         else:
@@ -369,19 +374,47 @@ def solve_tjoin(
 ) -> tuple[list[int], int, float]:
     """Minimum-weight T-join: (sorted edge ids, weight, matching seconds).
 
-    The returned set is re-validated: odd incidence exactly on T, and its
-    summed weight must equal the matching weight.
+    A minimum T-join of a disjoint union is the union of the components'
+    minimum T-joins, so each connected component is matched on its own, and
+    a component without a T node contributes the empty join (weights are
+    non-negative).  The seconds are summed over the matching calls.  The
+    returned set is re-validated: odd incidence exactly on T, and each
+    component's join weight must equal its matching weight.
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
     if not inst.t_nodes:
         return [], 0, 0.0
-    assign = assign_edges(inst)
-    if mode == MODE_GENERALIZED:
-        gg = build_generalized_gadget_graph(inst, assign)
-    else:
-        gg = build_optimized_gadget_graph(inst, assign)
+    build = (
+        build_generalized_gadget_graph
+        if mode == MODE_GENERALIZED
+        else build_optimized_gadget_graph
+    )
+    forest = _SpanningForest.of(inst)
+    join: list[int] = []
+    total = 0
+    elapsed = 0.0
+    for comp in forest.components:
+        t_comp = inst.t_nodes.intersection(comp)
+        if not t_comp:
+            continue
+        edges = {e.id: e for n in comp for e in forest.incident[n]}
+        part = TJoinInstance(
+            tuple(sorted(comp)),
+            tuple(edges[i] for i in sorted(edges)),
+            frozenset(t_comp),
+        )
+        part_join, part_weight, seconds = _solve_connected(part, build)
+        join.extend(part_join)
+        total += part_weight
+        elapsed += seconds
+    _validate_join(inst, join)
+    return sorted(join), total, elapsed
 
+
+def _solve_connected(inst: TJoinInstance, build) -> tuple[list[int], int, float]:
+    """Gadget matching on one connected instance: (join, weight, seconds)."""
+    gg = build(inst, assign_edges(inst))
     start = time.perf_counter()
     pairs, match_weight = min_weight_perfect_matching(
         [n.id for n in gg.nodes], gg.edges
@@ -400,8 +433,7 @@ def solve_tjoin(
         raise InternalInvariantError(
             f"join weight {total} != matching weight {match_weight}"
         )
-    _validate_join(inst, join)
-    return sorted(join), total, elapsed
+    return join, total, elapsed
 
 
 def _validate_join(inst: TJoinInstance, join: list[int]) -> None:

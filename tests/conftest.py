@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
 
 import pytest
 from hypothesis import settings
 
+import aapsm
 from aapsm.conflict_graph import build_conflict_graph
 from aapsm.errors import GeometryError, LayoutValidationError
 from aapsm.layout import (
@@ -25,6 +28,15 @@ from aapsm.planar import find_crossings
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for `python -m aapsm.cli` subprocesses: the package under
+    test leads PYTHONPATH, so the child imports the same code as the tests."""
+    src = str(pathlib.Path(aapsm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_shifter(sid: int, feature_id: int, side: str, x: int, y: int, w=100, h=100):

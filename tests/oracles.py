@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles: rational-arithmetic
 segment intersection, exhaustive coloring / subset / matching enumeration.
-None of it shares a code path with the package under test.
+None of it shares a code path with the package under test, except
+`unsplit_tjoin_weight`: the whole-instance gadget matching that the
+per-component T-join solve replaced, kept as its reference.
 """
 
 from __future__ import annotations
@@ -10,7 +12,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
+
+from aapsm.tjoin import (
+    MODE_GENERALIZED,
+    assign_edges,
+    build_generalized_gadget_graph,
+    build_optimized_gadget_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +172,33 @@ def min_tjoin_weight(nodes, edges, t_set) -> int | None:
         if all((deg[index[n]] == 1) == (n in t_set) for n in nodes):
             best = weight
     return best
+
+
+def unsplit_tjoin_weight(inst, mode) -> int:
+    """Minimum T-join weight from one gadget matching over the whole instance.
+
+    Gadgets come from the package's builders; the matching is networkx blossom
+    on the negated weights, without splitting the instance into components.
+    """
+    if not inst.t_nodes:
+        return 0
+    build = (
+        build_generalized_gadget_graph
+        if mode == MODE_GENERALIZED
+        else build_optimized_gadget_graph
+    )
+    gg = build(inst, assign_edges(inst))
+    cheapest: dict[tuple[int, int], int] = {}
+    for u, v, w in gg.edges:
+        key = (min(u, v), max(u, v))
+        cheapest[key] = min(w, cheapest.get(key, w))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(gg.nodes)))
+    for (u, v), w in cheapest.items():
+        graph.add_edge(u, v, weight=-w)
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    assert 2 * len(mate) == len(gg.nodes), "gadget graph has no perfect matching"
+    return sum(cheapest[(min(u, v), max(u, v))] for u, v in mate)
 
 
 def min_set_cover_weight(universe, candidate_sets) -> int | None:

@@ -23,7 +23,7 @@ from aapsm.pipeline import correct, detect
 from aapsm.planar import build_dual, planarize
 from aapsm.tjoin import MODE_GENERALIZED, MODE_OPTIMIZED, solve_tjoin, tjoin_from_graph
 
-from conftest import micro_pcg, random_multigraph, sample_micro_pcgs
+from conftest import cli_env, micro_pcg, random_multigraph, sample_micro_pcgs
 from oracles import (
     min_bipartization_weight,
     min_perfect_matching_weight,
@@ -216,6 +216,7 @@ class TestAcceptance:
                     [sys.executable, "-m", "aapsm.cli", *args],
                     capture_output=True,
                     text=True,
+                    env=cli_env(),
                 )
                 assert proc.returncode == 0, proc.stderr
                 return proc.stdout

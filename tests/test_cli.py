@@ -9,6 +9,8 @@ from aapsm.cli import main
 from aapsm.generator import generate_layout
 from aapsm.layout import parse_layout, serialize_layout
 
+from conftest import cli_env
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -220,7 +222,8 @@ class TestSubprocessReproducibility:
             "--baseline-gb",
         ]
         runs = [
-            subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)
+            subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
+            for _ in range(2)
         ]
         assert runs[0].returncode == 0
         assert runs[0].stdout == runs[1].stdout

@@ -1,9 +1,12 @@
 """Edge assignment, gadget construction, and the T-join solve."""
 
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 
+import aapsm.tjoin
 from aapsm.errors import InternalInvariantError
 from aapsm.tjoin import (
     BOTH,
@@ -22,7 +25,7 @@ from aapsm.tjoin import (
 )
 
 from conftest import random_multigraph
-from oracles import min_tjoin_weight
+from oracles import min_tjoin_weight, unsplit_tjoin_weight
 
 
 def path_abc(w1=5, w2=7):
@@ -277,3 +280,89 @@ class TestSolve:
             )
             _, w7, _ = solve_tjoin(scaled)
             assert w7 == 7 * w
+
+
+def disjoint_union(rng: random.Random):
+    """(n, edges) of 2-4 disjoint parts: random multigraphs, a T-free cycle,
+    a single edge (its component's edge is owned by BOTH ends), parallel
+    edges, and an all-zero-weight part; 12 edges at most."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            parts.append(random_multigraph(rng, max_nodes=4, max_edges=4))
+        elif kind == 1:
+            k = rng.randint(2, 4)
+            parts.append((k, [(i, (i + 1) % k, rng.randint(0, 9)) for i in range(k)]))
+        elif kind == 2:
+            parts.append((2, [(0, 1, rng.randint(0, 9))]))
+        elif kind == 3:
+            parts.append((2, [(0, 1, rng.randint(0, 9)) for _ in range(rng.randint(2, 3))]))
+        else:
+            n, edges = random_multigraph(rng, max_nodes=3, max_edges=3)
+            parts.append((n, [(u, v, 0) for u, v, _ in edges]))
+    n, edges = 0, []
+    for k, part_edges in parts:
+        if len(edges) + len(part_edges) > 12:
+            break
+        edges += [(u + n, v + n, w) for u, v, w in part_edges]
+        n += k
+    rng.shuffle(edges)
+    return n, edges
+
+
+def gadget_node_count(edges, mode) -> int:
+    """Nodes of one connected component's gadget graph: two slots per edge,
+    a dummy per edge except the one BOTH edge of an odd edge count, and in
+    optimized mode a divide pair per clique junction of a degree > 3 node."""
+    m = len(edges)
+    count = 3 * m - m % 2
+    if mode == MODE_OPTIMIZED:
+        degree = Counter(x for u, v, _ in edges for x in (u, v))
+        count += sum(2 * (d - 3) for d in degree.values() if d > 3)
+    return count
+
+
+class TestComponentSplit:
+    @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
+    def test_split_matches_oracles(self, mode):
+        rng = random.Random(4242 if mode == MODE_GENERALIZED else 2424)
+        for _ in range(60):
+            n, edges = disjoint_union(rng)
+            inst = tjoin_from_graph(range(n), edges)
+            join, weight, _ = solve_tjoin(inst, mode)
+            assert weight == min_tjoin_weight(range(n), edges, inst.t_nodes)
+            assert weight == unsplit_tjoin_weight(inst, mode)
+            odd = Counter()
+            for eid in join:
+                e = inst.edges[eid]
+                odd[e.u] ^= 1
+                odd[e.v] ^= 1
+            assert {x for x, bit in odd.items() if bit} == inst.t_nodes
+            assert weight == sum(inst.edges[eid].weight for eid in join)
+
+    @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
+    def test_one_matching_per_component_with_t(self, mode, monkeypatch):
+        seen = []
+        real = aapsm.tjoin.min_weight_perfect_matching
+
+        def recording(node_ids, weighted_edges):
+            seen.append(len(node_ids))
+            return real(node_ids, weighted_edges)
+
+        monkeypatch.setattr(aapsm.tjoin, "min_weight_perfect_matching", recording)
+        rng = random.Random(77 if mode == MODE_GENERALIZED else 78)
+        for _ in range(60):
+            n, edges = disjoint_union(rng)
+            inst = tjoin_from_graph(range(n), edges)
+            graph = nx.MultiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_weighted_edges_from(edges)
+            expect = []
+            for comp in nx.connected_components(graph):
+                if comp & inst.t_nodes:
+                    comp_edges = [(u, v, w) for u, v, w in edges if u in comp]
+                    expect.append(gadget_node_count(comp_edges, mode))
+            seen.clear()
+            solve_tjoin(inst, mode)
+            assert sorted(seen) == sorted(expect)
