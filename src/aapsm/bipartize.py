@@ -46,18 +46,10 @@ def bipartize_optimal(
     are stripped first since a bridge lies on no cycle.  Returns (edge ids,
     weight, matching seconds).
     """
-    usable = [(e.u, e.v, e.weight) for e in dual.edges if not e.is_self_loop]
-    inst = tjoin_from_graph(range(dual.n_faces), usable)
+    usable = [e for e in dual.edges if not e.is_self_loop]
+    inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])
     join, weight, seconds = solve_tjoin(inst, mode)
-
-    primal_of = {}
-    k = 0
-    for e in dual.edges:
-        if e.is_self_loop:
-            continue
-        primal_of[k] = e.primal_edge_id
-        k += 1
-    m_ids = tuple(sorted(primal_of[j] for j in join))
+    m_ids = tuple(sorted(usable[j].primal_edge_id for j in join))
 
     removed = set(emb.removed_edge_ids) | set(m_ids)
     if not is_bipartite(emb.graph, frozenset(removed)).ok:

@@ -89,35 +89,35 @@ def _dump_path(base: str, stem: str, many: bool) -> pathlib.Path:
     return path.with_name(f"{path.name}.{stem}") if many else path
 
 
-def _run_one(command: str, path_str: str, args_dict: dict) -> tuple[int, str]:
+def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
     """Process one layout file; returns (exit code, report text)."""
     path = pathlib.Path(path_str)
-    many = args_dict["many"]
+    many = len(args.layouts) > 1
     try:
         try:
             text = path.read_text()
         except OSError as exc:
             raise _input_error(f"cannot read {path}: {exc}") from exc
         layout = parse_layout(text)
-        if args_dict["rules"]:
-            layout = dataclasses.replace(layout, rules=_parse_rules(args_dict["rules"]))
+        if args.rules:
+            layout = dataclasses.replace(layout, rules=_parse_rules(args.rules))
 
         detection = detect(
             layout,
             design_name=path.stem,
-            gadget_mode=args_dict["gadget"],
-            weight_mode=args_dict["weights"],
-            run_greedy_baseline=args_dict["baseline_gb"],
+            gadget_mode=args.gadget,
+            weight_mode=args.weights,
+            run_greedy_baseline=args.baseline_gb,
         )
-        if args_dict["dump_graph"]:
-            _dump_path(args_dict["dump_graph"], path.stem, many).write_text(
+        if args.dump_graph:
+            _dump_path(args.dump_graph, path.stem, many).write_text(
                 dump_graph(detection.graph)
             )
-        if args_dict["dump_embedding"]:
-            _dump_path(args_dict["dump_embedding"], path.stem, many).write_text(
+        if args.dump_embedding:
+            _dump_path(args.dump_embedding, path.stem, many).write_text(
                 dump_embedding(detection.embedding)
             )
-        if args_dict["dump_conflicts"]:
+        if args.dump_conflicts:
             lines = []
             for c in detection.conflicts.conflicts:
                 req = "-" if c.required_separation is None else str(c.required_separation)
@@ -125,25 +125,25 @@ def _run_one(command: str, path_str: str, args_dict: dict) -> tuple[int, str]:
                     f"conflict {c.edge_id} {c.shifter_pair[0]} {c.shifter_pair[1]} "
                     f"{req} {c.origin}"
                 )
-            _dump_path(args_dict["dump_conflicts"], path.stem, many).write_text(
+            _dump_path(args.dump_conflicts, path.stem, many).write_text(
                 "\n".join(lines) + "\n" if lines else ""
             )
 
-        if command == "detect":
+        if args.command == "detect":
             return EXIT_OK, render_report(detection.report)
 
-        correction = correct(detection, exact_cover_limit=args_dict["exact_cover_limit"])
-        if args_dict["dump_plan"]:
-            _dump_path(args_dict["dump_plan"], path.stem, many).write_text(
+        correction = correct(detection, exact_cover_limit=args.exact_cover_limit)
+        if args.dump_plan:
+            _dump_path(args.dump_plan, path.stem, many).write_text(
                 dump_plan(correction.plan)
             )
         out_text = serialize_layout(correction.new_layout)
-        if args_dict["out_dir"]:
-            out_dir = pathlib.Path(args_dict["out_dir"])
+        if args.out_dir:
+            out_dir = pathlib.Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"{path.stem}.fixed").write_text(out_text)
-        elif args_dict["out"]:
-            pathlib.Path(args_dict["out"]).write_text(out_text)
+        elif args.out:
+            pathlib.Path(args.out).write_text(out_text)
         else:
             path.with_suffix(path.suffix + ".fixed").write_text(out_text)
         return EXIT_OK, render_report(correction.report)
@@ -172,30 +172,15 @@ def main(argv: list[str] | None = None) -> int:
         print("error=--out needs a single input; use --out-dir", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    args_dict = {
-        "rules": args.rules,
-        "gadget": args.gadget,
-        "weights": args.weights,
-        "baseline_gb": args.baseline_gb,
-        "dump_graph": args.dump_graph,
-        "dump_embedding": args.dump_embedding,
-        "dump_conflicts": args.dump_conflicts,
-        "many": len(args.layouts) > 1,
-        "exact_cover_limit": getattr(args, "exact_cover_limit", 20),
-        "out": getattr(args, "out", None),
-        "out_dir": getattr(args, "out_dir", None),
-        "dump_plan": getattr(args, "dump_plan", None),
-    }
-
     results: list[tuple[int, str]]
     if args.jobs > 1 and len(args.layouts) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_run_one, args.command, p, args_dict) for p in args.layouts
+                pool.submit(_run_one, p, args) for p in args.layouts
             ]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one(args.command, p, args_dict) for p in args.layouts]
+        results = [_run_one(p, args) for p in args.layouts]
 
     code = EXIT_OK
     for idx, (rc, text) in enumerate(results):

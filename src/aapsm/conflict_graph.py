@@ -39,6 +39,7 @@ PHASE_A = 0
 PHASE_B = 180
 
 _PERTURB_LIMIT = 16
+_PERTURB_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,10 @@ def _perturb_degenerate_overlaps(
     exception is two shifters with the same center, where the later node is
     nudged off the position the earlier one holds (moving overlap nodes alone
     could never separate them).  Only overlap nodes are listed as perturbed.
+
+    This is the one place general position is established: planarization and
+    the generator rely on distinct node positions and on no overlap half
+    overlapping another edge along a collinear stretch.
     """
     held: set[tuple[int, int]] = set()
     for node in nodes:
@@ -195,23 +200,22 @@ def _perturb_degenerate_overlaps(
         held.add(node.pos)
 
     perturbed: list[int] = []
-    for _sweep in range(3):
+    for sweep in range(_PERTURB_SWEEPS + 1):  # the last sweep only verifies
         changed = False
         for node in nodes:
-            if node.kind != NODE_OVERLAP:
+            if node.kind != NODE_OVERLAP or not _is_degenerate(node.id, nodes, edges):
                 continue
-            if not _is_degenerate(node.id, nodes, edges):
-                continue
+            if sweep == _PERTURB_SWEEPS:
+                raise InternalInvariantError(
+                    f"overlap node {node.id} still degenerate after perturbation sweeps"
+                )
             base_x = node.x - node.perturb[0]
             base_y = node.y - node.perturb[1]
-            fixed = False
             for dx, dy in _perturb_deltas():
-                trial = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
-                nodes[node.id] = trial
+                nodes[node.id] = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
                 if not _is_degenerate(node.id, nodes, edges):
-                    fixed = True
                     break
-            if not fixed:
+            else:
                 raise InternalInvariantError(
                     f"cannot resolve degenerate overlap node {node.id} "
                     f"within {_PERTURB_LIMIT} quarter-nm"
@@ -220,13 +224,7 @@ def _perturb_degenerate_overlaps(
                 perturbed.append(node.id)
             changed = True
         if not changed:
-            return nodes, perturbed
-    # one extra verification sweep
-    for node in nodes:
-        if node.kind == NODE_OVERLAP and _is_degenerate(node.id, nodes, edges):
-            raise InternalInvariantError(
-                f"overlap node {node.id} still degenerate after perturbation sweeps"
-            )
+            break
     return nodes, perturbed
 
 

@@ -28,7 +28,6 @@ from .layout import (
     find_overlapping_pairs,
     generate_shifters,
 )
-from .planar import find_crossings
 
 GEN_RULES = DesignRules(
     critical_width=150,
@@ -46,20 +45,22 @@ _REACH = GEN_RULES.shifter_gap + GEN_RULES.shifter_width
 _CHAIN_PITCHES = (650, 700, 750)
 # pitches leaving 200+ nm between shifters (no overlap at all)
 _SPARSE_PITCHES = (900, 1100, 1400)
+# random extra pitch (nm) added to every wire and comb tooth
+_JITTER = 40
 
 
 def generate_layout(
     seed: int,
     features: int = 20,
     motif_density: float = 0.5,
-    jitter: int = 40,
 ) -> Layout:
     """Deterministic synthetic layout with the requested feature budget.
 
     motif_density is the fraction of the feature budget spent on combs (the
     conflict-inducing motif); 0 yields a phase-assignable layout.  The result
-    is self-checked: it validates, its conflict graph embeds (no coincident
-    nodes), and it is unassignable exactly when at least one comb was placed.
+    is self-checked: it validates, its conflict graph builds (which puts its
+    nodes in general position or raises), and it is unassignable exactly when
+    at least one comb was placed.
     """
     if features < 1:
         raise ValueError("features must be >= 1")
@@ -78,12 +79,12 @@ def generate_layout(
         place_comb = want_comb_features > 0 and budget >= 3
         if place_comb:
             teeth = min(budget - 1, rng.choice((2, 3, 3, 4)))
-            block, consumed = _comb_block(rng, cursor_x, next_id, teeth, jitter)
+            block, consumed = _comb_block(rng, cursor_x, next_id, teeth)
             want_comb_features -= consumed
             combs_placed += 1
         else:
             wires = min(budget, rng.choice((2, 3, 4, 5)))
-            block, consumed = _row_block(rng, cursor_x, next_id, wires, jitter)
+            block, consumed = _row_block(rng, cursor_x, next_id, wires)
         rects.extend(block)
         next_id += consumed
         budget -= consumed
@@ -98,7 +99,7 @@ def generate_layout(
     return layout
 
 
-def _row_block(rng, x0: int, id0: int, wires: int, jitter: int):
+def _row_block(rng, x0: int, id0: int, wires: int):
     """Vertical wires at mixed pitches; never creates an odd cycle."""
     height = rng.choice((800, 1000, 1200, 1600))
     y0 = rng.randrange(0, 400)
@@ -109,11 +110,11 @@ def _row_block(rng, x0: int, id0: int, wires: int, jitter: int):
             Rect(x, y0, x + _WIRE_W, y0 + height, FEATURE_LAYER, id0 + i)
         )
         pitch = rng.choice(_CHAIN_PITCHES if rng.random() < 0.6 else _SPARSE_PITCHES)
-        x += pitch + rng.randrange(0, jitter + 1)
+        x += pitch + rng.randrange(0, _JITTER + 1)
     return rects, wires
 
 
-def _comb_block(rng, x0: int, id0: int, teeth: int, jitter: int):
+def _comb_block(rng, x0: int, id0: int, teeth: int):
     """A bar plus teeth; both shifters of every tooth overlap the bar's upper
     shifter, closing one odd dependency cycle per tooth.
 
@@ -128,7 +129,7 @@ def _comb_block(rng, x0: int, id0: int, teeth: int, jitter: int):
     # strictly below the 200 nm minimum spacing
     lift = 350 + rng.randrange(0, 81)
     fused = teeth >= 2 and rng.random() < 0.4
-    pitch = (700 if fused else 900) + rng.randrange(0, jitter + 1)
+    pitch = (700 if fused else 900) + rng.randrange(0, _JITTER + 1)
 
     bar_y = rng.randrange(0, 300)
     first_tooth_x = x0 + 400
@@ -149,9 +150,7 @@ def _comb_block(rng, x0: int, id0: int, teeth: int, jitter: int):
 def _self_check(layout: Layout, expect_conflict: bool) -> None:
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
-    graph = build_conflict_graph(shifters, pairs, layout.rules)
-    find_crossings(graph)  # raises on coincident node positions
-    verdict = is_bipartite(graph)
+    verdict = is_bipartite(build_conflict_graph(shifters, pairs, layout.rules))
     if expect_conflict and verdict.ok:
         raise InternalInvariantError(
             "generator expected at least one odd cycle but the layout is balanced"

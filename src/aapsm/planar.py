@@ -9,6 +9,7 @@ geometry and tracing faces.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -93,35 +94,19 @@ def find_crossings(
     return tuple(sorted(out))
 
 
-def _adjacent_collinear_pairs(g: PhaseConflictGraph) -> list[tuple[int, int]]:
-    """Edge pairs sharing a node and overlapping along a positive-length
-    collinear stretch.  find_crossings excludes adjacent pairs, but no
-    rotation system exists while these survive, so planarization must treat
-    them as crossings too."""
-    out = []
-    n_edges = len(g.edges)
-    for i in range(n_edges):
-        e1 = g.edge(i)
-        a, b = g.node(e1.u).pos, g.node(e1.v).pos
-        for j in range(i + 1, n_edges):
-            e2 = g.edge(j)
-            if not {e1.u, e1.v} & {e2.u, e2.v}:
-                continue
-            c, d = g.node(e2.u).pos, g.node(e2.v).pos
-            if geometry.collinear_overlap(a, b, c, d):
-                out.append((i, j))
-    return out
-
-
 def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     """Delete crossing edges greedily, then embed the survivors.
 
     Iterated greedy: while any crossing remains, delete the minimum-weight
     edge participating in one (ties: most crossings, then lowest edge id).
     Adjacent collinear overlaps are folded into the crossing set: they are not
-    reported by find_crossings but equally admit no rotation system.
+    reported by find_crossings but equally admit no rotation system.  They are
+    read off the one direction sort of each node's edges that also yields the
+    rotation system.
     """
-    crossings = list(find_crossings(g)) + _adjacent_collinear_pairs(g)
+    crossings = list(find_crossings(g))  # rejects coincident nodes first
+    runs, same_ray = _sort_by_direction(g)
+    crossings += same_ray
     removed: list[int] = []
     while crossings:
         count: Counter[int] = Counter()
@@ -131,41 +116,73 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
         victim = min(count, key=lambda eid: (g.edge(eid).weight, -count[eid], eid))
         removed.append(victim)
         crossings = [c for c in crossings if victim not in c]
-    kept = tuple(eid for eid in range(len(g.edges)) if eid not in set(removed))
-    rotation = _build_rotation(g, kept)
+    removed_set = set(removed)
+    kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
+    rotation = _rotation(runs, removed_set)
     faces, face_of = _trace_faces(g, rotation)
     _euler_check(g, kept, faces)
     return PlanarEmbedding(g, kept, tuple(sorted(removed)), rotation, faces, face_of)
 
 
-def _build_rotation(
-    g: PhaseConflictGraph, kept: tuple[int, ...]
-) -> dict[int, tuple[int, ...]]:
+def _sort_by_direction(
+    g: PhaseConflictGraph,
+) -> tuple[dict[int, list[list[int]]], list[tuple[int, int]]]:
+    """Each node's incident edges counterclockwise from +x, grouped into runs
+    that leave the node in exactly the same direction, plus every pair of
+    edges sharing a run.
+
+    Node positions are distinct, so two edges sharing a node overlap along a
+    collinear stretch of positive length exactly when they leave it on the
+    same ray: the pairs are the adjacent collinear overlaps.  Parallel edges
+    tie at both ends and are listed once.
+    """
     incident: dict[int, list[int]] = {}
-    for eid in kept:
-        e = g.edge(eid)
-        incident.setdefault(e.u, []).append(eid)
-        incident.setdefault(e.v, []).append(eid)
+    for e in g.edges:
+        incident.setdefault(e.u, []).append(e.id)
+        incident.setdefault(e.v, []).append(e.id)
 
-    rotation: dict[int, tuple[int, ...]] = {}
+    runs: dict[int, list[list[int]]] = {}
+    same_ray: set[tuple[int, int]] = set()
     for node_id in sorted(incident):
-        origin = g.node(node_id).pos
-
-        def direction(eid: int) -> tuple[int, int]:
-            e = g.edge(eid)
-            other = g.node(e.other(node_id)).pos
-            return (other[0] - origin[0], other[1] - origin[1])
+        x, y = g.node(node_id).pos
+        direction = {}
+        for eid in incident[node_id]:
+            ox, oy = g.node(g.edge(eid).other(node_id)).pos
+            direction[eid] = (ox - x, oy - y)
 
         def cmp(e1: int, e2: int) -> int:
-            c = geometry.compare_directions(direction(e1), direction(e2))
-            if c == 0:
-                raise InternalInvariantError(
-                    f"edges {e1} and {e2} leave node {node_id} in the exact "
-                    "same direction; rotation system undefined"
-                )
-            return c
+            return geometry.compare_directions(direction[e1], direction[e2])
 
-        rotation[node_id] = tuple(sorted(incident[node_id], key=functools.cmp_to_key(cmp)))
+        node_runs: list[list[int]] = []
+        for eid in sorted(incident[node_id], key=functools.cmp_to_key(cmp)):
+            if node_runs and cmp(node_runs[-1][0], eid) == 0:
+                node_runs[-1].append(eid)
+            else:
+                node_runs.append([eid])
+        runs[node_id] = node_runs
+        for run in node_runs:
+            same_ray.update(itertools.combinations(sorted(run), 2))
+    return runs, sorted(same_ray)
+
+
+def _rotation(
+    runs: dict[int, list[list[int]]], removed: set[int]
+) -> dict[int, tuple[int, ...]]:
+    """The direction order of each node's surviving edges; nodes left with no
+    edge are dropped."""
+    rotation: dict[int, tuple[int, ...]] = {}
+    for node_id, node_runs in runs.items():
+        rot: list[int] = []
+        for run in node_runs:
+            kept = [eid for eid in run if eid not in removed]
+            if len(kept) > 1:
+                raise InternalInvariantError(
+                    f"edges {kept[0]} and {kept[1]} leave node {node_id} in the "
+                    "exact same direction; rotation system undefined"
+                )
+            rot += kept
+        if rot:
+            rotation[node_id] = tuple(rot)
     return rotation
 
 

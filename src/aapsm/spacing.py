@@ -58,7 +58,6 @@ class Cut:
 @dataclass(frozen=True)
 class SpacePlan:
     cuts: tuple[Cut, ...]
-    covered: dict  # conflict key -> cut index
     uncovered: tuple[tuple[int, int], ...]
     greedy_cut_count: int
     exact_cut_count: int | None  # None when the exact solver did not run
@@ -221,39 +220,33 @@ def plan_spaces(
     exact cover runs too and its plan is used when strictly better.
     """
     conflict_keys = sorted({iv.conflict_key for iv in intervals})
-    by_candidate: dict[tuple[str, int], set] = {}
-    for iv in intervals:
-        for coord in (iv.lo, iv.hi, (iv.lo + iv.hi) // 2):
-            if _widening_cuts_blocked(iv.axis, coord, critical_features):
-                continue
-            by_candidate.setdefault((iv.axis, coord), set())
-    for (axis, coord), covered in by_candidate.items():
+    keys = {
+        (iv.axis, coord)
+        for iv in intervals
+        for coord in (iv.lo, iv.hi, (iv.lo + iv.hi) // 2)
+        if not _widening_cuts_blocked(iv.axis, coord, critical_features)
+    }
+
+    # one scan of the intervals per candidate; a candidate lies inside the
+    # interval that produced it, so it covers at least that conflict
+    by_key: dict[tuple[str, int], CoverCandidate] = {}
+    for key in sorted(keys):
+        axis, coord = key
+        covered: set[tuple[int, int]] = set()
+        weight = 0
         for iv in intervals:
             if iv.axis == axis and iv.lo <= coord <= iv.hi:
                 covered.add(iv.conflict_key)
+                weight = max(weight, iv.width_needed)
+        by_key[key] = CoverCandidate(key, frozenset(covered), weight)
+    candidates = list(by_key.values())
 
-    weight_of: dict[tuple[str, int], int] = {}
-    candidates: list[CoverCandidate] = []
-    for key in sorted(by_candidate):
-        covered = by_candidate[key]
-        if not covered:
-            continue
-        weight = max(
-            iv.width_needed
-            for iv in intervals
-            if iv.axis == key[0] and iv.lo <= key[1] <= iv.hi
-        )
-        weight_of[key] = weight
-        candidates.append(CoverCandidate(key, frozenset(covered), weight))
-
-    coverable = (
-        frozenset().union(*(c.elements for c in candidates)) if candidates else frozenset()
-    )
+    coverable = frozenset().union(*(c.elements for c in candidates))
     planned_universe = frozenset(k for k in conflict_keys if k in coverable)
     plan_uncovered = tuple(k for k in conflict_keys if k not in coverable)
 
     greedy_keys = greedy_cover(planned_universe, candidates) if planned_universe else []
-    greedy_width = sum(weight_of[k] for k in greedy_keys)
+    greedy_width = sum(by_key[k].weight for k in greedy_keys)
     chosen = greedy_keys
     exact_count = None
     exact_width = None
@@ -262,25 +255,19 @@ def plan_spaces(
         exact_keys = exact_cover(planned_universe, candidates)
         if exact_keys is not None:
             exact_count = len(exact_keys)
-            exact_width = sum(weight_of[k] for k in exact_keys)
+            exact_width = sum(by_key[k].weight for k in exact_keys)
             if exact_width < greedy_width or (
                 exact_width == greedy_width and len(exact_keys) < len(greedy_keys)
             ):
                 chosen = exact_keys
                 used_exact = True
 
-    cuts: list[Cut] = []
-    covered_map: dict[tuple[int, int], int] = {}
-    for key in sorted(chosen):
-        axis, coord = key
-        members = tuple(sorted(by_candidate[key]))
-        cuts.append(Cut(axis, coord, weight_of[key], members))
-    for idx, cut in enumerate(cuts):
-        for ck in cut.covered:
-            covered_map.setdefault(ck, idx)
+    cuts = tuple(
+        Cut(*key, by_key[key].weight, tuple(sorted(by_key[key].elements)))
+        for key in sorted(chosen)
+    )
     return SpacePlan(
-        tuple(cuts),
-        covered_map,
+        cuts,
         plan_uncovered,
         len(greedy_keys),
         exact_count,

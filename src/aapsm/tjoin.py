@@ -65,7 +65,6 @@ class TJoinInstance:
 
     def __post_init__(self):
         node_set = set(self.nodes)
-        deg: dict[int, int] = {n: 0 for n in self.nodes}
         for e in self.edges:
             if e.u == e.v:
                 raise InternalInvariantError(f"self-loop on node {e.u} in T-join instance")
@@ -73,14 +72,20 @@ class TJoinInstance:
                 raise InternalInvariantError(f"edge {e.id} references unknown node")
             if e.weight < 0:
                 raise InternalInvariantError(f"edge {e.id} has negative weight")
-            deg[e.u] += 1
-            deg[e.v] += 1
-        odd = frozenset(n for n, d in deg.items() if d % 2 == 1)
+        odd = _odd(n for e in self.edges for n in (e.u, e.v))
         if odd != self.t_nodes:
             raise InternalInvariantError(
                 "T must equal the odd-degree node set "
                 f"(odd={sorted(odd)}, T={sorted(self.t_nodes)})"
             )
+
+
+def _odd(ends) -> frozenset[int]:
+    """Nodes that occur an odd number of times among the given edge ends."""
+    odd: set[int] = set()
+    for n in ends:
+        odd ^= {n}
+    return frozenset(odd)
 
 
 def tjoin_from_graph(nodes, weighted_edges) -> TJoinInstance:
@@ -90,11 +95,7 @@ def tjoin_from_graph(nodes, weighted_edges) -> TJoinInstance:
         if u == v:
             continue
         edges.append(TJoinEdge(len(edges), u, v, int(w)))
-    deg: dict[int, int] = {n: 0 for n in nodes}
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    t = frozenset(n for n, d in deg.items() if d % 2 == 1)
+    t = _odd(n for e in edges for n in (e.u, e.v))
     return TJoinInstance(tuple(sorted(nodes)), tuple(edges), t)
 
 
@@ -105,27 +106,23 @@ class EdgeAssignment:
     owner: dict[int, int]
 
     def validate(self, inst: TJoinInstance) -> None:
-        count: dict[int, int] = {n: 0 for n in inst.nodes}
-        deg: dict[int, int] = {n: 0 for n in inst.nodes}
+        owned: list[int] = []
         for e in inst.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
             owner = self.owner[e.id]
             if owner == BOTH:
-                count[e.u] += 1
-                count[e.v] += 1
+                owned += (e.u, e.v)
             elif owner in (e.u, e.v):
-                count[owner] += 1
+                owned.append(owner)
             else:
                 raise InternalInvariantError(
                     f"edge {e.id} assigned to non-endpoint {owner}"
                 )
-        for n in inst.nodes:
-            if count[n] % 2 != deg[n] % 2:
-                raise InternalInvariantError(
-                    f"assignment parity broken at node {n}: "
-                    f"{count[n]} assigned vs degree {deg[n]}"
-                )
+        broken = _odd(owned) ^ inst.t_nodes  # T is the odd-degree set
+        if broken:
+            raise InternalInvariantError(
+                f"assignment parity broken at node {min(broken)}: "
+                "assigned-edge parity differs from degree parity"
+            )
 
 
 def _incidence(inst: TJoinInstance) -> dict[int, list[TJoinEdge]]:
@@ -233,7 +230,6 @@ class GadgetNode:
 
 @dataclass
 class GadgetGraph:
-    mode: str
     nodes: list[GadgetNode] = field(default_factory=list)
     edges: list[tuple[int, int, int]] = field(default_factory=list)
     # edge id -> ("dummy", dummy, true, ghost) or ("direct", t1, t2)
@@ -271,14 +267,19 @@ def build_generalized_gadget_graph(
     exactly when the edge enters the join).  A dummy there would leave the
     gadget graph with an odd node count and never pay the edge's weight.
     """
-    return _build_gadget_graph(inst, assign, MODE_GENERALIZED, group_plan=None)
+    return _build_gadget_graph(inst, assign, _one_group)
 
 
 def build_optimized_gadget_graph(
     inst: TJoinInstance, assign: EdgeAssignment
 ) -> GadgetGraph:
     """Gadgets split into cliques of at most 3 nodes linked by divide pairs."""
-    return _build_gadget_graph(inst, assign, MODE_OPTIMIZED, group_plan=_chain_groups)
+    return _build_gadget_graph(inst, assign, _chain_groups)
+
+
+def _one_group(n: int) -> list[int]:
+    """The complete gadget: a clique chain of one group."""
+    return [n]
 
 
 def _chain_groups(n: int) -> list[int]:
@@ -294,8 +295,8 @@ def _chain_groups(n: int) -> list[int]:
     return [2] + [1] * (n - 4) + [2]
 
 
-def _build_gadget_graph(inst, assign, mode, group_plan):
-    gg = GadgetGraph(mode)
+def _build_gadget_graph(inst, assign, group_plan):
+    gg = GadgetGraph()
     slot_id: dict[tuple[int, int], int] = {}  # (orig node, edge id) -> gadget node
     incident = _incidence(inst)
 
@@ -308,10 +309,7 @@ def _build_gadget_graph(inst, assign, mode, group_plan):
             nid = gg.new_node(KIND_TRUE if is_true else KIND_GHOST, v, e.id)
             slot_id[(v, e.id)] = nid
             ids.append((nid, 0 if is_true else e.weight))
-        if group_plan is None or len(ids) <= 3:
-            _add_clique(gg, ids)
-        else:
-            _add_clique_chain(gg, ids, group_plan(len(ids)))
+        _add_clique_chain(gg, ids, group_plan(len(ids)))
 
     for e in inst.edges:
         if assign.owner[e.id] == BOTH:
@@ -437,15 +435,12 @@ def _solve_connected(inst: TJoinInstance, build) -> tuple[list[int], int, float]
 
 
 def _validate_join(inst: TJoinInstance, join: list[int]) -> None:
-    deg: dict[int, int] = {n: 0 for n in inst.nodes}
     selected = set(join)
-    for e in inst.edges:
-        if e.id in selected:
-            deg[e.u] += 1
-            deg[e.v] += 1
-    for n in inst.nodes:
-        if (deg[n] % 2 == 1) != (n in inst.t_nodes):
-            raise InternalInvariantError(
-                f"extracted edge set is not a T-join: node {n} has join degree "
-                f"{deg[n]} but T membership {n in inst.t_nodes}"
-            )
+    odd = _odd(n for e in inst.edges if e.id in selected for n in (e.u, e.v))
+    wrong = odd ^ inst.t_nodes
+    if wrong:
+        n = min(wrong)
+        raise InternalInvariantError(
+            f"extracted edge set is not a T-join: node {n} has odd join degree "
+            f"{n in odd} but T membership {n in inst.t_nodes}"
+        )

@@ -76,6 +76,33 @@ def crossings_oracle(segments: dict[int, tuple], adjacency_exclusions) -> set:
     return out
 
 
+def collinear_overlap_oracle(p, q, r, s) -> bool:
+    """Segments pq and rs lie on one line and share a stretch of positive
+    length; measured by projecting rs onto pq (pq must not be a point)."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    for pt in (r, s):
+        if (pt[0] - p[0]) * dy - (pt[1] - p[1]) * dx != 0:
+            return False
+    t_r = (r[0] - p[0]) * dx + (r[1] - p[1]) * dy
+    t_s = (s[0] - p[0]) * dx + (s[1] - p[1]) * dy
+    # pq spans [0, |pq|^2] along its own direction
+    return max(0, min(t_r, t_s)) < min(dx * dx + dy * dy, max(t_r, t_s))
+
+
+def adjacent_collinear_pairs_oracle(g) -> set:
+    """All pairs (i, j), i < j, of edges that share a node and overlap along a
+    collinear stretch of positive length; all-pairs scan."""
+    out = set()
+    for e in g.edges:
+        for f in g.edges:
+            if e.id < f.id and {e.u, e.v} & {f.u, f.v}:
+                p, q = g.node(e.u).pos, g.node(e.v).pos
+                r, s = g.node(f.u).pos, g.node(f.v).pos
+                if collinear_overlap_oracle(p, q, r, s):
+                    out.add((e.id, f.id))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graph enumeration oracles
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from aapsm.conflict_graph import (
     phase_assign,
 )
 from aapsm.errors import InternalInvariantError
+from aapsm.generator import generate_layout
 from aapsm.layout import (
     DesignRules,
     find_overlapping_pairs,
@@ -25,13 +26,25 @@ from aapsm.layout import (
 )
 
 from conftest import make_shifter, sample_micro_pcgs
-from oracles import phase_feasible
+from oracles import collinear_overlap_oracle, phase_feasible
 
 
 def graph_from(layout):
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     return build_conflict_graph(shifters, pairs, layout.rules)
+
+
+def skip_overlap_row():
+    """Three tight wires in a row where outer shifters also overlap across
+    the middle wire: the long overlaps' segments run along the middle
+    feature edge and one overlap midpoint lands on a shifter node."""
+    rules = DesignRules(150, 100, 0, 501)
+    shifters = tuple(
+        make_shifter(i, i // 2, "low" if i % 2 == 0 else "high", x, 0, w=100, h=800)
+        for i, x in enumerate((-150, 50, 250, 450, 650, 850))
+    )
+    return shifters, find_overlapping_pairs(shifters, rules), rules
 
 
 class TestBuild:
@@ -116,15 +129,7 @@ class TestBuild:
 
 class TestPerturbation:
     def test_skip_overlap_row_gets_perturbed(self):
-        """Three tight wires in a row where outer shifters also overlap across
-        the middle wire: the long overlaps' segments run along the middle
-        feature edge and one overlap midpoint lands on a shifter node."""
-        rules = DesignRules(150, 100, 0, 501)
-        shifters = tuple(
-            make_shifter(i, i // 2, "low" if i % 2 == 0 else "high", x, 0, w=100, h=800)
-            for i, x in enumerate((-150, 50, 250, 450, 650, 850))
-        )
-        pairs = find_overlapping_pairs(shifters, rules)
+        shifters, pairs, rules = skip_overlap_row()
         assert (1, 4) in {(a, b) for a, b, _ in pairs}  # the skip overlap
         g = build_conflict_graph(shifters, pairs, rules)
         assert g.perturbed_nodes
@@ -171,6 +176,37 @@ class TestPerturbation:
         constraints = [(a, b, False) for a, b in by_feature.values()]
         constraints += [(a, b, True) for a, b, _ in pairs]
         assert is_bipartite(g).ok == phase_feasible(len(shifters), constraints)
+
+
+class TestGeneralPosition:
+    """The postcondition of build_conflict_graph that planarize and the
+    generator rely on: distinct node positions, and no overlap half that
+    overlaps any other edge along a collinear stretch."""
+
+    @staticmethod
+    def assert_general_position(g):
+        assert len({n.pos for n in g.nodes}) == len(g.nodes)
+        for e in g.edges:
+            if e.kind != EDGE_OVERLAP_HALF:
+                continue
+            p, q = g.node(e.u).pos, g.node(e.v).pos
+            for f in g.edges:
+                r, s = g.node(f.u).pos, g.node(f.v).pos
+                assert f.id == e.id or not collinear_overlap_oracle(p, q, r, s), (e, f)
+
+    def test_micro_and_degenerate_layouts(self):
+        graphs = [g for *_, g in sample_micro_pcgs(31337, 200, max_features=8)]
+        graphs.append(build_conflict_graph(*skip_overlap_row()))
+        assert sum(bool(g.perturbed_nodes) for g in graphs) >= 3
+        for g in graphs:
+            self.assert_general_position(g)
+
+    @pytest.mark.parametrize("density", [0.0, 0.7])
+    def test_generated_layouts(self, density):
+        for seed in (1, 2, 3):
+            self.assert_general_position(
+                graph_from(generate_layout(seed, features=40, motif_density=density))
+            )
 
 
 class TestIsBipartite:

@@ -13,10 +13,20 @@ from aapsm.conflict_graph import (
     build_conflict_graph,
 )
 from aapsm.errors import GeometryError
-from aapsm.planar import build_dual, dump_embedding, find_crossings, planarize
+from aapsm.planar import (
+    _sort_by_direction,
+    build_dual,
+    dump_embedding,
+    find_crossings,
+    planarize,
+)
 
 from conftest import sample_micro_pcgs
-from oracles import crossings_oracle, min_crossing_removal_weight
+from oracles import (
+    adjacent_collinear_pairs_oracle,
+    crossings_oracle,
+    min_crossing_removal_weight,
+)
 
 
 def raw_graph(points, edges_spec):
@@ -155,6 +165,47 @@ class TestPlanarize:
             removed_weight = sum(weights[e] for e in emb.removed_edge_ids)
             assert removed_weight >= optimum
             assert find_crossings(g, emb.kept_edge_ids) == ()
+
+
+def random_grid_graph(rng: random.Random):
+    """Raw graph on a 5x5 grid: dense with collinear runs and parallel edges."""
+    n = rng.randint(3, 8)
+    points = rng.sample([(x, y) for x in range(5) for y in range(5)], n)
+    edges = [
+        (*rng.sample(range(n), 2), rng.randint(1, 4)) for _ in range(rng.randint(1, 12))
+    ]
+    return raw_graph(points, edges)
+
+
+class TestAdjacentOverlaps:
+    def test_three_edges_on_one_ray_and_parallel_edges(self):
+        g = raw_graph(
+            [(0, 0), (1, 0), (2, 0), (3, 0), (0, 5)],
+            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1), (0, 4, 1)],
+        )
+        runs, same_ray = _sort_by_direction(g)
+        assert runs[0] == [[0, 1, 2], [3, 4]]
+        # the parallel pair ties at both of its nodes but is listed once
+        assert same_ray == [(0, 1), (0, 2), (1, 2), (3, 4)]
+        assert set(same_ray) == adjacent_collinear_pairs_oracle(g)
+        emb = planarize(g)
+        assert emb.removed_edge_ids == (0, 1, 3)
+        assert emb.rotation[0] == (2, 4)
+
+    def test_direction_ties_match_all_pairs_oracle(self):
+        rng = random.Random(2718)
+        with_pairs = with_long_run = 0
+        for _ in range(300):
+            g = random_grid_graph(rng)
+            runs, same_ray = _sort_by_direction(g)
+            oracle = adjacent_collinear_pairs_oracle(g)
+            assert set(same_ray) == oracle
+            assert len(same_ray) == len(oracle)
+            with_pairs += bool(oracle)
+            with_long_run += any(len(r) >= 3 for rs in runs.values() for r in rs)
+            kept = set(planarize(g).kept_edge_ids)
+            assert not any(a in kept and b in kept for a, b in oracle)
+        assert with_pairs > 100 and with_long_run > 50
 
 
 class TestFacesAndDual:

@@ -259,7 +259,7 @@ class TestApplySpaces:
         from aapsm.spacing import Cut
 
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), {}, (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
         new_layout, area = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.x_lo, r.y_lo, r.x_hi, r.y_hi) == (0, 0, 13, 2)
@@ -268,7 +268,7 @@ class TestApplySpaces:
         from aapsm.spacing import Cut
 
         layout = Layout((Rect(6, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), {}, (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.x_lo, r.x_hi) == (9, 13)
@@ -277,7 +277,7 @@ class TestApplySpaces:
         from aapsm.spacing import Cut
 
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 10, 3, ()),), {}, (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 10, 3, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
         assert new_layout.rects[0] == layout.rects[0]
 
@@ -286,7 +286,7 @@ class TestApplySpaces:
 
         # vertical critical feature, vertical cut through its interior
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), {}, (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None, False)
         with pytest.raises(LayoutValidationError):
             apply_spaces(layout, (), plan)
 
@@ -294,7 +294,7 @@ class TestApplySpaces:
         from aapsm.spacing import Cut
 
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_HORIZONTAL, 500, 10, ()),), {}, (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_HORIZONTAL, 500, 10, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.width, r.height) == (100, 1010)
@@ -315,7 +315,6 @@ class TestApplySpaces:
                 Cut(AXIS_VERTICAL, 300, 40, ()),
                 Cut(AXIS_HORIZONTAL, 500, 60, ()),
             ),
-            {},
             (),
             2,
             None,
@@ -341,7 +340,6 @@ class TestApplySpaces:
         )
         plan = SpacePlan(
             (Cut(AXIS_VERTICAL, 15, 5, ()), Cut(AXIS_VERTICAL, 35, 7, ())),
-            {},
             (),
             2,
             None,
@@ -377,7 +375,7 @@ class TestApplySpaces:
             )
             try:
                 new_layout, _ = apply_spaces(
-                    layout, (), SpacePlan(cuts, {}, (), 2, None, False)
+                    layout, (), SpacePlan(cuts, (), 2, None, False)
                 )
             except LayoutValidationError:
                 continue  # the random cut would widen a critical feature
@@ -419,7 +417,6 @@ class TestEndToEnd:
 
         plan = SpacePlan(
             (Cut(AXIS_VERTICAL, 100, 25, ((0, 1), (2, 3))),),
-            {(0, 1): 0, (2, 3): 0},
             ((4, 5),),
             1,
             1,
