@@ -199,11 +199,29 @@ def _perturb_degenerate_overlaps(
             nodes[node.id] = node
         held.add(node.pos)
 
+    # From here on only overlap nodes move, each by a delta in [0, _PERTURB_LIMIT]
+    # per axis from where it sits now, so two edges whose boxes, grown by the
+    # limit on their high sides, miss each other can never meet.
+    incident: dict[int, list[int]] = {n.id: [] for n in nodes}
+    for e in edges:
+        incident[e.u].append(e.id)
+        incident[e.v].append(e.id)
+    grown = []
+    for e in edges:
+        x_lo, y_lo, x_hi, y_hi = geometry.segment_box(nodes[e.u].pos, nodes[e.v].pos)
+        grown.append((x_lo, y_lo, x_hi + _PERTURB_LIMIT, y_hi + _PERTURB_LIMIT))
+    near: list[list[int]] = [[] for _ in edges]
+    for i, j in geometry.box_pairs(grown):
+        near[i].append(j)
+        near[j].append(i)
+
     perturbed: list[int] = []
     for sweep in range(_PERTURB_SWEEPS + 1):  # the last sweep only verifies
         changed = False
         for node in nodes:
-            if node.kind != NODE_OVERLAP or not _is_degenerate(node.id, nodes, edges):
+            if node.kind != NODE_OVERLAP or not _is_degenerate(
+                node.id, nodes, edges, incident, near
+            ):
                 continue
             if sweep == _PERTURB_SWEEPS:
                 raise InternalInvariantError(
@@ -213,7 +231,7 @@ def _perturb_degenerate_overlaps(
             base_y = node.y - node.perturb[1]
             for dx, dy in _perturb_deltas():
                 nodes[node.id] = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
-                if not _is_degenerate(node.id, nodes, edges):
+                if not _is_degenerate(node.id, nodes, edges, incident, near):
                     break
             else:
                 raise InternalInvariantError(
@@ -235,18 +253,30 @@ def _perturb_deltas():
         yield (k, _PERTURB_LIMIT)
 
 
-def _is_degenerate(node_id: int, nodes: list[PcgNode], edges: list[PcgEdge]) -> bool:
+def _is_degenerate(
+    node_id: int,
+    nodes: list[PcgNode],
+    edges: list[PcgEdge],
+    incident: dict[int, list[int]],
+    near: list[list[int]],
+) -> bool:
+    """The node shares its position with another node, or one of its edges
+    overlaps another edge along a collinear stretch.
+
+    Only the edges `near` the node's own edges are read.  The node is an
+    overlap node, and every other node has an edge that is not one of its
+    two halves (a feature edge, or the halves of another overlap node), so a
+    node at the same position is an endpoint of a near edge.
+    """
     pos = nodes[node_id].pos
-    for other in nodes:
-        if other.id != node_id and other.pos == pos:
-            return True
-    mine = [e for e in edges if node_id in (e.u, e.v)]
-    for e in mine:
+    for eid in incident[node_id]:
+        e = edges[eid]
         a, b = nodes[e.u].pos, nodes[e.v].pos
-        for f in edges:
-            if f.id == e.id:
-                continue
+        for fid in near[eid]:
+            f = edges[fid]
             c, d = nodes[f.u].pos, nodes[f.v].pos
+            if (c == pos and f.u != node_id) or (d == pos and f.v != node_id):
+                return True
             if geometry.collinear_overlap(a, b, c, d):
                 return True
     return False

@@ -88,7 +88,7 @@ def generate_layout(
         rects.extend(block)
         next_id += consumed
         budget -= consumed
-        cursor_x = max(r.x_hi for r in rects) + _MARGIN
+        cursor_x = max(r.x_hi for r in block) + _MARGIN  # blocks start at cursor_x
 
     x_lo = min(r.x_lo for r in rects) - _MARGIN
     y_lo = min(r.y_lo for r in rects) - _MARGIN

@@ -1,11 +1,39 @@
-"""Exact integer predicates for 2-D segments.
+"""Exact integer predicates for 2-D segments, and a box index that feeds them.
 
 Everything operates on integer points; there is no epsilon anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 Point = tuple[int, int]
+Box = tuple[int, int, int, int]  # x_lo, y_lo, x_hi, y_hi, closed
+
+
+def segment_box(a: Point, b: Point) -> Box:
+    """The bounding box of the closed segment ab."""
+    return (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+
+
+def box_pairs(boxes: Sequence[Box]) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of closed boxes that intersect.
+
+    A sweep along x: boxes enter in x_lo order, boxes whose x_hi lies left of
+    the entering x_lo leave the active list, and each entering box is tested
+    for y overlap against the ones still active.  Touching boxes intersect.
+    """
+    active: list[int] = []
+    out: list[tuple[int, int]] = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x_lo, y_lo, _, y_hi = boxes[i]
+        active = [j for j in active if boxes[j][2] >= x_lo]
+        for j in active:
+            if boxes[j][1] <= y_hi and y_lo <= boxes[j][3]:
+                out.append((j, i) if j < i else (i, j))
+        active.append(i)
+    out.sort()
+    return out
 
 
 def orient(a: Point, b: Point, c: Point) -> int:

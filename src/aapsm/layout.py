@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from . import geometry
 from .errors import LayoutParseError, LayoutValidationError
 
 log = logging.getLogger(__name__)
@@ -139,12 +140,12 @@ class Layout:
             if not (x_lo < x_hi and y_lo < y_hi):
                 raise LayoutValidationError("degenerate bbox")
         feats = self.features
-        for i, a in enumerate(feats):
-            for b in feats[i + 1 :]:
-                if a.interior_overlaps(b):
-                    raise LayoutValidationError(
-                        f"feature rects {a.id} and {b.id} overlap"
-                    )
+        boxes = [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in feats]
+        for i, j in geometry.box_pairs(boxes):
+            if feats[i].interior_overlaps(feats[j]):
+                raise LayoutValidationError(
+                    f"feature rects {feats[i].id} and {feats[j].id} overlap"
+                )
 
     @property
     def features(self) -> tuple[Rect, ...]:
@@ -299,16 +300,23 @@ def find_overlapping_pairs(
     minimum shifter spacing, as (id_lo, id_hi, separation_nm).
 
     Pairs from the same feature are never reported: those two shifters are
-    already bound to opposite phases.
+    already bound to opposite phases.  Candidates come from the box index over
+    the rects grown by the spacing on their high sides: two grown boxes meet
+    exactly when both axis gaps are at most the spacing, which every pair
+    closer than the spacing satisfies.
     """
     spacing = rules.min_shifter_spacing
     ordered = sorted(shifters, key=lambda s: s.id)
+    boxes = [
+        (r.x_lo, r.y_lo, r.x_hi + spacing, r.y_hi + spacing)
+        for r in (s.rect for s in ordered)
+    ]
     out = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if a.feature_id == b.feature_id:
-                continue
-            sep = rect_separation(a.rect, b.rect)
-            if sep < spacing:
-                out.append((a.id, b.id, sep))
+    for i, j in geometry.box_pairs(boxes):
+        a, b = ordered[i], ordered[j]
+        if a.feature_id == b.feature_id:
+            continue
+        sep = rect_separation(a.rect, b.rect)
+        if sep < spacing:
+            out.append((a.id, b.id, sep))
     return tuple(out)

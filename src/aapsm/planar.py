@@ -74,23 +74,14 @@ def find_crossings(
         seen[n.pos] = n.id
 
     edges = [g.edge(eid) for eid in (edge_ids if edge_ids is not None else range(len(g.edges)))]
-    segs = []
-    for e in edges:
-        a, b = g.node(e.u).pos, g.node(e.v).pos
-        box = (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
-        segs.append((e, a, b, box))
-
+    segs = [(g.node(e.u).pos, g.node(e.v).pos) for e in edges]
     out = []
-    for i, (e1, a, b, box1) in enumerate(segs):
-        for e2, c, d, box2 in segs[i + 1 :]:
-            if {e1.u, e1.v} & {e2.u, e2.v}:
-                continue
-            if box1[2] < box2[0] or box2[2] < box1[0]:
-                continue
-            if box1[3] < box2[1] or box2[3] < box1[1]:
-                continue
-            if geometry.segments_intersect(a, b, c, d):
-                out.append((e1.id, e2.id))
+    for i, j in geometry.box_pairs([geometry.segment_box(*seg) for seg in segs]):
+        e1, e2 = edges[i], edges[j]
+        if {e1.u, e1.v} & {e2.u, e2.v}:
+            continue
+        if geometry.segments_intersect(*segs[i], *segs[j]):
+            out.append((e1.id, e2.id))
     return tuple(sorted(out))
 
 

@@ -10,6 +10,7 @@ per-component T-join solve replaced, kept as its reference.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx as nx
@@ -101,6 +102,82 @@ def adjacent_collinear_pairs_oracle(g) -> set:
                 if collinear_overlap_oracle(p, q, r, s):
                     out.add((e.id, f.id))
     return out
+
+
+# ---------------------------------------------------------------------------
+# all-pairs geometry scans (the box index's references)
+# ---------------------------------------------------------------------------
+
+
+def box_pairs_oracle(boxes) -> list:
+    """All index pairs (i, j), i < j, of closed boxes that share a point."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(boxes)), 2)
+        if max(boxes[i][0], boxes[j][0]) <= min(boxes[i][2], boxes[j][2])
+        and max(boxes[i][1], boxes[j][1]) <= min(boxes[i][3], boxes[j][3])
+    ]
+
+
+def interior_overlap_pairs_oracle(rects) -> list:
+    """All index pairs (i, j), i < j, of rects whose interiors intersect."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(rects)), 2)
+        if max(rects[i].x_lo, rects[j].x_lo) < min(rects[i].x_hi, rects[j].x_hi)
+        and max(rects[i].y_lo, rects[j].y_lo) < min(rects[i].y_hi, rects[j].y_hi)
+    ]
+
+
+def overlapping_pairs_oracle(shifters, spacing: int) -> tuple:
+    """All pairs of shifters of different features closer than the spacing,
+    as (id_lo, id_hi, separation); the separation is the floor of the
+    Euclidean distance between the rects."""
+    out = []
+    ordered = sorted(shifters, key=lambda s: s.id)
+    for a, b in itertools.combinations(ordered, 2):
+        if a.feature_id == b.feature_id:
+            continue
+        ra, rb = a.rect, b.rect
+        gx = max(0, ra.x_lo - rb.x_hi, rb.x_lo - ra.x_hi)
+        gy = max(0, ra.y_lo - rb.y_hi, rb.y_lo - ra.y_hi)
+        sep = math.isqrt(gx * gx + gy * gy)
+        if sep < spacing:
+            out.append((a.id, b.id, sep))
+    return tuple(out)
+
+
+def find_crossings_oracle(g, edge_ids=None) -> tuple:
+    """Sorted pairs (earlier edge in edge_ids, later) of edges sharing no node
+    whose closed segments intersect."""
+    ids = list(edge_ids) if edge_ids is not None else list(range(len(g.edges)))
+    out = []
+    for i, j in itertools.combinations(ids, 2):
+        e, f = g.edge(i), g.edge(j)
+        if {e.u, e.v} & {f.u, f.v}:
+            continue
+        p, q = g.node(e.u).pos, g.node(e.v).pos
+        r, s = g.node(f.u).pos, g.node(f.v).pos
+        if segments_intersect_oracle(p, q, r, s):
+            out.append((i, j))
+    return tuple(sorted(out))
+
+
+def is_degenerate_oracle(node_id, nodes, edges) -> bool:
+    """The node shares its position with any other node, or one of its edges
+    overlaps any other edge along a collinear stretch; whole-graph scan."""
+    pos = nodes[node_id].pos
+    if any(n.id != node_id and n.pos == pos for n in nodes):
+        return True
+    for e in edges:
+        if node_id not in (e.u, e.v):
+            continue
+        p, q = nodes[e.u].pos, nodes[e.v].pos
+        for f in edges:
+            r, s = nodes[f.u].pos, nodes[f.v].pos
+            if f.id != e.id and collinear_overlap_oracle(p, q, r, s):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Conflict graph construction, bipartiteness detectors, phase assignment."""
 
+import random
+
 import pytest
 
+from aapsm import conflict_graph
 from aapsm.cli import main
 from aapsm.conflict_graph import (
     EDGE_FEATURE,
@@ -11,6 +14,9 @@ from aapsm.conflict_graph import (
     NODE_OVERLAP,
     PHASE_A,
     PHASE_B,
+    PcgEdge,
+    PcgNode,
+    _perturb_degenerate_overlaps,
     build_conflict_graph,
     dump_graph,
     is_bipartite,
@@ -26,7 +32,7 @@ from aapsm.layout import (
 )
 
 from conftest import make_shifter, sample_micro_pcgs
-from oracles import collinear_overlap_oracle, phase_feasible
+from oracles import collinear_overlap_oracle, is_degenerate_oracle, phase_feasible
 
 
 def graph_from(layout):
@@ -45,6 +51,15 @@ def skip_overlap_row():
         for i, x in enumerate((-150, 50, 250, 450, 650, 850))
     )
     return shifters, find_overlapping_pairs(shifters, rules), rules
+
+
+def use_whole_graph_degeneracy_scan(monkeypatch):
+    """Make the perturbation test every node against the whole graph."""
+    monkeypatch.setattr(
+        conflict_graph,
+        "_is_degenerate",
+        lambda node_id, nodes, edges, *index: is_degenerate_oracle(node_id, nodes, edges),
+    )
 
 
 class TestBuild:
@@ -176,6 +191,48 @@ class TestPerturbation:
         constraints = [(a, b, False) for a, b in by_feature.values()]
         constraints += [(a, b, True) for a, b, _ in pairs]
         assert is_bipartite(g).ok == phase_feasible(len(shifters), constraints)
+
+    def test_near_lists_match_whole_graph_oracle(self, monkeypatch):
+        """Testing each node's edges only against the edges near them moves
+        exactly the nodes, by exactly the deltas, that a whole-graph scan
+        for coincident nodes and collinear overlaps moves."""
+        cases = [(shifters, pairs, layout.rules) for layout, shifters, pairs, _ in
+                 sample_micro_pcgs(31337, 200, max_features=8)]
+        cases.append(skip_overlap_row())
+        # shifters on a coarse grid line up edges and midpoints all the time
+        rng = random.Random(1)
+        rules = DesignRules(150, 100, 0, 150)
+        for _ in range(100):
+            shifters = tuple(
+                make_shifter(i, i // 2, "low" if i % 2 == 0 else "high",
+                             rng.randrange(0, 1000, 100), rng.randrange(0, 1000, 100),
+                             w=rng.choice((100, 200)), h=rng.choice((100, 200)))
+                for i in range(2 * rng.randint(2, 6))
+            )
+            cases.append((shifters, find_overlapping_pairs(shifters, rules), rules))
+        fast = [build_conflict_graph(*case) for case in cases]
+        use_whole_graph_degeneracy_scan(monkeypatch)
+        assert sum(bool(g.perturbed_nodes) for g in fast) >= 20
+        for g, case in zip(fast, cases):
+            slow = build_conflict_graph(*case)
+            assert g.nodes == slow.nodes
+            assert g.perturbed_nodes == slow.perturbed_nodes
+
+    def test_moved_node_checked_against_edges_beyond_its_box(self, monkeypatch):
+        """Overlap node 4 sits on feature edge 0, and its first nudge lands on
+        overlap node 5, whose edges all lie above the box of node 4's edges."""
+        spots = [(-100, 0), (100, 0), (10, 100), (-10, 100)]
+        nodes = [PcgNode(i, NODE_EDGE_SHIFTER, x, y, shifter_id=i) for i, (x, y) in enumerate(spots)]
+        nodes += [PcgNode(4, NODE_OVERLAP, 0, 0, pair=(0, 1)), PcgNode(5, NODE_OVERLAP, 0, 1, pair=(2, 3))]
+        ends = [(0, 1), (2, 3), (0, 4), (4, 1), (2, 5), (5, 3)]
+        edges = [
+            PcgEdge(k, u, v, 1, EDGE_FEATURE if k < 2 else EDGE_OVERLAP_HALF, (0, 1))
+            for k, (u, v) in enumerate(ends)
+        ]
+        fast = _perturb_degenerate_overlaps(list(nodes), edges)
+        assert fast[0][4].pos == (0, 2) and fast[1] == [4]
+        use_whole_graph_degeneracy_scan(monkeypatch)
+        assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
 
 
 class TestGeneralPosition:

@@ -2,9 +2,16 @@
 
 import random
 
-from aapsm.geometry import collinear_overlap, compare_directions, segments_intersect
+from hypothesis import given, strategies as st
 
-from oracles import segments_intersect_oracle
+from aapsm.geometry import (
+    box_pairs,
+    collinear_overlap,
+    compare_directions,
+    segments_intersect,
+)
+
+from oracles import box_pairs_oracle, segments_intersect_oracle
 
 
 def test_x_crossing():
@@ -53,3 +60,50 @@ def test_direction_ordering_is_ccw_from_positive_x():
 def test_direction_equal_for_parallel_same_direction():
     assert compare_directions((2, 4), (1, 2)) == 0
     assert compare_directions((2, 4), (-1, -2)) != 0
+
+
+def _box(x, y, w, h):
+    return (x, y, x + w, y + h)
+
+
+class TestBoxPairs:
+    def test_no_box_and_one_box(self):
+        assert box_pairs([]) == []
+        assert box_pairs([(0, 0, 5, 5)]) == []
+
+    def test_closed_boundary_touching(self):
+        # corner, edge and point contact all count; a gap of 1 does not
+        boxes = [(0, 0, 10, 10), (10, 10, 20, 20), (0, 10, 3, 12), (3, 3, 3, 3), (11, 0, 12, 9)]
+        assert box_pairs(boxes) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_equal_x_lo_and_zero_extent(self):
+        boxes = [(0, 0, 0, 9), (0, 5, 4, 5), (0, 10, 0, 10), (0, 9, 0, 9)]
+        assert box_pairs(boxes) == box_pairs_oracle(boxes) == [(0, 1), (0, 3)]
+
+    def test_one_huge_box_among_small_ones(self):
+        rng = random.Random(77)
+        boxes = [_box(rng.randint(-50, 50), rng.randint(-50, 50), 2, 2) for _ in range(60)]
+        boxes.insert(17, (-10, -1000, 10, 1000))
+        assert box_pairs(boxes) == box_pairs_oracle(boxes)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 4), st.integers(0, 4)
+            ),
+            max_size=25,
+        )
+    )
+    def test_matches_all_pairs_oracle(self, raw):
+        boxes = [_box(*r) for r in raw]
+        assert box_pairs(boxes) == box_pairs_oracle(boxes)
+
+    def test_long_thin_boxes_match_oracle(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            boxes = []
+            for _ in range(rng.randint(0, 40)):
+                long, thin = rng.randint(0, 400), rng.randint(0, 2)
+                w, h = (long, thin) if rng.random() < 0.5 else (thin, long)
+                boxes.append(_box(rng.randint(-200, 200), rng.randint(-200, 200), w, h))
+            assert box_pairs(boxes) == box_pairs_oracle(boxes)

@@ -13,8 +13,10 @@ from aapsm.layout import (
     FEATURE_LAYER,
     Layout,
     Rect,
+    SHIFTER_LAYER,
     SIDE_HIGH,
     SIDE_LOW,
+    Shifter,
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
@@ -22,6 +24,8 @@ from aapsm.layout import (
     rect_separation,
     serialize_layout,
 )
+
+from oracles import interior_overlap_pairs_oracle, overlapping_pairs_oracle
 
 
 class TestParse:
@@ -44,6 +48,31 @@ class TestParse:
 
     def test_touching_features_allowed(self):
         parse_layout("rect poly 0 0 100 1000\nrect poly 100 0 200 1000\n")
+
+    def test_first_overlapping_pair_named(self):
+        """The error names the lowest (i, j) pair of overlapping features, in
+        feature order; rects on other layers never count."""
+        rng = random.Random(909)
+        raised = 0
+        for _ in range(300):
+            rects = []
+            ids = rng.sample(range(100), 12)
+            for k in range(rng.randint(0, 12)):
+                x, y = rng.randint(-40, 40), rng.randint(-40, 40)
+                w, h = rng.randint(1, 30), rng.randint(1, 30)
+                layer = FEATURE_LAYER if rng.random() < 0.8 else SHIFTER_LAYER
+                rects.append(Rect(x, y, x + w, y + h, layer, ids[k]))
+            feats = [r for r in rects if r.layer == FEATURE_LAYER]
+            pairs = interior_overlap_pairs_oracle(feats)
+            if not pairs:
+                Layout(tuple(rects))
+                continue
+            i, j = pairs[0]
+            with pytest.raises(LayoutValidationError) as err:
+                Layout(tuple(rects))
+            assert str(err.value) == f"feature rects {feats[i].id} and {feats[j].id} overlap"
+            raised += 1
+        assert 50 < raised < 300
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(LayoutParseError) as err:
@@ -237,3 +266,50 @@ class TestOverlappingPairs:
         assert pairs == tuple(sorted(pairs))
         assert all(a < b for a, b, _ in pairs)
         assert pairs == find_overlapping_pairs(shifters, rules)
+
+    def test_boundary_separations_match_oracle(self):
+        """Axis gaps of 0, spacing - 1 and spacing, and diagonal gaps whose
+        floored distance lands just below or at the spacing."""
+        spacing = 50
+        rules = DesignRules(150, 200, 0, spacing)
+        offsets = [(0, 0), (0, 49), (0, 50), (49, 0), (50, 0), (30, 39), (30, 40), (35, 35), (36, 36)]
+        shifters = [Shifter(Rect(0, 0, 100, 100, SHIFTER_LAYER, 0), 0, SIDE_LOW, 0)]
+        for k, (gx, gy) in enumerate(offsets, start=1):
+            x, y = 100 + gx, -gy  # right of and below shifter 0
+            rect = Rect(x, y - 100, x + 100, y, SHIFTER_LAYER, k)
+            shifters.append(Shifter(rect, k, SIDE_LOW, k))
+        pairs = find_overlapping_pairs(tuple(shifters), rules)
+        assert pairs == overlapping_pairs_oracle(shifters, spacing)
+        assert {b: sep for a, b, sep in pairs if a == 0} == {
+            1: 0, 2: 49, 4: 49, 6: 49, 8: 49,
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_all_pairs_oracle(self, seed):
+        """Long thin, touching and tiny shifters at negative and positive
+        coordinates, with one huge shifter among them."""
+        rng = random.Random(seed)
+        spacing = rng.choice((1, 7, 50, 200))
+        rules = DesignRules(150, 200, 0, spacing)
+        shifters = []
+        for sid in range(rng.randint(0, 80)):
+            if rng.random() < 0.4:  # long thin
+                long, thin = rng.randint(1, 2000), rng.randint(1, 3)
+                w, h = (long, thin) if rng.random() < 0.5 else (thin, long)
+            else:
+                w, h = rng.randint(1, 60), rng.randint(1, 60)
+            if sid and rng.random() < 0.3:  # touch or nearly touch an earlier one
+                other = rng.choice(shifters).rect
+                x = other.x_hi + rng.choice((0, spacing - 1, spacing))
+                y = other.y_lo + rng.randint(-w, w)
+            else:
+                x, y = rng.randint(-1500, 1500), rng.randint(-1500, 1500)
+            rect = Rect(x, y, x + w, y + h, SHIFTER_LAYER, sid)
+            shifters.append(Shifter(rect, sid // 2, SIDE_LOW, sid))
+        if shifters:
+            huge = Rect(-5000, -20, 5000, 20, SHIFTER_LAYER, len(shifters))
+            shifters.append(Shifter(huge, -1, SIDE_HIGH, len(shifters)))
+        rng.shuffle(shifters)
+        assert find_overlapping_pairs(tuple(shifters), rules) == overlapping_pairs_oracle(
+            shifters, spacing
+        )

@@ -25,6 +25,7 @@ from conftest import sample_micro_pcgs
 from oracles import (
     adjacent_collinear_pairs_oracle,
     crossings_oracle,
+    find_crossings_oracle,
     min_crossing_removal_weight,
 )
 
@@ -88,6 +89,31 @@ class TestFindCrossings:
                 if e.id < f.id and {e.u, e.v} & {f.u, f.v}:
                     exclusions.add((e.id, f.id))
         assert got == crossings_oracle(segments, exclusions)
+
+    def test_unsorted_edge_ids_match_all_pairs_oracle(self):
+        """Subsets of the edges given in shuffled order keep the (earlier in
+        edge_ids, later) orientation; long edges among short ones, negative
+        coordinates, and axis-parallel edges that touch or run collinear."""
+        rng = random.Random(8080)
+        for _ in range(60):
+            points = list({(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(25)})
+            points += [(-1000, rng.randint(-5, 5)), (1000, rng.randint(-5, 5))]
+            n = len(points)
+            spec = [(n - 2, n - 1, 1)]  # one long edge across everything
+            for _ in range(rng.randint(1, 60)):
+                u = rng.randrange(n - 2)
+                if rng.random() < 0.3:  # axis-parallel to some other point
+                    same = [v for v in range(n - 2) if v != u and (
+                        points[v][0] == points[u][0] or points[v][1] == points[u][1])]
+                    v = rng.choice(same) if same else (u + 1) % (n - 2)
+                else:
+                    v = rng.randrange(n - 2)
+                if u != v:
+                    spec.append((u, v, 1))
+            g = raw_graph(points, spec)
+            ids = rng.sample(range(len(g.edges)), rng.randint(0, len(g.edges)))
+            assert find_crossings(g, tuple(ids)) == find_crossings_oracle(g, ids)
+            assert find_crossings(g) == find_crossings_oracle(g)
 
 
 class TestPlanarize:
