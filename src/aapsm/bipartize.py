@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .conflict_graph import PhaseConflictGraph, is_bipartite, signed_forest
 from .errors import InternalInvariantError
-from .planar import DualGraph, PlanarEmbedding
+from .planar import DualEdge, DualGraph, PlanarEmbedding
 from .tjoin import MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
 
 ORIGIN_MATCHING = "matching"
@@ -37,16 +37,38 @@ class ConflictSet:
         return len(self.conflicts)
 
 
+def collapse_parallel(dual: DualGraph) -> list[DualEdge]:
+    """The dual edges a minimum T-join needs, in id order.
+
+    Self-loops (bridges) go: a bridge lies on no cycle.  Parallel dual edges
+    (one face pair; a primal series chain such as an overlap node's two
+    halves) keep their cheapest one if the class is odd, cheapest two if
+    even, by (weight, id).  Dropping an even number per class keeps every
+    face's degree parity, so T is unchanged; some minimum T-join uses at most
+    one edge per class, the cheapest, so its weight is unchanged too.
+    """
+    classes: dict[tuple[int, int], list[DualEdge]] = {}
+    for e in dual.edges:
+        if not e.is_self_loop:
+            classes.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e)
+    kept = []
+    for cls in classes.values():
+        cls.sort(key=lambda e: (e.weight, e.id))
+        kept += cls[: 2 - len(cls) % 2]
+    return sorted(kept, key=lambda e: e.id)
+
+
 def bipartize_optimal(
     emb: PlanarEmbedding, dual: DualGraph, mode: str = MODE_GENERALIZED
 ) -> tuple[tuple[int, ...], int, float]:
     """Minimum-weight edge set M with the embedded graph minus M balanced.
 
-    T-join on the dual with T = odd-degree faces; dual self-loops (bridges)
-    are stripped first since a bridge lies on no cycle.  Returns (edge ids,
-    weight, matching seconds).
+    T-join on the dual with T = odd-degree faces, over `collapse_parallel`'s
+    edges: at most two per face pair and no self-loops, so the gadget graph
+    grows with the face pairs, not the primal series chains.  Returns (edge
+    ids, weight, matching seconds).
     """
-    usable = [e for e in dual.edges if not e.is_self_loop]
+    usable = collapse_parallel(dual)
     inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])
     join, weight, seconds = solve_tjoin(inst, mode)
     m_ids = tuple(sorted(usable[j].primal_edge_id for j in join))

@@ -5,7 +5,8 @@ networkx, which is exact for integer weights in O(V^3).  Minimization is the
 max-cardinality maximum-weight matching of the negated weights: all perfect
 matchings share the same cardinality, so maximizing sum(-w) minimizes sum(w).
 The T-join solver calls this once per connected component of the dual that
-holds an odd face, so each call sees one component's gadget graph.
+holds an odd face, so each call sees one component's gadget graph, built over
+at most two dual edges per face pair (`bipartize.collapse_parallel`).
 """
 
 from __future__ import annotations

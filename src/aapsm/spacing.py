@@ -10,6 +10,8 @@ is rejected at planning time and a hard error at apply time.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -191,19 +193,34 @@ def compute_intervals(
     return tuple(intervals), tuple(uncovered)
 
 
-def _widening_cuts_blocked(
-    axis: str, coord: int, critical: tuple[Rect, ...]
-) -> bool:
-    """A cut line parallel to a critical feature's long axis and passing
-    through its interior would widen its short axis."""
+def _widening_blocker(critical: tuple[Rect, ...]):
+    """Return blocked(axis, coord): does a cut line there widen a critical
+    feature?  It does when it is parallel to the feature's long axis and
+    passes through its interior, lo < coord < hi across the short axis.
+
+    Per axis the spans are sorted by lo with a running max of hi, so a query
+    bisects to the spans with lo < coord and compares their largest hi.
+    """
+    spans: dict[str, list[tuple[int, int]]] = {AXIS_VERTICAL: [], AXIS_HORIZONTAL: []}
     for feat in critical:
-        if axis == AXIS_VERTICAL and feat.is_vertical:
-            if feat.x_lo < coord < feat.x_hi:
-                return True
-        if axis == AXIS_HORIZONTAL and not feat.is_vertical:
-            if feat.y_lo < coord < feat.y_hi:
-                return True
-    return False
+        if feat.is_vertical:
+            spans[AXIS_VERTICAL].append((feat.x_lo, feat.x_hi))
+        else:
+            spans[AXIS_HORIZONTAL].append((feat.y_lo, feat.y_hi))
+    index = {}
+    for axis, axis_spans in spans.items():
+        axis_spans.sort()
+        index[axis] = (
+            [lo for lo, _ in axis_spans],
+            list(itertools.accumulate((hi for _, hi in axis_spans), max)),
+        )
+
+    def blocked(axis: str, coord: int) -> bool:
+        los, reach = index[axis]
+        k = bisect.bisect_left(los, coord)
+        return k > 0 and reach[k - 1] > coord
+
+    return blocked
 
 
 def plan_spaces(
@@ -220,11 +237,12 @@ def plan_spaces(
     exact cover runs too and its plan is used when strictly better.
     """
     conflict_keys = sorted({iv.conflict_key for iv in intervals})
+    blocked = _widening_blocker(critical_features)
     keys = {
         (iv.axis, coord)
         for iv in intervals
         for coord in (iv.lo, iv.hi, (iv.lo + iv.hi) // 2)
-        if not _widening_cuts_blocked(iv.axis, coord, critical_features)
+        if not blocked(iv.axis, coord)
     }
 
     # one scan of the intervals per candidate; a candidate lies inside the

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -37,6 +40,23 @@ def cli_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+@functools.cache
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark directory is not
+    an importable package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def manhattan_layout(design_seed: int):
+    """The benchmark's manhattan_batch design for this seed."""
+    return _perfbench_workloads().manhattan_layout(design_seed)
 
 
 def make_shifter(sid: int, feature_id: int, side: str, x: int, y: int, w=100, h=100):

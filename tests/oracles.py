@@ -181,6 +181,24 @@ def is_degenerate_oracle(node_id, nodes, edges) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# correction planning
+# ---------------------------------------------------------------------------
+
+
+def widening_cut_blocked_oracle(axis: str, coord: int, critical) -> bool:
+    """Scan every critical feature: a cut at x = coord (axis "v") or
+    y = coord (axis "h") is blocked when it runs along a feature's long axis
+    (squares count as vertical) strictly inside its short axis."""
+    for feat in critical:
+        vertical = feat.y_hi - feat.y_lo >= feat.x_hi - feat.x_lo
+        if axis == "v" and vertical and feat.x_lo < coord < feat.x_hi:
+            return True
+        if axis == "h" and not vertical and feat.y_lo < coord < feat.y_hi:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # graph enumeration oracles
 # ---------------------------------------------------------------------------
 

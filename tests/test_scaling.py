@@ -1,12 +1,18 @@
-"""Guard against all-pairs geometry scans returning to `detect`.
+"""Deterministic guards on the work `detect` does, counted rather than timed.
 
-Counts the exact-predicate calls detect makes rather than timing it, so the
-check is deterministic.  Row layouts keep every shifter and PCG edge within
-a bounded neighbourhood, so an indexed search makes a number of predicate
-calls proportional to the feature count; an all-pairs scan makes a number
+Geometry: row layouts keep every shifter and PCG edge within a bounded
+neighbourhood, so an indexed search makes a number of exact-predicate calls
+proportional to the feature count; an all-pairs scan makes a number
 proportional to its square (4x the features, about 16x the calls).
+
+T-join: primal series chains (overlap nodes, shifter chains) put many
+parallel edges between one pair of faces; the instance handed to the gadget
+matching keeps at most two of them.
 """
 
+from collections import Counter
+
+import aapsm.bipartize
 from aapsm import geometry, layout
 from aapsm.generator import generate_layout
 from aapsm.pipeline import detect
@@ -41,3 +47,27 @@ def test_predicate_calls_grow_linearly(monkeypatch):
     many = predicate_calls(monkeypatch, generate_layout(1, 600, 0.0))
     assert few > 0
     assert many / few < 8, (few, many)
+
+
+def matched_instance(monkeypatch, design):
+    """(the T-join instance detect solves, the non-loop dual edge count)."""
+    seen = []
+    solve = aapsm.bipartize.solve_tjoin
+
+    def spy(inst, mode):
+        seen.append(inst)
+        return solve(inst, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(aapsm.bipartize, "solve_tjoin", spy)
+        result = detect(design)
+    (inst,) = seen
+    return inst, sum(not e.is_self_loop for e in result.dual.edges)
+
+
+def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
+    for features in (40, 400):
+        inst, dual_edges = matched_instance(monkeypatch, generate_layout(1, features, 0.7))
+        per_pair = Counter(frozenset((e.u, e.v)) for e in inst.edges)
+        assert max(per_pair.values()) <= 2
+        assert len(inst.edges) <= 0.6 * dual_edges, (len(inst.edges), dual_edges)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aapsm.bipartize import Conflict, ConflictSet, ORIGIN_MATCHING
 from aapsm.errors import LayoutValidationError
@@ -20,6 +21,7 @@ from aapsm.spacing import (
     AXIS_HORIZONTAL,
     AXIS_VERTICAL,
     SpacePlan,
+    _widening_blocker,
     apply_spaces,
     compute_intervals,
     dump_plan,
@@ -27,6 +29,7 @@ from aapsm.spacing import (
 )
 
 from conftest import make_shifter
+from oracles import widening_cut_blocked_oracle
 
 
 def conflict(pair, sep_needed=50, weight=1, edge_id=0):
@@ -193,6 +196,51 @@ class TestPlanSpaces:
             not (c.axis == AXIS_VERTICAL and 200 < c.coord < 250) for c in plan.cuts
         )
         assert plan.uncovered == ()
+
+
+def blocked_everywhere(critical):
+    blocked = _widening_blocker(critical)
+    for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL):
+        for coord in range(-12, 18):
+            assert blocked(axis, coord) == widening_cut_blocked_oracle(
+                axis, coord, critical
+            ), (axis, coord)
+
+
+class TestWideningBlocker:
+    def test_empty_blocks_nothing(self):
+        blocked_everywhere(())
+
+    def test_touching_spans_block_only_interiors(self):
+        # vertical features x in [0, 3] and [3, 5] share the line x = 3, which
+        # lies inside neither; a square counts as vertical
+        critical = (
+            Rect(0, 0, 3, 10, FEATURE_LAYER, 0),
+            Rect(3, -5, 5, 10, FEATURE_LAYER, 1),
+            Rect(-8, -8, -4, -4, FEATURE_LAYER, 2),
+            Rect(-10, 2, 10, 4, FEATURE_LAYER, 3),
+        )
+        blocked = _widening_blocker(critical)
+        coords = range(-12, 18)
+        assert [c for c in coords if blocked(AXIS_VERTICAL, c)] == [-7, -6, -5, 1, 2, 4]
+        assert [c for c in coords if blocked(AXIS_HORIZONTAL, c)] == [3]
+        blocked_everywhere(critical)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 6), st.integers(1, 6)
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_scan_oracle(self, raw):
+        blocked_everywhere(
+            tuple(
+                Rect(x, y, x + w, y + h, FEATURE_LAYER, i)
+                for i, (x, y, w, h) in enumerate(raw)
+            )
+        )
 
 
 class TestSameSideShifterPairs:
