@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conflict_graph import PhaseConflictGraph, is_bipartite, signed_forest
+from .conflict_graph import PhaseConflictGraph, phase_assign, signed_forest
 from .errors import InternalInvariantError
 from .planar import DualEdge, DualGraph, PlanarEmbedding
 from .tjoin import MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
@@ -66,18 +66,12 @@ def bipartize_optimal(
     T-join on the dual with T = odd-degree faces, over `collapse_parallel`'s
     edges: at most two per face pair and no self-loops, so the gadget graph
     grows with the face pairs, not the primal series chains.  Returns (edge
-    ids, weight, matching seconds).
+    ids, weight, matching seconds); `finalize_conflicts` checks the balance.
     """
     usable = collapse_parallel(dual)
     inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])
     join, weight, seconds = solve_tjoin(inst, mode)
     m_ids = tuple(sorted(usable[j].primal_edge_id for j in join))
-
-    removed = set(emb.removed_edge_ids) | set(m_ids)
-    if not is_bipartite(emb.graph, frozenset(removed)).ok:
-        raise InternalInvariantError(
-            "embedded graph minus the bipartization set is still unbalanced"
-        )
     return m_ids, weight, seconds
 
 
@@ -92,7 +86,8 @@ def finalize_conflicts(
     against the signed forest of the surviving graph: consistent edges rejoin
     the graph, contradicting ones become conflicts.  Casualties go in edge-id
     order after every survivor, so an edge bridging two color components
-    merges them instead of being charged as a conflict.
+    merges them instead of being charged as a conflict; a contradicting
+    survivor means M left the embedded graph unbalanced, and raises.
     """
     m_set = set(bipartization_set)
     p_set = set(planarization_removed)
@@ -115,10 +110,7 @@ def finalize_conflicts(
         conflicts.append(
             Conflict(eid, e.shifter_pair, e.required_separation, origin[eid], e.weight)
         )
-    result = ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts))
-    if not is_bipartite(g, frozenset(result.edge_ids)).ok:
-        raise InternalInvariantError("graph minus final conflict set is unbalanced")
-    return result
+    return ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts))
 
 
 def bipartize_greedy(
@@ -137,6 +129,5 @@ def bipartize_greedy(
     leftover = len(g.edges) - len(g.nodes) + components
     deleted = tuple(sorted(contradicted))
     weight = sum(g.edge(eid).weight for eid in deleted)
-    if not is_bipartite(g, frozenset(deleted)).ok:
-        raise InternalInvariantError("greedy deletion left the graph unbalanced")
+    phase_assign(g, frozenset(deleted))  # certifies the rest is balanced
     return deleted, leftover, weight

@@ -306,24 +306,12 @@ def is_bipartite(
 ) -> BipartiteResult:
     """Decide whether the graph minus the removed edges is phase-assignable.
 
-    Two detectors run on every call: structural two-coloring (every edge read
-    as "endpoints differ") and the signed forest (overlap halves read as equal,
-    feature edges as unequal).  They must agree on every conflict graph; a
-    disagreement is a bug and raises.  The witness is the odd cycle the
-    two-coloring closes: every overlap node has degree two, so on a conflict
-    graph an odd cycle is exactly an unbalanced one.
+    Structural two-coloring, every edge read as "endpoints differ": every
+    overlap node has degree two, so an odd cycle (the witness) is exactly an
+    unbalanced one.  `detect` compares the verdict with its conflict set once.
     """
     removed = set(removed_edge_ids)
-    kept = [e for e in g.edges if e.id not in removed]
-
-    witness = _odd_cycle(g, kept)
-    _, contradicted = signed_forest(g, kept)
-
-    if (witness is None) == bool(contradicted):
-        raise InternalInvariantError(
-            "structural bipartiteness and signed balance disagree "
-            f"(structural={witness is None}, signed={not contradicted})"
-        )
+    witness = _odd_cycle(g, [e for e in g.edges if e.id not in removed])
     return BipartiteResult(witness is None, witness)
 
 
@@ -370,7 +358,9 @@ def phase_assign(
 
     Overlap nodes carry the phase shared by their pair.  The lowest node id of
     each connected component gets phase 0 (canonical polarity).  Raises when a
-    surviving unbalanced cycle makes assignment impossible.
+    surviving unbalanced cycle makes assignment impossible.  The final loop,
+    which checks every kept constraint against the phases, is the balance
+    certificate `detect` relies on.
     """
     deleted = set(deleted_edge_ids)
     kept = [e for e in g.edges if e.id not in deleted]

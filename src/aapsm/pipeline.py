@@ -21,7 +21,7 @@ from .conflict_graph import (
     phase_assign,
     WEIGHT_UNIFORM,
 )
-from .errors import UncorrectableConflictError
+from .errors import InternalInvariantError, UncorrectableConflictError
 from .layout import (
     Layout,
     Shifter,
@@ -93,6 +93,13 @@ def detect(
         graph, embedding.removed_edge_ids, optimal_edge_ids
     )
     phases = phase_assign(graph, frozenset(conflicts.edge_ids))
+    # Balanced means T is empty and no casualty contradicts, so no conflicts;
+    # no conflicts means phase_assign verified every edge, so balanced.
+    if balanced_before == bool(conflicts.conflicts):
+        raise InternalInvariantError(
+            "structural two-coloring and signed conflict selection disagree "
+            f"(balanced_before={balanced_before}, conflicts={len(conflicts)})"
+        )
 
     greedy = bipartize_greedy(graph) if run_greedy_baseline else None
 
@@ -119,6 +126,7 @@ def detect(
         report.append(("conflicts_gb", str(len(deleted))))
         report.append(("conflicts_gb_literal", str(literal)))
         report.append(("weight_gb", str(g_weight)))
+    # phase_assign above raised unless the graph minus the conflicts is balanced
     report.append(("residual_balanced", "1"))
 
     return DetectionResult(

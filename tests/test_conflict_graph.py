@@ -21,6 +21,7 @@ from aapsm.conflict_graph import (
     dump_graph,
     is_bipartite,
     phase_assign,
+    signed_forest,
 )
 from aapsm.errors import InternalInvariantError
 from aapsm.generator import generate_layout
@@ -308,6 +309,20 @@ class TestIsBipartite:
             assert is_bipartite(g).ok == expect
             checked += 1
         assert checked == 60
+
+    def test_two_coloring_agrees_with_signed_forest(self):
+        """The structural and signed detectors agree on every conflict graph
+        minus any edge subset; `detect` relies on it without re-checking."""
+        rng = random.Random(4242)
+        verdicts = set()
+        for _layout, _shifters, _pairs, g in sample_micro_pcgs(303, 60, max_features=5):
+            for _ in range(5):
+                removed = frozenset(e.id for e in g.edges if rng.random() < 0.3)
+                kept = [e for e in g.edges if e.id not in removed]
+                ok = is_bipartite(g, removed).ok
+                assert ok == (not signed_forest(g, kept)[1])
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestPhaseAssign:

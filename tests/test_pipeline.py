@@ -2,12 +2,15 @@
 
 import pytest
 
+import aapsm.bipartize
+from aapsm import conflict_graph
 from aapsm.bipartize import ORIGIN_PLANARIZATION
 from aapsm.conflict_graph import is_bipartite
-from aapsm.errors import UncorrectableConflictError
+from aapsm.errors import InternalInvariantError, UncorrectableConflictError
 from aapsm.generator import generate_layout
 from aapsm.layout import parse_layout
 from aapsm.pipeline import correct, detect, render_report
+from aapsm.unionfind import ParityUnionFind
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -113,3 +116,46 @@ class TestCorrectErrors:
         res = detect(layout)
         cor = correct(res, allow_uncovered=True)
         assert cor.uncovered
+
+
+class TestFaultsStillCaught:
+    """`detect` checks balance once, on its output; each fault below breaks
+    an invariant whose own re-check was dropped as implied by a kept one,
+    and must still end in InternalInvariantError."""
+
+    def test_short_tjoin_unbalances_survivors(self, monkeypatch):
+        layout = generate_layout(1, 40, 0.7)
+        solve = aapsm.bipartize.solve_tjoin
+
+        def short_join(inst, mode):
+            join, weight, seconds = solve(inst, mode)
+            return join[1:], weight, seconds
+
+        monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", short_join)
+        with pytest.raises(InternalInvariantError, match="surviving embedded graph"):
+            detect(layout)
+
+    @pytest.mark.parametrize(
+        "density, witness", [(0.7, None), (0.0, (0, 1, 2))], ids=["comb", "rows"]
+    )
+    def test_two_coloring_disagreeing_with_conflicts(self, monkeypatch, density, witness):
+        layout = generate_layout(1, 40, density)
+        monkeypatch.setattr(conflict_graph, "_odd_cycle", lambda g, kept: witness)
+        with pytest.raises(InternalInvariantError, match="disagree"):
+            detect(layout)
+
+    @pytest.mark.parametrize("design", ["tangled", "comb"])
+    def test_union_find_missing_contradictions(self, monkeypatch, design):
+        if design == "tangled":
+            layout = parse_layout(TANGLED_ROW)
+        else:
+            layout = generate_layout(1, 40, 0.7)
+        union = ParityUnionFind.union
+
+        def never_contradicts(self, x, y, relation):
+            union(self, x, y, relation)
+            return True
+
+        monkeypatch.setattr(ParityUnionFind, "union", never_contradicts)
+        with pytest.raises(InternalInvariantError, match=r"edge \d+ constraint violated"):
+            detect(layout, run_greedy_baseline=True)

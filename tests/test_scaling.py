@@ -8,14 +8,21 @@ proportional to its square (4x the features, about 16x the calls).
 T-join: primal series chains (overlap nodes, shifter chains) put many
 parallel edges between one pair of faces; the instance handed to the gadget
 matching keeps at most two of them.
+
+Balance: one `detect` checks balance once, on its output, so it builds a
+fixed handful of parity union-finds and runs one two-coloring, whatever
+the design.
 """
 
 from collections import Counter
 
+import pytest
+
 import aapsm.bipartize
-from aapsm import geometry, layout
+from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
 from aapsm.pipeline import detect
+from aapsm.unionfind import ParityUnionFind
 
 PREDICATES = (
     (layout, "rect_separation"),
@@ -71,3 +78,30 @@ def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
         per_pair = Counter(frozenset((e.u, e.v)) for e in inst.edges)
         assert max(per_pair.values()) <= 2
         assert len(inst.edges) <= 0.6 * dual_edges, (len(inst.edges), dual_edges)
+
+
+def balance_checks(monkeypatch, design, greedy):
+    """(ParityUnionFind constructions, two-colorings) in one `detect`."""
+    counts = Counter()
+    init, odd_cycle = ParityUnionFind.__init__, conflict_graph._odd_cycle
+
+    def counted_init(self):
+        counts["forests"] += 1
+        init(self)
+
+    def counted_odd_cycle(g, kept):
+        counts["colorings"] += 1
+        return odd_cycle(g, kept)
+
+    with monkeypatch.context() as m:
+        m.setattr(ParityUnionFind, "__init__", counted_init)
+        m.setattr(conflict_graph, "_odd_cycle", counted_odd_cycle)
+        detect(design, run_greedy_baseline=greedy)
+    return counts["forests"], counts["colorings"]
+
+
+@pytest.mark.parametrize("greedy, max_forests", [(False, 3), (True, 5)])
+def test_detect_checks_balance_once(monkeypatch, greedy, max_forests):
+    for design in (generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7)):
+        forests, colorings = balance_checks(monkeypatch, design, greedy)
+        assert forests <= max_forests and colorings == 1, (forests, colorings)
