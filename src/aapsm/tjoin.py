@@ -23,7 +23,10 @@ a disjoint union is the union of the components' minimum T-joins, so each
 component gets its own gadget graph and matching call, and a component with
 no T node is skipped (all weights are non-negative, so its empty join is
 optimal).  Matching is cubic in the gadget size, so this is where the split
-pays.
+pays.  Blossom does not see the gadget graph as built: the matcher first
+folds its degree-2 nodes (every true -- dummy -- ghost connector among them,
+see `matching`), and `extract_join` reads the unfolded mate, a perfect
+matching of the full gadget graph at the optimal weight.
 """
 
 from __future__ import annotations

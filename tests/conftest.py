@@ -9,6 +9,7 @@ import pathlib
 import random
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import settings
 
@@ -174,3 +175,22 @@ def random_multigraph(rng: random.Random, max_nodes=6, max_edges=8, max_weight=1
             v = rng.randrange(n)
         edges.append((u, v, rng.randint(0, max_weight)))
     return n, edges
+
+
+def spy_blossom(monkeypatch) -> list[int]:
+    """Patch the blossom matcher to record the node count of every graph it
+    is handed, after checking that no degree-2 node with two non-adjacent
+    neighbours (a node the matcher should have folded) is left in it."""
+    sizes: list[int] = []
+    blossom = nx.max_weight_matching
+
+    def spy(graph, *args, **kwargs):
+        for n in graph:
+            if graph.degree(n) == 2:
+                a, b = graph[n]
+                assert graph.has_edge(a, b), f"degree-2 node {n} left unfolded"
+        sizes.append(graph.number_of_nodes())
+        return blossom(graph, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "max_weight_matching", spy)
+    return sizes

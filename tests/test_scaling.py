@@ -7,7 +7,9 @@ proportional to its square (4x the features, about 16x the calls).
 
 T-join: primal series chains (overlap nodes, shifter chains) put many
 parallel edges between one pair of faces; the instance handed to the gadget
-matching keeps at most two of them.
+matching keeps at most two of them.  Blossom then sees the gadget graph with
+its degree-2 nodes folded away, every true -- dummy -- ghost connector among
+them.
 
 Balance: one `detect` checks balance once, on its output, so it builds a
 fixed handful of parity union-finds and runs one two-coloring, whatever
@@ -19,10 +21,13 @@ from collections import Counter
 import pytest
 
 import aapsm.bipartize
+import aapsm.tjoin
 from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
 from aapsm.pipeline import detect
 from aapsm.unionfind import ParityUnionFind
+
+from conftest import spy_blossom
 
 PREDICATES = (
     (layout, "rect_separation"),
@@ -78,6 +83,30 @@ def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
         per_pair = Counter(frozenset((e.u, e.v)) for e in inst.edges)
         assert max(per_pair.values()) <= 2
         assert len(inst.edges) <= 0.6 * dual_edges, (len(inst.edges), dual_edges)
+
+
+@pytest.mark.parametrize("mode", aapsm.tjoin.GADGET_MODES)
+def test_blossom_sees_folded_gadget_graph(monkeypatch, mode):
+    """Each true -- dummy -- ghost connector is worth one fold (two nodes), and
+    no degree-2 node with non-adjacent neighbours reaches blossom."""
+    built = Counter()
+    build = aapsm.tjoin._build_gadget_graph
+
+    def spy_build(*args):
+        gg = build(*args)
+        built["nodes"] += len(gg.nodes)
+        built["dummies"] += sum(n.kind == aapsm.tjoin.KIND_DUMMY for n in gg.nodes)
+        return gg
+
+    with monkeypatch.context() as m:
+        m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
+        blossom_nodes = spy_blossom(m)
+        detect(generate_layout(1, 40, 0.7), gadget_mode=mode)
+    assert built["dummies"] > 0
+    assert sum(blossom_nodes) <= built["nodes"] - 2 * built["dummies"], (
+        sum(blossom_nodes),
+        built,
+    )
 
 
 def balance_checks(monkeypatch, design, greedy):
