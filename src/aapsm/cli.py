@@ -171,6 +171,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "correct" and len(args.layouts) > 1 and args.out:
         print("error=--out needs a single input; use --out-dir", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.jobs < 1:
+        print(f"error=--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command == "correct" and args.exact_cover_limit < 0:
+        print(
+            f"error=--exact-cover-limit must be non-negative, got {args.exact_cover_limit}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
 
     results: list[tuple[int, str]]
     if args.jobs > 1 and len(args.layouts) > 1:

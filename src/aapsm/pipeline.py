@@ -154,6 +154,9 @@ def correct(
 ) -> CorrectionResult:
     """Plan and apply spaces for the detected conflicts, then re-detect.
 
+    Without a cut the layout is unchanged and the residual count is the
+    input detection's own conflict count.
+
     Raises UncorrectableConflictError when some conflict admits no cut, unless
     allow_uncovered is set (the remaining conflicts are then reported and the
     coverable ones still corrected).
@@ -175,13 +178,20 @@ def correct(
         )
 
     new_layout, area = apply_spaces(layout, detection.shifters, plan)
-    residual = detect(
-        new_layout,
-        design_name="residual",
-        gadget_mode=detection.gadget_mode,
-        weight_mode=detection.weight_mode,
-    )
-    residual_count = len(residual.conflicts)
+    if plan.cuts:
+        residual = detect(
+            new_layout,
+            design_name="residual",
+            gadget_mode=detection.gadget_mode,
+            weight_mode=detection.weight_mode,
+        )
+        residual_count = len(residual.conflicts)
+    else:
+        # no space inserted: detect is deterministic, so re-detecting the
+        # unchanged layout would reproduce the input detection
+        if new_layout.rects != layout.rects or new_layout.bbox != layout.bbox:
+            raise InternalInvariantError("a plan without cuts changed the layout")
+        residual_count = len(detection.conflicts)
 
     report = list(detection.report)
     area_um2 = area.old_area_nm2 / 1e6

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
+
 
 @dataclass(frozen=True)
 class CoverCandidate:
@@ -46,7 +48,10 @@ def greedy_cover(universe: frozenset, candidates: list[CoverCandidate]) -> list[
             rhs = best_new * c.weight
             if lhs > rhs or (lhs == rhs and (c.weight, c.key) < (best.weight, best.key)):
                 best, best_new = c, new
-        assert best is not None
+        if best is None:
+            raise InternalInvariantError(
+                f"no candidate covers the remaining elements {sorted(remaining)}"
+            )
         chosen.append(best.key)
         remaining -= best.elements
     return chosen

@@ -223,6 +223,35 @@ def _widening_blocker(critical: tuple[Rect, ...]):
     return blocked
 
 
+def _cover_candidates(
+    intervals: tuple[CorrectionInterval, ...], keys
+) -> dict[tuple[str, int], CoverCandidate]:
+    """The conflicts each (axis, coord) key covers, weighted by the widest
+    width_needed among the intervals containing coord, keyed in sorted order.
+
+    Per axis, a sweep over the coordinates in ascending order keeps the
+    active intervals (lo <= coord <= hi): intervals enter in lo order and
+    leave once hi < coord, so the work is bounded by the sorts plus the
+    covered elements.
+    """
+    by_key: dict[tuple[str, int], CoverCandidate] = {}
+    for axis in sorted({axis for axis, _ in keys}):
+        pending = sorted((iv for iv in intervals if iv.axis == axis), key=lambda iv: iv.lo)
+        active: list[CorrectionInterval] = []
+        entered = 0
+        for coord in sorted(coord for a, coord in keys if a == axis):
+            while entered < len(pending) and pending[entered].lo <= coord:
+                active.append(pending[entered])
+                entered += 1
+            active = [iv for iv in active if iv.hi >= coord]
+            by_key[axis, coord] = CoverCandidate(
+                (axis, coord),
+                frozenset(iv.conflict_key for iv in active),
+                max((iv.width_needed for iv in active), default=0),
+            )
+    return by_key
+
+
 def plan_spaces(
     intervals: tuple[CorrectionInterval, ...],
     critical_features: tuple[Rect, ...] = (),
@@ -245,18 +274,9 @@ def plan_spaces(
         if not blocked(iv.axis, coord)
     }
 
-    # one scan of the intervals per candidate; a candidate lies inside the
-    # interval that produced it, so it covers at least that conflict
-    by_key: dict[tuple[str, int], CoverCandidate] = {}
-    for key in sorted(keys):
-        axis, coord = key
-        covered: set[tuple[int, int]] = set()
-        weight = 0
-        for iv in intervals:
-            if iv.axis == axis and iv.lo <= coord <= iv.hi:
-                covered.add(iv.conflict_key)
-                weight = max(weight, iv.width_needed)
-        by_key[key] = CoverCandidate(key, frozenset(covered), weight)
+    # a candidate lies inside the interval that produced it, so it covers at
+    # least that conflict
+    by_key = _cover_candidates(intervals, keys)
     candidates = list(by_key.values())
 
     coverable = frozenset().union(*(c.elements for c in candidates))

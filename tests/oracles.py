@@ -198,6 +198,23 @@ def widening_cut_blocked_oracle(axis: str, coord: int, critical) -> bool:
     return False
 
 
+def candidate_coverage_oracle(intervals, keys) -> dict:
+    """Scan every interval per (axis, coord) key: the conflict keys of the
+    intervals on that axis with lo <= coord <= hi, and the widest
+    width_needed among them (0 when none)."""
+    out = {}
+    for key in sorted(keys):
+        axis, coord = key
+        covered = set()
+        weight = 0
+        for iv in intervals:
+            if iv.axis == axis and iv.lo <= coord <= iv.hi:
+                covered.add(iv.conflict_key)
+                weight = max(weight, iv.width_needed)
+        out[key] = (frozenset(covered), weight)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graph enumeration oracles
 # ---------------------------------------------------------------------------

@@ -190,6 +190,47 @@ class TestCorrect:
         assert serial == parallel
 
 
+class TestOptionValidation:
+    """Out-of-range numeric options exit 2 with an error= line, before any
+    layout is read or written."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["detect", "correct"])
+    def test_jobs_below_one_rejected(
+        self, command, jobs, clean_layout_file, conflict_layout_file, tmp_path, capsys
+    ):
+        args = [command, str(clean_layout_file), str(conflict_layout_file), "--jobs", jobs]
+        if command == "correct":
+            args += ["--out-dir", str(tmp_path / "fixed")]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error=--jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "fixed").exists()
+
+    def test_negative_exact_cover_limit_rejected(self, conflict_layout_file, tmp_path, capsys):
+        out_file = tmp_path / "fixed.lay"
+        code = main(
+            ["correct", str(conflict_layout_file), "--exact-cover-limit", "-5",
+             "--out", str(out_file)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error=--exact-cover-limit must be non-negative, got -5\n"
+        assert not out_file.exists()
+
+    def test_boundary_values_accepted(self, conflict_layout_file, tmp_path, capsys):
+        code, out = run_cli(
+            ["correct", str(conflict_layout_file), "--jobs", "1",
+             "--exact-cover-limit", "0", "--out", str(tmp_path / "fixed.lay")],
+            capsys,
+        )
+        assert code == 0
+        assert "cuts_exact=na" in out
+
+
 class TestGenerate:
     def test_generate_to_stdout(self, capsys):
         code, out = run_cli(["generate", "--seed", "5", "--features", "6"], capsys)

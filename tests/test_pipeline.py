@@ -1,16 +1,22 @@
 """Whole-pipeline integration, including the crossing-heavy path."""
 
+import dataclasses
+
 import pytest
 
 import aapsm.bipartize
+import aapsm.pipeline
 from aapsm import conflict_graph
 from aapsm.bipartize import ORIGIN_PLANARIZATION
-from aapsm.conflict_graph import is_bipartite
+from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, is_bipartite
 from aapsm.errors import InternalInvariantError, UncorrectableConflictError
 from aapsm.generator import generate_layout
 from aapsm.layout import parse_layout
 from aapsm.pipeline import correct, detect, render_report
+from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
+
+from conftest import manhattan_layout
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -87,6 +93,55 @@ class TestRandomTangles:
             if not correction.uncovered:
                 assert correction.residual_conflicts == 0
             checked += 1
+
+
+class TestResidualCount:
+    """`correct` re-detects only when it inserted a space; without a cut the
+    residual count is the input detection's.  Either way it must equal a
+    fresh `detect` of the corrected layout in the same modes."""
+
+    DESIGNS = {
+        "comb": lambda: generate_layout(1, 40, 0.7),
+        "rows": lambda: generate_layout(1, 150, 0.0),
+        "tangled": lambda: parse_layout(TANGLED_ROW),
+        # every conflict uncoverable in all four modes: no cut, residual > 0
+        "manhattan1029": lambda: manhattan_layout(1029),
+        "manhattan1094": lambda: manhattan_layout(1094),
+        # cuts under separation weights only
+        "manhattan1035": lambda: manhattan_layout(1035),
+    }
+
+    @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
+    @pytest.mark.parametrize("gadget_mode", GADGET_MODES)
+    def test_matches_fresh_detect(self, gadget_mode, weight_mode):
+        reused = 0
+        for name, make in self.DESIGNS.items():
+            det = detect(make(), gadget_mode=gadget_mode, weight_mode=weight_mode)
+            cor = correct(det, allow_uncovered=True)
+            fresh = detect(cor.new_layout, gadget_mode=gadget_mode, weight_mode=weight_mode)
+            assert cor.residual_conflicts == len(fresh.conflicts), name
+            if not cor.plan.cuts and cor.residual_conflicts > 0:
+                reused += 1
+        assert reused >= 2
+
+    @pytest.mark.parametrize("drift", ["rects", "bbox"])
+    def test_layout_changed_without_cut_raises(self, monkeypatch, drift):
+        det = detect(generate_layout(1, 150, 0.0))
+        assert det.layout.bbox is not None
+        apply = aapsm.pipeline.apply_spaces
+
+        def drifting(layout, shifters, plan):
+            new_layout, area = apply(layout, shifters, plan)
+            if drift == "rects":
+                changed = dataclasses.replace(new_layout, rects=new_layout.rects[1:])
+            else:
+                x1, y1, x2, y2 = new_layout.bbox
+                changed = dataclasses.replace(new_layout, bbox=(x1, y1, x2 + 1, y2))
+            return changed, area
+
+        monkeypatch.setattr(aapsm.pipeline, "apply_spaces", drifting)
+        with pytest.raises(InternalInvariantError, match="without cuts changed"):
+            correct(det)
 
 
 class TestCorrectErrors:

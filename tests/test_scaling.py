@@ -14,6 +14,9 @@ them.
 Balance: one `detect` checks balance once, on its output, so it builds a
 fixed handful of parity union-finds and runs one two-coloring, whatever
 the design.
+
+Correction: `correct` re-detects only a layout it changed, so a plan without
+cuts costs no `detect` at all.
 """
 
 from collections import Counter
@@ -21,10 +24,11 @@ from collections import Counter
 import pytest
 
 import aapsm.bipartize
+import aapsm.pipeline
 import aapsm.tjoin
 from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
-from aapsm.pipeline import detect
+from aapsm.pipeline import correct, detect
 from aapsm.unionfind import ParityUnionFind
 
 from conftest import spy_blossom
@@ -134,3 +138,22 @@ def test_detect_checks_balance_once(monkeypatch, greedy, max_forests):
     for design in (generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7)):
         forests, colorings = balance_checks(monkeypatch, design, greedy)
         assert forests <= max_forests and colorings == 1, (forests, colorings)
+
+
+@pytest.mark.parametrize(
+    "density, features, detects", [(0.0, 150, 0), (0.7, 40, 1)], ids=["rows", "comb"]
+)
+def test_correct_redetects_only_changed_layouts(monkeypatch, density, features, detects):
+    det = detect(generate_layout(1, features, density))
+    calls = []
+    redetect = aapsm.pipeline.detect
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return redetect(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(aapsm.pipeline, "detect", spy)
+        cor = correct(det, allow_uncovered=True)
+    assert bool(cor.plan.cuts) == bool(detects)
+    assert len(calls) == detects

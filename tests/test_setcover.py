@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from aapsm.errors import InternalInvariantError
 from aapsm.setcover import CoverCandidate, exact_cover, greedy_cover
 
 from oracles import min_set_cover_weight
@@ -34,6 +35,21 @@ def test_uncoverable_raises():
     with pytest.raises(ValueError):
         greedy_cover(frozenset({1, 9}), cands(({1}, 1)))
     assert exact_cover(frozenset({1, 9}), cands(({1}, 1))) is None
+
+
+class LyingElements(frozenset):
+    """Lists its elements but never intersects anything."""
+
+    def __and__(self, other):
+        return frozenset()
+
+
+def test_greedy_without_progress_raises_invariant_error():
+    # passes the coverability check, then no pick covers anything; the error
+    # is raised, not asserted, so it survives python -O
+    cs = [CoverCandidate(("c", 0), LyingElements({1}), 1)]
+    with pytest.raises(InternalInvariantError, match="remaining elements"):
+        greedy_cover(frozenset({1}), cs)
 
 
 def test_greedy_classic_trap_exact_escapes():

@@ -17,10 +17,13 @@ from aapsm.layout import (
     rect_separation,
 )
 from aapsm.pipeline import correct as correct_pipeline, detect
+from aapsm.generator import generate_layout
 from aapsm.spacing import (
     AXIS_HORIZONTAL,
     AXIS_VERTICAL,
+    CorrectionInterval,
     SpacePlan,
+    _cover_candidates,
     _widening_blocker,
     apply_spaces,
     compute_intervals,
@@ -29,7 +32,7 @@ from aapsm.spacing import (
 )
 
 from conftest import make_shifter
-from oracles import widening_cut_blocked_oracle
+from oracles import candidate_coverage_oracle, widening_cut_blocked_oracle
 
 
 def conflict(pair, sep_needed=50, weight=1, edge_id=0):
@@ -241,6 +244,84 @@ class TestWideningBlocker:
                 for i, (x, y, w, h) in enumerate(raw)
             )
         )
+
+
+def assert_coverage_matches_oracle(intervals, keys):
+    swept = _cover_candidates(intervals, keys)
+    assert list(swept) == sorted(keys)
+    assert all(c.key == key for key, c in swept.items())
+    assert {
+        key: (c.elements, c.weight) for key, c in swept.items()
+    } == candidate_coverage_oracle(intervals, keys)
+
+
+def endpoint_keys(intervals):
+    return {
+        (iv.axis, coord)
+        for iv in intervals
+        for coord in (iv.lo, iv.hi, (iv.lo + iv.hi) // 2)
+    }
+
+
+class TestCoverCandidates:
+    def test_hand_instance(self):
+        intervals = (
+            CorrectionInterval((0, 1), AXIS_VERTICAL, -6, -2, 5),
+            CorrectionInterval((2, 3), AXIS_VERTICAL, -2, -2, 7),  # lo == hi
+            CorrectionInterval((4, 5), AXIS_VERTICAL, -1, 4, 3),
+            CorrectionInterval((0, 1), AXIS_HORIZONTAL, -2, 3, 2),
+            CorrectionInterval((4, 5), AXIS_HORIZONTAL, 3, 3, 9),
+        )
+        # -3 lies inside one interval, 5 past every vertical interval
+        keys = endpoint_keys(intervals) | {(AXIS_VERTICAL, -3), (AXIS_VERTICAL, 5)}
+        swept = _cover_candidates(intervals, keys)
+        v, h = AXIS_VERTICAL, AXIS_HORIZONTAL
+        assert {key: (set(c.elements), c.weight) for key, c in swept.items()} == {
+            (h, -2): ({(0, 1)}, 2),
+            (h, 0): ({(0, 1)}, 2),
+            (h, 3): ({(0, 1), (4, 5)}, 9),
+            (v, -6): ({(0, 1)}, 5),
+            (v, -4): ({(0, 1)}, 5),
+            (v, -3): ({(0, 1)}, 5),
+            (v, -2): ({(0, 1), (2, 3)}, 7),
+            (v, -1): ({(4, 5)}, 3),
+            (v, 1): ({(4, 5)}, 3),
+            (v, 4): ({(4, 5)}, 3),
+            (v, 5): (set(), 0),
+        }
+        assert_coverage_matches_oracle(intervals, keys)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((AXIS_VERTICAL, AXIS_HORIZONTAL)),
+                st.integers(-10, 10),
+                st.integers(0, 6),
+                st.integers(1, 9),
+                st.integers(0, 4),
+            ),
+            max_size=14,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from((AXIS_VERTICAL, AXIS_HORIZONTAL)), st.integers(-14, 18)
+            ),
+            max_size=6,
+        ),
+    )
+    def test_matches_scan_oracle(self, raw, extra):
+        intervals = tuple(
+            CorrectionInterval((k, k + 1), axis, lo, lo + length, width)
+            for axis, lo, length, width, k in raw
+        )
+        assert_coverage_matches_oracle(intervals, endpoint_keys(intervals) | set(extra))
+
+    def test_generated_design_matches_scan_oracle(self):
+        layout = generate_layout(1, 120, 0.7)
+        detection = detect(layout)
+        intervals, _ = compute_intervals(layout, detection.shifters, detection.conflicts)
+        assert len(intervals) > 20
+        assert_coverage_matches_oracle(intervals, endpoint_keys(intervals))
 
 
 class TestSameSideShifterPairs:
