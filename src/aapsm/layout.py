@@ -123,7 +123,8 @@ class Layout:
     """A bag of rectangles plus the rules that govern them.
 
     Feature-layer rects must be pairwise interior-disjoint; other layers are
-    carried through untouched.
+    carried through untouched.  A declared bbox must contain every rect
+    (closed containment).
     """
 
     rects: tuple[Rect, ...]
@@ -139,6 +140,11 @@ class Layout:
             x_lo, y_lo, x_hi, y_hi = self.bbox
             if not (x_lo < x_hi and y_lo < y_hi):
                 raise LayoutValidationError("degenerate bbox")
+            for r in self.rects:
+                if not (x_lo <= r.x_lo and r.x_hi <= x_hi and y_lo <= r.y_lo and r.y_hi <= y_hi):
+                    raise LayoutValidationError(
+                        f"rect {r.id} on layer {r.layer} lies outside the bbox"
+                    )
         feats = self.features
         boxes = [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in feats]
         for i, j in geometry.box_pairs(boxes):

@@ -6,6 +6,11 @@ with some width B: every rect entirely right of the line shifts by B, every
 rect straddling it stretches by B.  Horizontal spaces are symmetric in y.
 Feature widths never change because a cut that would widen a critical feature
 is rejected at planning time and a hard error at apply time.
+
+Each step has one code path for both axes, written against a rect's span
+across the cut line.  Planning sweeps each axis once, listing the conflicts
+every candidate coordinate covers and dropping the coordinates inside a
+critical feature; applying moves every rect in one pass.
 """
 
 from __future__ import annotations
@@ -91,42 +96,31 @@ def _width_for_axis(gap_this: int, gap_other: int, spacing: int) -> int:
     return max(0, _ceil_sqrt(spacing * spacing - gap_other * gap_other) - gap_this)
 
 
-def _edge_anchors(shifter: Shifter, feature: Rect | None, axis: str):
-    """Feature edges generating the shifter's lo/hi edges on the cut axis.
+def _span(rect: Rect, axis: str) -> tuple[int, int]:
+    """The rect's extent across a cut line on this axis: x for a vertical
+    cut, y for a horizontal one."""
+    if axis == AXIS_VERTICAL:
+        return rect.x_lo, rect.x_hi
+    return rect.y_lo, rect.y_hi
+
+
+def _move_limits(shifter: Shifter, feature: Rect | None, axis: str) -> tuple[int, int]:
+    """Move limits of the shifter's lo and hi edges on the cut axis: a cut at
+    c moves an edge iff c <= its limit.
 
     Shifters are regenerated from features after surgery, so a shifter edge
-    moves exactly when its generating feature edge does: an x_lo/y_lo anchor
-    at t moves under a cut at c iff c <= t, an x_hi/y_hi anchor iff c < t.
-    Without a known feature (free-standing test rects) the shifter's own
-    edges are their own anchors.
+    moves exactly when its generating feature edge does: a low feature edge
+    at t moves under a cut at c iff c <= t, a high one iff c < t.  Without a
+    known feature (free-standing test rects) the shifter's own edges generate
+    it.
     """
-    r = shifter.rect
-    if feature is None:
-        if axis == AXIS_VERTICAL:
-            return ("lo", r.x_lo), ("hi", r.x_hi)
-        return ("lo", r.y_lo), ("hi", r.y_hi)
-    if axis == AXIS_VERTICAL:
-        if feature.is_vertical:
-            a = ("lo", feature.x_lo) if shifter.side == SIDE_LOW else ("hi", feature.x_hi)
-            return a, a
-        return ("lo", feature.x_lo), ("hi", feature.x_hi)
-    if feature.is_vertical:
-        return ("lo", feature.y_lo), ("hi", feature.y_hi)
-    a = ("lo", feature.y_lo) if shifter.side == SIDE_LOW else ("hi", feature.y_hi)
-    return a, a
-
-
-def _anchored_interval(sl, sr, feat_l, feat_r, axis, gap_lo, gap_hi):
-    """Clip the open shifter gap to cut coordinates that actually separate
-    the pair once shifters are regenerated: the left party's gap edge must
-    stay put and the right party's must move."""
-    _, left_hi_anchor = _edge_anchors(sl, feat_l, axis)
-    right_lo_anchor, _ = _edge_anchors(sr, feat_r, axis)
-    kind, t = left_hi_anchor
-    lo_bound = t + 1 if kind == "lo" else t  # NOT-move condition
-    kind, t = right_lo_anchor
-    hi_bound = t if kind == "lo" else t - 1  # move condition
-    return max(gap_lo, lo_bound), min(gap_hi, hi_bound)
+    lo, hi = _span(shifter.rect if feature is None else feature, axis)
+    if feature is not None and feature.is_vertical == (axis == AXIS_VERTICAL):
+        # the feature is parallel to the cut line: both shifter edges follow
+        # the feature edge the shifter flanks
+        flank = lo if shifter.side == SIDE_LOW else hi - 1
+        return flank, flank
+    return lo, hi - 1
 
 
 def compute_intervals(
@@ -136,11 +130,11 @@ def compute_intervals(
 
     Feature-edge conflicts would need feature widening and are always routed
     to the uncovered list.  Overlap conflicts are deduplicated per shifter
-    pair (both halves of one overlap name the same pair).  A vertical interval
-    needs a non-empty open x-gap between the two rects AND cut coordinates
-    under which the two generating features part ways (shifters regenerate
-    from features, so a pair whose features sit on one side of every gap
-    coordinate would ride along unseparated); horizontal likewise for y.
+    pair (both halves of one overlap name the same pair).  An interval on an
+    axis needs a non-empty open gap between the two rects across the cut line
+    AND cut coordinates under which the two generating features part ways
+    (shifters regenerate from features, so a pair whose features sit on one
+    side of every gap coordinate would ride along unseparated).
     """
     by_id = {s.id: s for s in shifters}
     features = {f.id: f for f in layout.features}
@@ -158,34 +152,21 @@ def compute_intervals(
         seen.add(key)
         s1 = by_id[key[0]]
         s2 = by_id[key[1]]
-        r1, r2 = s1.rect, s2.rect
-        gx, gy = axis_gaps(r1, r2)
+        gx, gy = axis_gaps(s1.rect, s2.rect)
         found = False
-
-        gap_lo, gap_hi = min(r1.x_hi, r2.x_hi), max(r1.x_lo, r2.x_lo)
-        if gap_lo < gap_hi:
-            sl, sr = (s1, s2) if r1.x_hi <= r2.x_hi else (s2, s1)
-            lo, hi = _anchored_interval(
-                sl, sr,
-                features.get(sl.feature_id), features.get(sr.feature_id),
-                AXIS_VERTICAL, gap_lo, gap_hi,
-            )
-            width = _width_for_axis(gx, gy, spacing)
+        for axis, gap_this, gap_other in ((AXIS_VERTICAL, gx, gy), (AXIS_HORIZONTAL, gy, gx)):
+            (lo1, hi1), (lo2, hi2) = _span(s1.rect, axis), _span(s2.rect, axis)
+            gap_lo, gap_hi = min(hi1, hi2), max(lo1, lo2)
+            if gap_lo >= gap_hi:
+                continue
+            sl, sr = (s1, s2) if hi1 <= hi2 else (s2, s1)
+            # the left party's gap edge must stay put and the right party's
+            # must move
+            lo = max(gap_lo, _move_limits(sl, features.get(sl.feature_id), axis)[1] + 1)
+            hi = min(gap_hi, _move_limits(sr, features.get(sr.feature_id), axis)[0])
+            width = _width_for_axis(gap_this, gap_other, spacing)
             if lo <= hi and width > 0:
-                intervals.append(CorrectionInterval(key, AXIS_VERTICAL, lo, hi, width))
-                found = True
-
-        gap_lo, gap_hi = min(r1.y_hi, r2.y_hi), max(r1.y_lo, r2.y_lo)
-        if gap_lo < gap_hi:
-            sl, sr = (s1, s2) if r1.y_hi <= r2.y_hi else (s2, s1)
-            lo, hi = _anchored_interval(
-                sl, sr,
-                features.get(sl.feature_id), features.get(sr.feature_id),
-                AXIS_HORIZONTAL, gap_lo, gap_hi,
-            )
-            width = _width_for_axis(gy, gx, spacing)
-            if lo <= hi and width > 0:
-                intervals.append(CorrectionInterval(key, AXIS_HORIZONTAL, lo, hi, width))
+                intervals.append(CorrectionInterval(key, axis, lo, hi, width))
                 found = True
 
         if not found:
@@ -193,57 +174,42 @@ def compute_intervals(
     return tuple(intervals), tuple(uncovered)
 
 
-def _widening_blocker(critical: tuple[Rect, ...]):
-    """Return blocked(axis, coord): does a cut line there widen a critical
-    feature?  It does when it is parallel to the feature's long axis and
-    passes through its interior, lo < coord < hi across the short axis.
-
-    Per axis the spans are sorted by lo with a running max of hi, so a query
-    bisects to the spans with lo < coord and compares their largest hi.
-    """
-    spans: dict[str, list[tuple[int, int]]] = {AXIS_VERTICAL: [], AXIS_HORIZONTAL: []}
-    for feat in critical:
-        if feat.is_vertical:
-            spans[AXIS_VERTICAL].append((feat.x_lo, feat.x_hi))
-        else:
-            spans[AXIS_HORIZONTAL].append((feat.y_lo, feat.y_hi))
-    index = {}
-    for axis, axis_spans in spans.items():
-        axis_spans.sort()
-        index[axis] = (
-            [lo for lo, _ in axis_spans],
-            list(itertools.accumulate((hi for _, hi in axis_spans), max)),
-        )
-
-    def blocked(axis: str, coord: int) -> bool:
-        los, reach = index[axis]
-        k = bisect.bisect_left(los, coord)
-        return k > 0 and reach[k - 1] > coord
-
-    return blocked
-
-
 def _cover_candidates(
-    intervals: tuple[CorrectionInterval, ...], keys
+    intervals: tuple[CorrectionInterval, ...], keys, critical: tuple[Rect, ...]
 ) -> dict[tuple[str, int], CoverCandidate]:
     """The conflicts each (axis, coord) key covers, weighted by the widest
     width_needed among the intervals containing coord, keyed in sorted order.
 
-    Per axis, a sweep over the coordinates in ascending order keeps the
+    A key whose cut line would widen a critical feature gets no candidate:
+    the line runs along the feature's long axis strictly inside its short
+    axis (squares count as vertical).
+
+    Per axis, one sweep over the coordinates in ascending order keeps the
     active intervals (lo <= coord <= hi): intervals enter in lo order and
-    leave once hi < coord, so the work is bounded by the sorts plus the
-    covered elements.
+    leave once hi < coord.  The critical spans on that axis enter in lo order
+    too once lo < coord, and the largest hi among them tells whether one
+    still contains coord.  The work is bounded by the sorts plus the covered
+    elements.
     """
     by_key: dict[tuple[str, int], CoverCandidate] = {}
     for axis in sorted({axis for axis, _ in keys}):
         pending = sorted((iv for iv in intervals if iv.axis == axis), key=lambda iv: iv.lo)
+        spans = sorted(
+            _span(f, axis) for f in critical if f.is_vertical == (axis == AXIS_VERTICAL)
+        )
         active: list[CorrectionInterval] = []
-        entered = 0
+        entered = opened = 0
+        reach = -math.inf  # largest hi among the critical spans with lo < coord
         for coord in sorted(coord for a, coord in keys if a == axis):
             while entered < len(pending) and pending[entered].lo <= coord:
                 active.append(pending[entered])
                 entered += 1
             active = [iv for iv in active if iv.hi >= coord]
+            while opened < len(spans) and spans[opened][0] < coord:
+                reach = max(reach, spans[opened][1])
+                opened += 1
+            if reach > coord:
+                continue
             by_key[axis, coord] = CoverCandidate(
                 (axis, coord),
                 frozenset(iv.conflict_key for iv in active),
@@ -266,17 +232,15 @@ def plan_spaces(
     exact cover runs too and its plan is used when strictly better.
     """
     conflict_keys = sorted({iv.conflict_key for iv in intervals})
-    blocked = _widening_blocker(critical_features)
     keys = {
         (iv.axis, coord)
         for iv in intervals
         for coord in (iv.lo, iv.hi, (iv.lo + iv.hi) // 2)
-        if not blocked(iv.axis, coord)
     }
 
     # a candidate lies inside the interval that produced it, so it covers at
     # least that conflict
-    by_key = _cover_candidates(intervals, keys)
+    by_key = _cover_candidates(intervals, keys, critical_features)
     candidates = list(by_key.values())
 
     coverable = frozenset().union(*(c.elements for c in candidates))
@@ -329,45 +293,46 @@ class AreaReport:
         return 100.0 * (self.new_area_nm2 - self.old_area_nm2) / self.old_area_nm2
 
 
-def _cut_rect(r: Rect, axis: str, coord: int, width: int) -> Rect:
-    if axis == AXIS_VERTICAL:
-        if r.x_lo >= coord:
-            return replace(r, x_lo=r.x_lo + width, x_hi=r.x_hi + width)
-        if r.x_hi > coord:
-            return replace(r, x_hi=r.x_hi + width)
-        return r
-    if r.y_lo >= coord:
-        return replace(r, y_lo=r.y_lo + width, y_hi=r.y_hi + width)
-    if r.y_hi > coord:
-        return replace(r, y_hi=r.y_hi + width)
-    return r
-
-
 def apply_spaces(
     layout: Layout, shifters: tuple[Shifter, ...], plan: SpacePlan
 ) -> tuple[Layout, AreaReport]:
     """Insert the planned spaces, returning the new layout and area report.
 
-    Cuts are applied per axis in descending coordinate order so earlier
-    insertions never move later cut lines.  A cut that would stretch a
-    critical feature across its short axis is a hard error: the planner must
-    have avoided it.
+    One pass over the rects: per axis, the cut coordinates are sorted once
+    with prefix sums of their widths, so an edge moves by the widths of the
+    cuts that reach it -- a low edge at t by the cuts with c <= t, a high edge
+    by those with c < t -- exactly as if the cuts were inserted one by one in
+    descending order.  A rect no cut reaches is kept as is.  Cuts only grow
+    a rect, so a cut stretched a critical feature across its short axis
+    exactly when its short dimension changed; that is a hard error, since the
+    planner must have avoided it.
     """
-    critical_ids = {f.id for f in find_critical_features(layout)}
-    rects = list(layout.rects)
-    ordered = sorted(plan.cuts, key=lambda c: (c.axis, -c.coord))
-    for cut in ordered:
-        for i, r in enumerate(rects):
-            stretched = _cut_rect(r, cut.axis, cut.coord, cut.width)
-            if (
-                r.id in critical_ids
-                and stretched is not r
-                and stretched.short_dim != r.short_dim
-            ):
-                raise LayoutValidationError(
-                    f"cut {cut.axis}@{cut.coord} would widen critical feature {r.id}"
-                )
-            rects[i] = stretched
+    rects = layout.rects
+    if plan.cuts:
+        shifts = {}
+        for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL):
+            cuts = sorted((c.coord, c.width) for c in plan.cuts if c.axis == axis)
+            shifts[axis] = [c for c, _ in cuts], [0, *itertools.accumulate(w for _, w in cuts)]
+        critical_ids = {f.id for f in find_critical_features(layout)}
+
+        def moved(r: Rect, axis: str) -> tuple[int, int]:
+            coords, prefix = shifts[axis]
+            lo, hi = _span(r, axis)
+            return (
+                lo + prefix[bisect.bisect_right(coords, lo)],
+                hi + prefix[bisect.bisect_left(coords, hi)],
+            )
+
+        def move(r: Rect) -> Rect:
+            (x_lo, x_hi), (y_lo, y_hi) = moved(r, AXIS_VERTICAL), moved(r, AXIS_HORIZONTAL)
+            if (x_lo, y_lo, x_hi, y_hi) == (r.x_lo, r.y_lo, r.x_hi, r.y_hi):
+                return r
+            stretched = replace(r, x_lo=x_lo, y_lo=y_lo, x_hi=x_hi, y_hi=y_hi)
+            if r.id in critical_ids and stretched.short_dim != r.short_dim:
+                raise LayoutValidationError(f"a cut would widen critical feature {r.id}")
+            return stretched
+
+        rects = tuple(move(r) for r in rects)
 
     inserted_x = sum(c.width for c in plan.cuts if c.axis == AXIS_VERTICAL)
     inserted_y = sum(c.width for c in plan.cuts if c.axis == AXIS_HORIZONTAL)
@@ -379,12 +344,14 @@ def apply_spaces(
         old_area = (x2 - x1) * (y2 - y1)
         new_bbox = (x1, y1, x2 + inserted_x, y2 + inserted_y)
         new_area = (x2 - x1 + inserted_x) * (y2 - y1 + inserted_y)
-        new_layout = Layout(tuple(rects), layout.rules, new_bbox)
-        for r in new_layout.rects:
+        # checked before the new Layout rejects it as invalid input: a rect
+        # that escapes the grown box is a fault of the surgery, not the input
+        for r in rects:
             if not (x1 <= r.x_lo and r.x_hi <= new_bbox[2] and y1 <= r.y_lo and r.y_hi <= new_bbox[3]):
                 raise InternalInvariantError(
                     f"rect {r.id} escaped the grown bounding box"
                 )
+        new_layout = Layout(rects, layout.rules, new_bbox)
     else:
         # no declared outline: report tight boxes (cuts outside the hull move
         # everything and change nothing, so no arithmetic identity applies)
@@ -396,7 +363,7 @@ def apply_spaces(
             return (bx2 - bx1) * (by2 - by1)
 
         old_area = tight_area(layout)
-        new_layout = Layout(tuple(rects), layout.rules, None)
+        new_layout = Layout(rects, layout.rules, None)
         new_area = tight_area(new_layout)
     return new_layout, AreaReport(old_area, new_area, inserted_x, inserted_y)
 

@@ -215,6 +215,32 @@ def candidate_coverage_oracle(intervals, keys) -> dict:
     return out
 
 
+def apply_spaces_oracle(layout, cuts) -> list:
+    """Insert the cuts one at a time, per axis in descending coordinate
+    order, visiting every rect for each: a rect with lo >= c shifts by the
+    width, one with lo < c < hi stretches.  Returns the new boxes
+    (x_lo, y_lo, x_hi, y_hi) in rect order; raises ValueError when a cut
+    changes the short dimension of a critical feature (a "poly" rect whose
+    short dimension is below the critical width)."""
+    boxes = [[r.x_lo, r.y_lo, r.x_hi, r.y_hi] for r in layout.rects]
+    critical = [
+        r.layer == "poly" and min(r.x_hi - r.x_lo, r.y_hi - r.y_lo) < layout.rules.critical_width
+        for r in layout.rects
+    ]
+    for cut in sorted(cuts, key=lambda c: (c.axis, -c.coord)):
+        lo_i, hi_i = (0, 2) if cut.axis == "v" else (1, 3)
+        for box, is_critical in zip(boxes, critical):
+            before = min(box[2] - box[0], box[3] - box[1])
+            if box[lo_i] >= cut.coord:
+                box[lo_i] += cut.width
+                box[hi_i] += cut.width
+            elif box[hi_i] > cut.coord:
+                box[hi_i] += cut.width
+            if is_critical and min(box[2] - box[0], box[3] - box[1]) != before:
+                raise ValueError(f"cut {cut.axis}@{cut.coord} widens a critical feature")
+    return [tuple(box) for box in boxes]
+
+
 # ---------------------------------------------------------------------------
 # graph enumeration oracles
 # ---------------------------------------------------------------------------

@@ -177,6 +177,23 @@ class TestCorrect:
         assert code == 3
         assert "error=" in out
 
+    @pytest.mark.parametrize(
+        "outside", ["rect poly 2000 100 3000 300", "rect metal 900 500 1100 600"]
+    )
+    def test_rect_outside_bbox_exit_2(self, outside, tmp_path, capsys):
+        # no cut is planned here; the declared outline itself is invalid
+        path = tmp_path / "outside.lay"
+        path.write_text(
+            "rules 150 200 50 200\n"
+            "bbox 0 0 1000 1000\n"
+            "rect poly 300 100 400 900\n"
+            f"{outside}\n"
+        )
+        code, out = run_cli(["correct", str(path), "--out", str(tmp_path / "f.lay")], capsys)
+        assert code == 2
+        assert "error=rect 1 on layer" in out and "outside the bbox" in out
+        assert not (tmp_path / "f.lay").exists()
+
     def test_jobs_parallel_matches_serial(
         self, clean_layout_file, conflict_layout_file, tmp_path, capsys
     ):

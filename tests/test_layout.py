@@ -97,6 +97,37 @@ class TestParse:
         assert serialize_layout(again) == serialize_layout(first)
 
 
+class TestBboxContainment:
+    """A declared bbox is the layout's outline: every rect on every layer lies
+    inside it, edges included."""
+
+    BBOX = (0, 0, 1000, 1000)
+
+    def test_rect_on_bbox_edges_allowed(self):
+        layout = Layout(
+            (Rect(0, 0, 100, 1000, FEATURE_LAYER, 0), Rect(900, 0, 1000, 10, "metal", 1)),
+            bbox=self.BBOX,
+        )
+        assert len(layout.rects) == 2
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            Rect(2000, 100, 3000, 300, FEATURE_LAYER, 1),  # wide poly, outside
+            Rect(900, 500, 1100, 600, "metal", 1),  # straddles the right edge
+            Rect(300, -1, 400, 900, FEATURE_LAYER, 1),  # one unit below
+        ],
+        ids=["poly-outside", "metal-straddling", "poly-below"],
+    )
+    def test_rect_outside_bbox_rejected(self, rect):
+        with pytest.raises(LayoutValidationError, match=f"rect 1 on layer {rect.layer}"):
+            Layout((Rect(300, 100, 400, 900, FEATURE_LAYER, 0), rect), bbox=self.BBOX)
+
+    def test_parse_rejects_rect_outside_bbox(self):
+        with pytest.raises(LayoutValidationError, match="outside the bbox"):
+            parse_layout("bbox 0 0 1000 1000\nrect metal 900 500 1100 600\n")
+
+
 class TestCriticalFeatures:
     def test_strictly_below_threshold(self):
         rules = DesignRules(150, 200, 0, 100)

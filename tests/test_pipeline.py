@@ -3,15 +3,22 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 import aapsm.bipartize
 import aapsm.pipeline
 from aapsm import conflict_graph
 from aapsm.bipartize import ORIGIN_PLANARIZATION
 from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, is_bipartite
-from aapsm.errors import InternalInvariantError, UncorrectableConflictError
+from aapsm.errors import (
+    EXIT_INPUT_ERROR,
+    AapsmError,
+    InternalInvariantError,
+    LayoutValidationError,
+    UncorrectableConflictError,
+)
 from aapsm.generator import generate_layout
-from aapsm.layout import parse_layout
+from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout
 from aapsm.pipeline import correct, detect, render_report
 from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
@@ -93,6 +100,75 @@ class TestRandomTangles:
             if not correction.uncovered:
                 assert correction.residual_conflicts == 0
             checked += 1
+
+
+@st.composite
+def arbitrary_layouts(draw):
+    """(rects, rules, bbox, whether the bbox contains every rect): poly wires
+    of either orientation on a 10 nm grid, kept interior-disjoint, plus a few
+    rects on another layer; no bbox, a containing one, or one whose edge is
+    pulled in past some rect."""
+    grid = st.integers(0, 150).map(lambda v: 10 * v)
+    rects: list[Rect] = []
+    for x, y, short, long, vertical in draw(
+        st.lists(
+            st.tuples(grid, grid, st.integers(10, 200), st.integers(10, 1500), st.booleans()),
+            min_size=2,
+            max_size=8,
+        )
+    ):
+        w, h = (short, long) if vertical else (long, short)
+        rect = Rect(x, y, x + w, y + h, FEATURE_LAYER, len(rects))
+        if not any(rect.interior_overlaps(r) for r in rects):
+            rects.append(rect)
+    for x, y, w, h in draw(
+        st.lists(st.tuples(grid, grid, st.integers(1, 3000), st.integers(1, 3000)), max_size=2)
+    ):
+        rects.append(Rect(x, y, x + w, y + h, "metal", len(rects)))
+    rules = DesignRules(
+        draw(st.integers(50, 250)),
+        draw(st.integers(10, 300)),
+        draw(st.integers(0, 150)),
+        draw(st.integers(1, 400)),
+    )
+    x_lo, y_lo, x_hi, y_hi = Layout(tuple(rects)).bounding_box()
+    kind = draw(st.sampled_from(("none", "containing", "pulled-in")))
+    if kind == "none":
+        return rects, rules, None, True
+    if kind == "containing":
+        grow = draw(st.tuples(*[st.integers(0, 800)] * 4))
+        return rects, rules, (x_lo - grow[0], y_lo - grow[1], x_hi + grow[2], y_hi + grow[3]), True
+    side = draw(st.integers(0, 3))
+    pull = draw(st.integers(1, 9))  # the first wire keeps the box 10 nm wide or more
+    box = [x_lo, y_lo, x_hi, y_hi]
+    box[side] += pull if side < 2 else -pull
+    return rects, rules, tuple(box), False
+
+
+class TestFuzzGate:
+    """Any layout ends in a report or an input error (exit 2) in every mode,
+    never in an internal failure (exit 4) or a Python exception; and when
+    every conflict was covered, none remains."""
+
+    @given(arbitrary_layouts())
+    def test_only_input_errors_and_covered_means_clean(self, case):
+        rects, rules, bbox, contained = case
+        try:
+            layout = Layout(tuple(rects), rules, bbox)
+        except LayoutValidationError:
+            assert not contained
+            return
+        assert contained
+        for gadget_mode in GADGET_MODES:
+            for weight_mode in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
+                try:
+                    det = detect(layout, gadget_mode=gadget_mode, weight_mode=weight_mode)
+                    cor = correct(det, allow_uncovered=True)
+                except AapsmError as exc:
+                    assert exc.exit_code == EXIT_INPUT_ERROR, repr(exc)
+                    continue
+                if not cor.uncovered:
+                    assert cor.residual_conflicts == 0
 
 
 class TestResidualCount:

@@ -16,7 +16,9 @@ fixed handful of parity union-finds and runs one two-coloring, whatever
 the design.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
-cuts costs no `detect` at all.
+cuts costs no `detect` at all.  `apply_spaces` moves each rect once for all
+cuts together, so it builds at most one rect per rect whatever the cut
+count, and none for a plan without cuts.
 """
 
 from collections import Counter
@@ -28,7 +30,9 @@ import aapsm.pipeline
 import aapsm.tjoin
 from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
+from aapsm.layout import Rect
 from aapsm.pipeline import correct, detect
+from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
 from aapsm.unionfind import ParityUnionFind
 
 from conftest import spy_blossom
@@ -157,3 +161,31 @@ def test_correct_redetects_only_changed_layouts(monkeypatch, density, features, 
         cor = correct(det, allow_uncovered=True)
     assert bool(cor.plan.cuts) == bool(detects)
     assert len(calls) == detects
+
+
+def rects_built(monkeypatch, design, cuts) -> int:
+    built = 0
+    post_init = Rect.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Rect, "__post_init__", counted)
+        apply_spaces(design, (), SpacePlan(cuts, (), len(cuts), None, False))
+    return built
+
+
+def test_apply_spaces_builds_each_rect_at_most_once(monkeypatch):
+    design = generate_layout(1, 150, 0.0)
+    x_lo, y_lo, _, _ = design.bbox
+    # every cut lies left of (below) every rect, so every cut moves every rect
+    cuts = tuple(
+        Cut(axis, lo - 1 - k, 10, ())
+        for axis, lo in ((AXIS_VERTICAL, x_lo), (AXIS_HORIZONTAL, y_lo))
+        for k in range(5)
+    )
+    assert rects_built(monkeypatch, design, cuts) <= len(design.rects)
+    assert rects_built(monkeypatch, design, ()) == 0

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aapsm.bipartize import Conflict, ConflictSet, ORIGIN_MATCHING
-from aapsm.errors import LayoutValidationError
+from aapsm.errors import InternalInvariantError, LayoutValidationError
 from aapsm.layout import (
     DesignRules,
     FEATURE_LAYER,
     Layout,
     Rect,
+    find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
     rect_separation,
@@ -22,9 +23,9 @@ from aapsm.spacing import (
     AXIS_HORIZONTAL,
     AXIS_VERTICAL,
     CorrectionInterval,
+    Cut,
     SpacePlan,
     _cover_candidates,
-    _widening_blocker,
     apply_spaces,
     compute_intervals,
     dump_plan,
@@ -32,7 +33,11 @@ from aapsm.spacing import (
 )
 
 from conftest import make_shifter
-from oracles import candidate_coverage_oracle, widening_cut_blocked_oracle
+from oracles import (
+    apply_spaces_oracle,
+    candidate_coverage_oracle,
+    widening_cut_blocked_oracle,
+)
 
 
 def conflict(pair, sep_needed=50, weight=1, edge_id=0):
@@ -201,18 +206,40 @@ class TestPlanSpaces:
         assert plan.uncovered == ()
 
 
-def blocked_everywhere(critical):
-    blocked = _widening_blocker(critical)
-    for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL):
-        for coord in range(-12, 18):
-            assert blocked(axis, coord) == widening_cut_blocked_oracle(
-                axis, coord, critical
-            ), (axis, coord)
+def assert_coverage_matches_oracle(intervals, keys, critical=()):
+    """The sweep lists the oracle's coverage for every key, minus exactly the
+    keys whose cut line would widen a critical feature."""
+    swept = _cover_candidates(intervals, keys, critical)
+    kept = sorted(key for key in keys if not widening_cut_blocked_oracle(*key, critical))
+    assert list(swept) == kept
+    assert all(c.key == key for key, c in swept.items())
+    assert {
+        key: (c.elements, c.weight) for key, c in swept.items()
+    } == candidate_coverage_oracle(intervals, kept)
+    return swept
+
+
+# intervals across the whole coordinate range below, one per axis, so every
+# kept key covers a conflict
+SPANNING = (
+    CorrectionInterval((0, 1), AXIS_VERTICAL, -12, 17, 3),
+    CorrectionInterval((2, 3), AXIS_HORIZONTAL, -12, 17, 5),
+)
+EVERY_KEY = {
+    (axis, coord) for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL) for coord in range(-12, 18)
+}
+
+
+def blocked_keys(critical):
+    return EVERY_KEY - set(assert_coverage_matches_oracle(SPANNING, EVERY_KEY, critical))
 
 
 class TestWideningBlocker:
+    """`_cover_candidates` drops the keys whose cut line runs along a
+    critical feature's long axis strictly inside its short axis."""
+
     def test_empty_blocks_nothing(self):
-        blocked_everywhere(())
+        assert blocked_keys(()) == set()
 
     def test_touching_spans_block_only_interiors(self):
         # vertical features x in [0, 3] and [3, 5] share the line x = 3, which
@@ -223,11 +250,9 @@ class TestWideningBlocker:
             Rect(-8, -8, -4, -4, FEATURE_LAYER, 2),
             Rect(-10, 2, 10, 4, FEATURE_LAYER, 3),
         )
-        blocked = _widening_blocker(critical)
-        coords = range(-12, 18)
-        assert [c for c in coords if blocked(AXIS_VERTICAL, c)] == [-7, -6, -5, 1, 2, 4]
-        assert [c for c in coords if blocked(AXIS_HORIZONTAL, c)] == [3]
-        blocked_everywhere(critical)
+        blocked = blocked_keys(critical)
+        assert sorted(c for a, c in blocked if a == AXIS_VERTICAL) == [-7, -6, -5, 1, 2, 4]
+        assert sorted(c for a, c in blocked if a == AXIS_HORIZONTAL) == [3]
 
     @given(
         st.lists(
@@ -238,21 +263,12 @@ class TestWideningBlocker:
         )
     )
     def test_matches_scan_oracle(self, raw):
-        blocked_everywhere(
+        blocked_keys(
             tuple(
                 Rect(x, y, x + w, y + h, FEATURE_LAYER, i)
                 for i, (x, y, w, h) in enumerate(raw)
             )
         )
-
-
-def assert_coverage_matches_oracle(intervals, keys):
-    swept = _cover_candidates(intervals, keys)
-    assert list(swept) == sorted(keys)
-    assert all(c.key == key for key, c in swept.items())
-    assert {
-        key: (c.elements, c.weight) for key, c in swept.items()
-    } == candidate_coverage_oracle(intervals, keys)
 
 
 def endpoint_keys(intervals):
@@ -274,7 +290,7 @@ class TestCoverCandidates:
         )
         # -3 lies inside one interval, 5 past every vertical interval
         keys = endpoint_keys(intervals) | {(AXIS_VERTICAL, -3), (AXIS_VERTICAL, 5)}
-        swept = _cover_candidates(intervals, keys)
+        swept = _cover_candidates(intervals, keys, ())
         v, h = AXIS_VERTICAL, AXIS_HORIZONTAL
         assert {key: (set(c.elements), c.weight) for key, c in swept.items()} == {
             (h, -2): ({(0, 1)}, 2),
@@ -308,20 +324,34 @@ class TestCoverCandidates:
             ),
             max_size=6,
         ),
+        st.lists(
+            st.tuples(
+                st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 6), st.integers(1, 6)
+            ),
+            max_size=4,
+        ),
     )
-    def test_matches_scan_oracle(self, raw, extra):
+    def test_matches_scan_oracle(self, raw, extra, raw_critical):
         intervals = tuple(
             CorrectionInterval((k, k + 1), axis, lo, lo + length, width)
             for axis, lo, length, width, k in raw
         )
-        assert_coverage_matches_oracle(intervals, endpoint_keys(intervals) | set(extra))
+        critical = tuple(
+            Rect(x, y, x + w, y + h, FEATURE_LAYER, i)
+            for i, (x, y, w, h) in enumerate(raw_critical)
+        )
+        assert_coverage_matches_oracle(
+            intervals, endpoint_keys(intervals) | set(extra), critical
+        )
 
     def test_generated_design_matches_scan_oracle(self):
         layout = generate_layout(1, 120, 0.7)
         detection = detect(layout)
         intervals, _ = compute_intervals(layout, detection.shifters, detection.conflicts)
         assert len(intervals) > 20
-        assert_coverage_matches_oracle(intervals, endpoint_keys(intervals))
+        keys = endpoint_keys(intervals)
+        swept = assert_coverage_matches_oracle(intervals, keys, find_critical_features(layout))
+        assert len(swept) < len(keys)  # the critical features block some keys
 
 
 class TestSameSideShifterPairs:
@@ -383,10 +413,60 @@ class TestSameSideShifterPairs:
         assert correction.residual_conflicts == 0 or correction.uncovered
 
 
+@st.composite
+def layouts_and_cuts(draw):
+    """Small layouts of poly rects (kept interior-disjoint) and other-layer
+    rects, optionally inside a bbox, with cuts on both axes, many of them on
+    rect edges."""
+    rects = []
+    for i, (x, y, w, h, poly) in enumerate(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-10, 10),
+                    st.integers(-10, 10),
+                    st.integers(1, 8),
+                    st.integers(1, 8),
+                    st.booleans(),
+                ),
+                max_size=8,
+            )
+        )
+    ):
+        rect = Rect(x, y, x + w, y + h, "metal", i)
+        if poly and not any(
+            r.layer == FEATURE_LAYER and r.interior_overlaps(rect) for r in rects
+        ):
+            rect = Rect(x, y, x + w, y + h, FEATURE_LAYER, i)
+        rects.append(rect)
+    rules = DesignRules(draw(st.integers(1, 9)), 200, 0, 100)
+    bbox = None
+    if rects and draw(st.booleans()):
+        bbox = Layout(tuple(rects)).bounding_box()
+    edges = {
+        AXIS_VERTICAL: [c for r in rects for c in (r.x_lo, r.x_hi)],
+        AXIS_HORIZONTAL: [c for r in rects for c in (r.y_lo, r.y_hi)],
+    }
+    cuts = {}
+    for axis, on_edge, coord, width in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((AXIS_VERTICAL, AXIS_HORIZONTAL)),
+                st.integers(0, 15),
+                st.integers(-12, 20),
+                st.integers(1, 5),
+            ),
+            max_size=5,
+        )
+    ):
+        if on_edge < 8 and edges[axis]:
+            coord = edges[axis][on_edge % len(edges[axis])]
+        cuts[axis, coord] = Cut(axis, coord, width, ())
+    return Layout(tuple(rects), rules, bbox), tuple(cuts.values())
+
+
 class TestApplySpaces:
     def test_straddle_stretch(self):
-        from aapsm.spacing import Cut
-
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
         new_layout, area = apply_spaces(layout, (), plan)
@@ -394,8 +474,6 @@ class TestApplySpaces:
         assert (r.x_lo, r.y_lo, r.x_hi, r.y_hi) == (0, 0, 13, 2)
 
     def test_pure_shift(self):
-        from aapsm.spacing import Cut
-
         layout = Layout((Rect(6, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
@@ -403,25 +481,28 @@ class TestApplySpaces:
         assert (r.x_lo, r.x_hi) == (9, 13)
 
     def test_cut_at_boundary_no_stretch(self):
-        from aapsm.spacing import Cut
-
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_VERTICAL, 10, 3, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
         assert new_layout.rects[0] == layout.rects[0]
 
     def test_widening_critical_feature_is_hard_error(self):
-        from aapsm.spacing import Cut
-
         # vertical critical feature, vertical cut through its interior
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None, False)
         with pytest.raises(LayoutValidationError):
             apply_spaces(layout, (), plan)
 
-    def test_lengthwise_stretch_of_critical_feature_allowed(self):
-        from aapsm.spacing import Cut
+    def test_escaped_rect_is_internal_fault(self):
+        # plans come from the planner, never from input: a rect leaving the
+        # grown bbox (here through a negative width) is a fault (exit 4), not
+        # an invalid layout (exit 2)
+        layout = Layout((Rect(0, 0, 10, 50, "metal", 0),), RULES, bbox=(0, 0, 100, 100))
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 0, -5, ()),), (), 1, None, False)
+        with pytest.raises(InternalInvariantError, match="escaped the grown bounding box"):
+            apply_spaces(layout, (), plan)
 
+    def test_lengthwise_stretch_of_critical_feature_allowed(self):
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_HORIZONTAL, 500, 10, ()),), (), 1, None, False)
         new_layout, _ = apply_spaces(layout, (), plan)
@@ -429,8 +510,6 @@ class TestApplySpaces:
         assert (r.width, r.height) == (100, 1010)
 
     def test_bbox_growth_identity(self):
-        from aapsm.spacing import Cut
-
         layout = Layout(
             (
                 Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),
@@ -457,8 +536,6 @@ class TestApplySpaces:
         assert area.pct_increase == expect_pct
 
     def test_descending_order_keeps_cuts_independent(self):
-        from aapsm.spacing import Cut
-
         layout = Layout(
             (
                 Rect(0, 0, 10, 10, FEATURE_LAYER, 0),
@@ -479,8 +556,6 @@ class TestApplySpaces:
         assert xs == [(0, 10), (25, 35), (52, 62)]
 
     def test_pairwise_separation_never_decreases(self):
-        from aapsm.spacing import Cut
-
         rng = random.Random(2024)
         for _ in range(25):
             rects = []
@@ -514,6 +589,31 @@ class TestApplySpaces:
                     after = rect_separation(new_layout.rects[a], new_layout.rects[b])
                     assert after >= before
 
+    @given(layouts_and_cuts())
+    def test_matches_cut_by_cut_surgery(self, case):
+        layout, cuts = case
+        try:
+            expect = apply_spaces_oracle(layout, cuts)
+        except ValueError:
+            expect = None
+        plan = SpacePlan(cuts, (), len(cuts), None, False)
+        if expect is None:
+            with pytest.raises(LayoutValidationError):
+                apply_spaces(layout, (), plan)
+            return
+        new_layout, area = apply_spaces(layout, (), plan)
+        assert [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in new_layout.rects] == expect
+        assert [(r.id, r.layer) for r in new_layout.rects] == [
+            (r.id, r.layer) for r in layout.rects
+        ]
+        for old, new in zip(layout.rects, new_layout.rects):
+            if (old.x_lo, old.y_lo, old.x_hi, old.y_hi) == (new.x_lo, new.y_lo, new.x_hi, new.y_hi):
+                assert new is old
+        assert (area.inserted_x_nm, area.inserted_y_nm) == (
+            sum(c.width for c in cuts if c.axis == AXIS_VERTICAL),
+            sum(c.width for c in cuts if c.axis == AXIS_HORIZONTAL),
+        )
+
 
 class TestEndToEnd:
     def test_comb_correction_recheck(self, comb_layout):
@@ -523,8 +623,6 @@ class TestEndToEnd:
             comb_layout, detection.shifters, detection.conflicts
         )
         assert uncovered == ()
-        from aapsm.layout import find_critical_features
-
         plan = plan_spaces(intervals, find_critical_features(comb_layout))
         new_layout, area = apply_spaces(comb_layout, detection.shifters, plan)
         assert area.pct_increase > 0
@@ -542,8 +640,6 @@ class TestEndToEnd:
         assert area.pct_increase == 0.0
 
     def test_dump_plan_format(self):
-        from aapsm.spacing import Cut
-
         plan = SpacePlan(
             (Cut(AXIS_VERTICAL, 100, 25, ((0, 1), (2, 3))),),
             ((4, 5),),
