@@ -4,9 +4,10 @@ Backed by the blossom (primal-dual with shrinking) implementation in
 networkx, which is exact for integer weights in O(V^3).  Minimization is the
 max-cardinality maximum-weight matching of the negated weights: all perfect
 matchings share the same cardinality, so maximizing sum(-w) minimizes sum(w).
-The T-join solver calls this once per connected component of the dual that
-holds an odd face, so each call sees one component's gadget graph, built over
-at most two dual edges per face pair (`bipartize.collapse_parallel`).
+The T-join solver calls this once per connected component of the dual with
+more than four odd faces (smaller ones are solved by shortest paths), so each
+call sees one component's gadget graph, built over at most two dual edges per
+face pair (`bipartize.collapse_parallel`).
 
 Before blossom runs, degree-2 nodes are folded away.  A node d whose only
 neighbours are a and b, with a and b not adjacent, is replaced together with

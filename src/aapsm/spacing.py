@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .bipartize import Conflict, ConflictSet
-from .errors import InternalInvariantError, LayoutValidationError
+from .errors import InternalInvariantError
 from .layout import (
     Layout,
     Rect,
@@ -304,8 +304,8 @@ def apply_spaces(
     by those with c < t -- exactly as if the cuts were inserted one by one in
     descending order.  A rect no cut reaches is kept as is.  Cuts only grow
     a rect, so a cut stretched a critical feature across its short axis
-    exactly when its short dimension changed; that is a hard error, since the
-    planner must have avoided it.
+    exactly when its short dimension changed; that is an internal fault
+    (exit 4), since the planner drops every such cut.
     """
     rects = layout.rects
     if plan.cuts:
@@ -329,7 +329,7 @@ def apply_spaces(
                 return r
             stretched = replace(r, x_lo=x_lo, y_lo=y_lo, x_hi=x_hi, y_hi=y_hi)
             if r.id in critical_ids and stretched.short_dim != r.short_dim:
-                raise LayoutValidationError(f"a cut would widen critical feature {r.id}")
+                raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
             return stretched
 
         rects = tuple(move(r) for r in rects)

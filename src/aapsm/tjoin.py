@@ -1,4 +1,5 @@
-"""Optimal T-join via reduction to minimum-weight perfect matching.
+"""Optimal T-join: shortest paths for up to four T nodes, otherwise a
+reduction to minimum-weight perfect matching.
 
 The reduction expands every node into a gadget over per-(node, edge) slots:
 the slot is a *true* node where the edge was assigned, a *ghost* node at the
@@ -19,18 +20,28 @@ Both yield the same optimal join weight; the chained shape trades extra nodes
 for far fewer edges.
 
 The instance is solved one connected component at a time: a minimum T-join of
-a disjoint union is the union of the components' minimum T-joins, so each
-component gets its own gadget graph and matching call, and a component with
-no T node is skipped (all weights are non-negative, so its empty join is
-optimal).  Matching is cubic in the gadget size, so this is where the split
-pays.  Blossom does not see the gadget graph as built: the matcher first
-folds its degree-2 nodes (every true -- dummy -- ghost connector among them,
-see `matching`), and `extract_join` reads the unfolded mate, a perfect
-matching of the full gadget graph at the optimal weight.
+a disjoint union is the union of the components' minimum T-joins, and a
+component with no T node is skipped (all weights are non-negative, so its
+empty join is optimal).
+
+A component with at most four T nodes never reaches the gadgets (Edmonds &
+Johnson, "Matching, Euler tours and the Chinese postman", 1973).  With
+non-negative weights a minimum T-join is the symmetric difference of
+shortest paths that pair up T at minimum total length: one path for
+|T| = 2, the cheapest of the three pairings for |T| = 4.  Dijkstra from the
+T nodes over the component's incidence lists finds them.
+
+Every other component gets its own gadget graph and matching call.  Matching
+is cubic in the gadget size, so this is where the split pays.  Blossom does
+not see the gadget graph as built: the matcher first folds its degree-2
+nodes (every true -- dummy -- ghost connector among them, see `matching`),
+and `extract_join` reads the unfolded mate, a perfect matching of the full
+gadget graph at the optimal weight.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 
@@ -167,6 +178,15 @@ class _SpanningForest:
                         comp.append(v)
             components.append(comp)
         return cls(incident, parent, depth, components)
+
+    def part(self, comp: list[int], t_nodes) -> TJoinInstance:
+        """The instance restricted to one component, with its T nodes."""
+        edges = {e.id: e for n in comp for e in self.incident[n]}
+        return TJoinInstance(
+            tuple(sorted(comp)),
+            tuple(edges[i] for i in sorted(edges)),
+            frozenset(t_nodes),
+        )
 
     def path(self, a: int, b: int) -> list[TJoinEdge]:
         """Tree edges on the path between a and b (same tree)."""
@@ -370,27 +390,37 @@ def _add_clique_chain(gg: GadgetGraph, ids, groups: list[int]) -> None:
         _add_clique(gg, clique)
 
 
+_GADGET_BUILDERS = {
+    MODE_GENERALIZED: build_generalized_gadget_graph,
+    MODE_OPTIMIZED: build_optimized_gadget_graph,
+}
+
+# pairings of the sorted T nodes by index, in the order ties are broken
+_PAIRINGS = {
+    2: (((0, 1),),),
+    4: (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+}
+
+
 def solve_tjoin(
     inst: TJoinInstance, mode: str = MODE_GENERALIZED
 ) -> tuple[list[int], int, float]:
     """Minimum-weight T-join: (sorted edge ids, weight, matching seconds).
 
     A minimum T-join of a disjoint union is the union of the components'
-    minimum T-joins, so each connected component is matched on its own, and
+    minimum T-joins, so each connected component is solved on its own, and
     a component without a T node contributes the empty join (weights are
-    non-negative).  The seconds are summed over the matching calls.  The
-    returned set is re-validated: odd incidence exactly on T, and each
-    component's join weight must equal its matching weight.
+    non-negative).  A component with at most four T nodes is solved by
+    shortest paths (`_solve_by_paths`), one with more by gadget matching in
+    the given mode.  The seconds are the blossom time summed over the
+    matching calls, 0 for path-solved components.  The returned set is
+    re-validated: odd incidence exactly on T, and each component's join
+    weight must equal its pairing cost or matching weight.
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
     if not inst.t_nodes:
         return [], 0, 0.0
-    build = (
-        build_generalized_gadget_graph
-        if mode == MODE_GENERALIZED
-        else build_optimized_gadget_graph
-    )
     forest = _SpanningForest.of(inst)
     join: list[int] = []
     total = 0
@@ -399,18 +429,79 @@ def solve_tjoin(
         t_comp = inst.t_nodes.intersection(comp)
         if not t_comp:
             continue
-        edges = {e.id: e for n in comp for e in forest.incident[n]}
-        part = TJoinInstance(
-            tuple(sorted(comp)),
-            tuple(edges[i] for i in sorted(edges)),
-            frozenset(t_comp),
-        )
-        part_join, part_weight, seconds = _solve_connected(part, build)
+        if len(t_comp) in _PAIRINGS:
+            part_join, part_weight = _solve_by_paths(forest.incident, t_comp)
+        else:
+            part_join, part_weight, seconds = _solve_connected(
+                forest.part(comp, t_comp), _GADGET_BUILDERS[mode]
+            )
+            elapsed += seconds
         join.extend(part_join)
         total += part_weight
-        elapsed += seconds
     _validate_join(inst, join)
     return sorted(join), total, elapsed
+
+
+def _solve_by_paths(incident, t_nodes) -> tuple[list[int], int]:
+    """Minimum T-join of one connected component with |T| in {2, 4}:
+    (edge ids, weight).
+
+    Dijkstra from every T node but the largest gives the shortest distances
+    between all T pairs; the cheapest pairing (the first one listed on a tie)
+    wins, and its paths' symmetric difference is the join.  Two optimal paths
+    can share only zero-weight edges, so the join weighs exactly the pairing
+    cost; anything else is a fault.
+    """
+    t = sorted(t_nodes)
+    trees = [_shortest_paths(incident, s, t[i + 1 :]) for i, s in enumerate(t[:-1])]
+    pairings = _PAIRINGS[len(t)]
+    costs = [sum(trees[i][0][t[j]] for i, j in p) for p in pairings]
+    cost = min(costs)
+    join: dict[int, TJoinEdge] = {}
+    for i, j in pairings[costs.index(cost)]:
+        for e in _tree_path(trees[i][1], t[i], t[j]):
+            if join.pop(e.id, None) is None:
+                join[e.id] = e
+    weight = sum(e.weight for e in join.values())
+    if weight != cost:
+        raise InternalInvariantError(f"path join weight {weight} != pairing cost {cost}")
+    return list(join), weight
+
+
+def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
+    """Dijkstra from source until every target is settled: (dist, via), with
+    via[n] the last edge of the shortest path to n.
+
+    The heap key is (dist, node id), edges are relaxed in edge-id order and
+    only on a strict improvement, so the paths depend on the instance alone.
+    """
+    dist = {source: 0}
+    via: dict[int, TJoinEdge] = {}
+    heap = [(0, source)]
+    left = set(targets)
+    while left:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry
+        left.discard(u)
+        for e in incident[u]:
+            v = e.v if e.u == u else e.u
+            dv = d + e.weight
+            if v not in dist or dv < dist[v]:
+                dist[v] = dv
+                via[v] = e
+                heapq.heappush(heap, (dv, v))
+    return dist, via
+
+
+def _tree_path(via, source: int, target: int) -> list[TJoinEdge]:
+    """Edges of the shortest path from source to target, read off `via`."""
+    edges = []
+    while target != source:
+        e = via[target]
+        edges.append(e)
+        target = e.u if e.v == target else e.v
+    return edges
 
 
 def _solve_connected(inst: TJoinInstance, build) -> tuple[list[int], int, float]:

@@ -29,6 +29,7 @@ from aapsm.layout import (
     generate_shifters,
 )
 from aapsm.planar import find_crossings
+from aapsm.tjoin import _GADGET_BUILDERS, _SpanningForest, _solve_connected
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -175,6 +176,23 @@ def random_multigraph(rng: random.Random, max_nodes=6, max_edges=8, max_weight=1
             v = rng.randrange(n)
         edges.append((u, v, rng.randint(0, max_weight)))
     return n, edges
+
+
+def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
+    """(sorted join, weight) from gadget matching in the given mode on every
+    component that holds a T node, whatever its |T|: the route `solve_tjoin`
+    takes only for components with more than four T nodes."""
+    forest = _SpanningForest.of(inst)
+    join, weight = [], 0
+    for comp in forest.components:
+        t_comp = inst.t_nodes.intersection(comp)
+        if t_comp:
+            part_join, part_weight, _ = _solve_connected(
+                forest.part(comp, t_comp), _GADGET_BUILDERS[mode]
+            )
+            join += part_join
+            weight += part_weight
+    return sorted(join), weight
 
 
 def spy_blossom(monkeypatch) -> list[int]:

@@ -23,7 +23,13 @@ from aapsm.pipeline import correct, detect
 from aapsm.planar import build_dual, planarize
 from aapsm.tjoin import MODE_GENERALIZED, MODE_OPTIMIZED, solve_tjoin, tjoin_from_graph
 
-from conftest import cli_env, micro_pcg, random_multigraph, sample_micro_pcgs
+from conftest import (
+    cli_env,
+    gadget_route_tjoin,
+    micro_pcg,
+    random_multigraph,
+    sample_micro_pcgs,
+)
 from oracles import (
     min_bipartization_weight,
     min_perfect_matching_weight,
@@ -94,6 +100,7 @@ class TestAcceptance:
                 )
                 _, weight, _ = solve_tjoin(inst)
                 assert weight == expect
+                assert gadget_route_tjoin(inst, MODE_GENERALIZED)[1] == expect
 
             rng = random.Random(9003)
             for _ in range(200):
@@ -117,9 +124,13 @@ class TestAcceptance:
             for _ in range(500):
                 n, edges = random_multigraph(rng, max_nodes=6, max_edges=8)
                 inst = tjoin_from_graph(range(n), edges)
-                _, w_gen, _ = solve_tjoin(inst, MODE_GENERALIZED)
-                _, w_opt, _ = solve_tjoin(inst, MODE_OPTIMIZED)
+                # the gadgets on every component that holds T, since
+                # solve_tjoin matches only components with |T| > 4
+                _, w_gen = gadget_route_tjoin(inst, MODE_GENERALIZED)
+                _, w_opt = gadget_route_tjoin(inst, MODE_OPTIMIZED)
                 assert w_gen == w_opt
+                for mode in (MODE_GENERALIZED, MODE_OPTIMIZED):
+                    assert solve_tjoin(inst, mode)[1] == w_gen
 
     def test_criterion_4_detector_matches_exhaustive_assignment(self):
         with criterion(4, "balance verdict equals exhaustive phase assignment (500 layouts)"):

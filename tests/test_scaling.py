@@ -6,10 +6,12 @@ proportional to the feature count; an all-pairs scan makes a number
 proportional to its square (4x the features, about 16x the calls).
 
 T-join: primal series chains (overlap nodes, shifter chains) put many
-parallel edges between one pair of faces; the instance handed to the gadget
-matching keeps at most two of them.  Blossom then sees the gadget graph with
-its degree-2 nodes folded away, every true -- dummy -- ghost connector among
-them.
+parallel edges between one pair of faces; the instance handed to the T-join
+solve keeps at most two of them.  A dual component with at most four odd
+faces is solved by shortest paths, so the comb designs (|T| <= 4 in every
+component) never call blossom.  On a larger component blossom sees the
+gadget graph with its degree-2 nodes folded away, every true -- dummy --
+ghost connector among them.
 
 Balance: one `detect` checks balance once, on its output, so it builds a
 fixed handful of parity union-finds and runs one two-coloring, whatever
@@ -35,7 +37,7 @@ from aapsm.pipeline import correct, detect
 from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import spy_blossom
+from conftest import manhattan_layout, spy_blossom
 
 PREDICATES = (
     (layout, "rect_separation"),
@@ -109,12 +111,20 @@ def test_blossom_sees_folded_gadget_graph(monkeypatch, mode):
     with monkeypatch.context() as m:
         m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
         blossom_nodes = spy_blossom(m)
-        detect(generate_layout(1, 40, 0.7), gadget_mode=mode)
+        # a random wire layout whose dual has a component with |T| = 8
+        detect(manhattan_layout(1004), gadget_mode=mode)
     assert built["dummies"] > 0
     assert sum(blossom_nodes) <= built["nodes"] - 2 * built["dummies"], (
         sum(blossom_nodes),
         built,
     )
+
+
+def test_comb_design_never_calls_blossom(monkeypatch):
+    with monkeypatch.context() as m:
+        blossom_nodes = spy_blossom(m)
+        result = detect(generate_layout(1, 40, 0.7))
+    assert result.optimal_edge_ids and blossom_nodes == []
 
 
 def balance_checks(monkeypatch, design, greedy):

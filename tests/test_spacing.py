@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aapsm.bipartize import Conflict, ConflictSet, ORIGIN_MATCHING
-from aapsm.errors import InternalInvariantError, LayoutValidationError
+from aapsm.errors import InternalInvariantError
 from aapsm.layout import (
     DesignRules,
     FEATURE_LAYER,
@@ -490,7 +490,8 @@ class TestApplySpaces:
         # vertical critical feature, vertical cut through its interior
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
         plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None, False)
-        with pytest.raises(LayoutValidationError):
+        # the planner never plans such a cut: a fault (exit 4), not bad input
+        with pytest.raises(InternalInvariantError, match="widen critical feature"):
             apply_spaces(layout, (), plan)
 
     def test_escaped_rect_is_internal_fault(self):
@@ -581,7 +582,8 @@ class TestApplySpaces:
                 new_layout, _ = apply_spaces(
                     layout, (), SpacePlan(cuts, (), 2, None, False)
                 )
-            except LayoutValidationError:
+            except InternalInvariantError as exc:
+                assert "widen critical feature" in str(exc)
                 continue  # the random cut would widen a critical feature
             for a in range(5):
                 for b in range(a + 1, 5):
@@ -598,7 +600,7 @@ class TestApplySpaces:
             expect = None
         plan = SpacePlan(cuts, (), len(cuts), None, False)
         if expect is None:
-            with pytest.raises(LayoutValidationError):
+            with pytest.raises(InternalInvariantError, match="widen critical feature"):
                 apply_spaces(layout, (), plan)
             return
         new_layout, area = apply_spaces(layout, (), plan)

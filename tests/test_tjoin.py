@@ -10,6 +10,7 @@ import aapsm.tjoin
 from aapsm.errors import InternalInvariantError
 from aapsm.tjoin import (
     BOTH,
+    GADGET_MODES,
     KIND_DIVIDE,
     KIND_DUMMY,
     KIND_GHOST,
@@ -24,7 +25,7 @@ from aapsm.tjoin import (
     tjoin_from_graph,
 )
 
-from conftest import random_multigraph
+from conftest import gadget_route_tjoin, random_multigraph
 from oracles import min_tjoin_weight, unsplit_tjoin_weight
 
 
@@ -323,6 +324,16 @@ def gadget_node_count(edges, mode) -> int:
     return count
 
 
+def join_odd_nodes(inst, join) -> set[int]:
+    """Nodes of odd degree in the join (T, for a valid T-join)."""
+    odd = Counter()
+    for eid in join:
+        e = inst.edges[eid]
+        odd[e.u] ^= 1
+        odd[e.v] ^= 1
+    return {x for x, bit in odd.items() if bit}
+
+
 class TestComponentSplit:
     @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
     def test_split_matches_oracles(self, mode):
@@ -333,16 +344,14 @@ class TestComponentSplit:
             join, weight, _ = solve_tjoin(inst, mode)
             assert weight == min_tjoin_weight(range(n), edges, inst.t_nodes)
             assert weight == unsplit_tjoin_weight(inst, mode)
-            odd = Counter()
-            for eid in join:
-                e = inst.edges[eid]
-                odd[e.u] ^= 1
-                odd[e.v] ^= 1
-            assert {x for x, bit in odd.items() if bit} == inst.t_nodes
+            assert join_odd_nodes(inst, join) == inst.t_nodes
             assert weight == sum(inst.edges[eid].weight for eid in join)
 
     @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
     def test_one_matching_per_component_with_t(self, mode, monkeypatch):
+        """One matching call per component with more than four T nodes, none
+        for the path-solved ones: every other instance gets a star with 6 or
+        7 leaves (|T| = 6 or 8) beside its small parts."""
         seen = []
         real = aapsm.tjoin.min_weight_perfect_matching
 
@@ -352,17 +361,116 @@ class TestComponentSplit:
 
         monkeypatch.setattr(aapsm.tjoin, "min_weight_perfect_matching", recording)
         rng = random.Random(77 if mode == MODE_GENERALIZED else 78)
-        for _ in range(60):
+        matched = 0
+        for k in range(60):
             n, edges = disjoint_union(rng)
+            if k % 2:
+                leaves = rng.randint(6, 7)
+                edges += [(n, n + i, rng.randint(0, 9)) for i in range(1, leaves + 1)]
+                n += leaves + 1
             inst = tjoin_from_graph(range(n), edges)
             graph = nx.MultiGraph()
             graph.add_nodes_from(range(n))
             graph.add_weighted_edges_from(edges)
             expect = []
             for comp in nx.connected_components(graph):
-                if comp & inst.t_nodes:
+                if len(comp & inst.t_nodes) > 4:
                     comp_edges = [(u, v, w) for u, v, w in edges if u in comp]
                     expect.append(gadget_node_count(comp_edges, mode))
             seen.clear()
             solve_tjoin(inst, mode)
             assert sorted(seen) == sorted(expect)
+            matched += len(expect)
+        assert matched >= 30
+
+
+def connected_small_t(rng: random.Random):
+    """(n, edges) of a connected multigraph with |T| in {2, 4}: a random
+    spanning tree plus extra edges, some of them parallel, about a third of
+    the weights zero; 11 edges at most."""
+    while True:
+        n = rng.randint(2, 6)
+        ends = [(i, rng.randrange(i)) for i in range(1, n)]
+        for _ in range(rng.randint(0, 11 - len(ends))):
+            ends.append(rng.choice(ends) if rng.random() < 0.3 else tuple(rng.sample(range(n), 2)))
+        rng.shuffle(ends)
+        degree = Counter(x for pair in ends for x in pair)
+        if sum(d % 2 for d in degree.values()) in (2, 4):
+            return n, [(u, v, 0 if rng.random() < 1 / 3 else rng.randint(1, 9)) for u, v in ends]
+
+
+def no_matching(*_args):
+    raise AssertionError("a component with |T| <= 4 reached the matcher")
+
+
+class TestPathRoute:
+    """Components with at most four T nodes are solved by shortest paths."""
+
+    def check(self, monkeypatch, inst, edges):
+        with monkeypatch.context() as m:
+            m.setattr(aapsm.tjoin, "min_weight_perfect_matching", no_matching)
+            join, weight, seconds = solve_tjoin(inst)
+            repeats = [solve_tjoin(inst, mode)[0] for mode in GADGET_MODES]
+        assert seconds == 0.0
+        assert repeats == [join, join]
+        assert weight == min_tjoin_weight(range(len(inst.nodes)), edges, inst.t_nodes)
+        assert weight == gadget_route_tjoin(inst, MODE_GENERALIZED)[1]
+        assert weight == gadget_route_tjoin(inst, MODE_OPTIMIZED)[1]
+        assert weight == sum(inst.edges[eid].weight for eid in join)
+        assert join_odd_nodes(inst, join) == inst.t_nodes
+
+    def test_random_connected_instances(self, monkeypatch):
+        rng = random.Random(4711)
+        sizes = Counter()
+        for _ in range(120):
+            n, edges = connected_small_t(rng)
+            inst = tjoin_from_graph(range(n), edges)
+            self.check(monkeypatch, inst, edges)
+            sizes[len(inst.t_nodes)] += 1
+        assert sizes[2] >= 20 and sizes[4] >= 20, sizes
+
+    def test_planar_dual_instances(self, monkeypatch):
+        from aapsm.planar import build_dual, planarize
+        from conftest import sample_micro_pcgs
+
+        checked = 0
+        for _layout, _shifters, _pairs, g in sample_micro_pcgs(
+            909, 30, max_features=4, require_planar=True, max_edges=14
+        ):
+            dual = build_dual(planarize(g))
+            usable = [(e.u, e.v, e.weight) for e in dual.edges if not e.is_self_loop]
+            inst = tjoin_from_graph(range(dual.n_faces), usable)
+            if len(usable) > 12 or not 0 < len(inst.t_nodes) <= 4:
+                continue
+            self.check(monkeypatch, inst, usable)
+            checked += 1
+        assert checked >= 5
+
+    def test_tie_takes_first_pairing(self):
+        # a unit 4-cycle 0-1-3-2-0 with a hub joined to all four: T = {0..3};
+        # pairings {01, 23} and {02, 13} both cost 2, the first one listed wins
+        edges = [(0, 1, 1), (1, 3, 1), (3, 2, 1), (2, 0, 1)]
+        edges += [(4, x, 5) for x in range(4)]
+        inst = tjoin_from_graph(range(5), edges)
+        assert inst.t_nodes == {0, 1, 2, 3}
+        join, weight, _ = solve_tjoin(inst)
+        assert (join, weight) == ([0, 2], 2)
+
+    def test_bad_distance_is_internal_fault(self, monkeypatch):
+        real = aapsm.tjoin._shortest_paths
+
+        def off_by_one(incident, source, targets):
+            dist, via = real(incident, source, targets)
+            return {n: d + (n != source) for n, d in dist.items()}, via
+
+        monkeypatch.setattr(aapsm.tjoin, "_shortest_paths", off_by_one)
+        with pytest.raises(InternalInvariantError, match="pairing cost"):
+            solve_tjoin(path_abc())
+
+    def test_bad_path_is_internal_fault(self, monkeypatch):
+        real = aapsm.tjoin._tree_path
+        monkeypatch.setattr(
+            aapsm.tjoin, "_tree_path", lambda via, s, t: real(via, s, t)[1:]
+        )
+        with pytest.raises(InternalInvariantError, match="pairing cost"):
+            solve_tjoin(path_abc())
