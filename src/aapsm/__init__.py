@@ -1,7 +1,7 @@
 """Bright-field AAPSM phase-conflict detection and correction.
 
 Pipeline: rectangle layout -> shifters and overlap pairs -> phase conflict
-graph -> geometric planarization -> dual-graph T-join via gadget matching ->
+graph -> geometric planarization -> dual-graph T-join by shortest paths ->
 minimal conflict set -> end-to-end space insertion chosen by weighted set
 cover.
 """

@@ -64,9 +64,12 @@ def bipartize_optimal(
     """Minimum-weight edge set M with the embedded graph minus M balanced.
 
     T-join on the dual with T = odd-degree faces, over `collapse_parallel`'s
-    edges: at most two per face pair and no self-loops, so the gadget graph
-    grows with the face pairs, not the primal series chains.  Returns (edge
-    ids, weight, matching seconds); `finalize_conflicts` checks the balance.
+    edges: at most two per face pair and no self-loops, so the shortest-path
+    searches between odd faces grow with the face pairs, not the primal
+    series chains.  `mode` names a gadget shape; both give the same optimal
+    join and neither is built (see `tjoin`), so it only has to be valid.
+    Returns (edge ids, weight, matching seconds); `finalize_conflicts`
+    checks the balance.
     """
     usable = collapse_parallel(dual)
     inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])

@@ -37,7 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="override design rules: critical_width,shifter_width,"
             "shifter_gap,min_shifter_spacing (nm)",
         )
-        p.add_argument("--gadget", choices=GADGET_MODES, default=MODE_GENERALIZED)
+        p.add_argument(
+            "--gadget",
+            choices=GADGET_MODES,
+            default=MODE_GENERALIZED,
+            help="matching reduction named in the report; both shapes give "
+            "the same join",
+        )
         p.add_argument(
             "--weights",
             choices=(WEIGHT_UNIFORM, WEIGHT_SEPARATION),

@@ -5,9 +5,10 @@ networkx, which is exact for integer weights in O(V^3).  Minimization is the
 max-cardinality maximum-weight matching of the negated weights: all perfect
 matchings share the same cardinality, so maximizing sum(-w) minimizes sum(w).
 The T-join solver calls this once per connected component of the dual with
-more than four odd faces (smaller ones are solved by shortest paths), so each
-call sees one component's gadget graph, built over at most two dual edges per
-face pair (`bipartize.collapse_parallel`).
+more than four odd faces (smaller ones pair up in closed form), so each call
+sees one closure graph: the complete graph over that component's odd faces,
+weighted by their shortest-path distances in the dual.  The tests also call
+it on the paper's gadget graphs, to cross-check the T-join solve.
 
 Before blossom runs, degree-2 nodes are folded away.  A node d whose only
 neighbours are a and b, with a and b not adjacent, is replaced together with
@@ -19,9 +20,9 @@ every matching of the folded graph unfolds into one of the original graph
 at the same weight.  Hence the folded graph has a perfect matching exactly
 when the original does, with the same optimum.  Each fold removes two nodes
 and at least two edges; every gadget connector true -- dummy -- ghost is such
-a node.  Folds run in node-id order (fold products get fresh ids past the
-largest input id) and break cost ties toward a, so the result is
-deterministic; the mate is unfolded in reverse fold order, since a fold may
+a node, while a complete graph on four or more nodes has none.  Folds run in
+node-id order (fold products get fresh ids past the largest input id) and
+break cost ties toward a, so the result is deterministic; the mate is unfolded in reverse fold order, since a fold may
 absorb an earlier fold product.
 """
 

@@ -1,11 +1,26 @@
-"""Optimal T-join: shortest paths for up to four T nodes, otherwise a
-reduction to minimum-weight perfect matching.
+"""Optimal T-join by shortest paths between the T nodes.
 
-The reduction expands every node into a gadget over per-(node, edge) slots:
-the slot is a *true* node where the edge was assigned, a *ghost* node at the
-other endpoint.  Gadget-internal edges cost the sum of the ghost weights of
-their two endpoints (true nodes are free), so an edge's weight is paid exactly
-when its ghost is consumed inside a gadget.  A connector path
+The instance is solved one connected component at a time: a minimum T-join of
+a disjoint union is the union of the components' minimum T-joins, and a
+component with no T node is skipped (all weights are non-negative, so its
+empty join is optimal).
+
+Every other component takes one route (Edmonds & Johnson, "Matching, Euler
+tours and the Chinese postman", 1973).  With non-negative weights a minimum
+T-join is the symmetric difference of shortest paths that pair up T at
+minimum total length.  Dijkstra from the T nodes over the component's
+incidence lists gives the metric closure over T; the cheapest pairing is one
+path for |T| = 2, the cheapest of the three pairings for |T| = 4, and a
+minimum-weight perfect matching of the complete graph over T (see `matching`)
+for |T| >= 6.
+
+The paper's reduction to matching expands every node into a gadget over
+per-(node, edge) slots instead.  It is kept here, and cross-checked against
+the path route in the tests, but no solve builds it.  The slot is a *true*
+node where the edge was assigned, a *ghost* node at the other endpoint.
+Gadget-internal edges cost the sum of the ghost weights of their two
+endpoints (true nodes are free), so an edge's weight is paid exactly when
+its ghost is consumed inside a gadget.  A connector path
 true -- dummy -- ghost (both halves weight 0) ties the two slots of each edge
 together, and in a perfect matching the dummy picks a side: matched to the
 true node means the ghost was absorbed in its gadget and the edge is in the
@@ -18,30 +33,12 @@ Two gadget shapes are supported:
                  zero-weight divide nodes (parity relays).
 Both yield the same optimal join weight; the chained shape trades extra nodes
 for far fewer edges.
-
-The instance is solved one connected component at a time: a minimum T-join of
-a disjoint union is the union of the components' minimum T-joins, and a
-component with no T node is skipped (all weights are non-negative, so its
-empty join is optimal).
-
-A component with at most four T nodes never reaches the gadgets (Edmonds &
-Johnson, "Matching, Euler tours and the Chinese postman", 1973).  With
-non-negative weights a minimum T-join is the symmetric difference of
-shortest paths that pair up T at minimum total length: one path for
-|T| = 2, the cheapest of the three pairings for |T| = 4.  Dijkstra from the
-T nodes over the component's incidence lists finds them.
-
-Every other component gets its own gadget graph and matching call.  Matching
-is cubic in the gadget size, so this is where the split pays.  Blossom does
-not see the gadget graph as built: the matcher first folds its degree-2
-nodes (every true -- dummy -- ghost connector among them, see `matching`),
-and `extract_join` reads the unfolded mate, a perfect matching of the full
-gadget graph at the optimal weight.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -178,15 +175,6 @@ class _SpanningForest:
                         comp.append(v)
             components.append(comp)
         return cls(incident, parent, depth, components)
-
-    def part(self, comp: list[int], t_nodes) -> TJoinInstance:
-        """The instance restricted to one component, with its T nodes."""
-        edges = {e.id: e for n in comp for e in self.incident[n]}
-        return TJoinInstance(
-            tuple(sorted(comp)),
-            tuple(edges[i] for i in sorted(edges)),
-            frozenset(t_nodes),
-        )
 
     def path(self, a: int, b: int) -> list[TJoinEdge]:
         """Tree edges on the path between a and b (same tree)."""
@@ -410,12 +398,13 @@ def solve_tjoin(
     A minimum T-join of a disjoint union is the union of the components'
     minimum T-joins, so each connected component is solved on its own, and
     a component without a T node contributes the empty join (weights are
-    non-negative).  A component with at most four T nodes is solved by
-    shortest paths (`_solve_by_paths`), one with more by gadget matching in
-    the given mode.  The seconds are the blossom time summed over the
-    matching calls, 0 for path-solved components.  The returned set is
-    re-validated: odd incidence exactly on T, and each component's join
-    weight must equal its pairing cost or matching weight.
+    non-negative).  Every component holding T is solved by shortest paths
+    between its T nodes (`_solve_by_paths`); `mode` is checked but selects
+    nothing, since both gadget shapes give the same optimal join weight.
+    The seconds are the blossom time summed over the components with six or
+    more T nodes, 0 for the others.  The returned set is re-validated: odd
+    incidence exactly on T, and each component's join weight must equal its
+    pairing cost.
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
@@ -429,43 +418,51 @@ def solve_tjoin(
         t_comp = inst.t_nodes.intersection(comp)
         if not t_comp:
             continue
-        if len(t_comp) in _PAIRINGS:
-            part_join, part_weight = _solve_by_paths(forest.incident, t_comp)
-        else:
-            part_join, part_weight, seconds = _solve_connected(
-                forest.part(comp, t_comp), _GADGET_BUILDERS[mode]
-            )
-            elapsed += seconds
+        part_join, part_weight, seconds = _solve_by_paths(forest.incident, t_comp)
         join.extend(part_join)
         total += part_weight
+        elapsed += seconds
     _validate_join(inst, join)
     return sorted(join), total, elapsed
 
 
-def _solve_by_paths(incident, t_nodes) -> tuple[list[int], int]:
-    """Minimum T-join of one connected component with |T| in {2, 4}:
-    (edge ids, weight).
+def _solve_by_paths(incident, t_nodes) -> tuple[list[int], int, float]:
+    """Minimum T-join of one connected component: (edge ids, weight,
+    matching seconds).
 
     Dijkstra from every T node but the largest gives the shortest distances
-    between all T pairs; the cheapest pairing (the first one listed on a tie)
-    wins, and its paths' symmetric difference is the join.  Two optimal paths
-    can share only zero-weight edges, so the join weighs exactly the pairing
-    cost; anything else is a fault.
+    between all T pairs (the metric closure over T).  The cheapest pairing
+    of T on those distances is the closed form of `_PAIRINGS` for |T| <= 4
+    (the first one listed wins a tie), otherwise a minimum-weight perfect
+    matching of the complete graph over T.  The join is the symmetric
+    difference of the paired shortest paths: a T-join no heavier than the
+    pairing cost, which is the minimum T-join weight, so the two must be
+    equal; anything else is a fault.
     """
     t = sorted(t_nodes)
     trees = [_shortest_paths(incident, s, t[i + 1 :]) for i, s in enumerate(t[:-1])]
-    pairings = _PAIRINGS[len(t)]
-    costs = [sum(trees[i][0][t[j]] for i, j in p) for p in pairings]
-    cost = min(costs)
+    seconds = 0.0
+    if len(t) in _PAIRINGS:
+        pairings = _PAIRINGS[len(t)]
+        costs = [sum(trees[i][0][t[j]] for i, j in p) for p in pairings]
+        cost = min(costs)
+        pairs = pairings[costs.index(cost)]
+    else:
+        closure = [
+            (i, j, trees[i][0][t[j]]) for i, j in itertools.combinations(range(len(t)), 2)
+        ]
+        start = time.perf_counter()
+        pairs, cost = min_weight_perfect_matching(range(len(t)), closure)
+        seconds = time.perf_counter() - start
     join: dict[int, TJoinEdge] = {}
-    for i, j in pairings[costs.index(cost)]:
+    for i, j in pairs:
         for e in _tree_path(trees[i][1], t[i], t[j]):
             if join.pop(e.id, None) is None:
                 join[e.id] = e
     weight = sum(e.weight for e in join.values())
     if weight != cost:
         raise InternalInvariantError(f"path join weight {weight} != pairing cost {cost}")
-    return list(join), weight
+    return list(join), weight, seconds
 
 
 def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
@@ -502,30 +499,6 @@ def _tree_path(via, source: int, target: int) -> list[TJoinEdge]:
         edges.append(e)
         target = e.u if e.v == target else e.v
     return edges
-
-
-def _solve_connected(inst: TJoinInstance, build) -> tuple[list[int], int, float]:
-    """Gadget matching on one connected instance: (join, weight, seconds)."""
-    gg = build(inst, assign_edges(inst))
-    start = time.perf_counter()
-    pairs, match_weight = min_weight_perfect_matching(
-        [n.id for n in gg.nodes], gg.edges
-    )
-    elapsed = time.perf_counter() - start
-
-    mate: dict[int, int] = {}
-    for a, b in pairs:
-        mate[a] = b
-        mate[b] = a
-    join = gg.extract_join(mate)
-
-    weight_by_id = {e.id: e.weight for e in inst.edges}
-    total = sum(weight_by_id[eid] for eid in join)
-    if total != match_weight:
-        raise InternalInvariantError(
-            f"join weight {total} != matching weight {match_weight}"
-        )
-    return join, total, elapsed
 
 
 def _validate_join(inst: TJoinInstance, join: list[int]) -> None:

@@ -29,7 +29,9 @@ from aapsm.layout import (
     generate_shifters,
 )
 from aapsm.planar import find_crossings
-from aapsm.tjoin import _GADGET_BUILDERS, _SpanningForest, _solve_connected
+from aapsm.tjoin import _GADGET_BUILDERS, TJoinInstance, _SpanningForest
+
+from oracles import gadget_tjoin
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -180,16 +182,20 @@ def random_multigraph(rng: random.Random, max_nodes=6, max_edges=8, max_weight=1
 
 def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
     """(sorted join, weight) from gadget matching in the given mode on every
-    component that holds a T node, whatever its |T|: the route `solve_tjoin`
-    takes only for components with more than four T nodes."""
+    component that holds a T node: the paper's reduction, which `solve_tjoin`
+    replaces by shortest paths between the T nodes."""
     forest = _SpanningForest.of(inst)
     join, weight = [], 0
     for comp in forest.components:
         t_comp = inst.t_nodes.intersection(comp)
         if t_comp:
-            part_join, part_weight, _ = _solve_connected(
-                forest.part(comp, t_comp), _GADGET_BUILDERS[mode]
+            edges = {e.id: e for n in comp for e in forest.incident[n]}
+            part = TJoinInstance(
+                tuple(sorted(comp)),
+                tuple(edges[i] for i in sorted(edges)),
+                frozenset(t_comp),
             )
+            part_join, part_weight = gadget_tjoin(part, _GADGET_BUILDERS[mode])
             join += part_join
             weight += part_weight
     return sorted(join), weight

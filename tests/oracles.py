@@ -2,9 +2,10 @@
 
 Everything here recomputes results from first principles: rational-arithmetic
 segment intersection, exhaustive coloring / subset / matching enumeration.
-None of it shares a code path with the package under test, except
-`unsplit_tjoin_weight`: the whole-instance gadget matching that the
-per-component T-join solve replaced, kept as its reference.
+None of it shares a code path with the package under test, except the
+gadget matchings that the T-join solve replaced, kept as its references:
+`gadget_tjoin` on one connected instance, and `unsplit_tjoin_weight` over a
+whole instance without splitting it into components.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
+from aapsm.errors import InternalInvariantError
+from aapsm.matching import min_weight_perfect_matching
 from aapsm.tjoin import (
     MODE_GENERALIZED,
     assign_edges,
@@ -337,6 +340,29 @@ def min_tjoin_weight(nodes, edges, t_set) -> int | None:
         if all((deg[index[n]] == 1) == (n in t_set) for n in nodes):
             best = weight
     return best
+
+
+def gadget_tjoin(inst, build) -> tuple[list[int], int]:
+    """(join, weight) of one connected instance from gadget matching: the
+    gadget graph `build` makes from `assign_edges`, matched by the package's
+    matcher, and the join read off the matched connectors."""
+    gg = build(inst, assign_edges(inst))
+    pairs, match_weight = min_weight_perfect_matching(
+        [n.id for n in gg.nodes], gg.edges
+    )
+    mate: dict[int, int] = {}
+    for a, b in pairs:
+        mate[a] = b
+        mate[b] = a
+    join = gg.extract_join(mate)
+
+    weight_by_id = {e.id: e.weight for e in inst.edges}
+    total = sum(weight_by_id[eid] for eid in join)
+    if total != match_weight:
+        raise InternalInvariantError(
+            f"join weight {total} != matching weight {match_weight}"
+        )
+    return join, total
 
 
 def unsplit_tjoin_weight(inst, mode) -> int:

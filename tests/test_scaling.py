@@ -7,11 +7,11 @@ proportional to its square (4x the features, about 16x the calls).
 
 T-join: primal series chains (overlap nodes, shifter chains) put many
 parallel edges between one pair of faces; the instance handed to the T-join
-solve keeps at most two of them.  A dual component with at most four odd
-faces is solved by shortest paths, so the comb designs (|T| <= 4 in every
-component) never call blossom.  On a larger component blossom sees the
-gadget graph with its degree-2 nodes folded away, every true -- dummy --
-ghost connector among them.
+solve keeps at most two of them.  Every dual component is solved by
+shortest paths between its odd faces, and no gadget graph is built.  The
+paths are paired in closed form for at most four odd faces, so the comb
+designs (|T| <= 4 in every component) never call blossom; on a larger
+component blossom sees only the complete graph over its odd faces.
 
 Balance: one `detect` checks balance once, on its output, so it builds a
 fixed handful of parity union-finds and runs one two-coloring, whatever
@@ -71,7 +71,7 @@ def test_predicate_calls_grow_linearly(monkeypatch):
     assert many / few < 8, (few, many)
 
 
-def matched_instance(monkeypatch, design):
+def matched_instance(monkeypatch, design, **detect_options):
     """(the T-join instance detect solves, the non-loop dual edge count)."""
     seen = []
     solve = aapsm.bipartize.solve_tjoin
@@ -82,7 +82,7 @@ def matched_instance(monkeypatch, design):
 
     with monkeypatch.context() as m:
         m.setattr(aapsm.bipartize, "solve_tjoin", spy)
-        result = detect(design)
+        result = detect(design, **detect_options)
     (inst,) = seen
     return inst, sum(not e.is_self_loop for e in result.dual.edges)
 
@@ -96,28 +96,27 @@ def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", aapsm.tjoin.GADGET_MODES)
-def test_blossom_sees_folded_gadget_graph(monkeypatch, mode):
-    """Each true -- dummy -- ghost connector is worth one fold (two nodes), and
-    no degree-2 node with non-adjacent neighbours reaches blossom."""
-    built = Counter()
+def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
+    """No gadget graph is built, in either mode: blossom sees one complete
+    graph over T, of |T| nodes, per dual component with six or more T nodes."""
+    builds = 0
     build = aapsm.tjoin._build_gadget_graph
 
     def spy_build(*args):
-        gg = build(*args)
-        built["nodes"] += len(gg.nodes)
-        built["dummies"] += sum(n.kind == aapsm.tjoin.KIND_DUMMY for n in gg.nodes)
-        return gg
+        nonlocal builds
+        builds += 1
+        return build(*args)
 
     with monkeypatch.context() as m:
         m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
         blossom_nodes = spy_blossom(m)
         # a random wire layout whose dual has a component with |T| = 8
-        detect(manhattan_layout(1004), gadget_mode=mode)
-    assert built["dummies"] > 0
-    assert sum(blossom_nodes) <= built["nodes"] - 2 * built["dummies"], (
-        sum(blossom_nodes),
-        built,
-    )
+        inst, _ = matched_instance(monkeypatch, manhattan_layout(1004), gadget_mode=mode)
+    forest = aapsm.tjoin._SpanningForest.of(inst)
+    t_sizes = [len(inst.t_nodes.intersection(comp)) for comp in forest.components]
+    large = sorted(k for k in t_sizes if k >= 6)
+    assert builds == 0
+    assert large and sorted(blossom_nodes) == large, (blossom_nodes, large)
 
 
 def test_comb_design_never_calls_blossom(monkeypatch):

@@ -312,18 +312,6 @@ def disjoint_union(rng: random.Random):
     return n, edges
 
 
-def gadget_node_count(edges, mode) -> int:
-    """Nodes of one connected component's gadget graph: two slots per edge,
-    a dummy per edge except the one BOTH edge of an odd edge count, and in
-    optimized mode a divide pair per clique junction of a degree > 3 node."""
-    m = len(edges)
-    count = 3 * m - m % 2
-    if mode == MODE_OPTIMIZED:
-        degree = Counter(x for u, v, _ in edges for x in (u, v))
-        count += sum(2 * (d - 3) for d in degree.values() if d > 3)
-    return count
-
-
 def join_odd_nodes(inst, join) -> set[int]:
     """Nodes of odd degree in the join (T, for a valid T-join)."""
     odd = Counter()
@@ -349,9 +337,10 @@ class TestComponentSplit:
 
     @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
     def test_one_matching_per_component_with_t(self, mode, monkeypatch):
-        """One matching call per component with more than four T nodes, none
-        for the path-solved ones: every other instance gets a star with 6 or
-        7 leaves (|T| = 6 or 8) beside its small parts."""
+        """One matching call per component with more than four T nodes, over
+        the complete graph on its T nodes, none for the smaller ones: every
+        other instance gets a star with 6 or 7 leaves (|T| = 6 or 8) beside
+        its small parts."""
         seen = []
         real = aapsm.tjoin.min_weight_perfect_matching
 
@@ -375,8 +364,7 @@ class TestComponentSplit:
             expect = []
             for comp in nx.connected_components(graph):
                 if len(comp & inst.t_nodes) > 4:
-                    comp_edges = [(u, v, w) for u, v, w in edges if u in comp]
-                    expect.append(gadget_node_count(comp_edges, mode))
+                    expect.append(len(comp & inst.t_nodes))
             seen.clear()
             solve_tjoin(inst, mode)
             assert sorted(seen) == sorted(expect)
@@ -384,18 +372,18 @@ class TestComponentSplit:
         assert matched >= 30
 
 
-def connected_small_t(rng: random.Random):
-    """(n, edges) of a connected multigraph with |T| in {2, 4}: a random
+def connected_multigraph(rng: random.Random, t_sizes, max_nodes: int, max_edges: int):
+    """(n, edges) of a connected multigraph with |T| in t_sizes: a random
     spanning tree plus extra edges, some of them parallel, about a third of
-    the weights zero; 11 edges at most."""
+    the weights zero; max_edges edges at most."""
     while True:
-        n = rng.randint(2, 6)
+        n = rng.randint(min(t_sizes), max_nodes)
         ends = [(i, rng.randrange(i)) for i in range(1, n)]
-        for _ in range(rng.randint(0, 11 - len(ends))):
+        for _ in range(rng.randint(0, max_edges - len(ends))):
             ends.append(rng.choice(ends) if rng.random() < 0.3 else tuple(rng.sample(range(n), 2)))
         rng.shuffle(ends)
         degree = Counter(x for pair in ends for x in pair)
-        if sum(d % 2 for d in degree.values()) in (2, 4):
+        if sum(d % 2 for d in degree.values()) in t_sizes:
             return n, [(u, v, 0 if rng.random() < 1 / 3 else rng.randint(1, 9)) for u, v in ends]
 
 
@@ -423,7 +411,7 @@ class TestPathRoute:
         rng = random.Random(4711)
         sizes = Counter()
         for _ in range(120):
-            n, edges = connected_small_t(rng)
+            n, edges = connected_multigraph(rng, (2, 4), 6, 11)
             inst = tjoin_from_graph(range(n), edges)
             self.check(monkeypatch, inst, edges)
             sizes[len(inst.t_nodes)] += 1
@@ -474,3 +462,62 @@ class TestPathRoute:
         )
         with pytest.raises(InternalInvariantError, match="pairing cost"):
             solve_tjoin(path_abc())
+
+
+class TestClosureRoute:
+    """Components with six or more T nodes are solved by shortest paths,
+    paired up by a matching over the complete graph on T."""
+
+    def test_random_connected_instances(self, monkeypatch):
+        seen = []
+        real = aapsm.tjoin.min_weight_perfect_matching
+
+        def recording(node_ids, weighted_edges):
+            seen.append(len(node_ids))
+            return real(node_ids, weighted_edges)
+
+        rng = random.Random(1312)
+        sizes = Counter()
+        for _ in range(60):
+            n, edges = connected_multigraph(rng, range(6, 17, 2), 20, 30)
+            inst = tjoin_from_graph(range(n), edges)
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(aapsm.tjoin, "min_weight_perfect_matching", recording)
+                join, weight, _ = solve_tjoin(inst)
+                repeats = [solve_tjoin(inst, mode)[0] for mode in GADGET_MODES]
+            assert seen == [len(inst.t_nodes)] * 3
+            assert repeats == [join, join]
+            for mode in GADGET_MODES:
+                assert weight == gadget_route_tjoin(inst, mode)[1]
+                assert weight == unsplit_tjoin_weight(inst, mode)
+            assert weight == sum(inst.edges[eid].weight for eid in join)
+            assert join_odd_nodes(inst, join) == inst.t_nodes
+            sizes[len(inst.t_nodes)] += 1
+        assert min(sizes) == 6 and max(sizes) >= 12, sizes
+
+    def star(self):
+        """Six leaves around a hub: T is the leaves, the join every edge."""
+        return tjoin_from_graph(range(7), [(0, leaf, leaf) for leaf in range(1, 7)])
+
+    def test_bad_distance_is_internal_fault(self, monkeypatch):
+        real = aapsm.tjoin._shortest_paths
+
+        def off_by_one(incident, source, targets):
+            dist, via = real(incident, source, targets)
+            return {n: d + (n != source) for n, d in dist.items()}, via
+
+        monkeypatch.setattr(aapsm.tjoin, "_shortest_paths", off_by_one)
+        with pytest.raises(InternalInvariantError, match="pairing cost"):
+            solve_tjoin(self.star())
+
+    def test_bad_matched_cost_is_internal_fault(self, monkeypatch):
+        real = aapsm.tjoin.min_weight_perfect_matching
+
+        def one_more(node_ids, weighted_edges):
+            pairs, cost = real(node_ids, weighted_edges)
+            return pairs, cost + 1
+
+        monkeypatch.setattr(aapsm.tjoin, "min_weight_perfect_matching", one_more)
+        with pytest.raises(InternalInvariantError, match="pairing cost"):
+            solve_tjoin(self.star())
