@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .conflict_graph import PhaseConflictGraph, phase_assign, signed_forest
 from .errors import InternalInvariantError
 from .planar import DualEdge, DualGraph, PlanarEmbedding
-from .tjoin import MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
+from .tjoin import GADGET_MODES, MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
 
 ORIGIN_MATCHING = "matching"
 ORIGIN_PLANARIZATION = "planarization-oddcheck"
@@ -66,14 +66,18 @@ def bipartize_optimal(
     T-join on the dual with T = odd-degree faces, over `collapse_parallel`'s
     edges: at most two per face pair and no self-loops, so the shortest-path
     searches between odd faces grow with the face pairs, not the primal
-    series chains.  `mode` names a gadget shape; both give the same optimal
-    join and neither is built (see `tjoin`), so it only has to be valid.
-    Returns (edge ids, weight, matching seconds); `finalize_conflicts`
-    checks the balance.
+    series chains.  Returns (edge ids, weight, matching seconds);
+    `finalize_conflicts` checks the balance.
+
+    `emb` and `mode` are kept only for the perfbench callers, which pass them
+    positionally: `emb` is ignored, and `mode` must name a gadget shape
+    (ValueError otherwise) but selects nothing, since no gadget is built.
     """
+    if mode not in GADGET_MODES:
+        raise ValueError(f"unknown gadget mode {mode!r}")
     usable = collapse_parallel(dual)
     inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])
-    join, weight, seconds = solve_tjoin(inst, mode)
+    join, weight, seconds = solve_tjoin(inst)
     m_ids = tuple(sorted(usable[j].primal_edge_id for j in join))
     return m_ids, weight, seconds
 

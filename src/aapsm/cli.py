@@ -19,7 +19,6 @@ from .layout import DesignRules, parse_layout, serialize_layout
 from .pipeline import correct, detect, render_report
 from .planar import dump_embedding
 from .spacing import dump_plan
-from .tjoin import GADGET_MODES, MODE_GENERALIZED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="CW,SW,GAP,MS",
             help="override design rules: critical_width,shifter_width,"
             "shifter_gap,min_shifter_spacing (nm)",
-        )
-        p.add_argument(
-            "--gadget",
-            choices=GADGET_MODES,
-            default=MODE_GENERALIZED,
-            help="matching reduction named in the report; both shapes give "
-            "the same join",
         )
         p.add_argument(
             "--weights",
@@ -111,7 +103,6 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
         detection = detect(
             layout,
             design_name=path.stem,
-            gadget_mode=args.gadget,
             weight_mode=args.weights,
             run_greedy_baseline=args.baseline_gb,
         )

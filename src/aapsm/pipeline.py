@@ -37,7 +37,7 @@ from .spacing import (
     compute_intervals,
     plan_spaces,
 )
-from .tjoin import GADGET_MODES, MODE_GENERALIZED
+from .tjoin import MODE_GENERALIZED
 
 
 @dataclass
@@ -54,7 +54,6 @@ class DetectionResult:
     phases: dict[int, int]
     greedy: tuple[tuple[int, ...], int, int] | None = None
     report: list[tuple[str, str]] = field(default_factory=list)
-    gadget_mode: str = MODE_GENERALIZED
     weight_mode: str = WEIGHT_UNIFORM
 
 
@@ -72,13 +71,10 @@ class CorrectionResult:
 def detect(
     layout: Layout,
     design_name: str = "design",
-    gadget_mode: str = MODE_GENERALIZED,
     weight_mode: str = WEIGHT_UNIFORM,
     run_greedy_baseline: bool = False,
 ) -> DetectionResult:
     """Run the conflict detection flow and assemble the per-design report."""
-    if gadget_mode not in GADGET_MODES:
-        raise ValueError(f"unknown gadget mode {gadget_mode!r}")
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     graph = build_conflict_graph(shifters, pairs, layout.rules, weight_mode)
@@ -87,7 +83,7 @@ def detect(
     embedding = planarize(graph)
     dual = build_dual(embedding)
 
-    optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual, gadget_mode)
+    optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual)
 
     conflicts = finalize_conflicts(
         graph, embedding.removed_edge_ids, optimal_edge_ids
@@ -114,7 +110,8 @@ def detect(
         ("perturbed_overlap_nodes", str(len(graph.perturbed_nodes))),
         ("balanced_before", "1" if balanced_before else "0"),
         ("crossings_removed", str(len(embedding.removed_edge_ids))),
-        ("gadget_mode", gadget_mode),
+        # a constant the golden reports and perfbench's replay both pin
+        ("gadget_mode", MODE_GENERALIZED),
         ("weight_mode", weight_mode),
         ("conflicts_np", str(len(optimal_edge_ids))),
         ("weight_np", str(optimal_weight)),
@@ -142,7 +139,6 @@ def detect(
         phases,
         greedy,
         report,
-        gadget_mode,
         weight_mode,
     )
 
@@ -180,10 +176,7 @@ def correct(
     new_layout, area = apply_spaces(layout, detection.shifters, plan)
     if plan.cuts:
         residual = detect(
-            new_layout,
-            design_name="residual",
-            gadget_mode=detection.gadget_mode,
-            weight_mode=detection.weight_mode,
+            new_layout, design_name="residual", weight_mode=detection.weight_mode
         )
         residual_count = len(residual.conflicts)
     else:

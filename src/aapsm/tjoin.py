@@ -378,11 +378,6 @@ def _add_clique_chain(gg: GadgetGraph, ids, groups: list[int]) -> None:
         _add_clique(gg, clique)
 
 
-_GADGET_BUILDERS = {
-    MODE_GENERALIZED: build_generalized_gadget_graph,
-    MODE_OPTIMIZED: build_optimized_gadget_graph,
-}
-
 # pairings of the sorted T nodes by index, in the order ties are broken
 _PAIRINGS = {
     2: (((0, 1),),),
@@ -390,24 +385,18 @@ _PAIRINGS = {
 }
 
 
-def solve_tjoin(
-    inst: TJoinInstance, mode: str = MODE_GENERALIZED
-) -> tuple[list[int], int, float]:
+def solve_tjoin(inst: TJoinInstance) -> tuple[list[int], int, float]:
     """Minimum-weight T-join: (sorted edge ids, weight, matching seconds).
 
     A minimum T-join of a disjoint union is the union of the components'
     minimum T-joins, so each connected component is solved on its own, and
     a component without a T node contributes the empty join (weights are
     non-negative).  Every component holding T is solved by shortest paths
-    between its T nodes (`_solve_by_paths`); `mode` is checked but selects
-    nothing, since both gadget shapes give the same optimal join weight.
-    The seconds are the blossom time summed over the components with six or
-    more T nodes, 0 for the others.  The returned set is re-validated: odd
-    incidence exactly on T, and each component's join weight must equal its
-    pairing cost.
+    between its T nodes (`_solve_by_paths`).  The seconds are the blossom
+    time summed over the components with six or more T nodes, 0 for the
+    others.  The returned set is re-validated: odd incidence exactly on T,
+    and each component's join weight must equal its pairing cost.
     """
-    if mode not in GADGET_MODES:
-        raise ValueError(f"unknown gadget mode {mode!r}")
     if not inst.t_nodes:
         return [], 0, 0.0
     forest = _SpanningForest.of(inst)

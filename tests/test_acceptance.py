@@ -129,8 +129,7 @@ class TestAcceptance:
                 _, w_gen = gadget_route_tjoin(inst, MODE_GENERALIZED)
                 _, w_opt = gadget_route_tjoin(inst, MODE_OPTIMIZED)
                 assert w_gen == w_opt
-                for mode in (MODE_GENERALIZED, MODE_OPTIMIZED):
-                    assert solve_tjoin(inst, mode)[1] == w_gen
+                assert solve_tjoin(inst)[1] == w_gen
 
     def test_criterion_4_detector_matches_exhaustive_assignment(self):
         with criterion(4, "balance verdict equals exhaustive phase assignment (500 layouts)"):

@@ -4,6 +4,8 @@ collapse, finalize re-check, greedy."""
 import random
 from collections import Counter
 
+import pytest
+
 from aapsm.bipartize import (
     ORIGIN_MATCHING,
     ORIGIN_PLANARIZATION,
@@ -16,7 +18,7 @@ from aapsm.conflict_graph import build_conflict_graph, is_bipartite
 from aapsm.generator import generate_layout
 from aapsm.layout import find_overlapping_pairs, generate_shifters
 from aapsm.planar import DualEdge, DualGraph, build_dual, planarize
-from aapsm.tjoin import GADGET_MODES, solve_tjoin, tjoin_from_graph
+from aapsm.tjoin import MODE_GENERALIZED, MODE_OPTIMIZED, solve_tjoin, tjoin_from_graph
 
 from conftest import manhattan_layout, sample_micro_pcgs
 from oracles import min_bipartization_weight
@@ -77,6 +79,16 @@ class TestOptimal:
         assert len(m) == 1
         assert g.edge(m[0]).is_equal_constraint  # never a feature edge
         assert is_bipartite(g, frozenset(m)).ok
+
+    def test_mode_is_checked_and_selects_nothing(self, odd_ring_fixture):
+        shifters, pairs, rules = odd_ring_fixture
+        emb = planarize(build_conflict_graph(shifters, pairs, rules))
+        dual = build_dual(emb)
+        with pytest.raises(ValueError, match="unknown gadget mode 'blossom'"):
+            bipartize_optimal(emb, dual, "blossom")
+        expect = bipartize_optimal(emb, dual)[:2]
+        for mode in (MODE_GENERALIZED, MODE_OPTIMIZED):
+            assert bipartize_optimal(emb, dual, mode)[:2] == expect
 
     def test_matches_subset_oracle_on_embedded_instances(self):
         instances = sample_micro_pcgs(
@@ -262,14 +274,13 @@ class TestCollapseParallel:
             assert max(per_pair.values(), default=0) <= 2
             full_inst, red_inst = instance(dual, full), instance(dual, reduced)
             assert red_inst.t_nodes == full_inst.t_nodes
-            for mode in GADGET_MODES:
-                join, weight, _ = solve_tjoin(red_inst, mode)
-                assert weight == solve_tjoin(full_inst, mode)[1]
-                picked = {reduced[j].primal_edge_id for j in join}
-                in_full = [e for e in full if e.primal_edge_id in picked]
-                assert len(in_full) == len(join)
-                assert odd_faces(in_full) == set(full_inst.t_nodes)
-                assert sum(e.weight for e in in_full) == weight
+            join, weight, _ = solve_tjoin(red_inst)
+            assert weight == solve_tjoin(full_inst)[1]
+            picked = {reduced[j].primal_edge_id for j in join}
+            in_full = [e for e in full if e.primal_edge_id in picked]
+            assert len(in_full) == len(join)
+            assert odd_faces(in_full) == set(full_inst.t_nodes)
+            assert sum(e.weight for e in in_full) == weight
 
     def test_designs_match_unreduced_solve(self):
         designs = [generate_layout(seed, 40, 0.7) for seed in (1, 2, 3)]
@@ -280,6 +291,5 @@ class TestCollapseParallel:
             emb = planarize(build_conflict_graph(shifters, pairs, layout.rules))
             dual = build_dual(emb)
             full = [e for e in dual.edges if not e.is_self_loop]
-            for mode in GADGET_MODES:
-                _, weight, _ = bipartize_optimal(emb, dual, mode)
-                assert weight == solve_tjoin(instance(dual, full), mode)[1]
+            _, weight, _ = bipartize_optimal(emb, dual)
+            assert weight == solve_tjoin(instance(dual, full))[1]

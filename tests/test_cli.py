@@ -88,18 +88,6 @@ class TestDetect:
         assert code == 0
         assert "conflicts_gb=" in out
 
-    def test_gadget_modes_same_counts(self, conflict_layout_file, capsys):
-        _, out_gen = run_cli(
-            ["detect", str(conflict_layout_file), "--gadget", "generalized"], capsys
-        )
-        _, out_opt = run_cli(
-            ["detect", str(conflict_layout_file), "--gadget", "optimized"], capsys
-        )
-        pick = lambda text, key: dict(
-            l.split("=", 1) for l in text.strip().splitlines()
-        )[key]
-        assert pick(out_gen, "weight_pcg") == pick(out_opt, "weight_pcg")
-
     def test_multiple_files_reports_in_order(
         self, clean_layout_file, conflict_layout_file, capsys
     ):

@@ -7,7 +7,6 @@ import pytest
 from aapsm.errors import MatchingInfeasibleError
 from aapsm.matching import min_weight_perfect_matching
 
-from conftest import spy_blossom
 from oracles import min_perfect_matching_weight
 
 
@@ -82,7 +81,7 @@ def random_dense(rng):
 
 
 def _relabel(rng, n, edges):
-    """Scatter node ids, so fold order is not the order the graph was built in."""
+    """Scatter node ids, so id order is not the order the graph was built in."""
     ids = rng.sample(range(3 * n + 5), n)
     return ids, [(ids[u], ids[v], w) for u, v, w in edges]
 
@@ -134,9 +133,8 @@ def connectors(rng):
 
 
 def nested_chains(rng):
-    """A small core whose edges are subdivided and which carries pendant
-    paths: folding a chain node makes a fold product that is itself the
-    neighbour of the next chain node."""
+    """A small core whose edges are subdivided into chains of degree-2 nodes
+    and which carries pendant paths."""
     core = rng.randint(2, 4)
     edges, n = [], core
     for u in range(core):
@@ -167,8 +165,7 @@ def triangles(rng):
     return _relabel(rng, n, edges)
 
 
-def test_matches_enumeration_oracle(monkeypatch):
-    spy_blossom(monkeypatch)
+def test_matches_enumeration_oracle():
     for family in (random_dense, paths_and_cycles, connectors, nested_chains, triangles):
         rng = random.Random(3111)
         outcomes = set()
@@ -178,45 +175,6 @@ def test_matches_enumeration_oracle(monkeypatch):
             outcomes.add((feasible, len(nodes) % 2 == 0))
         # every family has feasible and even-but-infeasible instances
         assert {(True, True), (False, True)} <= outcomes, (family.__name__, outcomes)
-
-
-def blossom_sizes(monkeypatch, nodes, edges):
-    sizes = spy_blossom(monkeypatch)
-    min_weight_perfect_matching(nodes, edges)
-    return sizes
-
-
-def test_path_folds_before_blossom(monkeypatch):
-    # 1 folds {0, 1, 2} into a node adjacent to 3, 3 folds that product with
-    # 4, and 5 folds the next one with 6: blossom sees that product and 7
-    edges = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 5, 5), (5, 6, 6), (6, 7, 7)]
-    assert blossom_sizes(monkeypatch, range(8), edges) == [2]
-    assert min_weight_perfect_matching(range(8), edges) == (
-        [(0, 1), (2, 3), (4, 5), (6, 7)],
-        16,
-    )
-
-
-def test_triangle_does_not_fold(monkeypatch):
-    # corners 0 and 1 have degree 2, but their neighbours are adjacent
-    edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)]
-    assert blossom_sizes(monkeypatch, range(4), edges) == [4]
-    assert min_weight_perfect_matching(range(4), edges) == ([(0, 1), (2, 3)], 2)
-
-
-def test_fold_requeues_neighbours_of_the_product(monkeypatch):
-    # 0 has degree 3 when it is first seen; folding {2, 1, 3} merges two of
-    # its neighbours, so 0 drops to degree 2 and must be looked at again.
-    # The triangle 4-5-6 keeps every later node from folding on its own.
-    edges = [
-        (0, 2, 1), (0, 3, 2), (0, 4, 3), (1, 2, 4), (1, 3, 6),
-        (4, 5, 1), (4, 6, 2), (5, 6, 3), (6, 7, 1),
-    ]  # fmt: skip
-    assert blossom_sizes(monkeypatch, range(8), edges) == [4]
-    assert min_weight_perfect_matching(range(8), edges) == (
-        [(0, 3), (1, 2), (4, 5), (6, 7)],
-        8,
-    )
 
 
 def test_edge_to_unknown_node_rejected():

@@ -20,7 +20,6 @@ from aapsm.errors import (
 from aapsm.generator import generate_layout
 from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout
 from aapsm.pipeline import correct, detect, render_report
-from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
 
 from conftest import manhattan_layout
@@ -146,9 +145,9 @@ def arbitrary_layouts(draw):
 
 
 class TestFuzzGate:
-    """Any layout ends in a report or an input error (exit 2) in every mode,
-    never in an internal failure (exit 4) or a Python exception; and when
-    every conflict was covered, none remains."""
+    """Any layout ends in a report or an input error (exit 2) in either
+    weight mode, never in an internal failure (exit 4) or a Python exception;
+    and when every conflict was covered, none remains."""
 
     @given(arbitrary_layouts())
     def test_only_input_errors_and_covered_means_clean(self, case):
@@ -159,16 +158,15 @@ class TestFuzzGate:
             assert not contained
             return
         assert contained
-        for gadget_mode in GADGET_MODES:
-            for weight_mode in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
-                try:
-                    det = detect(layout, gadget_mode=gadget_mode, weight_mode=weight_mode)
-                    cor = correct(det, allow_uncovered=True)
-                except AapsmError as exc:
-                    assert exc.exit_code == EXIT_INPUT_ERROR, repr(exc)
-                    continue
-                if not cor.uncovered:
-                    assert cor.residual_conflicts == 0
+        for weight_mode in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
+            try:
+                det = detect(layout, weight_mode=weight_mode)
+                cor = correct(det, allow_uncovered=True)
+            except AapsmError as exc:
+                assert exc.exit_code == EXIT_INPUT_ERROR, repr(exc)
+                continue
+            if not cor.uncovered:
+                assert cor.residual_conflicts == 0
 
 
 class TestResidualCount:
@@ -180,7 +178,7 @@ class TestResidualCount:
         "comb": lambda: generate_layout(1, 40, 0.7),
         "rows": lambda: generate_layout(1, 150, 0.0),
         "tangled": lambda: parse_layout(TANGLED_ROW),
-        # every conflict uncoverable in all four modes: no cut, residual > 0
+        # every conflict uncoverable in both weight modes: no cut, residual > 0
         "manhattan1029": lambda: manhattan_layout(1029),
         "manhattan1094": lambda: manhattan_layout(1094),
         # cuts under separation weights only
@@ -188,13 +186,12 @@ class TestResidualCount:
     }
 
     @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
-    @pytest.mark.parametrize("gadget_mode", GADGET_MODES)
-    def test_matches_fresh_detect(self, gadget_mode, weight_mode):
+    def test_matches_fresh_detect(self, weight_mode):
         reused = 0
         for name, make in self.DESIGNS.items():
-            det = detect(make(), gadget_mode=gadget_mode, weight_mode=weight_mode)
+            det = detect(make(), weight_mode=weight_mode)
             cor = correct(det, allow_uncovered=True)
-            fresh = detect(cor.new_layout, gadget_mode=gadget_mode, weight_mode=weight_mode)
+            fresh = detect(cor.new_layout, weight_mode=weight_mode)
             assert cor.residual_conflicts == len(fresh.conflicts), name
             if not cor.plan.cuts and cor.residual_conflicts > 0:
                 reused += 1
@@ -258,8 +255,8 @@ class TestFaultsStillCaught:
         layout = generate_layout(1, 40, 0.7)
         solve = aapsm.bipartize.solve_tjoin
 
-        def short_join(inst, mode):
-            join, weight, seconds = solve(inst, mode)
+        def short_join(inst):
+            join, weight, seconds = solve(inst)
             return join[1:], weight, seconds
 
         monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", short_join)

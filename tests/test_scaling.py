@@ -76,9 +76,9 @@ def matched_instance(monkeypatch, design, **detect_options):
     seen = []
     solve = aapsm.bipartize.solve_tjoin
 
-    def spy(inst, mode):
+    def spy(inst):
         seen.append(inst)
-        return solve(inst, mode)
+        return solve(inst)
 
     with monkeypatch.context() as m:
         m.setattr(aapsm.bipartize, "solve_tjoin", spy)
@@ -95,10 +95,9 @@ def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
         assert len(inst.edges) <= 0.6 * dual_edges, (len(inst.edges), dual_edges)
 
 
-@pytest.mark.parametrize("mode", aapsm.tjoin.GADGET_MODES)
-def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
-    """No gadget graph is built, in either mode: blossom sees one complete
-    graph over T, of |T| nodes, per dual component with six or more T nodes."""
+def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch):
+    """No gadget graph is built: blossom sees one complete graph over T, of
+    |T| nodes, per dual component with six or more T nodes."""
     builds = 0
     build = aapsm.tjoin._build_gadget_graph
 
@@ -111,7 +110,7 @@ def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
         m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
         blossom_nodes = spy_blossom(m)
         # a random wire layout whose dual has a component with |T| = 8
-        inst, _ = matched_instance(monkeypatch, manhattan_layout(1004), gadget_mode=mode)
+        inst, _ = matched_instance(monkeypatch, manhattan_layout(1004))
     forest = aapsm.tjoin._SpanningForest.of(inst)
     t_sizes = [len(inst.t_nodes.intersection(comp)) for comp in forest.components]
     large = sorted(k for k in t_sizes if k >= 6)

@@ -158,9 +158,9 @@ class TestGadgetConstruction:
         # decomposition trades extra (divide) nodes for far fewer clique edges
         assert len(opt.nodes) > len(gen.nodes)
         assert len(opt.edges) < len(gen.edges)
-        _, w_gen, _ = solve_tjoin(inst, MODE_GENERALIZED)
-        _, w_opt, _ = solve_tjoin(inst, MODE_OPTIMIZED)
-        assert w_gen == w_opt
+        _, w_gen = gadget_route_tjoin(inst, MODE_GENERALIZED)
+        _, w_opt = gadget_route_tjoin(inst, MODE_OPTIMIZED)
+        assert w_gen == w_opt == solve_tjoin(inst)[1]
 
     def test_four_node_graph_matches_rule_replay(self):
         """Replay the construction rules independently on a 4-node graph and
@@ -223,16 +223,16 @@ class TestSolve:
         join, weight, _ = solve_tjoin(inst)
         assert weight == 2
 
-    @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
-    def test_matches_subset_oracle(self, mode):
-        rng = random.Random(515 if mode == MODE_GENERALIZED else 616)
+    @pytest.mark.parametrize("seed", [515, 616])
+    def test_matches_subset_oracle(self, seed):
+        rng = random.Random(seed)
         for _ in range(60):
             n, edges = random_multigraph(rng)
             inst = tjoin_from_graph(range(n), edges)
             expect = min_tjoin_weight(
                 range(n), [(e.u, e.v, e.weight) for e in inst.edges], inst.t_nodes
             )
-            join, weight, _ = solve_tjoin(inst, mode)
+            join, weight, _ = solve_tjoin(inst)
             assert expect is not None
             assert weight == expect
 
@@ -262,13 +262,14 @@ class TestSolve:
         assert nontrivial >= 5
 
     def test_modes_agree(self):
+        """Both gadget shapes give the shortest-path solve's weight."""
         rng = random.Random(2718)
         for _ in range(80):
             n, edges = random_multigraph(rng)
             inst = tjoin_from_graph(range(n), edges)
-            _, w_gen, _ = solve_tjoin(inst, MODE_GENERALIZED)
-            _, w_opt, _ = solve_tjoin(inst, MODE_OPTIMIZED)
-            assert w_gen == w_opt
+            _, weight, _ = solve_tjoin(inst)
+            assert weight == gadget_route_tjoin(inst, MODE_GENERALIZED)[1]
+            assert weight == gadget_route_tjoin(inst, MODE_OPTIMIZED)[1]
 
     def test_weight_scaling(self):
         rng = random.Random(31415)
@@ -323,20 +324,21 @@ def join_odd_nodes(inst, join) -> set[int]:
 
 
 class TestComponentSplit:
-    @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
-    def test_split_matches_oracles(self, mode):
-        rng = random.Random(4242 if mode == MODE_GENERALIZED else 2424)
+    @pytest.mark.parametrize("seed", [4242, 2424])
+    def test_split_matches_oracles(self, seed):
+        rng = random.Random(seed)
         for _ in range(60):
             n, edges = disjoint_union(rng)
             inst = tjoin_from_graph(range(n), edges)
-            join, weight, _ = solve_tjoin(inst, mode)
+            join, weight, _ = solve_tjoin(inst)
             assert weight == min_tjoin_weight(range(n), edges, inst.t_nodes)
-            assert weight == unsplit_tjoin_weight(inst, mode)
+            assert weight == unsplit_tjoin_weight(inst, MODE_GENERALIZED)
+            assert weight == unsplit_tjoin_weight(inst, MODE_OPTIMIZED)
             assert join_odd_nodes(inst, join) == inst.t_nodes
             assert weight == sum(inst.edges[eid].weight for eid in join)
 
-    @pytest.mark.parametrize("mode", [MODE_GENERALIZED, MODE_OPTIMIZED])
-    def test_one_matching_per_component_with_t(self, mode, monkeypatch):
+    @pytest.mark.parametrize("seed", [77, 78])
+    def test_one_matching_per_component_with_t(self, seed, monkeypatch):
         """One matching call per component with more than four T nodes, over
         the complete graph on its T nodes, none for the smaller ones: every
         other instance gets a star with 6 or 7 leaves (|T| = 6 or 8) beside
@@ -349,7 +351,7 @@ class TestComponentSplit:
             return real(node_ids, weighted_edges)
 
         monkeypatch.setattr(aapsm.tjoin, "min_weight_perfect_matching", recording)
-        rng = random.Random(77 if mode == MODE_GENERALIZED else 78)
+        rng = random.Random(seed)
         matched = 0
         for k in range(60):
             n, edges = disjoint_union(rng)
@@ -366,7 +368,7 @@ class TestComponentSplit:
                 if len(comp & inst.t_nodes) > 4:
                     expect.append(len(comp & inst.t_nodes))
             seen.clear()
-            solve_tjoin(inst, mode)
+            solve_tjoin(inst)
             assert sorted(seen) == sorted(expect)
             matched += len(expect)
         assert matched >= 30
@@ -398,7 +400,7 @@ class TestPathRoute:
         with monkeypatch.context() as m:
             m.setattr(aapsm.tjoin, "min_weight_perfect_matching", no_matching)
             join, weight, seconds = solve_tjoin(inst)
-            repeats = [solve_tjoin(inst, mode)[0] for mode in GADGET_MODES]
+            repeats = [solve_tjoin(inst)[0], solve_tjoin(inst)[0]]
         assert seconds == 0.0
         assert repeats == [join, join]
         assert weight == min_tjoin_weight(range(len(inst.nodes)), edges, inst.t_nodes)
@@ -485,7 +487,7 @@ class TestClosureRoute:
             with monkeypatch.context() as m:
                 m.setattr(aapsm.tjoin, "min_weight_perfect_matching", recording)
                 join, weight, _ = solve_tjoin(inst)
-                repeats = [solve_tjoin(inst, mode)[0] for mode in GADGET_MODES]
+                repeats = [solve_tjoin(inst)[0], solve_tjoin(inst)[0]]
             assert seen == [len(inst.t_nodes)] * 3
             assert repeats == [join, join]
             for mode in GADGET_MODES:
