@@ -20,9 +20,10 @@ from aapsm.errors import (
 from aapsm.generator import generate_layout
 from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout
 from aapsm.pipeline import correct, detect, render_report
+from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import manhattan_layout
+from conftest import gadget_route_tjoin, manhattan_layout
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -172,7 +173,9 @@ class TestFuzzGate:
 class TestResidualCount:
     """`correct` re-detects only when it inserted a space; without a cut the
     residual count is the input detection's.  Either way it must equal a
-    fresh `detect` of the corrected layout in the same modes."""
+    fresh `detect` of the corrected layout in the same weight mode, and every
+    T-join solved on the way must weigh what the paper's gadget reduction in
+    the given shape gives."""
 
     DESIGNS = {
         "comb": lambda: generate_layout(1, 40, 0.7),
@@ -186,7 +189,17 @@ class TestResidualCount:
     }
 
     @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
-    def test_matches_fresh_detect(self, weight_mode):
+    @pytest.mark.parametrize("gadget_mode", GADGET_MODES)
+    def test_matches_fresh_detect(self, gadget_mode, weight_mode, monkeypatch):
+        solved = []
+        solve = aapsm.bipartize.solve_tjoin
+
+        def spy(inst):
+            join, weight, seconds = solve(inst)
+            solved.append((inst, weight))
+            return join, weight, seconds
+
+        monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", spy)
         reused = 0
         for name, make in self.DESIGNS.items():
             det = detect(make(), weight_mode=weight_mode)
@@ -196,6 +209,9 @@ class TestResidualCount:
             if not cor.plan.cuts and cor.residual_conflicts > 0:
                 reused += 1
         assert reused >= 2
+        assert any(inst.t_nodes for inst, _ in solved)
+        for inst, weight in solved:
+            assert weight == gadget_route_tjoin(inst, gadget_mode)[1]
 
     @pytest.mark.parametrize("drift", ["rects", "bbox"])
     def test_layout_changed_without_cut_raises(self, monkeypatch, drift):

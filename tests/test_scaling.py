@@ -37,7 +37,7 @@ from aapsm.pipeline import correct, detect
 from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import manhattan_layout, spy_blossom
+from conftest import gadget_route_tjoin, manhattan_layout, spy_blossom
 
 PREDICATES = (
     (layout, "rect_separation"),
@@ -95,19 +95,27 @@ def test_tjoin_instance_collapses_parallel_dual_edges(monkeypatch):
         assert len(inst.edges) <= 0.6 * dual_edges, (len(inst.edges), dual_edges)
 
 
-def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch):
-    """No gadget graph is built: blossom sees one complete graph over T, of
-    |T| nodes, per dual component with six or more T nodes."""
+@pytest.mark.parametrize("mode", aapsm.tjoin.GADGET_MODES)
+def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
+    """`bipartize_optimal` builds no gadget graph, whichever gadget shape it
+    is named: blossom sees one complete graph over T, of |T| nodes, per dual
+    component with six or more T nodes, and the join weighs what that
+    shape's gadget reduction gives."""
     builds = 0
     build = aapsm.tjoin._build_gadget_graph
+    bipartize = aapsm.pipeline.bipartize_optimal
 
     def spy_build(*args):
         nonlocal builds
         builds += 1
         return build(*args)
 
+    def named_mode(emb, dual):
+        return bipartize(emb, dual, mode)
+
     with monkeypatch.context() as m:
         m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
+        m.setattr(aapsm.pipeline, "bipartize_optimal", named_mode)
         blossom_nodes = spy_blossom(m)
         # a random wire layout whose dual has a component with |T| = 8
         inst, _ = matched_instance(monkeypatch, manhattan_layout(1004))
@@ -116,6 +124,8 @@ def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch):
     large = sorted(k for k in t_sizes if k >= 6)
     assert builds == 0
     assert large and sorted(blossom_nodes) == large, (blossom_nodes, large)
+    weight = aapsm.tjoin.solve_tjoin(inst)[1]
+    assert weight == gadget_route_tjoin(inst, mode)[1]
 
 
 def test_comb_design_never_calls_blossom(monkeypatch):
