@@ -290,7 +290,7 @@ def signed_forest(
     Overlap halves demand equal phase (parity 0), feature edges opposite
     (parity 1).  Returns the union-find and the ids of the edges that
     contradicted the edges before them; each closes an unbalanced cycle and
-    stays out of the forest.
+    stays out of the forest.  Used only where that order decides the answer.
     """
     uf = ParityUnionFind()
     for n in g.nodes:
@@ -306,41 +306,45 @@ def is_bipartite(
 ) -> BipartiteResult:
     """Decide whether the graph minus the removed edges is phase-assignable.
 
-    Structural two-coloring, every edge read as "endpoints differ": every
-    overlap node has degree two, so an odd cycle (the witness) is exactly an
-    unbalanced one.  `detect` compares the verdict with its conflict set once.
+    The witness is the first unbalanced cycle the signed two-coloring closes.
+    `detect` compares the verdict with its conflict set once.
     """
     removed = set(removed_edge_ids)
-    witness = _odd_cycle(g, [e for e in g.edges if e.id not in removed])
+    _, witness = _two_color(g, [e for e in g.edges if e.id not in removed])
     return BipartiteResult(witness is None, witness)
 
 
-def _odd_cycle(g: PhaseConflictGraph, kept: list[PcgEdge]) -> tuple[int, ...] | None:
-    """Edge ids of the first odd cycle a two-coloring closes; None if bipartite."""
-    adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
+def _two_color(g: PhaseConflictGraph, kept: list[PcgEdge]) -> tuple[list[int], tuple | None]:
+    """Signed two-coloring of the kept edges, from each component's lowest
+    node id at color 0: a feature edge flips the color, an overlap half keeps
+    it.  Also returns the edge ids of the first unbalanced cycle it closes,
+    where it stops, or None."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
     for e in kept:
-        adj[e.u].append((e.v, e.id))
-        adj[e.v].append((e.u, e.id))
-    color: dict[int, int] = {}
+        flip = 0 if e.is_equal_constraint else 1
+        adj[e.u].append((e.v, e.id, flip))
+        adj[e.v].append((e.u, e.id, flip))
+    color = [-1] * len(g.nodes)
     parent: dict[int, tuple[int, int] | None] = {}  # node -> (parent node, edge id)
-    for start in adj:
-        if start in color:
+    for start in range(len(g.nodes)):
+        if color[start] >= 0:
             continue
         color[start] = 0
         parent[start] = None
         stack = [start]
         while stack:
             u = stack.pop()
-            for v, eid in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
+            for v, eid, flip in adj[u]:
+                if color[v] < 0:
+                    color[v] = color[u] ^ flip
                     parent[v] = (u, eid)
                     stack.append(v)
-                elif color[v] == color[u]:
-                    # the tree path u..v is even, so closing it is odd
+                elif color[v] != color[u] ^ flip:
+                    # the tree path u..v has parity color[u] ^ color[v], so
+                    # this edge closes an unbalanced cycle
                     path = _path_to_root(u, parent) ^ _path_to_root(v, parent)
-                    return tuple(sorted(path | {eid}))
-    return None
+                    return color, tuple(sorted(path | {eid}))
+    return color, None
 
 
 def _path_to_root(x: int, parent: dict[int, tuple[int, int] | None]) -> set[int]:
@@ -356,27 +360,22 @@ def phase_assign(
 ) -> dict[int, int]:
     """Assign 0/180 phases to every node so all surviving constraints hold.
 
-    Overlap nodes carry the phase shared by their pair.  The lowest node id of
-    each connected component gets phase 0 (canonical polarity).  Raises when a
-    surviving unbalanced cycle makes assignment impossible.  The final loop,
-    which checks every kept constraint against the phases, is the balance
+    The phases are the signed two-coloring's colors: overlap nodes carry the
+    phase shared by their pair, and the lowest node id of each connected
+    component gets phase 0 (canonical polarity).  Raises when a surviving
+    unbalanced cycle makes assignment impossible.  The final loop, which
+    checks every kept constraint against the phases, is the balance
     certificate `detect` relies on.
     """
     deleted = set(deleted_edge_ids)
     kept = [e for e in g.edges if e.id not in deleted]
-    uf, contradicted = signed_forest(g, kept)
-    if contradicted:
+    color, witness = _two_color(g, kept)
+    if witness is not None:
         raise InternalInvariantError(
-            f"residual unbalanced cycle through edge {contradicted[0]}; "
+            f"residual unbalanced cycle through edges {list(witness)}; "
             "cannot assign phases"
         )
-    anchor_parity: dict[int, int] = {}
-    phases: dict[int, int] = {}
-    for n in sorted(g.nodes, key=lambda n: n.id):
-        root, parity = uf.find(n.id)
-        if root not in anchor_parity:
-            anchor_parity[root] = parity  # first (lowest) node of the component
-        phases[n.id] = PHASE_A if parity == anchor_parity[root] else PHASE_B
+    phases = {n.id: PHASE_B if color[n.id] else PHASE_A for n in g.nodes}
     for e in kept:
         same = phases[e.u] == phases[e.v]
         if e.is_equal_constraint != same:

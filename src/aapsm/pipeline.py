@@ -93,7 +93,7 @@ def detect(
     # no conflicts means phase_assign verified every edge, so balanced.
     if balanced_before == bool(conflicts.conflicts):
         raise InternalInvariantError(
-            "structural two-coloring and signed conflict selection disagree "
+            "two-coloring and union-find conflict selection disagree "
             f"(balanced_before={balanced_before}, conflicts={len(conflicts)})"
         )
 

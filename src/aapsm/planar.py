@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import geometry
 from .conflict_graph import PhaseConflictGraph
 from .errors import GeometryError, InternalInvariantError
-from .unionfind import ParityUnionFind
 
 HalfEdge = tuple[int, int]  # (tail node id, edge id)
 
@@ -111,7 +110,7 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
     rotation = _rotation(runs, removed_set)
     faces, face_of = _trace_faces(g, rotation)
-    _euler_check(g, kept, faces)
+    _euler_check(g, rotation, faces)
     return PlanarEmbedding(g, kept, tuple(sorted(removed)), rotation, faces, face_of)
 
 
@@ -210,24 +209,25 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
     return tuple(faces), face_of
 
 
-def _euler_check(g, kept, faces):
-    uf = ParityUnionFind()
-    nodes = set()
-    for eid in kept:
-        e = g.edge(eid)
-        uf.union(e.u, e.v, 0)
-        nodes.update((e.u, e.v))
-    v_count: Counter = Counter()
-    e_count: Counter = Counter()
-    f_count: Counter = Counter()
-    for n in nodes:
-        v_count[uf.find(n)[0]] += 1
-    for eid in kept:
-        e_count[uf.find(g.edge(eid).u)[0]] += 1
-    for face in faces:
-        f_count[uf.find(face[0][0])[0]] += 1
+def _euler_check(g, rotation, faces):
+    """V - E + F = 2 on each connected component, named by its lowest node."""
+    component: dict[int, int] = {}
+    for start in sorted(rotation):
+        if start in component:
+            continue
+        component[start] = start
+        queue = [start]
+        for u in queue:
+            for eid in rotation[u]:
+                v = g.edge(eid).other(u)
+                if v not in component:
+                    component[v] = start
+                    queue.append(v)
+    v_count = Counter(component.values())
+    half_edges = Counter(component[u] for u, rot in rotation.items() for _ in rot)
+    f_count = Counter(component[face[0][0]] for face in faces)
     for comp in v_count:
-        v, e, f = v_count[comp], e_count[comp], f_count[comp]
+        v, e, f = v_count[comp], half_edges[comp] // 2, f_count[comp]
         if v - e + f != 2:
             raise InternalInvariantError(
                 f"Euler check failed on component {comp}: V={v} E={e} F={f}"

@@ -3,9 +3,11 @@
 Everything here recomputes results from first principles: rational-arithmetic
 segment intersection, exhaustive coloring / subset / matching enumeration.
 None of it shares a code path with the package under test, except the
-gadget matchings that the T-join solve replaced, kept as its references:
-`gadget_tjoin` on one connected instance, and `unsplit_tjoin_weight` over a
-whole instance without splitting it into components.
+routines a faster one replaced, kept as its references: the gadget
+matchings of the T-join solve (`gadget_tjoin` on one connected instance,
+and `unsplit_tjoin_weight` over a whole instance without splitting it into
+components), and the parity union-find phases of the signed two-coloring
+(`phase_assign_oracle`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
+from aapsm.conflict_graph import PHASE_A, PHASE_B
 from aapsm.errors import InternalInvariantError
 from aapsm.matching import min_weight_perfect_matching
 from aapsm.tjoin import (
@@ -25,6 +28,7 @@ from aapsm.tjoin import (
     build_generalized_gadget_graph,
     build_optimized_gadget_graph,
 )
+from aapsm.unionfind import ParityUnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +246,32 @@ def apply_spaces_oracle(layout, cuts) -> list:
             if is_critical and min(box[2] - box[0], box[3] - box[1]) != before:
                 raise ValueError(f"cut {cut.axis}@{cut.coord} widens a critical feature")
     return [tuple(box) for box in boxes]
+
+
+# ---------------------------------------------------------------------------
+# phase assignment by parity union-find
+# ---------------------------------------------------------------------------
+
+
+def phase_assign_oracle(g, deleted_edge_ids=()) -> dict[int, int] | None:
+    """Phases of the graph minus the deleted edges, read off a parity
+    union-find over the kept edges, with the lowest node id of each component
+    at PHASE_A; None when a kept edge contradicts the ones before it."""
+    deleted = set(deleted_edge_ids)
+    uf = ParityUnionFind()
+    for n in g.nodes:
+        uf.add(n.id)
+    for e in g.edges:
+        relation = 0 if e.is_equal_constraint else 1
+        if e.id not in deleted and not uf.union(e.u, e.v, relation):
+            return None
+    anchor_parity: dict[int, int] = {}
+    phases = {}
+    for n in sorted(g.nodes, key=lambda n: n.id):
+        root, parity = uf.find(n.id)
+        anchor_parity.setdefault(root, parity)  # first (lowest) node of the component
+        phases[n.id] = PHASE_A if parity == anchor_parity[root] else PHASE_B
+    return phases
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,15 @@ from aapsm.layout import (
     generate_shifters,
     parse_layout,
 )
+from aapsm.pipeline import detect
 
-from conftest import make_shifter, sample_micro_pcgs
-from oracles import collinear_overlap_oracle, is_degenerate_oracle, phase_feasible
+from conftest import make_shifter, manhattan_layout, sample_micro_pcgs
+from oracles import (
+    collinear_overlap_oracle,
+    is_degenerate_oracle,
+    phase_assign_oracle,
+    phase_feasible,
+)
 
 
 def graph_from(layout):
@@ -311,8 +317,9 @@ class TestIsBipartite:
         assert checked == 60
 
     def test_two_coloring_agrees_with_signed_forest(self):
-        """The structural and signed detectors agree on every conflict graph
-        minus any edge subset; `detect` relies on it without re-checking."""
+        """The two-coloring and the signed union-find agree on every conflict
+        graph minus any edge subset; `detect` relies on it without
+        re-checking."""
         rng = random.Random(4242)
         verdicts = set()
         for _layout, _shifters, _pairs, g in sample_micro_pcgs(303, 60, max_features=5):
@@ -367,3 +374,32 @@ class TestPhaseAssign:
                 continue
             same = phases[e.u] == phases[e.v]
             assert same == e.is_equal_constraint
+
+    def test_matches_union_find_oracle_on_micro_graphs(self):
+        rng = random.Random(5151)
+        compared = raised = 0
+        for *_, g in sample_micro_pcgs(505, 60, max_features=5):
+            for _ in range(5):
+                removed = frozenset(e.id for e in g.edges if rng.random() < 0.3)
+                expect = phase_assign_oracle(g, removed)
+                if expect is None:
+                    with pytest.raises(InternalInvariantError, match="residual unbalanced"):
+                        phase_assign(g, removed)
+                    raised += 1
+                else:
+                    assert phase_assign(g, removed) == expect
+                    compared += 1
+        assert compared >= 100 and raised > 0, (compared, raised)
+
+    @pytest.mark.parametrize("source", ["rows", "comb", "manhattan"])
+    def test_matches_union_find_oracle_minus_conflicts(self, source):
+        for seed in (1, 2, 3):
+            if source == "manhattan":
+                layout = manhattan_layout(1000 + seed)
+            else:
+                layout = generate_layout(seed, 40, 0.0 if source == "rows" else 0.7)
+            det = detect(layout)
+            removed = frozenset(det.conflicts.edge_ids)
+            expect = phase_assign_oracle(det.graph, removed)
+            assert expect is not None
+            assert phase_assign(det.graph, removed) == expect

@@ -9,7 +9,12 @@ import aapsm.bipartize
 import aapsm.pipeline
 from aapsm import conflict_graph
 from aapsm.bipartize import ORIGIN_PLANARIZATION
-from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, is_bipartite
+from aapsm.conflict_graph import (
+    WEIGHT_SEPARATION,
+    WEIGHT_UNIFORM,
+    BipartiteResult,
+    is_bipartite,
+)
 from aapsm.errors import (
     EXIT_INPUT_ERROR,
     AapsmError,
@@ -284,7 +289,8 @@ class TestFaultsStillCaught:
     )
     def test_two_coloring_disagreeing_with_conflicts(self, monkeypatch, density, witness):
         layout = generate_layout(1, 40, density)
-        monkeypatch.setattr(conflict_graph, "_odd_cycle", lambda g, kept: witness)
+        verdict = BipartiteResult(witness is None, witness)
+        monkeypatch.setattr(aapsm.pipeline, "is_bipartite", lambda g: verdict)
         with pytest.raises(InternalInvariantError, match="disagree"):
             detect(layout)
 
@@ -301,5 +307,16 @@ class TestFaultsStillCaught:
             return True
 
         monkeypatch.setattr(ParityUnionFind, "union", never_contradicts)
-        with pytest.raises(InternalInvariantError, match=r"edge \d+ constraint violated"):
+        with pytest.raises(InternalInvariantError, match="residual unbalanced cycle"):
             detect(layout, run_greedy_baseline=True)
+
+    @pytest.mark.parametrize("density", [0.0, 0.7], ids=["rows", "comb"])
+    def test_phases_violating_a_kept_constraint(self, monkeypatch, density):
+        layout = generate_layout(1, 40, density)
+
+        def all_zero(g, kept):
+            return [0] * len(g.nodes), None
+
+        monkeypatch.setattr(conflict_graph, "_two_color", all_zero)
+        with pytest.raises(InternalInvariantError, match=r"edge \d+ constraint violated"):
+            detect(layout)

@@ -12,9 +12,11 @@ from aapsm.conflict_graph import (
     PhaseConflictGraph,
     build_conflict_graph,
 )
-from aapsm.errors import GeometryError
+from aapsm.errors import GeometryError, InternalInvariantError
 from aapsm.planar import (
+    _euler_check,
     _sort_by_direction,
+    _trace_faces,
     build_dual,
     dump_embedding,
     find_crossings,
@@ -331,6 +333,29 @@ class TestFacesAndDual:
                     if comp_of[face[0][0]] == label
                 )
                 assert v - e_count + f_count == 2
+
+    @pytest.mark.parametrize(
+        "triangle_first, component", [(False, 0), (True, 3)], ids=["k4", "triangle+k4"]
+    )
+    def test_euler_check_names_the_failing_component(self, triangle_first, component):
+        # every node's rotation in edge-id order: a valid rotation system for
+        # the triangle, but one that traces K4 with 2 faces instead of 4
+        triangle = [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+        k4 = [(u, v, 1) for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+        points = [(0, 0), (10, 0), (0, 10), (10, 10)]
+        if triangle_first:
+            k4 = [(u + 3, v + 3, w) for u, v, w in k4]
+            points = [(100, 0), (110, 0), (105, 8)] + points
+            g = raw_graph(points, triangle + k4)
+        else:
+            g = raw_graph(points, k4)
+        rotation = {
+            n.id: tuple(e.id for e in g.edges if n.id in (e.u, e.v)) for n in g.nodes
+        }
+        faces, _ = _trace_faces(g, rotation)
+        message = f"^Euler check failed on component {component}: V=4 E=6 F=2$"
+        with pytest.raises(InternalInvariantError, match=message):
+            _euler_check(g, rotation, faces)
 
     def test_dump_embedding_lines(self):
         g = raw_graph([(0, 0), (10, 0), (5, 8)], [(0, 1, 1), (1, 2, 1), (2, 0, 1)])

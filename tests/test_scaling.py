@@ -13,9 +13,11 @@ paths are paired in closed form for at most four odd faces, so the comb
 designs (|T| <= 4 in every component) never call blossom; on a larger
 component blossom sees only the complete graph over its odd faces.
 
-Balance: one `detect` checks balance once, on its output, so it builds a
-fixed handful of parity union-finds and runs one two-coloring, whatever
-the design.
+Balance: a parity union-find is built only where the order edges are
+inserted in decides the answer (the conflict selection, and the greedy
+baseline when it runs).  Every static balance question is one signed
+two-coloring: the `balanced_before` verdict and the phases, plus the
+greedy baseline's phases.  The counts are the same whatever the design.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
 cuts costs no `detect` at all.  `apply_spaces` moves each rect once for all
@@ -138,28 +140,30 @@ def test_comb_design_never_calls_blossom(monkeypatch):
 def balance_checks(monkeypatch, design, greedy):
     """(ParityUnionFind constructions, two-colorings) in one `detect`."""
     counts = Counter()
-    init, odd_cycle = ParityUnionFind.__init__, conflict_graph._odd_cycle
+    init, two_color = ParityUnionFind.__init__, conflict_graph._two_color
 
     def counted_init(self):
         counts["forests"] += 1
         init(self)
 
-    def counted_odd_cycle(g, kept):
+    def counted_two_color(g, kept):
         counts["colorings"] += 1
-        return odd_cycle(g, kept)
+        return two_color(g, kept)
 
     with monkeypatch.context() as m:
         m.setattr(ParityUnionFind, "__init__", counted_init)
-        m.setattr(conflict_graph, "_odd_cycle", counted_odd_cycle)
+        m.setattr(conflict_graph, "_two_color", counted_two_color)
         detect(design, run_greedy_baseline=greedy)
     return counts["forests"], counts["colorings"]
 
 
-@pytest.mark.parametrize("greedy, max_forests", [(False, 3), (True, 5)])
-def test_detect_checks_balance_once(monkeypatch, greedy, max_forests):
+@pytest.mark.parametrize(
+    "greedy, max_forests, expect_colorings", [(False, 1, 2), (True, 2, 3)]
+)
+def test_detect_checks_balance_once(monkeypatch, greedy, max_forests, expect_colorings):
     for design in (generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7)):
         forests, colorings = balance_checks(monkeypatch, design, greedy)
-        assert forests <= max_forests and colorings == 1, (forests, colorings)
+        assert forests <= max_forests and colorings == expect_colorings, (forests, colorings)
 
 
 @pytest.mark.parametrize(
