@@ -87,6 +87,16 @@ def _dump_path(base: str, stem: str, many: bool) -> pathlib.Path:
     return path.with_name(f"{path.name}.{stem}") if many else path
 
 
+def _write(path: pathlib.Path, text: str, make_parent: bool = False) -> None:
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise _input_error(f"cannot write {path}: {exc}") from exc
+
+
 def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
     """Process one layout file; returns (exit code, report text)."""
     path = pathlib.Path(path_str)
@@ -94,7 +104,7 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
     try:
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _input_error(f"cannot read {path}: {exc}") from exc
         layout = parse_layout(text)
         if args.rules:
@@ -107,12 +117,11 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
             run_greedy_baseline=args.baseline_gb,
         )
         if args.dump_graph:
-            _dump_path(args.dump_graph, path.stem, many).write_text(
-                dump_graph(detection.graph)
-            )
+            _write(_dump_path(args.dump_graph, path.stem, many), dump_graph(detection.graph))
         if args.dump_embedding:
-            _dump_path(args.dump_embedding, path.stem, many).write_text(
-                dump_embedding(detection.embedding)
+            _write(
+                _dump_path(args.dump_embedding, path.stem, many),
+                dump_embedding(detection.embedding),
             )
         if args.dump_conflicts:
             lines = []
@@ -122,8 +131,9 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
                     f"conflict {c.edge_id} {c.shifter_pair[0]} {c.shifter_pair[1]} "
                     f"{req} {c.origin}"
                 )
-            _dump_path(args.dump_conflicts, path.stem, many).write_text(
-                "\n".join(lines) + "\n" if lines else ""
+            _write(
+                _dump_path(args.dump_conflicts, path.stem, many),
+                "\n".join(lines) + "\n" if lines else "",
             )
 
         if args.command == "detect":
@@ -131,18 +141,16 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
 
         correction = correct(detection, exact_cover_limit=args.exact_cover_limit)
         if args.dump_plan:
-            _dump_path(args.dump_plan, path.stem, many).write_text(
-                dump_plan(correction.plan)
-            )
-        out_text = serialize_layout(correction.new_layout)
+            _write(_dump_path(args.dump_plan, path.stem, many), dump_plan(correction.plan))
         if args.out_dir:
-            out_dir = pathlib.Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{path.stem}.fixed").write_text(out_text)
+            out_path = pathlib.Path(args.out_dir) / f"{path.stem}.fixed"
         elif args.out:
-            pathlib.Path(args.out).write_text(out_text)
+            out_path = pathlib.Path(args.out)
         else:
-            path.with_suffix(path.suffix + ".fixed").write_text(out_text)
+            out_path = path.with_suffix(path.suffix + ".fixed")
+        _write(
+            out_path, serialize_layout(correction.new_layout), make_parent=bool(args.out_dir)
+        )
         return EXIT_OK, render_report(correction.report)
     except AapsmError as exc:
         return exc.exit_code, f"design={path.stem}\nerror={exc}\n"
@@ -154,14 +162,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "generate":
         try:
-            layout = generate_layout(args.seed, args.features, args.density)
+            text = serialize_layout(generate_layout(args.seed, args.features, args.density))
+            if args.out:
+                _write(pathlib.Path(args.out), text)
         except (ValueError, AapsmError) as exc:
             print(f"error={exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        text = serialize_layout(layout)
-        if args.out:
-            pathlib.Path(args.out).write_text(text)
-        else:
+        if not args.out:
             sys.stdout.write(text)
         return EXIT_OK
 
@@ -180,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
 
     results: list[tuple[int, str]]
     if args.jobs > 1 and len(args.layouts) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(args.layouts))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one, p, args) for p in args.layouts
             ]

@@ -48,8 +48,6 @@ class PcgNode:
     kind: str
     x: int  # quarter-nm
     y: int
-    shifter_id: int | None = None  # edge-shifter nodes
-    pair: tuple[int, int] | None = None  # overlap nodes
     perturb: tuple[int, int] = (0, 0)
 
     @property
@@ -112,7 +110,7 @@ def build_conflict_graph(
         node_of_shifter[s.id] = nid
         x = 2 * (s.rect.x_lo + s.rect.x_hi)  # center * POS_SCALE, exact
         y = 2 * (s.rect.y_lo + s.rect.y_hi)
-        nodes.append(PcgNode(nid, NODE_EDGE_SHIFTER, x, y, shifter_id=s.id))
+        nodes.append(PcgNode(nid, NODE_EDGE_SHIFTER, x, y))
 
     by_feature: dict[int, list[Shifter]] = {}
     for s in ordered:
@@ -150,7 +148,7 @@ def build_conflict_graph(
         onid = len(nodes)
         ox = (nodes[u].x + nodes[v].x) // 2  # node coords are even: exact
         oy = (nodes[u].y + nodes[v].y) // 2
-        nodes.append(PcgNode(onid, NODE_OVERLAP, ox, oy, pair=(s1, s2)))
+        nodes.append(PcgNode(onid, NODE_OVERLAP, ox, oy))
         weight = 1 if weight_mode == WEIGHT_UNIFORM else required
         edges.append(
             PcgEdge(len(edges), u, onid, weight, EDGE_OVERLAP_HALF, (s1, s2), required)

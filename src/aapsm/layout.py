@@ -191,18 +191,26 @@ def parse_layout(text: str) -> Layout:
 
     Records: ``rect <layer> <x_lo> <y_lo> <x_hi> <y_hi>``,
     ``rules <critical_width> <shifter_width> <shifter_gap> <min_spacing>``,
-    ``bbox <x_lo> <y_lo> <x_hi> <y_hi>``; ``#`` starts a comment.
+    ``bbox <x_lo> <y_lo> <x_hi> <y_hi>``; ``#`` starts a comment.  A
+    ``rules`` or ``bbox`` record may appear at most once.
     """
     rects: list[Rect] = []
     rules = DEFAULT_RULES
     bbox = None
     next_id = 0
+    first_line: dict[str, int] = {}  # line of each rules/bbox record
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in first_line:
+            raise LayoutParseError(
+                f"repeated {kind} record (first on line {first_line[kind]})", line_no
+            )
+        if kind in ("rules", "bbox"):
+            first_line[kind] = line_no
         try:
             if kind == "rect":
                 if len(parts) != 6:

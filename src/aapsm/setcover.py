@@ -1,9 +1,10 @@
 """Weighted set cover: scalable greedy plus an exact branch-and-bound for
 small instances.
 
-A candidate is (key, elements, weight).  Both solvers return the chosen keys;
-the exact solver minimizes total weight and is intended for instances with a
-few dozen candidates at most.
+A candidate is (key, elements, weight).  Both solvers return the chosen keys.
+The exact solver starts from a given cover (in the pipeline, the greedy plan),
+replaces it only by a strictly lighter one, and is intended for instances with
+a few dozen candidates at most.
 """
 
 from __future__ import annotations
@@ -58,26 +59,21 @@ def greedy_cover(universe: frozenset, candidates: list[CoverCandidate]) -> list[
 
 
 def exact_cover(
-    universe: frozenset, candidates: list[CoverCandidate]
-) -> list[tuple] | None:
-    """Minimum-total-weight cover by branch and bound; None when infeasible.
+    universe: frozenset, candidates: list[CoverCandidate], incumbent: list[tuple]
+) -> list[tuple]:
+    """Minimum-total-weight cover by branch and bound from a starting cover.
 
     Branches on the uncovered element with the fewest covering candidates and
-    prunes with the greedy solution as the incumbent.
+    prunes against the best cover so far, starting with the incumbent.  A
+    cover replaces it only at strictly lower weight, so on a tie the
+    incumbent comes back unchanged.
     """
-    coverable = frozenset().union(*(c.elements for c in candidates)) if candidates else frozenset()
-    if not universe <= coverable:
-        return None
-    if not universe:
-        return []
-
-    try:
-        incumbent_keys = greedy_cover(universe, candidates)
-    except ValueError:
-        return None
     by_key = {c.key: c for c in candidates}
-    best_cost = sum(by_key[k].weight for k in incumbent_keys)
-    best_keys = list(incumbent_keys)
+    missed = universe - frozenset().union(*(by_key[k].elements for k in incumbent))
+    if missed:
+        raise InternalInvariantError(f"the incumbent misses elements {sorted(missed)}")
+    best_cost = sum(by_key[k].weight for k in incumbent)
+    best_keys = list(incumbent)
 
     ordered = sorted(candidates, key=lambda c: (c.weight, c.key))
     covering: dict = {

@@ -68,13 +68,18 @@ class SpacePlan:
     uncovered: tuple[tuple[int, int], ...]
     greedy_cut_count: int
     exact_cut_count: int | None  # None when the exact solver did not run
-    used_exact: bool
     greedy_total_width: int = 0
     exact_total_width: int | None = None
 
     @property
     def total_width(self) -> int:
         return sum(c.width for c in self.cuts)
+
+    @property
+    def used_exact(self) -> bool:
+        """The exact solver found a strictly lighter plan than greedy."""
+        exact = self.exact_total_width
+        return exact is not None and exact < self.greedy_total_width
 
 
 def _ceil_sqrt(value: int) -> int:
@@ -228,8 +233,9 @@ def plan_spaces(
     Candidate coordinates are the interval endpoints plus midpoints (endpoints
     sit on rect boundaries; the midpoint lands strictly inside the gap), minus
     any coordinate that would widen a critical feature.  Greedy weighted set
-    cover runs always; with at most exact_limit candidates a branch-and-bound
-    exact cover runs too and its plan is used when strictly better.
+    cover runs once, always; with at most exact_limit candidates a
+    branch-and-bound exact cover starts from the greedy plan and replaces it
+    only by a strictly lighter one.
     """
     conflict_keys = sorted({iv.conflict_key for iv in intervals})
     keys = {
@@ -247,35 +253,21 @@ def plan_spaces(
     planned_universe = frozenset(k for k in conflict_keys if k in coverable)
     plan_uncovered = tuple(k for k in conflict_keys if k not in coverable)
 
-    greedy_keys = greedy_cover(planned_universe, candidates) if planned_universe else []
+    greedy_keys = greedy_cover(planned_universe, candidates)
     greedy_width = sum(by_key[k].weight for k in greedy_keys)
     chosen = greedy_keys
-    exact_count = None
-    exact_width = None
-    used_exact = False
+    exact_count = exact_width = None
     if len(candidates) <= exact_limit and planned_universe:
-        exact_keys = exact_cover(planned_universe, candidates)
-        if exact_keys is not None:
-            exact_count = len(exact_keys)
-            exact_width = sum(by_key[k].weight for k in exact_keys)
-            if exact_width < greedy_width or (
-                exact_width == greedy_width and len(exact_keys) < len(greedy_keys)
-            ):
-                chosen = exact_keys
-                used_exact = True
+        chosen = exact_cover(planned_universe, candidates, greedy_keys)
+        exact_count = len(chosen)
+        exact_width = sum(by_key[k].weight for k in chosen)
 
     cuts = tuple(
         Cut(*key, by_key[key].weight, tuple(sorted(by_key[key].elements)))
         for key in sorted(chosen)
     )
     return SpacePlan(
-        cuts,
-        plan_uncovered,
-        len(greedy_keys),
-        exact_count,
-        used_exact,
-        greedy_width,
-        exact_width,
+        cuts, plan_uncovered, len(greedy_keys), exact_count, greedy_width, exact_width
     )
 
 

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, reports, dumps, reproducibility."""
 
+import concurrent.futures
 import subprocess
 import sys
 
@@ -234,6 +235,105 @@ class TestOptionValidation:
         )
         assert code == 0
         assert "cuts_exact=na" in out
+
+
+class TestFileErrors:
+    """A path that cannot be read or written exits 2 with an error= line
+    naming it, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("detect", "--dump-graph"),
+            ("detect", "--dump-embedding"),
+            ("detect", "--dump-conflicts"),
+            ("correct", "--dump-plan"),
+            ("correct", "--out"),
+        ],
+    )
+    def test_unwritable_output(self, command, flag, conflict_layout_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out = run_cli([command, str(conflict_layout_file), flag, str(target)], capsys)
+        assert code == 2
+        assert f"error=cannot write {target}: " in out
+
+    def test_unwritable_default_fixed_output(self, conflict_layout_file, capsys):
+        target = conflict_layout_file.with_name(conflict_layout_file.name + ".fixed")
+        target.mkdir()
+        code, out = run_cli(["correct", str(conflict_layout_file)], capsys)
+        assert code == 2
+        assert f"error=cannot write {target}: " in out
+
+    def test_out_dir_that_cannot_be_made(self, conflict_layout_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "fixed"
+        code, out = run_cli(
+            ["correct", str(conflict_layout_file), "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 2
+        assert f"error=cannot write {out_dir / 'comb.fixed'}: " in out
+
+    def test_out_dir_file_that_cannot_be_written(self, conflict_layout_file, tmp_path, capsys):
+        target = tmp_path / "fixed" / "comb.fixed"
+        target.mkdir(parents=True)
+        code, out = run_cli(
+            ["correct", str(conflict_layout_file), "--out-dir", str(tmp_path / "fixed")], capsys
+        )
+        assert code == 2
+        assert f"error=cannot write {target}: " in out
+
+    def test_generate_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "g.lay"
+        code = main(["generate", "--seed", "1", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error=cannot write {target}: ")
+
+    def test_layout_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.lay"
+        path.write_bytes(b"rect poly 0 0 \xff\xfe 1\n")
+        code, out = run_cli(["detect", str(path)], capsys)
+        assert code == 2
+        assert f"error=cannot read {path}: " in out
+
+    def test_repeated_rules_record(self, tmp_path, capsys):
+        path = tmp_path / "twice.lay"
+        path.write_text("rules 150 200 50 200\nrect poly 0 0 100 800\nrules 300 200 50 200\n")
+        code, out = run_cli(["detect", str(path)], capsys)
+        assert code == 2
+        assert "error=line 3: repeated rules record (first on line 1)" in out
+
+
+class TestJobs:
+    def test_workers_capped_at_file_count(
+        self, clean_layout_file, conflict_layout_file, monkeypatch, capsys
+    ):
+        """Tasks run inline in a recording stand-in, so no process starts."""
+        built = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        args = ["detect", str(clean_layout_file), str(conflict_layout_file)]
+        code, parallel = run_cli(args + ["--jobs", "8"], capsys)
+        assert code == 0
+        assert built == [2]
+        assert parallel == run_cli(args, capsys)[1]
 
 
 class TestGenerate:

@@ -229,8 +229,8 @@ class TestPerturbation:
         """Overlap node 4 sits on feature edge 0, and its first nudge lands on
         overlap node 5, whose edges all lie above the box of node 4's edges."""
         spots = [(-100, 0), (100, 0), (10, 100), (-10, 100)]
-        nodes = [PcgNode(i, NODE_EDGE_SHIFTER, x, y, shifter_id=i) for i, (x, y) in enumerate(spots)]
-        nodes += [PcgNode(4, NODE_OVERLAP, 0, 0, pair=(0, 1)), PcgNode(5, NODE_OVERLAP, 0, 1, pair=(2, 3))]
+        nodes = [PcgNode(i, NODE_EDGE_SHIFTER, x, y) for i, (x, y) in enumerate(spots)]
+        nodes += [PcgNode(4, NODE_OVERLAP, 0, 0), PcgNode(5, NODE_OVERLAP, 0, 1)]
         ends = [(0, 1), (2, 3), (0, 4), (4, 1), (2, 5), (5, 3)]
         edges = [
             PcgEdge(k, u, v, 1, EDGE_FEATURE if k < 2 else EDGE_OVERLAP_HALF, (0, 1))

@@ -83,6 +83,21 @@ class TestParse:
         with pytest.raises(LayoutParseError):
             parse_layout("polygon 0 0 1 1\n")
 
+    @pytest.mark.parametrize(
+        "first, again",
+        [
+            ("rules 150 200 50 200", "rules 300 200 50 200"),
+            ("bbox 0 0 10 10", "bbox 0 0 20 20"),
+        ],
+    )
+    def test_repeated_record_rejected_at_its_line(self, first, again):
+        # a second record would silently replace the first
+        kind = first.split()[0]
+        with pytest.raises(LayoutParseError) as err:
+            parse_layout(f"{first}\nrect poly 0 0 5 5\n{again}\n")
+        assert str(err.value) == f"line 3: repeated {kind} record (first on line 1)"
+        assert err.value.line_no == 3
+
     def test_round_trip_is_identity(self):
         text = (
             "# comment\n"

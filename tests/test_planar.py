@@ -35,7 +35,7 @@ from oracles import (
 def raw_graph(points, edges_spec):
     """Arbitrary geometric test graph; edges_spec: (u, v, weight)."""
     nodes = tuple(
-        PcgNode(i, "edge_shifter", x, y, shifter_id=i)
+        PcgNode(i, "edge_shifter", x, y)
         for i, (x, y) in enumerate(points)
     )
     edges = tuple(

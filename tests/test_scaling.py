@@ -196,7 +196,7 @@ def rects_built(monkeypatch, design, cuts) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(Rect, "__post_init__", counted)
-        apply_spaces(design, (), SpacePlan(cuts, (), len(cuts), None, False))
+        apply_spaces(design, (), SpacePlan(cuts, (), len(cuts), None))
     return built
 
 

@@ -1,4 +1,7 @@
-"""Weighted set cover: greedy validity and exact solver optimality."""
+"""Weighted set cover: greedy validity and exact solver optimality.
+
+The exact solver starts from a given cover; these tests hand it the greedy
+cover, as the planner does."""
 
 import random
 
@@ -21,20 +24,36 @@ def weight_of(chosen, candidates):
 
 
 def test_single_set():
+    universe = frozenset({1, 2})
     cs = cands(({1, 2}, 5))
-    assert greedy_cover(frozenset({1, 2}), cs) == [("c", 0)]
-    assert exact_cover(frozenset({1, 2}), cs) == [("c", 0)]
+    assert greedy_cover(universe, cs) == [("c", 0)]
+    assert exact_cover(universe, cs, greedy_cover(universe, cs)) == [("c", 0)]
 
 
 def test_empty_universe():
     assert greedy_cover(frozenset(), cands(({1}, 1))) == []
-    assert exact_cover(frozenset(), cands(({1}, 1))) == []
+    assert exact_cover(frozenset(), cands(({1}, 1)), []) == []
 
 
 def test_uncoverable_raises():
     with pytest.raises(ValueError):
         greedy_cover(frozenset({1, 9}), cands(({1}, 1)))
-    assert exact_cover(frozenset({1, 9}), cands(({1}, 1))) is None
+
+
+def test_exact_keeps_incumbent_on_equal_weight():
+    # one set of weight 4 and two sets of weight 2 each cover {1, 2}: both
+    # covers weigh 4, so whichever one is the incumbent comes back unchanged
+    universe = frozenset({1, 2})
+    cs = cands(({1, 2}, 4), ({1}, 2), ({2}, 2))
+    assert greedy_cover(universe, cs) == [("c", 1), ("c", 2)]
+    assert exact_cover(universe, cs, [("c", 1), ("c", 2)]) == [("c", 1), ("c", 2)]
+    assert exact_cover(universe, cs, [("c", 0)]) == [("c", 0)]
+
+
+def test_exact_rejects_incumbent_that_misses_an_element():
+    cs = cands(({1, 2}, 4), ({1}, 2), ({2}, 2))
+    with pytest.raises(InternalInvariantError, match="misses elements \\[2\\]"):
+        exact_cover(frozenset({1, 2}), cs, [("c", 1)])
 
 
 class LyingElements(frozenset):
@@ -62,7 +81,7 @@ def test_greedy_classic_trap_exact_escapes():
         ({4, 5}, 3),
     )
     greedy = greedy_cover(universe, cs)
-    exact = exact_cover(universe, cs)
+    exact = exact_cover(universe, cs, greedy)
     assert weight_of(exact, cs) <= weight_of(greedy, cs)
     assert weight_of(exact, cs) == 6
 
@@ -80,13 +99,14 @@ def test_exact_matches_enumeration():
             specs.append((els, rng.randint(1, 30)))
         cs = cands(*specs)
         expect = min_set_cover_weight(universe, [(c.elements, c.weight) for c in cs])
-        got = exact_cover(universe, cs)
         if expect is None:
-            assert got is None
-        else:
-            assert weight_of(got, cs) == expect
-            covered = frozenset().union(*(c.elements for c in cs if c.key in set(got)))
-            assert covered >= universe
+            with pytest.raises(ValueError):
+                greedy_cover(universe, cs)
+            continue
+        got = exact_cover(universe, cs, greedy_cover(universe, cs))
+        assert weight_of(got, cs) == expect
+        covered = frozenset().union(*(c.elements for c in cs if c.key in set(got)))
+        assert covered >= universe
 
 
 @given(
@@ -105,8 +125,7 @@ def test_greedy_always_covers_and_exact_never_worse(specs):
     greedy = greedy_cover(universe, cs)
     covered = frozenset().union(*(c.elements for c in cs if c.key in set(greedy)))
     assert covered >= universe
-    exact = exact_cover(universe, cs)
-    assert exact is not None
+    exact = exact_cover(universe, cs, greedy)
     assert weight_of(exact, cs) <= weight_of(greedy, cs)
 
 

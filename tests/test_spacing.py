@@ -31,11 +31,13 @@ from aapsm.spacing import (
     dump_plan,
     plan_spaces,
 )
+from aapsm.setcover import greedy_cover
 
 from conftest import make_shifter
 from oracles import (
     apply_spaces_oracle,
     candidate_coverage_oracle,
+    min_set_cover_weight,
     widening_cut_blocked_oracle,
 )
 
@@ -147,8 +149,6 @@ class TestPlanSpaces:
         assert len(plan.cuts[0].covered) == 3
 
     def test_greedy_vs_exact_on_random_instances(self):
-        from oracles import min_set_cover_weight
-
         rng = random.Random(8080)
         for _ in range(40):
             n_conf = rng.randint(1, 4)
@@ -189,6 +189,58 @@ class TestPlanSpaces:
                 frozenset(iv.conflict_key for iv in intervals), list(dedup.items())
             )
             assert plan.total_width == expect
+
+    # greedy takes the ratio-1 cut at x=10 for (2, 3), then pays 3 more at
+    # x=30 for (0, 1); the one cut at x=30 covers both for 3
+    TRAP = (
+        CorrectionInterval((0, 1), AXIS_VERTICAL, 30, 30, 3),
+        CorrectionInterval((2, 3), AXIS_VERTICAL, 10, 30, 1),
+    )
+
+    @pytest.mark.parametrize(
+        "intervals, exact_limit, exact_ran",
+        [(TRAP, 30, True), (TRAP, 0, False), ((), 30, False)],
+        ids=["exact", "greedy-only", "empty"],
+    )
+    def test_greedy_runs_once_per_plan(self, monkeypatch, intervals, exact_limit, exact_ran):
+        calls = []
+
+        def counting_greedy(universe, candidates):
+            calls.append(universe)
+            return greedy_cover(universe, candidates)
+
+        # both module references, so a greedy pass inside exact_cover counts too
+        monkeypatch.setattr("aapsm.spacing.greedy_cover", counting_greedy)
+        monkeypatch.setattr("aapsm.setcover.greedy_cover", counting_greedy)
+        plan = plan_spaces(intervals, exact_limit=exact_limit)
+        assert len(calls) == 1
+        assert (plan.exact_cut_count is not None) == exact_ran
+
+    def test_exact_escapes_greedy_trap(self):
+        expect = min_set_cover_weight(
+            frozenset(iv.conflict_key for iv in self.TRAP),
+            list(candidate_coverage_oracle(self.TRAP, endpoint_keys(self.TRAP)).values()),
+        )
+        plan = plan_spaces(self.TRAP, exact_limit=30)
+        assert plan.used_exact
+        assert plan.total_width == plan.exact_total_width == expect == 3
+        assert plan.greedy_total_width == 4
+
+    def test_tied_optimum_keeps_greedy_plan(self):
+        # greedy covers (0, 1) and (2, 3) with two vertical cuts of width 1;
+        # the one horizontal cut at y=0 covers both for the same total 2
+        intervals = (
+            CorrectionInterval((0, 1), AXIS_VERTICAL, 0, 0, 1),
+            CorrectionInterval((2, 3), AXIS_VERTICAL, 10, 10, 1),
+            CorrectionInterval((0, 1), AXIS_HORIZONTAL, 0, 0, 2),
+            CorrectionInterval((2, 3), AXIS_HORIZONTAL, 0, 0, 2),
+        )
+        greedy = plan_spaces(intervals, exact_limit=0)
+        plan = plan_spaces(intervals, exact_limit=30)
+        assert [(c.axis, c.coord) for c in plan.cuts] == [(AXIS_VERTICAL, 0), (AXIS_VERTICAL, 10)]
+        assert plan.cuts == greedy.cuts
+        assert not plan.used_exact
+        assert plan.exact_total_width == plan.greedy_total_width == 2
 
     def test_widening_cut_rejected(self):
         # a vertical critical feature sits inside the gap: vertical cuts
@@ -468,28 +520,28 @@ def layouts_and_cuts(draw):
 class TestApplySpaces:
     def test_straddle_stretch(self):
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None)
         new_layout, area = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.x_lo, r.y_lo, r.x_hi, r.y_hi) == (0, 0, 13, 2)
 
     def test_pure_shift(self):
         layout = Layout((Rect(6, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, 3, ()),), (), 1, None)
         new_layout, _ = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.x_lo, r.x_hi) == (9, 13)
 
     def test_cut_at_boundary_no_stretch(self):
         layout = Layout((Rect(0, 0, 10, 2, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 10, 3, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 10, 3, ()),), (), 1, None)
         new_layout, _ = apply_spaces(layout, (), plan)
         assert new_layout.rects[0] == layout.rects[0]
 
     def test_widening_critical_feature_is_hard_error(self):
         # vertical critical feature, vertical cut through its interior
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None)
         # the planner never plans such a cut: a fault (exit 4), not bad input
         with pytest.raises(InternalInvariantError, match="widen critical feature"):
             apply_spaces(layout, (), plan)
@@ -499,13 +551,13 @@ class TestApplySpaces:
         # grown bbox (here through a negative width) is a fault (exit 4), not
         # an invalid layout (exit 2)
         layout = Layout((Rect(0, 0, 10, 50, "metal", 0),), RULES, bbox=(0, 0, 100, 100))
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 0, -5, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 0, -5, ()),), (), 1, None)
         with pytest.raises(InternalInvariantError, match="escaped the grown bounding box"):
             apply_spaces(layout, (), plan)
 
     def test_lengthwise_stretch_of_critical_feature_allowed(self):
         layout = Layout((Rect(0, 0, 100, 1000, FEATURE_LAYER, 0),), RULES)
-        plan = SpacePlan((Cut(AXIS_HORIZONTAL, 500, 10, ()),), (), 1, None, False)
+        plan = SpacePlan((Cut(AXIS_HORIZONTAL, 500, 10, ()),), (), 1, None)
         new_layout, _ = apply_spaces(layout, (), plan)
         r = new_layout.rects[0]
         assert (r.width, r.height) == (100, 1010)
@@ -527,7 +579,6 @@ class TestApplySpaces:
             (),
             2,
             None,
-            False,
         )
         new_layout, area = apply_spaces(layout, (), plan)
         w, h = 800, 1200
@@ -550,7 +601,6 @@ class TestApplySpaces:
             (),
             2,
             None,
-            False,
         )
         new_layout, _ = apply_spaces(layout, (), plan)
         xs = [(r.x_lo, r.x_hi) for r in new_layout.rects]
@@ -580,7 +630,7 @@ class TestApplySpaces:
             )
             try:
                 new_layout, _ = apply_spaces(
-                    layout, (), SpacePlan(cuts, (), 2, None, False)
+                    layout, (), SpacePlan(cuts, (), 2, None)
                 )
             except InternalInvariantError as exc:
                 assert "widen critical feature" in str(exc)
@@ -598,7 +648,7 @@ class TestApplySpaces:
             expect = apply_spaces_oracle(layout, cuts)
         except ValueError:
             expect = None
-        plan = SpacePlan(cuts, (), len(cuts), None, False)
+        plan = SpacePlan(cuts, (), len(cuts), None)
         if expect is None:
             with pytest.raises(InternalInvariantError, match="widen critical feature"):
                 apply_spaces(layout, (), plan)
@@ -647,7 +697,6 @@ class TestEndToEnd:
             ((4, 5),),
             1,
             1,
-            False,
         )
         text = dump_plan(plan)
         assert "cut v 100 25 conflicts=0-1,2-3" in text
