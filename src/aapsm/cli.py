@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_correct.add_argument("--out", metavar="PATH", help="corrected layout (single input)")
     p_correct.add_argument("--out-dir", metavar="DIR", help="corrected layouts (multiple inputs)")
     p_correct.add_argument("--dump-plan", metavar="PATH")
-    p_correct.add_argument("--exact-cover-limit", type=int, default=20)
 
     p_gen = sub.add_parser("generate", help="emit a synthetic layout")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -139,7 +138,7 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
         if args.command == "detect":
             return EXIT_OK, render_report(detection.report)
 
-        correction = correct(detection, exact_cover_limit=args.exact_cover_limit)
+        correction = correct(detection)
         if args.dump_plan:
             _write(_dump_path(args.dump_plan, path.stem, many), dump_plan(correction.plan))
         if args.out_dir:
@@ -178,12 +177,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"error=--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "correct" and args.exact_cover_limit < 0:
-        print(
-            f"error=--exact-cover-limit must be non-negative, got {args.exact_cover_limit}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+    # with several inputs, --out-dir and --dump-* name each output by its
+    # input's stem, so two inputs with one stem would write the same files
+    per_stem_outputs = ("out_dir", "dump_graph", "dump_embedding", "dump_conflicts", "dump_plan")
+    if len(args.layouts) > 1 and any(getattr(args, flag, None) for flag in per_stem_outputs):
+        by_stem: dict[str, str] = {}
+        for path_str in args.layouts:
+            stem = pathlib.Path(path_str).stem
+            if stem in by_stem:
+                print(
+                    f"error=inputs {by_stem[stem]} and {path_str} share the stem "
+                    f"{stem}; their outputs would collide",
+                    file=sys.stderr,
+                )
+                return EXIT_INPUT_ERROR
+            by_stem[stem] = path_str
 
     results: list[tuple[int, str]]
     if args.jobs > 1 and len(args.layouts) > 1:

@@ -31,7 +31,8 @@ class LayoutValidationError(AapsmError):
 
 
 class GeometryError(AapsmError):
-    """Node geometry the planarizer cannot embed, e.g. coincident node positions."""
+    """A drawing not in general position, which the planarizer cannot embed:
+    two nodes at one position, or two edges leaving a node on the same ray."""
 
     exit_code = EXIT_INPUT_ERROR
 

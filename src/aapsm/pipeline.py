@@ -144,9 +144,7 @@ def detect(
 
 
 def correct(
-    detection: DetectionResult,
-    exact_cover_limit: int = 20,
-    allow_uncovered: bool = False,
+    detection: DetectionResult, allow_uncovered: bool = False
 ) -> CorrectionResult:
     """Plan and apply spaces for the detected conflicts, then re-detect.
 
@@ -162,7 +160,7 @@ def correct(
         layout, detection.shifters, detection.conflicts
     )
     critical = find_critical_features(layout)
-    plan = plan_spaces(intervals, critical, exact_cover_limit)
+    plan = plan_spaces(intervals, critical)
 
     uncovered_keys = {c.shifter_pair for c in uncoverable} | set(plan.uncovered)
     if uncovered_keys and not allow_uncovered:

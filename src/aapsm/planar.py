@@ -9,7 +9,6 @@ geometry and tracing faces.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -89,14 +88,12 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
 
     Iterated greedy: while any crossing remains, delete the minimum-weight
     edge participating in one (ties: most crossings, then lowest edge id).
-    Adjacent collinear overlaps are folded into the crossing set: they are not
-    reported by find_crossings but equally admit no rotation system.  They are
-    read off the one direction sort of each node's edges that also yields the
-    rotation system.
+    The drawing must be in general position, as build_conflict_graph makes
+    it: two coincident nodes or two edges leaving a node on the same ray
+    raise GeometryError.
     """
     crossings = list(find_crossings(g))  # rejects coincident nodes first
-    runs, same_ray = _sort_by_direction(g)
-    crossings += same_ray
+    order = _sort_by_direction(g)
     removed: list[int] = []
     while crossings:
         count: Counter[int] = Counter()
@@ -108,31 +105,25 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
         crossings = [c for c in crossings if victim not in c]
     removed_set = set(removed)
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
-    rotation = _rotation(runs, removed_set)
+    rotation = _rotation(order, removed_set)
     faces, face_of = _trace_faces(g, rotation)
     _euler_check(g, rotation, faces)
     return PlanarEmbedding(g, kept, tuple(sorted(removed)), rotation, faces, face_of)
 
 
-def _sort_by_direction(
-    g: PhaseConflictGraph,
-) -> tuple[dict[int, list[list[int]]], list[tuple[int, int]]]:
-    """Each node's incident edges counterclockwise from +x, grouped into runs
-    that leave the node in exactly the same direction, plus every pair of
-    edges sharing a run.
+def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:
+    """Each node's incident edges counterclockwise from +x.
 
-    Node positions are distinct, so two edges sharing a node overlap along a
-    collinear stretch of positive length exactly when they leave it on the
-    same ray: the pairs are the adjacent collinear overlaps.  Parallel edges
-    tie at both ends and are listed once.
+    Raises GeometryError at the lowest node where two edges leave on the same
+    ray (they overlap along a collinear stretch, so no rotation system orders
+    them), naming the lowest such pair.
     """
     incident: dict[int, list[int]] = {}
     for e in g.edges:
         incident.setdefault(e.u, []).append(e.id)
         incident.setdefault(e.v, []).append(e.id)
 
-    runs: dict[int, list[list[int]]] = {}
-    same_ray: set[tuple[int, int]] = set()
+    order: dict[int, list[int]] = {}
     for node_id in sorted(incident):
         x, y = g.node(node_id).pos
         direction = {}
@@ -143,37 +134,23 @@ def _sort_by_direction(
         def cmp(e1: int, e2: int) -> int:
             return geometry.compare_directions(direction[e1], direction[e2])
 
-        node_runs: list[list[int]] = []
-        for eid in sorted(incident[node_id], key=functools.cmp_to_key(cmp)):
-            if node_runs and cmp(node_runs[-1][0], eid) == 0:
-                node_runs[-1].append(eid)
-            else:
-                node_runs.append([eid])
-        runs[node_id] = node_runs
-        for run in node_runs:
-            same_ray.update(itertools.combinations(sorted(run), 2))
-    return runs, sorted(same_ray)
+        # stable on ascending ids: edges on one ray end up adjacent, in id order
+        ccw = sorted(incident[node_id], key=functools.cmp_to_key(cmp))
+        ties = [(a, b) for a, b in zip(ccw, ccw[1:]) if cmp(a, b) == 0]
+        if ties:
+            a, b = min(ties)
+            raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
+        order[node_id] = ccw
+    return order
 
 
 def _rotation(
-    runs: dict[int, list[list[int]]], removed: set[int]
+    order: dict[int, list[int]], removed: set[int]
 ) -> dict[int, tuple[int, ...]]:
     """The direction order of each node's surviving edges; nodes left with no
     edge are dropped."""
-    rotation: dict[int, tuple[int, ...]] = {}
-    for node_id, node_runs in runs.items():
-        rot: list[int] = []
-        for run in node_runs:
-            kept = [eid for eid in run if eid not in removed]
-            if len(kept) > 1:
-                raise InternalInvariantError(
-                    f"edges {kept[0]} and {kept[1]} leave node {node_id} in the "
-                    "exact same direction; rotation system undefined"
-                )
-            rot += kept
-        if rot:
-            rotation[node_id] = tuple(rot)
-    return rotation
+    rotation = {v: tuple(eid for eid in ccw if eid not in removed) for v, ccw in order.items()}
+    return {v: rot for v, rot in rotation.items() if rot}
 
 
 def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
@@ -248,8 +225,6 @@ def build_dual(emb: PlanarEmbedding) -> DualGraph:
         f2 = emb.face_of[(e.v, eid)]
         edges.append(DualEdge(k, f1, f2, e.weight, eid))
     dual = DualGraph(len(emb.faces), tuple(edges))
-    if len(dual.edges) != len(emb.kept_edge_ids):
-        raise InternalInvariantError("dual edge count mismatch")
     boundary_len = [len(f) for f in emb.faces]
     if dual.degrees() != boundary_len:
         raise InternalInvariantError(

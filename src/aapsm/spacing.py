@@ -329,13 +329,12 @@ def apply_spaces(
     inserted_x = sum(c.width for c in plan.cuts if c.axis == AXIS_VERTICAL)
     inserted_y = sum(c.width for c in plan.cuts if c.axis == AXIS_HORIZONTAL)
 
+    new_bbox = None
     if layout.bbox is not None:
         # the declared outline is a container: it grows by the inserted
         # widths, so the area identity (W+Wx)*(H+Wy) holds by construction
         x1, y1, x2, y2 = layout.bbox
-        old_area = (x2 - x1) * (y2 - y1)
         new_bbox = (x1, y1, x2 + inserted_x, y2 + inserted_y)
-        new_area = (x2 - x1 + inserted_x) * (y2 - y1 + inserted_y)
         # checked before the new Layout rejects it as invalid input: a rect
         # that escapes the grown box is a fault of the surgery, not the input
         for r in rects:
@@ -343,21 +342,20 @@ def apply_spaces(
                 raise InternalInvariantError(
                     f"rect {r.id} escaped the grown bounding box"
                 )
-        new_layout = Layout(rects, layout.rules, new_bbox)
-    else:
-        # no declared outline: report tight boxes (cuts outside the hull move
-        # everything and change nothing, so no arithmetic identity applies)
-        def tight_area(lay: Layout) -> int:
-            box = lay.bounding_box()
-            if box is None:
-                return 0
-            bx1, by1, bx2, by2 = box
-            return (bx2 - bx1) * (by2 - by1)
+    new_layout = Layout(rects, layout.rules, new_bbox)
 
-        old_area = tight_area(layout)
-        new_layout = Layout(rects, layout.rules, None)
-        new_area = tight_area(new_layout)
-    return new_layout, AreaReport(old_area, new_area, inserted_x, inserted_y)
+    # the declared bbox when there is one, else the tight box (cuts outside
+    # the hull move everything and change nothing, so no identity applies)
+    def box_area(lay: Layout) -> int:
+        box = lay.bounding_box()
+        if box is None:
+            return 0
+        bx1, by1, bx2, by2 = box
+        return (bx2 - bx1) * (by2 - by1)
+
+    return new_layout, AreaReport(
+        box_area(layout), box_area(new_layout), inserted_x, inserted_y
+    )
 
 
 def dump_plan(plan: SpacePlan) -> str:

@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, reports, dumps, reproducibility."""
 
+import argparse
 import concurrent.futures
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from aapsm.cli import main
+from aapsm.cli import build_parser, main
 from aapsm.generator import generate_layout
 from aapsm.layout import parse_layout, serialize_layout
 
@@ -215,26 +218,53 @@ class TestOptionValidation:
         assert captured.err == f"error=--jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "fixed").exists()
 
-    def test_negative_exact_cover_limit_rejected(self, conflict_layout_file, tmp_path, capsys):
-        out_file = tmp_path / "fixed.lay"
-        code = main(
-            ["correct", str(conflict_layout_file), "--exact-cover-limit", "-5",
-             "--out", str(out_file)]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "error=--exact-cover-limit must be non-negative, got -5\n"
-        assert not out_file.exists()
-
     def test_boundary_values_accepted(self, conflict_layout_file, tmp_path, capsys):
-        code, out = run_cli(
-            ["correct", str(conflict_layout_file), "--jobs", "1",
-             "--exact-cover-limit", "0", "--out", str(tmp_path / "fixed.lay")],
+        out_file = tmp_path / "fixed.lay"
+        code, _ = run_cli(
+            ["correct", str(conflict_layout_file), "--jobs", "1", "--out", str(out_file)],
             capsys,
         )
         assert code == 0
-        assert "cuts_exact=na" in out
+        assert out_file.exists()
+
+
+class TestStemCollisions:
+    """Several inputs write --out-dir and --dump-* outputs named by their
+    stems; two inputs with one stem exit 2 before anything is written."""
+
+    @pytest.fixture
+    def same_stem_files(self, tmp_path):
+        text = serialize_layout(generate_layout(12, features=8, motif_density=1.0))
+        paths = [tmp_path / "a" / "x.lay", tmp_path / "b" / "x.lay"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(text)
+        return paths
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+    @pytest.mark.parametrize("command, flag", [("detect", "--dump-graph"), ("correct", "--out-dir")])
+    def test_shared_stem_rejected(self, command, flag, jobs, same_stem_files, tmp_path, capsys):
+        target = tmp_path / "out"
+        before = sorted(tmp_path.rglob("*"))
+        code = main([command, *map(str, same_stem_files), flag, str(target), *jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        first, second = same_stem_files
+        assert captured.err == (
+            f"error=inputs {first} and {second} share the stem x; "
+            "their outputs would collide\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_distinct_stems_accepted(self, clean_layout_file, conflict_layout_file, tmp_path, capsys):
+        code, _ = run_cli(
+            ["correct", str(clean_layout_file), str(conflict_layout_file),
+             "--out-dir", str(tmp_path / "fixed")],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "fixed").iterdir()) == ["clean.fixed", "comb.fixed"]
 
 
 class TestFileErrors:
@@ -373,3 +403,20 @@ class TestSubprocessReproducibility:
         ]
         assert runs[0].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+
+
+def test_readme_cli_flags_accepted():
+    """Every --flag that README's CLI section names is accepted by some
+    subcommand, and each --prefix-* wildcard matches at least one flag."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*\*?", section))
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
+    flags = {f for f in named if not f.endswith("*")}
+    assert len(flags) >= 10
+    assert flags <= accepted, sorted(flags - accepted)
+    for wildcard in named - flags:
+        assert any(flag.startswith(wildcard[:-1]) for flag in accepted), wildcard

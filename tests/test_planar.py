@@ -1,6 +1,8 @@
 """Planarization, rotation/face tracing, and the dual graph."""
 
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,6 @@ from aapsm.conflict_graph import (
 from aapsm.errors import GeometryError, InternalInvariantError
 from aapsm.planar import (
     _euler_check,
-    _sort_by_direction,
     _trace_faces,
     build_dual,
     dump_embedding,
@@ -166,7 +167,10 @@ class TestPlanarize:
         assert len(emb.removed_edge_ids) == optimum == 3
 
     def test_greedy_never_beats_optimum(self):
+        # graphs with two edges leaving a node on one ray are not in general
+        # position and are rejected; the optimality bound holds on the rest
         rng = random.Random(4242)
+        rejected = 0
         for _ in range(40):
             n = rng.randint(4, 7)
             points = []
@@ -186,6 +190,11 @@ class TestPlanarize:
                 used.add((min(u, v), max(u, v)))
                 edges.append((u, v, rng.randint(1, 6)))
             g = raw_graph(points, edges)
+            if adjacent_collinear_pairs_oracle(g):
+                with pytest.raises(GeometryError, match="on the same ray"):
+                    planarize(g)
+                rejected += 1
+                continue
             crossings = find_crossings(g)
             weights = {e.id: e.weight for e in g.edges}
             optimum = min_crossing_removal_weight(weights, crossings)
@@ -193,6 +202,7 @@ class TestPlanarize:
             removed_weight = sum(weights[e] for e in emb.removed_edge_ids)
             assert removed_weight >= optimum
             assert find_crossings(g, emb.kept_edge_ids) == ()
+        assert rejected == 4
 
 
 def random_grid_graph(rng: random.Random):
@@ -205,34 +215,55 @@ def random_grid_graph(rng: random.Random):
     return raw_graph(points, edges)
 
 
+def same_ray_ties(g, pairs):
+    """node -> the pairs among `pairs` whose two edges leave it on one ray.
+
+    The pairs are adjacent collinear overlaps, so the edges of a pair leave
+    each node they share on one ray; a parallel pair ties at both ends.
+    """
+    ties: dict[int, list[tuple[int, int]]] = {}
+    for a, b in pairs:
+        ea, eb = g.edge(a), g.edge(b)
+        for v in {ea.u, ea.v} & {eb.u, eb.v}:
+            ties.setdefault(v, []).append((a, b))
+    return ties
+
+
 class TestAdjacentOverlaps:
+    """Two edges leaving a node on the same ray break general position:
+    planarize rejects them, naming the lowest node and its lowest pair."""
+
     def test_three_edges_on_one_ray_and_parallel_edges(self):
         g = raw_graph(
             [(0, 0), (1, 0), (2, 0), (3, 0), (0, 5)],
             [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1), (0, 4, 1)],
         )
-        runs, same_ray = _sort_by_direction(g)
-        assert runs[0] == [[0, 1, 2], [3, 4]]
-        # the parallel pair ties at both of its nodes but is listed once
-        assert same_ray == [(0, 1), (0, 2), (1, 2), (3, 4)]
-        assert set(same_ray) == adjacent_collinear_pairs_oracle(g)
-        emb = planarize(g)
-        assert emb.removed_edge_ids == (0, 1, 3)
-        assert emb.rotation[0] == (2, 4)
+        assert adjacent_collinear_pairs_oracle(g) == {(0, 1), (0, 2), (1, 2), (3, 4)}
+        with pytest.raises(GeometryError, match=r"^edges 0 and 1 leave node 0 on the same ray"):
+            planarize(g)
 
     def test_direction_ties_match_all_pairs_oracle(self):
         rng = random.Random(2718)
         with_pairs = with_long_run = 0
         for _ in range(300):
             g = random_grid_graph(rng)
-            runs, same_ray = _sort_by_direction(g)
             oracle = adjacent_collinear_pairs_oracle(g)
-            assert set(same_ray) == oracle
-            assert len(same_ray) == len(oracle)
-            with_pairs += bool(oracle)
-            with_long_run += any(len(r) >= 3 for rs in runs.values() for r in rs)
-            kept = set(planarize(g).kept_edge_ids)
-            assert not any(a in kept and b in kept for a, b in oracle)
+            if not oracle:
+                planarize(g)
+                continue
+            with pytest.raises(GeometryError) as info:
+                planarize(g)
+            named = re.match(r"edges (\d+) and (\d+) leave node (\d+) ", str(info.value))
+            a, b, node = map(int, named.groups())
+            assert (a, b) in oracle
+            ties = same_ray_ties(g, oracle)
+            assert node == min(ties) and (a, b) == min(ties[node])
+            with_pairs += 1
+            # an edge in two pairs at one node: three edges leave it on one ray
+            with_long_run += any(
+                max(Counter(e for pair in pairs for e in pair).values()) >= 2
+                for pairs in ties.values()
+            )
         assert with_pairs > 100 and with_long_run > 50
 
 
