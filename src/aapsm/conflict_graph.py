@@ -175,9 +175,10 @@ def _perturb_degenerate_overlaps(
     nudged off the position the earlier one holds (moving overlap nodes alone
     could never separate them).  Only overlap nodes are listed as perturbed.
 
-    This is the one place general position is established: planarize
-    requires distinct node positions and no two edges leaving a node on the
-    same ray, and rejects a drawing without them (GeometryError, exit 2).
+    This is the one place general position is established:
+    planar.require_general_position demands distinct node positions and no
+    two edges leaving a node on the same ray, and rejects a drawing without
+    them (GeometryError, exit 2).
     """
     held: set[tuple[int, int]] = set()
     for node in nodes:

@@ -7,6 +7,7 @@ non-deterministic (timing, paths) enters a report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bipartize import (
     ConflictSet,
@@ -29,7 +30,13 @@ from .layout import (
     find_overlapping_pairs,
     generate_shifters,
 )
-from .planar import DualGraph, PlanarEmbedding, build_dual, planarize
+from .planar import (
+    DualGraph,
+    PlanarEmbedding,
+    build_dual,
+    planarize,
+    require_general_position,
+)
 from .spacing import (
     AreaReport,
     SpacePlan,
@@ -75,11 +82,39 @@ def detect(
     run_greedy_baseline: bool = False,
 ) -> DetectionResult:
     """Run the conflict detection flow and assemble the per-design report."""
+    return _detect_back(
+        layout, _detect_front(layout, weight_mode), design_name, weight_mode,
+        run_greedy_baseline,
+    )
+
+
+class _Front(NamedTuple):
+    """What detection builds before planarizing: enough to tell whether the
+    layout has any conflict at all."""
+
+    shifters: tuple[Shifter, ...]
+    pairs: tuple
+    graph: PhaseConflictGraph
+    balanced: bool  # the PCG two-colors
+
+
+def _detect_front(layout: Layout, weight_mode: str) -> _Front:
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     graph = build_conflict_graph(shifters, pairs, layout.rules, weight_mode)
-    balanced_before = is_bipartite(graph).ok
+    return _Front(shifters, pairs, graph, is_bipartite(graph).ok)
 
+
+def _detect_back(
+    layout: Layout,
+    front: _Front,
+    design_name: str,
+    weight_mode: str,
+    run_greedy_baseline: bool = False,
+) -> DetectionResult:
+    """Planarize, dual, T-join, conflict set, phases and report, on what
+    `_detect_front` built."""
+    shifters, pairs, graph, balanced_before = front
     embedding = planarize(graph)
     dual = build_dual(embedding)
 
@@ -146,8 +181,11 @@ def detect(
 def correct(
     detection: DetectionResult, allow_uncovered: bool = False
 ) -> CorrectionResult:
-    """Plan and apply spaces for the detected conflicts, then re-detect.
+    """Plan and apply spaces for the detected conflicts, then count what is left.
 
+    The residual count is what `detect` of the corrected layout would report.
+    Its PCG is built and two-colored first: when that succeeds the count is
+    0, and planarize, the dual and the T-join run only when it fails.
     Without a cut the layout is unchanged and the residual count is the
     input detection's own conflict count.
 
@@ -173,10 +211,15 @@ def correct(
 
     new_layout, area = apply_spaces(layout, detection.shifters, plan)
     if plan.cuts:
-        residual = detect(
-            new_layout, design_name="residual", weight_mode=detection.weight_mode
-        )
-        residual_count = len(residual.conflicts)
+        front = _detect_front(new_layout, detection.weight_mode)
+        if front.balanced:
+            # detect finds a conflict exactly when its PCG does not two-color
+            # (it checks so); of its back half only the geometry check applies
+            require_general_position(front.graph)
+            residual_count = 0
+        else:
+            residual = _detect_back(new_layout, front, "residual", detection.weight_mode)
+            residual_count = len(residual.conflicts)
     else:
         # no space inserted: detect is deterministic, so re-detecting the
         # unchanged layout would reproduce the input detection

@@ -9,6 +9,7 @@ geometry and tracing faces.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -55,14 +56,34 @@ class DualGraph:
         return deg
 
 
-def find_crossings(
-    g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """All pairs of non-adjacent edges whose closed segments intersect.
+def require_general_position(g: PhaseConflictGraph) -> None:
+    """Reject a drawing that is not in general position, in O(V + E).
 
-    Edges sharing an endpoint are never reported.  Raises GeometryError when
-    two distinct nodes sit at the same position (no usable drawing exists).
+    Raises GeometryError at the lowest node that shares its position with an
+    earlier one; then at the lowest node where two edges leave on the same
+    ray (they overlap along a collinear stretch, so no rotation system
+    orders them), naming the lowest such pair.  build_conflict_graph
+    establishes general position, so a pipeline graph passes.
     """
+    _require_distinct_positions(g)
+    # (node, primitive direction) -> the lowest edge leaving the node on it
+    first_on_ray: dict[tuple[int, int, int], int] = {}
+    ties = []
+    pos = [n.pos for n in g.nodes]
+    for e in g.edges:
+        (ux, uy), (vx, vy) = pos[e.u], pos[e.v]
+        step = math.gcd(vx - ux, vy - uy)
+        dx, dy = (vx - ux) // step, (vy - uy) // step
+        for ray in ((e.u, dx, dy), (e.v, -dx, -dy)):
+            first = first_on_ray.setdefault(ray, e.id)
+            if first != e.id:
+                ties.append((ray[0], first, e.id))
+    if ties:
+        node_id, a, b = min(ties)
+        raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
+
+
+def _require_distinct_positions(g: PhaseConflictGraph) -> None:
     seen: dict[tuple[int, int], int] = {}
     for n in g.nodes:
         if n.pos in seen:
@@ -71,6 +92,16 @@ def find_crossings(
             )
         seen[n.pos] = n.id
 
+
+def find_crossings(
+    g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """All pairs of non-adjacent edges whose closed segments intersect.
+
+    Edges sharing an endpoint are never reported.  Raises GeometryError when
+    two distinct nodes sit at the same position (no usable drawing exists).
+    """
+    _require_distinct_positions(g)
     edges = [g.edge(eid) for eid in (edge_ids if edge_ids is not None else range(len(g.edges)))]
     segs = [(g.node(e.u).pos, g.node(e.v).pos) for e in edges]
     out = []
@@ -92,7 +123,8 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     it: two coincident nodes or two edges leaving a node on the same ray
     raise GeometryError.
     """
-    crossings = list(find_crossings(g))  # rejects coincident nodes first
+    require_general_position(g)
+    crossings = list(find_crossings(g))
     order = _sort_by_direction(g)
     removed: list[int] = []
     while crossings:
@@ -112,12 +144,8 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
 
 
 def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:
-    """Each node's incident edges counterclockwise from +x.
-
-    Raises GeometryError at the lowest node where two edges leave on the same
-    ray (they overlap along a collinear stretch, so no rotation system orders
-    them), naming the lowest such pair.
-    """
+    """Each node's incident edges counterclockwise from +x; in general
+    position no two of them leave on one ray."""
     incident: dict[int, list[int]] = {}
     for e in g.edges:
         incident.setdefault(e.u, []).append(e.id)
@@ -134,13 +162,7 @@ def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:
         def cmp(e1: int, e2: int) -> int:
             return geometry.compare_directions(direction[e1], direction[e2])
 
-        # stable on ascending ids: edges on one ray end up adjacent, in id order
-        ccw = sorted(incident[node_id], key=functools.cmp_to_key(cmp))
-        ties = [(a, b) for a, b in zip(ccw, ccw[1:]) if cmp(a, b) == 0]
-        if ties:
-            a, b = min(ties)
-            raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
-        order[node_id] = ccw
+        order[node_id] = sorted(incident[node_id], key=functools.cmp_to_key(cmp))
     return order
 
 

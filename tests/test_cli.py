@@ -383,6 +383,14 @@ class TestGenerate:
         )
         assert code == 2
 
+    def test_python_m_aapsm_runs_the_cli(self, capsys):
+        args = ["generate", "--seed", "1", "--features", "5"]
+        run = subprocess.run(
+            [sys.executable, "-m", "aapsm", *args], capture_output=True, text=True, env=cli_env()
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == run_cli(args, capsys)[1]
+
 
 class TestSubprocessReproducibility:
     def test_detect_bytes_stable_across_processes(self, tmp_path):

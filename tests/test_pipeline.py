@@ -18,6 +18,7 @@ from aapsm.conflict_graph import (
 from aapsm.errors import (
     EXIT_INPUT_ERROR,
     AapsmError,
+    GeometryError,
     InternalInvariantError,
     LayoutValidationError,
     UncorrectableConflictError,
@@ -176,11 +177,12 @@ class TestFuzzGate:
 
 
 class TestResidualCount:
-    """`correct` re-detects only when it inserted a space; without a cut the
-    residual count is the input detection's.  Either way it must equal a
-    fresh `detect` of the corrected layout in the same weight mode, and every
-    T-join solved on the way must weigh what the paper's gadget reduction in
-    the given shape gives."""
+    """`correct` re-detects only when it inserted a space, and planarizes the
+    corrected layout only when its conflict graph does not two-color; without
+    a cut the residual count is the input detection's.  Either way it must
+    equal a fresh `detect` of the corrected layout in the same weight mode,
+    on both sides of the two-coloring, and every T-join solved on the way
+    must weigh what the paper's gadget reduction in the given shape gives."""
 
     DESIGNS = {
         "comb": lambda: generate_layout(1, 40, 0.7),
@@ -191,6 +193,8 @@ class TestResidualCount:
         "manhattan1094": lambda: manhattan_layout(1094),
         # cuts under separation weights only
         "manhattan1035": lambda: manhattan_layout(1035),
+        # cuts, and a residual that does not two-color: 10 conflicts remain
+        "manhattan1000": lambda: manhattan_layout(1000),
     }
 
     @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
@@ -206,6 +210,7 @@ class TestResidualCount:
 
         monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", spy)
         reused = 0
+        cut_residual_left = set()  # a corrected layout with/without conflicts
         for name, make in self.DESIGNS.items():
             det = detect(make(), weight_mode=weight_mode)
             cor = correct(det, allow_uncovered=True)
@@ -213,7 +218,10 @@ class TestResidualCount:
             assert cor.residual_conflicts == len(fresh.conflicts), name
             if not cor.plan.cuts and cor.residual_conflicts > 0:
                 reused += 1
+            if cor.plan.cuts:
+                cut_residual_left.add(cor.residual_conflicts > 0)
         assert reused >= 2
+        assert cut_residual_left == {False, True}
         assert any(inst.t_nodes for inst, _ in solved)
         for inst, weight in solved:
             assert weight == gadget_route_tjoin(inst, gadget_mode)[1]
@@ -265,6 +273,46 @@ class TestCorrectErrors:
         res = detect(layout)
         cor = correct(res, allow_uncovered=True)
         assert cor.uncovered
+
+
+class TestBalancedResidualGeometry:
+    """A corrected layout whose conflict graph two-colors is not planarized,
+    yet it is rejected exactly as `detect` rejects it when its drawing is
+    not in general position."""
+
+    # a comb with one coverable conflict, and far right a bar whose upper
+    # shifter shares its center with the lower shifter of a shorter bar
+    # above it, until the conflict graph nudges one of them
+    COMB_AND_CONCENTRIC_BARS = (
+        "rules 150 200 50 200\n"
+        "bbox -2500 -2270 7731 4388\n"
+        "rect poly 0 230 1131 330\n"
+        "rect poly 400 688 500 1888\n"
+        "rect poly 1131 688 1231 1888\n"
+        "rect poly 4731 0 5731 100\n"
+        "rect poly 4831 400 5631 500\n"
+    )
+
+    def test_unperturbed_drawing_raises_like_detect(self, monkeypatch):
+        det = detect(parse_layout(self.COMB_AND_CONCENTRIC_BARS))
+        cor = correct(det)
+        assert cor.plan.cuts and cor.residual_conflicts == 0
+
+        planarized = []
+        planarize = aapsm.pipeline.planarize
+        monkeypatch.setattr(
+            aapsm.pipeline, "planarize", lambda g: planarized.append(g) or planarize(g)
+        )
+        monkeypatch.setattr(
+            conflict_graph, "_perturb_degenerate_overlaps", lambda nodes, edges: (nodes, [])
+        )
+        with pytest.raises(GeometryError, match="share position") as from_detect:
+            detect(cor.new_layout)
+        assert len(planarized) == 1
+        with pytest.raises(GeometryError) as from_correct:
+            correct(det)
+        assert len(planarized) == 1
+        assert str(from_correct.value) == str(from_detect.value)
 
 
 class TestFaultsStillCaught:

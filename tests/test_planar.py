@@ -22,6 +22,7 @@ from aapsm.planar import (
     dump_embedding,
     find_crossings,
     planarize,
+    require_general_position,
 )
 
 from conftest import sample_micro_pcgs
@@ -265,6 +266,41 @@ class TestAdjacentOverlaps:
                 for pairs in ties.values()
             )
         assert with_pairs > 100 and with_long_run > 50
+
+
+class TestRequireGeneralPosition:
+    def test_coincident_nodes_rejected(self):
+        g = raw_graph([(0, 0), (5, 5), (0, 0), (5, 5)], [(0, 1, 1)])
+        with pytest.raises(GeometryError, match=r"^nodes 0 and 2 share position \(0, 0\)$"):
+            require_general_position(g)
+
+    def test_same_ray_names_lowest_node_and_pair(self):
+        # node 1 ties on two rays: edges 2 and 3, of different lengths, leave
+        # it along (1, 1), and edges 1, 4 and 5 along (1, 0); node 0 ties on
+        # no ray, and nodes 2 and 3 tie on (1, 1) and (-1, -1) but are higher
+        g = raw_graph(
+            [(10, 10), (0, 0), (2, 2), (6, 6), (3, 0), (7, 0), (9, 0), (2, 8)],
+            [(0, 7, 1), (1, 4, 1), (2, 1, 1), (1, 3, 1), (1, 5, 1), (6, 1, 1),
+             (2, 3, 1), (2, 0, 9)],
+        )
+        with pytest.raises(GeometryError, match=r"^edges 1 and 4 leave node 1 on the same ray$"):
+            require_general_position(g)
+        g = raw_graph(
+            [(10, 10), (0, 0), (2, 2), (6, 6), (-4, 6), (-2, 3)],
+            [(0, 2, 1), (1, 3, 1), (4, 1, 1), (5, 1, 1)],
+        )
+        # directions reduce by their gcd whatever their signs: (-4, 6) and
+        # (-2, 3) are one ray
+        with pytest.raises(GeometryError, match=r"^edges 2 and 3 leave node 1 on the same ray$"):
+            require_general_position(g)
+
+    def test_opposite_rays_pass(self):
+        g = raw_graph(
+            [(0, 0), (3, 0), (-5, 0), (0, 4), (0, -2), (6, 9), (-2, -3)],
+            [(0, 1, 1), (2, 0, 1), (0, 3, 1), (4, 0, 1), (0, 5, 1), (6, 0, 1)],
+        )
+        require_general_position(g)
+        planarize(g)
 
 
 class TestFacesAndDual:

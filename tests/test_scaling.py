@@ -20,7 +20,9 @@ two-coloring: the `balanced_before` verdict and the phases, plus the
 greedy baseline's phases.  The counts are the same whatever the design.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
-cuts costs no `detect` at all.  `apply_spaces` moves each rect once for all
+cuts builds no conflict graph at all.  A changed layout's conflict graph is
+built once; it is planarized only when it does not two-color, since only
+then can the residual count be above 0.  `apply_spaces` moves each rect once for all
 cuts together, so it builds at most one rect per rect whatever the cut
 count, and none for a plan without cuts.
 """
@@ -167,22 +169,36 @@ def test_detect_checks_balance_once(monkeypatch, greedy, max_forests, expect_col
 
 
 @pytest.mark.parametrize(
-    "density, features, detects", [(0.0, 150, 0), (0.7, 40, 1)], ids=["rows", "comb"]
+    "make, graphs, planarized",
+    [
+        (lambda: generate_layout(1, 150, 0.0), 0, 0),
+        # every residual two-colors: the PCG is built, never planarized
+        (lambda: generate_layout(1, 40, 0.7), 1, 0),
+        # 3 cuts, residual 10: the back half reuses the PCG the front half built
+        (lambda: manhattan_layout(1000), 1, 1),
+    ],
+    ids=["rows", "comb", "manhattan"],
 )
-def test_correct_redetects_only_changed_layouts(monkeypatch, density, features, detects):
-    det = detect(generate_layout(1, features, density))
-    calls = []
-    redetect = aapsm.pipeline.detect
+def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, planarized):
+    det = detect(make())
+    calls = Counter()
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return redetect(*args, **kwargs)
+    def counted(name):
+        stage = getattr(aapsm.pipeline, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        return spy
 
     with monkeypatch.context() as m:
-        m.setattr(aapsm.pipeline, "detect", spy)
+        for name in ("build_conflict_graph", "planarize"):
+            m.setattr(aapsm.pipeline, name, counted(name))
         cor = correct(det, allow_uncovered=True)
-    assert bool(cor.plan.cuts) == bool(detects)
-    assert len(calls) == detects
+    assert bool(cor.plan.cuts) == bool(graphs)
+    assert (calls["build_conflict_graph"], calls["planarize"]) == (graphs, planarized)
+    assert (cor.residual_conflicts > 0) == bool(planarized)
 
 
 def rects_built(monkeypatch, design, cuts) -> int:

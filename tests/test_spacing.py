@@ -1,5 +1,6 @@
 """Correction intervals, space planning, and the geometry surgery."""
 
+import itertools
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from aapsm.spacing import (
 )
 from aapsm.setcover import greedy_cover
 
-from conftest import make_shifter
+from conftest import make_shifter, manhattan_layout
 from oracles import (
     apply_spaces_oracle,
     candidate_coverage_oracle,
@@ -701,3 +702,25 @@ class TestEndToEnd:
         text = dump_plan(plan)
         assert "cut v 100 25 conflicts=0-1,2-3" in text
         assert "uncovered 4-5" in text
+
+    def test_compliant_shifter_pairs_stay_compliant(self):
+        """No shifter pair at or beyond the spacing rule before `correct`
+        ends below it: shifters are regenerated from the moved features
+        (matched by id), and a cut may bring a pair closer, never under."""
+        designs = [(f"manhattan{seed}", manhattan_layout(seed)) for seed in range(5000, 5200)]
+        designs += [(f"comb{seed}", generate_layout(seed, 40, 0.7)) for seed in range(1000, 1040)]
+        corrected = 0
+        for name, layout in designs:
+            detection = detect(layout)
+            correction = correct_pipeline(detection, allow_uncovered=True)
+            if not correction.plan.cuts:
+                continue
+            corrected += 1
+            spacing = layout.rules.min_shifter_spacing
+            after = {s.id: s.rect for s in generate_shifters(correction.new_layout)}
+            for a, b in itertools.combinations(detection.shifters, 2):
+                if rect_separation(a.rect, b.rect) >= spacing:
+                    assert rect_separation(after[a.id], after[b.id]) >= spacing, (
+                        name, a.id, b.id,
+                    )
+        assert corrected >= 200
