@@ -12,6 +12,8 @@ and overlap midpoints are exact integers.
 
 from __future__ import annotations
 
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from . import geometry
@@ -39,7 +41,8 @@ PHASE_A = 0
 PHASE_B = 180
 
 _PERTURB_LIMIT = 16
-_PERTURB_SWEEPS = 3
+
+Line = tuple[int, int, int]  # primitive direction (dx, dy), offset: see _line_span
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,12 @@ def _perturb_degenerate_overlaps(
     nudged off the position the earlier one holds (moving overlap nodes alone
     could never separate them).  Only overlap nodes are listed as perturbed.
 
+    One hashed pass over the drawing (_degenerate_overlap_nodes) flags the
+    degenerate overlap nodes; when it flags none, as on most designs, nothing
+    else runs.  Otherwise the flagged nodes are visited in id order, each
+    re-checked and, while still degenerate, moved to the first delta where it
+    is not, against a position index and a line index kept current as it moves.
+
     This is the one place general position is established:
     planar.require_general_position demands distinct node positions and no
     two edges leaving a node on the same ray, and rejects a drawing without
@@ -198,50 +207,56 @@ def _perturb_degenerate_overlaps(
             nodes[node.id] = node
         held.add(node.pos)
 
-    # From here on only overlap nodes move, each by a delta in [0, _PERTURB_LIMIT]
-    # per axis from where it sits now, so two edges whose boxes, grown by the
-    # limit on their high sides, miss each other can never meet.
-    incident: dict[int, list[int]] = {n.id: [] for n in nodes}
-    for e in edges:
-        incident[e.u].append(e.id)
-        incident[e.v].append(e.id)
-    grown = []
-    for e in edges:
-        x_lo, y_lo, x_hi, y_hi = geometry.segment_box(nodes[e.u].pos, nodes[e.v].pos)
-        grown.append((x_lo, y_lo, x_hi + _PERTURB_LIMIT, y_hi + _PERTURB_LIMIT))
-    near: list[list[int]] = [[] for _ in edges]
-    for i, j in geometry.box_pairs(grown):
-        near[i].append(j)
-        near[j].append(i)
+    flagged = _degenerate_overlap_nodes(nodes, edges)
+    if not flagged:
+        return nodes, []
 
+    incident: dict[int, list[int]] = {nid: [] for nid in flagged}
+    for e in edges:
+        for end in (e.u, e.v):
+            if end in incident:
+                incident[end].append(e.id)
+    at = Counter(n.pos for n in nodes)
+    lines: dict[Line, set[int]] = defaultdict(set)
+    for e in edges:
+        _file_edge(lines, nodes, e, set.add)
+
+    def move(nid: int, dx: int, dy: int) -> None:
+        """Put the node at its built position plus (dx, dy), keeping the
+        indexes current."""
+        node = nodes[nid]
+        for eid in incident[nid]:
+            _file_edge(lines, nodes, edges[eid], set.discard)
+        at[node.pos] -= 1
+        base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
+        nodes[nid] = node = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
+        at[node.pos] += 1
+        for eid in incident[nid]:
+            _file_edge(lines, nodes, edges[eid], set.add)
+
+    # Both tests are symmetric (a shared position, an overlapping pair of
+    # edges) and a node stops only where it is not degenerate, so a move
+    # never makes another node degenerate: the flagged nodes are the only
+    # ones that can need a nudge, and one visit each settles them.
     perturbed: list[int] = []
-    for sweep in range(_PERTURB_SWEEPS + 1):  # the last sweep only verifies
-        changed = False
-        for node in nodes:
-            if node.kind != NODE_OVERLAP or not _is_degenerate(
-                node.id, nodes, edges, incident, near
-            ):
-                continue
-            if sweep == _PERTURB_SWEEPS:
-                raise InternalInvariantError(
-                    f"overlap node {node.id} still degenerate after perturbation sweeps"
-                )
-            base_x = node.x - node.perturb[0]
-            base_y = node.y - node.perturb[1]
-            for dx, dy in _perturb_deltas():
-                nodes[node.id] = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
-                if not _is_degenerate(node.id, nodes, edges, incident, near):
-                    break
-            else:
-                raise InternalInvariantError(
-                    f"cannot resolve degenerate overlap node {node.id} "
-                    f"within {_PERTURB_LIMIT} quarter-nm"
-                )
-            if node.id not in perturbed:
-                perturbed.append(node.id)
-            changed = True
-        if not changed:
-            break
+    for nid in flagged:
+        if not _is_degenerate(nid, nodes, edges, incident, at, lines):
+            continue
+        for dx, dy in _perturb_deltas():
+            move(nid, dx, dy)
+            if not _is_degenerate(nid, nodes, edges, incident, at, lines):
+                break
+        else:
+            raise InternalInvariantError(
+                f"cannot resolve degenerate overlap node {nid} "
+                f"within {_PERTURB_LIMIT} quarter-nm"
+            )
+        perturbed.append(nid)
+    left = _degenerate_overlap_nodes(nodes, edges)
+    if left:
+        raise InternalInvariantError(
+            f"overlap node {left[0]} still degenerate after perturbation"
+        )
     return nodes, perturbed
 
 
@@ -252,31 +267,90 @@ def _perturb_deltas():
         yield (k, _PERTURB_LIMIT)
 
 
+def _line_span(a: geometry.Point, b: geometry.Point) -> tuple[Line, int, int] | None:
+    """The line through a and b, and the interval lo < hi the segment covers
+    on it; None when a == b, since a point has no line and overlaps nothing.
+
+    The line is keyed by its primitive direction (dx, dy), signed so that
+    dx > 0 or dx == 0 < dy, and by the offset dx*y - dy*x that every point of
+    it shares; lo and hi project a and b onto (dx, dy).  Exact integers.
+    """
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if not (dx or dy):
+        return None
+    step = math.gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        step = -step
+    dx, dy = dx // step, dy // step
+    ta, tb = dx * a[0] + dy * a[1], dx * b[0] + dy * b[1]
+    return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
+
+
+def _file_edge(lines: dict[Line, set[int]], nodes: list[PcgNode], e: PcgEdge, op) -> None:
+    """Apply op (set.add or set.discard) to the id set of the edge's line."""
+    span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+    if span is not None:
+        op(lines[span[0]], e.id)
+
+
+def _degenerate_overlap_nodes(nodes: list[PcgNode], edges: list[PcgEdge]) -> list[int]:
+    """The overlap nodes _is_degenerate holds for, in id order, in one pass.
+
+    A node is flagged when a Counter of positions holds its position twice,
+    or when one of its edges overlaps another along a stretch of positive
+    length.  Edges are grouped by line; sorted by lo, an edge overlaps one
+    before it exactly when its lo is below the running maximum hi before
+    it, and one after it exactly when the next edge's lo is below its hi.
+    """
+    pos = [n.pos for n in nodes]
+    is_overlap = [n.kind == NODE_OVERLAP for n in nodes]
+    count = Counter(pos)
+    flagged = {n.id for n in nodes if is_overlap[n.id] and count[pos[n.id]] > 1}
+    lines: dict[Line, list[tuple[int, int, int]]] = defaultdict(list)
+    for e in edges:
+        span = _line_span(pos[e.u], pos[e.v])
+        if span is not None:
+            key, lo, hi = span
+            lines[key].append((lo, hi, e.id))
+    for group in lines.values():
+        if len(group) < 2:
+            continue
+        group.sort()
+        reach = group[0][0]
+        for k, (lo, hi, eid) in enumerate(group):
+            if lo < reach or (k + 1 < len(group) and group[k + 1][0] < hi):
+                e = edges[eid]
+                flagged.update(end for end in (e.u, e.v) if is_overlap[end])
+            reach = max(reach, hi)
+    return sorted(flagged)
+
+
 def _is_degenerate(
     node_id: int,
     nodes: list[PcgNode],
     edges: list[PcgEdge],
     incident: dict[int, list[int]],
-    near: list[list[int]],
+    at: Counter,
+    lines: dict[Line, set[int]],
 ) -> bool:
     """The node shares its position with another node, or one of its edges
     overlaps another edge along a collinear stretch.
 
-    Only the edges `near` the node's own edges are read.  The node is an
-    overlap node, and every other node has an edge that is not one of its
-    two halves (a feature edge, or the halves of another overlap node), so a
-    node at the same position is an endpoint of a near edge.
+    `at` counts the nodes at each position and `lines` holds the ids of the
+    edges on each line (_line_span), both for the drawing as it stands, so
+    only the edges on the lines of the node's own edges are read.
     """
-    pos = nodes[node_id].pos
+    if at[nodes[node_id].pos] > 1:
+        return True
     for eid in incident[node_id]:
         e = edges[eid]
         a, b = nodes[e.u].pos, nodes[e.v].pos
-        for fid in near[eid]:
+        span = _line_span(a, b)
+        if span is None:
+            continue
+        for fid in lines[span[0]]:
             f = edges[fid]
-            c, d = nodes[f.u].pos, nodes[f.v].pos
-            if (c == pos and f.u != node_id) or (d == pos and f.v != node_id):
-                return True
-            if geometry.collinear_overlap(a, b, c, d):
+            if fid != eid and geometry.collinear_overlap(a, b, nodes[f.u].pos, nodes[f.v].pos):
                 return True
     return False
 

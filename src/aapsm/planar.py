@@ -102,6 +102,13 @@ def find_crossings(
     two distinct nodes sit at the same position (no usable drawing exists).
     """
     _require_distinct_positions(g)
+    return _crossings(g, edge_ids)
+
+
+def _crossings(
+    g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """find_crossings on a drawing whose node positions are known distinct."""
     edges = [g.edge(eid) for eid in (edge_ids if edge_ids is not None else range(len(g.edges)))]
     segs = [(g.node(e.u).pos, g.node(e.v).pos) for e in edges]
     out = []
@@ -124,7 +131,7 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     raise GeometryError.
     """
     require_general_position(g)
-    crossings = list(find_crossings(g))
+    crossings = list(_crossings(g))
     order = _sort_by_direction(g)
     removed: list[int] = []
     while crossings:

@@ -26,7 +26,10 @@ from aapsm.conflict_graph import (
 from aapsm.errors import InternalInvariantError
 from aapsm.generator import generate_layout
 from aapsm.layout import (
+    FEATURE_LAYER,
     DesignRules,
+    Layout,
+    Rect,
     find_overlapping_pairs,
     generate_shifters,
     parse_layout,
@@ -60,13 +63,63 @@ def skip_overlap_row():
     return shifters, find_overlapping_pairs(shifters, rules), rules
 
 
+def whole_graph_degenerate_nodes(nodes, edges):
+    return [
+        n.id for n in nodes if n.kind == NODE_OVERLAP and is_degenerate_oracle(n.id, nodes, edges)
+    ]
+
+
 def use_whole_graph_degeneracy_scan(monkeypatch):
-    """Make the perturbation test every node against the whole graph."""
+    """Make the perturbation flag and test every node against the whole graph."""
+    monkeypatch.setattr(conflict_graph, "_degenerate_overlap_nodes", whole_graph_degenerate_nodes)
     monkeypatch.setattr(
         conflict_graph,
         "_is_degenerate",
         lambda node_id, nodes, edges, *index: is_degenerate_oracle(node_id, nodes, edges),
     )
+
+
+def oracle_cases():
+    """(shifters, pairs, rules) inputs on which the perturbation is compared
+    with the whole-graph oracle."""
+    cases = [(shifters, pairs, layout.rules) for layout, shifters, pairs, _ in
+             sample_micro_pcgs(31337, 200, max_features=8)]
+    cases.append(skip_overlap_row())
+    # shifters on a coarse grid line up edges and midpoints all the time
+    rng = random.Random(1)
+    rules = DesignRules(150, 100, 0, 150)
+    for _ in range(100):
+        shifters = tuple(
+            make_shifter(i, i // 2, "low" if i % 2 == 0 else "high",
+                         rng.randrange(0, 1000, 100), rng.randrange(0, 1000, 100),
+                         w=rng.choice((100, 200)), h=rng.choice((100, 200)))
+            for i in range(2 * rng.randint(2, 6))
+        )
+        cases.append((shifters, find_overlapping_pairs(shifters, rules), rules))
+    return cases
+
+
+CONCENTRIC_LAYOUT = (
+    "rules 150 200 50 200\n"
+    "bbox 0 -1000 4000 2500\n"
+    "rect poly 1000 0 2000 100\n"
+    "rect poly 1100 400 1900 500\n"
+)
+
+
+def coarse_grid_layout(rng):
+    """Ten critical wires on a 50 nm grid over a 1.5 um square: shifter
+    centers and overlap midpoints line up far more often than on the 10 nm
+    grid of the benchmark's random wires."""
+    rects = []
+    while len(rects) < 10:
+        length = rng.randrange(400, 1000, 50)
+        x, y = rng.randrange(0, 1500, 50), rng.randrange(0, 1500, 50)
+        w, h = (100, length) if rng.random() < 0.5 else (length, 100)
+        rect = Rect(x, y, x + w, y + h, FEATURE_LAYER, len(rects))
+        if not any(rect.interior_overlaps(other) for other in rects):
+            rects.append(rect)
+    return Layout(tuple(rects))
 
 
 class TestBuild:
@@ -176,18 +229,12 @@ class TestPerturbation:
         """The upper shifter of one bar and the lower shifter of a shorter
         bar above it share a center, so their nodes coincide until the later
         one is nudged."""
-        text = (
-            "rules 150 200 50 200\n"
-            "bbox 0 -1000 4000 2500\n"
-            "rect poly 1000 0 2000 100\n"
-            "rect poly 1100 400 1900 500\n"
-        )
         path = tmp_path / "concentric.lay"
-        path.write_text(text)
+        path.write_text(CONCENTRIC_LAYOUT)
         assert main(["detect", str(path)]) == 0
         assert "conflicts_pcg=0" in capsys.readouterr().out
 
-        layout = parse_layout(text)
+        layout = parse_layout(CONCENTRIC_LAYOUT)
         shifters = generate_shifters(layout)
         pairs = find_overlapping_pairs(shifters, layout.rules)
         g = build_conflict_graph(shifters, pairs, layout.rules)
@@ -199,24 +246,12 @@ class TestPerturbation:
         constraints += [(a, b, True) for a, b, _ in pairs]
         assert is_bipartite(g).ok == phase_feasible(len(shifters), constraints)
 
-    def test_near_lists_match_whole_graph_oracle(self, monkeypatch):
-        """Testing each node's edges only against the edges near them moves
-        exactly the nodes, by exactly the deltas, that a whole-graph scan
-        for coincident nodes and collinear overlaps moves."""
-        cases = [(shifters, pairs, layout.rules) for layout, shifters, pairs, _ in
-                 sample_micro_pcgs(31337, 200, max_features=8)]
-        cases.append(skip_overlap_row())
-        # shifters on a coarse grid line up edges and midpoints all the time
-        rng = random.Random(1)
-        rules = DesignRules(150, 100, 0, 150)
-        for _ in range(100):
-            shifters = tuple(
-                make_shifter(i, i // 2, "low" if i % 2 == 0 else "high",
-                             rng.randrange(0, 1000, 100), rng.randrange(0, 1000, 100),
-                             w=rng.choice((100, 200)), h=rng.choice((100, 200)))
-                for i in range(2 * rng.randint(2, 6))
-            )
-            cases.append((shifters, find_overlapping_pairs(shifters, rules), rules))
+    def test_hashed_pass_matches_whole_graph_oracle(self, monkeypatch):
+        """Flagging nodes in one hashed pass and testing them against the
+        position and line indexes moves exactly the nodes, by exactly the
+        deltas, that a whole-graph scan for coincident nodes and collinear
+        overlaps moves."""
+        cases = oracle_cases()
         fast = [build_conflict_graph(*case) for case in cases]
         use_whole_graph_degeneracy_scan(monkeypatch)
         assert sum(bool(g.perturbed_nodes) for g in fast) >= 20
@@ -224,6 +259,75 @@ class TestPerturbation:
             slow = build_conflict_graph(*case)
             assert g.nodes == slow.nodes
             assert g.perturbed_nodes == slow.perturbed_nodes
+
+    def test_one_pass_flags_exactly_the_oracle_nodes(self, monkeypatch):
+        """Every drawing _degenerate_overlap_nodes sees while the graphs are
+        built, the one before any nudge and the one after, gets exactly the
+        overlap nodes the whole-graph oracle calls degenerate."""
+        seen = []
+        one_pass = conflict_graph._degenerate_overlap_nodes
+
+        def spy(nodes, edges):
+            seen.append((list(nodes), edges))
+            return one_pass(nodes, edges)
+
+        monkeypatch.setattr(conflict_graph, "_degenerate_overlap_nodes", spy)
+        concentric = parse_layout(CONCENTRIC_LAYOUT)
+        shifters = generate_shifters(concentric)
+        cases = oracle_cases()
+        cases.append((shifters, find_overlapping_pairs(shifters, concentric.rules),
+                      concentric.rules))
+        for case in cases:
+            build_conflict_graph(*case)
+        # the concentric overlap node sits on a shifter node: a zero-length half
+        zero_length = [
+            (nodes, edges) for nodes, edges in seen
+            if any(nodes[e.u].pos == nodes[e.v].pos for e in edges)
+        ]
+        assert zero_length
+        flagged = 0
+        for nodes, edges in seen:
+            got = one_pass(nodes, edges)
+            assert got == whole_graph_degenerate_nodes(nodes, edges)
+            flagged += bool(got)
+        assert flagged >= 20
+
+    @pytest.mark.parametrize(
+        "spots, ends, flagged",
+        [
+            # nested: (40, 50) overlaps (0, 100) but not (20, 30) sorted before it
+            ("s0,0 s100,0 s20,0 s40,0 o30,0 o50,0", [(0, 1), (2, 4), (3, 5)], [4, 5]),
+            # equal: one segment twice
+            ("s0,0 o0,70", [(0, 1), (0, 1)], [1]),
+            # touching end to end, along an axis and along a diagonal
+            ("s0,0 o100,0 s120,0 s0,10 o30,20 s60,30", [(0, 1), (1, 2), (3, 4), (4, 5)], []),
+            # opposite directions and negative coordinates, on one line
+            ("s-30,-10 o30,10 s60,20 o0,0", [(0, 1), (2, 3)], [1, 3]),
+            ("s0,-5 o0,-50 s0,-10 o0,-40", [(0, 1), (2, 3)], [1, 3]),
+            ("s-90,-30 o-60,-20 s0,0 o-30,-10", [(0, 1), (2, 3)], []),
+            # parallel, one quarter-nm apart
+            ("s0,0 o30,10 s0,1 o30,11", [(0, 1), (2, 3)], []),
+        ],
+        ids=["nested", "equal", "touching", "diagonal", "vertical", "gap", "parallel"],
+    )
+    def test_one_pass_on_hand_built_lines(self, spots, ends, flagged):
+        nodes = [
+            PcgNode(k, NODE_OVERLAP if spot[0] == "o" else NODE_EDGE_SHIFTER,
+                    *map(int, spot[1:].split(",")))
+            for k, spot in enumerate(spots.split())
+        ]
+        edges = [PcgEdge(k, u, v, 1, EDGE_OVERLAP_HALF, (0, 1)) for k, (u, v) in enumerate(ends)]
+        assert len({n.pos for n in nodes}) == len(nodes)
+        assert conflict_graph._degenerate_overlap_nodes(nodes, edges) == flagged
+        assert whole_graph_degenerate_nodes(nodes, edges) == flagged
+
+    def test_line_key_ignores_direction_and_sign(self):
+        key = lambda a, b: conflict_graph._line_span(a, b)[0]  # noqa: E731
+        assert key((-30, -10), (30, 10)) == key((60, 20), (0, 0)) == key((-90, -30), (-60, -20))
+        assert key((0, -5), (0, -50)) == key((0, -10), (0, -40))
+        assert key((7, 3), (-2, 3)) == key((-20, 3), (-30, 3))
+        assert key((0, 0), (30, 10)) != key((0, 1), (30, 11))
+        assert conflict_graph._line_span((5, -5), (5, -5)) is None
 
     def test_moved_node_checked_against_edges_beyond_its_box(self, monkeypatch):
         """Overlap node 4 sits on feature edge 0, and its first nudge lands on
@@ -240,6 +344,17 @@ class TestPerturbation:
         assert fast[0][4].pos == (0, 2) and fast[1] == [4]
         use_whole_graph_degeneracy_scan(monkeypatch)
         assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
+
+    def test_coarse_grid_designs_general_position(self):
+        """Random wires on a coarse grid need many nudges; each graph still
+        comes out in general position."""
+        rng = random.Random(50)
+        perturbed = 0
+        for _ in range(200):
+            g = graph_from(coarse_grid_layout(rng))
+            TestGeneralPosition.assert_general_position(g)
+            perturbed += len(g.perturbed_nodes)
+        assert perturbed >= 50, perturbed
 
 
 class TestGeneralPosition:

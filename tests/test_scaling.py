@@ -3,7 +3,10 @@
 Geometry: row layouts keep every shifter and PCG edge within a bounded
 neighbourhood, so an indexed search makes a number of exact-predicate calls
 proportional to the feature count; an all-pairs scan makes a number
-proportional to its square (4x the features, about 16x the calls).
+proportional to its square (4x the features, about 16x the calls).  The PCG
+build finds degenerate overlap nodes in one hashed pass by position and by
+line, with no box sweep; a node it does not flag is never tested again, so
+a design with none makes no degeneracy test at all.
 
 T-join: primal series chains (overlap nodes, shifter chains) put many
 parallel edges between one pair of faces; the instance handed to the T-join
@@ -73,6 +76,51 @@ def test_predicate_calls_grow_linearly(monkeypatch):
     many = predicate_calls(monkeypatch, generate_layout(1, 600, 0.0))
     assert few > 0
     assert many / few < 8, (few, many)
+
+
+def degeneracy_tests(monkeypatch, design):
+    """(the graph, the node ids `_is_degenerate` was asked about, the nodes
+    the first hashed pass flagged, `box_pairs` calls) in one PCG build."""
+    shifters = layout.generate_shifters(design)
+    pairs = layout.find_overlapping_pairs(shifters, design.rules)
+    tested, passes, sweeps = [], [], 0
+    is_degenerate = conflict_graph._is_degenerate
+    one_pass = conflict_graph._degenerate_overlap_nodes
+    box_pairs = geometry.box_pairs
+
+    def spy_test(node_id, *args):
+        tested.append(node_id)
+        return is_degenerate(node_id, *args)
+
+    def spy_pass(nodes, edges):
+        passes.append(one_pass(nodes, edges))
+        return passes[-1]
+
+    def spy_boxes(boxes):
+        nonlocal sweeps
+        sweeps += 1
+        return box_pairs(boxes)
+
+    with monkeypatch.context() as m:
+        m.setattr(conflict_graph, "_is_degenerate", spy_test)
+        m.setattr(conflict_graph, "_degenerate_overlap_nodes", spy_pass)
+        m.setattr(geometry, "box_pairs", spy_boxes)
+        g = conflict_graph.build_conflict_graph(shifters, pairs, design.rules)
+    return g, tested, passes[0], sweeps
+
+
+@pytest.mark.parametrize("density", [0.0, 0.7])
+def test_pcg_build_without_degeneracy_tests_nothing(monkeypatch, density):
+    g, tested, flagged, sweeps = degeneracy_tests(monkeypatch, generate_layout(1, 600, density))
+    assert g.perturbed_nodes == () and flagged == []
+    assert tested == [] and sweeps == 0
+
+
+def test_pcg_build_tests_only_flagged_nodes(monkeypatch):
+    # two flagged overlap nodes; nudging the first one settles the second
+    g, tested, flagged, sweeps = degeneracy_tests(monkeypatch, manhattan_layout(1165))
+    assert 0 < len(g.perturbed_nodes) < len(flagged)
+    assert set(tested) == set(flagged) and sweeps == 0
 
 
 def matched_instance(monkeypatch, design, **detect_options):
