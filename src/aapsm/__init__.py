@@ -46,7 +46,15 @@ from .layout import (
 )
 from .matching import min_weight_perfect_matching
 from .pipeline import CorrectionResult, DetectionResult, correct, detect
-from .planar import DualGraph, PlanarEmbedding, build_dual, find_crossings, planarize
+from .planar import (
+    DualGraph,
+    PlanarEmbedding,
+    build_dual,
+    embed,
+    find_crossings,
+    planarize,
+    remove_crossings,
+)
 from .spacing import apply_spaces, compute_intervals, plan_spaces
 from .tjoin import (
     EdgeAssignment,

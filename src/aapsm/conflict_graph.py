@@ -94,6 +94,7 @@ class PhaseConflictGraph:
 class BipartiteResult:
     ok: bool
     witness: tuple[int, ...] | None = None  # unbalanced cycle edge ids when not
+    colors: tuple[int, ...] | None = None  # the signed two-coloring when ok
 
 
 def build_conflict_graph(
@@ -379,12 +380,15 @@ def is_bipartite(
 ) -> BipartiteResult:
     """Decide whether the graph minus the removed edges is phase-assignable.
 
-    The witness is the first unbalanced cycle the signed two-coloring closes.
-    `detect` compares the verdict with its conflict set once.
+    The witness is the first unbalanced cycle the signed two-coloring closes;
+    when there is none, the colors are that coloring, which `phase_assign`
+    can certify instead of coloring again.
     """
     removed = set(removed_edge_ids)
-    _, witness = _two_color(g, [e for e in g.edges if e.id not in removed])
-    return BipartiteResult(witness is None, witness)
+    color, witness = _two_color(g, [e for e in g.edges if e.id not in removed])
+    if witness is not None:
+        return BipartiteResult(False, witness)
+    return BipartiteResult(True, None, tuple(color))
 
 
 def _two_color(g: PhaseConflictGraph, kept: list[PcgEdge]) -> tuple[list[int], tuple | None]:
@@ -429,26 +433,31 @@ def _path_to_root(x: int, parent: dict[int, tuple[int, int] | None]) -> set[int]
 
 
 def phase_assign(
-    g: PhaseConflictGraph, deleted_edge_ids: tuple[int, ...] | frozenset = ()
+    g: PhaseConflictGraph,
+    deleted_edge_ids: tuple[int, ...] | frozenset = (),
+    colors: tuple[int, ...] | None = None,
 ) -> dict[int, int]:
     """Assign 0/180 phases to every node so all surviving constraints hold.
 
     The phases are the signed two-coloring's colors: overlap nodes carry the
     phase shared by their pair, and the lowest node id of each connected
-    component gets phase 0 (canonical polarity).  Raises when a surviving
+    component gets phase 0 (canonical polarity).  `colors`, when given, is
+    that coloring of the graph minus the deleted edges as `is_bipartite`
+    returned it, and is not computed again.  Raises when a surviving
     unbalanced cycle makes assignment impossible.  The final loop, which
     checks every kept constraint against the phases, is the balance
     certificate `detect` relies on.
     """
     deleted = set(deleted_edge_ids)
     kept = [e for e in g.edges if e.id not in deleted]
-    color, witness = _two_color(g, kept)
-    if witness is not None:
-        raise InternalInvariantError(
-            f"residual unbalanced cycle through edges {list(witness)}; "
-            "cannot assign phases"
-        )
-    phases = {n.id: PHASE_B if color[n.id] else PHASE_A for n in g.nodes}
+    if colors is None:
+        colors, witness = _two_color(g, kept)
+        if witness is not None:
+            raise InternalInvariantError(
+                f"residual unbalanced cycle through edges {list(witness)}; "
+                "cannot assign phases"
+            )
+    phases = {n.id: PHASE_B if colors[n.id] else PHASE_A for n in g.nodes}
     for e in kept:
         same = phases[e.u] == phases[e.v]
         if e.is_equal_constraint != same:

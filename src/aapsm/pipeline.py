@@ -16,6 +16,7 @@ from .bipartize import (
     finalize_conflicts,
 )
 from .conflict_graph import (
+    BipartiteResult,
     PhaseConflictGraph,
     build_conflict_graph,
     is_bipartite,
@@ -34,7 +35,8 @@ from .planar import (
     DualGraph,
     PlanarEmbedding,
     build_dual,
-    planarize,
+    embed,
+    remove_crossings,
     require_general_position,
 )
 from .spacing import (
@@ -49,12 +51,19 @@ from .tjoin import MODE_GENERALIZED
 
 @dataclass
 class DetectionResult:
+    """What `detect` found on one layout.
+
+    `embedding` (the crossing-free survivors of `removed_edge_ids`, embedded)
+    and `dual` are built on first access when `detect` did not need them: a
+    layout whose conflict graph two-colors has no conflict, so `detect`
+    embeds it only when asked.  Otherwise they are the ones `detect` built.
+    """
+
     layout: Layout
     shifters: tuple[Shifter, ...]
     overlap_pairs: tuple
     graph: PhaseConflictGraph
-    embedding: PlanarEmbedding
-    dual: DualGraph
+    removed_edge_ids: tuple[int, ...]  # deleted by planarization (the set P)
     optimal_edge_ids: tuple[int, ...]  # bipartization on the embedded graph (NP)
     optimal_weight: int
     conflicts: ConflictSet  # final set including planarization casualties (PCG)
@@ -62,6 +71,20 @@ class DetectionResult:
     greedy: tuple[tuple[int, ...], int, int] | None = None
     report: list[tuple[str, str]] = field(default_factory=list)
     weight_mode: str = WEIGHT_UNIFORM
+    _embedding: PlanarEmbedding | None = field(default=None, repr=False, compare=False)
+    _dual: DualGraph | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def embedding(self) -> PlanarEmbedding:
+        if self._embedding is None:
+            self._embedding = embed(self.graph, self.removed_edge_ids)
+        return self._embedding
+
+    @property
+    def dual(self) -> DualGraph:
+        if self._dual is None:
+            self._dual = build_dual(self.embedding)
+        return self._dual
 
 
 @dataclass
@@ -89,20 +112,20 @@ def detect(
 
 
 class _Front(NamedTuple):
-    """What detection builds before planarizing: enough to tell whether the
-    layout has any conflict at all."""
+    """What detection builds before removing crossings: enough to tell
+    whether the layout has any conflict at all."""
 
     shifters: tuple[Shifter, ...]
     pairs: tuple
     graph: PhaseConflictGraph
-    balanced: bool  # the PCG two-colors
+    balance: BipartiteResult  # ok when the PCG two-colors, with its colors
 
 
 def _detect_front(layout: Layout, weight_mode: str) -> _Front:
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     graph = build_conflict_graph(shifters, pairs, layout.rules, weight_mode)
-    return _Front(shifters, pairs, graph, is_bipartite(graph).ok)
+    return _Front(shifters, pairs, graph, is_bipartite(graph))
 
 
 def _detect_back(
@@ -112,25 +135,37 @@ def _detect_back(
     weight_mode: str,
     run_greedy_baseline: bool = False,
 ) -> DetectionResult:
-    """Planarize, dual, T-join, conflict set, phases and report, on what
-    `_detect_front` built."""
-    shifters, pairs, graph, balanced_before = front
-    embedding = planarize(graph)
-    dual = build_dual(embedding)
-
-    optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual)
-
-    conflicts = finalize_conflicts(
-        graph, embedding.removed_edge_ids, optimal_edge_ids
-    )
-    phases = phase_assign(graph, frozenset(conflicts.edge_ids))
-    # Balanced means T is empty and no casualty contradicts, so no conflicts;
-    # no conflicts means phase_assign verified every edge, so balanced.
-    if balanced_before == bool(conflicts.conflicts):
-        raise InternalInvariantError(
-            "two-coloring and union-find conflict selection disagree "
-            f"(balanced_before={balanced_before}, conflicts={len(conflicts)})"
-        )
+    """Crossing removal, then conflict set, phases and report, on what
+    `_detect_front` built.  A PCG that does not two-color is also embedded,
+    and its dual's T-join picks the conflicts."""
+    shifters, pairs, graph, balance = front
+    balanced_before = balance.ok
+    removed = remove_crossings(graph)
+    if balanced_before:
+        # Nothing to delete: phase_assign's loop checks every constraint
+        # against the front's colors, so zero conflicts is optimal.
+        embedding = dual = None
+        optimal_edge_ids, optimal_weight = (), 0
+        conflicts = ConflictSet((), 0)
+        try:
+            phases = phase_assign(graph, colors=balance.colors)
+        except InternalInvariantError as err:
+            raise InternalInvariantError(
+                f"two-coloring and its phase certificate disagree: {err}"
+            ) from err
+    else:
+        embedding = embed(graph, removed)
+        dual = build_dual(embedding)
+        optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual)
+        conflicts = finalize_conflicts(graph, removed, optimal_edge_ids)
+        phases = phase_assign(graph, frozenset(conflicts.edge_ids))
+        # no conflicts would mean phase_assign verified every edge, so the
+        # graph is balanced after all
+        if not conflicts.conflicts:
+            raise InternalInvariantError(
+                "two-coloring and union-find conflict selection disagree "
+                "(balanced_before=False, conflicts=0)"
+            )
 
     greedy = bipartize_greedy(graph) if run_greedy_baseline else None
 
@@ -144,7 +179,7 @@ def _detect_back(
         ("graph_edges", str(len(graph.edges))),
         ("perturbed_overlap_nodes", str(len(graph.perturbed_nodes))),
         ("balanced_before", "1" if balanced_before else "0"),
-        ("crossings_removed", str(len(embedding.removed_edge_ids))),
+        ("crossings_removed", str(len(removed))),
         # a constant the golden reports and perfbench's replay both pin
         ("gadget_mode", MODE_GENERALIZED),
         ("weight_mode", weight_mode),
@@ -166,8 +201,7 @@ def _detect_back(
         shifters,
         pairs,
         graph,
-        embedding,
-        dual,
+        removed,
         optimal_edge_ids,
         optimal_weight,
         conflicts,
@@ -175,6 +209,8 @@ def _detect_back(
         greedy,
         report,
         weight_mode,
+        embedding,
+        dual,
     )
 
 
@@ -185,7 +221,8 @@ def correct(
 
     The residual count is what `detect` of the corrected layout would report.
     Its PCG is built and two-colored first: when that succeeds the count is
-    0, and planarize, the dual and the T-join run only when it fails.
+    0, and crossing removal, the embedding, the dual and the T-join run
+    only when it fails.
     Without a cut the layout is unchanged and the residual count is the
     input detection's own conflict count.
 
@@ -212,9 +249,9 @@ def correct(
     new_layout, area = apply_spaces(layout, detection.shifters, plan)
     if plan.cuts:
         front = _detect_front(new_layout, detection.weight_mode)
-        if front.balanced:
-            # detect finds a conflict exactly when its PCG does not two-color
-            # (it checks so); of its back half only the geometry check applies
+        if front.balance.ok:
+            # detect reports no conflict for a PCG that two-colors; of its
+            # back half only the general-position check bears on the count
             require_general_position(front.graph)
             residual_count = 0
         else:

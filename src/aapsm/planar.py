@@ -122,7 +122,12 @@ def _crossings(
 
 
 def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
-    """Delete crossing edges greedily, then embed the survivors.
+    """Delete crossing edges greedily, then embed the survivors."""
+    return embed(g, remove_crossings(g))
+
+
+def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
+    """The sorted ids of the edges deleted to leave no crossing.
 
     Iterated greedy: while any crossing remains, delete the minimum-weight
     edge participating in one (ties: most crossings, then lowest edge id).
@@ -132,7 +137,6 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
     """
     require_general_position(g)
     crossings = list(_crossings(g))
-    order = _sort_by_direction(g)
     removed: list[int] = []
     while crossings:
         count: Counter[int] = Counter()
@@ -142,12 +146,19 @@ def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
         victim = min(count, key=lambda eid: (g.edge(eid).weight, -count[eid], eid))
         removed.append(victim)
         crossings = [c for c in crossings if victim not in c]
-    removed_set = set(removed)
+    return tuple(sorted(removed))
+
+
+def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmbedding:
+    """Embed the edges `remove_crossings` left: the rotation system read off
+    the geometry, the faces traced from it, and the Euler check on each
+    component."""
+    removed_set = set(removed_edge_ids)
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
-    rotation = _rotation(order, removed_set)
+    rotation = _rotation(_sort_by_direction(g), removed_set)
     faces, face_of = _trace_faces(g, rotation)
     _euler_check(g, rotation, faces)
-    return PlanarEmbedding(g, kept, tuple(sorted(removed)), rotation, faces, face_of)
+    return PlanarEmbedding(g, kept, tuple(removed_edge_ids), rotation, faces, face_of)
 
 
 def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:

@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 import aapsm.bipartize
 import aapsm.pipeline
 from aapsm import conflict_graph
-from aapsm.bipartize import ORIGIN_PLANARIZATION
+from aapsm.bipartize import ORIGIN_PLANARIZATION, bipartize_optimal, finalize_conflicts
 from aapsm.conflict_graph import (
     WEIGHT_SEPARATION,
     WEIGHT_UNIFORM,
     BipartiteResult,
     is_bipartite,
+    phase_assign,
 )
 from aapsm.errors import (
     EXIT_INPUT_ERROR,
@@ -26,6 +27,7 @@ from aapsm.errors import (
 from aapsm.generator import generate_layout
 from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout
 from aapsm.pipeline import correct, detect, render_report
+from aapsm.planar import build_dual, planarize
 from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
 
@@ -275,10 +277,49 @@ class TestCorrectErrors:
         assert cor.uncovered
 
 
+class TestBalancedShortcut:
+    """`detect` settles a design whose conflict graph two-colors with the
+    empty conflict set, and runs no embedding, dual, T-join or conflict
+    selection on it.  Run anyway, that back half must find no odd face and
+    no conflict, and give the shortcut's crossing count, phases and report."""
+
+    @staticmethod
+    def balanced_layouts(weight_mode):
+        for seed in range(1, 7):
+            for features in (30, 150):
+                yield generate_layout(seed, features, 0.0)
+            comb = detect(generate_layout(seed, 40, 0.7), weight_mode=weight_mode)
+            yield correct(comb).new_layout
+
+    @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
+    def test_full_back_half_agrees(self, weight_mode):
+        for layout in self.balanced_layouts(weight_mode):
+            det = detect(layout, weight_mode=weight_mode, run_greedy_baseline=True)
+            assert ("balanced_before", "1") in det.report
+            emb = planarize(det.graph)
+            dual = build_dual(emb)
+            assert all(d % 2 == 0 for d in dual.degrees())  # T is empty
+            optimal_edge_ids, optimal_weight, _ = bipartize_optimal(emb, dual)
+            conflicts = finalize_conflicts(det.graph, emb.removed_edge_ids, optimal_edge_ids)
+            assert (optimal_edge_ids, optimal_weight) == ((), 0)
+            assert (conflicts.conflicts, conflicts.total_weight) == ((), 0)
+            assert emb.removed_edge_ids == det.removed_edge_ids
+            assert phase_assign(det.graph, frozenset(conflicts.edge_ids)) == det.phases
+            full = {
+                "crossings_removed": len(emb.removed_edge_ids),
+                "conflicts_np": len(optimal_edge_ids),
+                "weight_np": optimal_weight,
+                "conflicts_pcg": len(conflicts),
+                "weight_pcg": conflicts.total_weight,
+            }
+            expected = [(k, str(full[k]) if k in full else v) for k, v in det.report]
+            assert render_report(expected) == render_report(det.report)
+
+
 class TestBalancedResidualGeometry:
-    """A corrected layout whose conflict graph two-colors is not planarized,
-    yet it is rejected exactly as `detect` rejects it when its drawing is
-    not in general position."""
+    """A corrected layout whose conflict graph two-colors gets no crossing
+    search, yet it is rejected exactly as `detect` rejects it when its
+    drawing is not in general position."""
 
     # a comb with one coverable conflict, and far right a bar whose upper
     # shifter shares its center with the lower shifter of a shorter bar
@@ -298,20 +339,22 @@ class TestBalancedResidualGeometry:
         cor = correct(det)
         assert cor.plan.cuts and cor.residual_conflicts == 0
 
-        planarized = []
-        planarize = aapsm.pipeline.planarize
+        searched = []
+        remove_crossings = aapsm.pipeline.remove_crossings
         monkeypatch.setattr(
-            aapsm.pipeline, "planarize", lambda g: planarized.append(g) or planarize(g)
+            aapsm.pipeline,
+            "remove_crossings",
+            lambda g: searched.append(g) or remove_crossings(g),
         )
         monkeypatch.setattr(
             conflict_graph, "_perturb_degenerate_overlaps", lambda nodes, edges: (nodes, [])
         )
         with pytest.raises(GeometryError, match="share position") as from_detect:
             detect(cor.new_layout)
-        assert len(planarized) == 1
+        assert len(searched) == 1
         with pytest.raises(GeometryError) as from_correct:
             correct(det)
-        assert len(planarized) == 1
+        assert len(searched) == 1
         assert str(from_correct.value) == str(from_detect.value)
 
 

@@ -20,17 +20,27 @@ Balance: a parity union-find is built only where the order edges are
 inserted in decides the answer (the conflict selection, and the greedy
 baseline when it runs).  Every static balance question is one signed
 two-coloring: the `balanced_before` verdict and the phases, plus the
-greedy baseline's phases.  The counts are the same whatever the design.
+greedy baseline's phases.  A design whose graph two-colors takes its phases
+from the verdict's coloring, so it is colored once fewer.
+
+Detection: a design whose conflict graph two-colors has no conflict, so
+`detect` runs only the crossing search of its back half (the report counts
+the crossing edges).  It builds no embedding, dual, T-join or conflict
+selection; the result embeds the graph when its embedding is first asked
+for.  A design that does not two-color keeps the embedding and dual
+`detect` built.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
 cuts builds no conflict graph at all.  A changed layout's conflict graph is
-built once; it is planarized only when it does not two-color, since only
-then can the residual count be above 0.  `apply_spaces` moves each rect once for all
-cuts together, so it builds at most one rect per rect whatever the cut
-count, and none for a plan without cuts.
+built once; crossings are searched and the graph embedded only when it does
+not two-color, since only then can the residual count be above 0.
+`apply_spaces` moves each rect once for all cuts together, so it builds at
+most one rect per rect whatever the cut count, and none for a plan without
+cuts.
 """
 
-from collections import Counter
+import dataclasses
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -41,6 +51,7 @@ from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
 from aapsm.layout import Rect
 from aapsm.pipeline import correct, detect
+from aapsm.planar import build_dual, planarize
 from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
 from aapsm.unionfind import ParityUnionFind
 
@@ -208,26 +219,75 @@ def balance_checks(monkeypatch, design, greedy):
 
 
 @pytest.mark.parametrize(
-    "greedy, max_forests, expect_colorings", [(False, 1, 2), (True, 2, 3)]
+    "greedy, max_forests, unbalanced_colorings", [(False, 1, 2), (True, 2, 3)]
 )
-def test_detect_checks_balance_once(monkeypatch, greedy, max_forests, expect_colorings):
-    for design in (generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7)):
+def test_detect_checks_balance_once(monkeypatch, greedy, max_forests, unbalanced_colorings):
+    # rows designs two-color, and their phases reuse the verdict's coloring
+    for density, balanced in ((0.0, True), (0.7, False)):
+        design = generate_layout(1, 150 if balanced else 40, density)
         forests, colorings = balance_checks(monkeypatch, design, greedy)
+        expect_colorings = unbalanced_colorings - balanced
         assert forests <= max_forests and colorings == expect_colorings, (forests, colorings)
 
 
+BACK_HALF = ("remove_crossings", "embed", "build_dual", "bipartize_optimal", "finalize_conflicts")
+
+
+def back_half_stages(monkeypatch, design):
+    """(`detect(design)`, each back-half stage's return values by name)."""
+    returned = defaultdict(list)
+
+    def spy(name):
+        stage = getattr(aapsm.pipeline, name)
+
+        def wrapper(*args):
+            returned[name].append(stage(*args))
+            return returned[name][-1]
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in BACK_HALF:
+            m.setattr(aapsm.pipeline, name, spy(name))
+        det = detect(design)
+    return det, returned
+
+
+def test_balanced_detect_embeds_on_first_access(monkeypatch):
+    det, returned = back_half_stages(monkeypatch, generate_layout(1, 150, 0.0))
+    assert ("balanced_before", "1") in det.report
+    assert set(returned) == {"remove_crossings"}
+    assert det.removed_edge_ids == returned["remove_crossings"][0]
+    emb = planarize(det.graph)
+    assert det.embedding == emb
+    assert det.dual == build_dual(emb)
+    assert det.embedding is det.embedding and det.dual is det.dual
+
+
+def test_unbalanced_detect_keeps_what_it_built(monkeypatch):
+    det, returned = back_half_stages(monkeypatch, manhattan_layout(1000))
+    assert ("balanced_before", "0") in det.report and det.removed_edge_ids
+    assert {name: len(values) for name, values in returned.items()} == dict.fromkeys(BACK_HALF, 1)
+    (embedding,), (dual,) = returned["embed"], returned["build_dual"]
+    assert det.embedding is embedding and det.dual is dual
+    # built on first access, the embedding leaves out the crossing edges too
+    rebuilt = dataclasses.replace(det, _embedding=None, _dual=None)
+    assert rebuilt.embedding == embedding and rebuilt.dual == dual
+
+
 @pytest.mark.parametrize(
-    "make, graphs, planarized",
+    "make, graphs, embedded",
     [
         (lambda: generate_layout(1, 150, 0.0), 0, 0),
-        # every residual two-colors: the PCG is built, never planarized
+        # every residual two-colors: the PCG is built, never searched for
+        # crossings nor embedded
         (lambda: generate_layout(1, 40, 0.7), 1, 0),
         # 3 cuts, residual 10: the back half reuses the PCG the front half built
         (lambda: manhattan_layout(1000), 1, 1),
     ],
     ids=["rows", "comb", "manhattan"],
 )
-def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, planarized):
+def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, embedded):
     det = detect(make())
     calls = Counter()
 
@@ -241,12 +301,13 @@ def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, plana
         return spy
 
     with monkeypatch.context() as m:
-        for name in ("build_conflict_graph", "planarize"):
+        for name in ("build_conflict_graph", "remove_crossings", "embed"):
             m.setattr(aapsm.pipeline, name, counted(name))
         cor = correct(det, allow_uncovered=True)
     assert bool(cor.plan.cuts) == bool(graphs)
-    assert (calls["build_conflict_graph"], calls["planarize"]) == (graphs, planarized)
-    assert (cor.residual_conflicts > 0) == bool(planarized)
+    assert calls["build_conflict_graph"] == graphs
+    assert calls["remove_crossings"] == calls["embed"] == embedded
+    assert (cor.residual_conflicts > 0) == bool(embedded)
 
 
 def rects_built(monkeypatch, design, cuts) -> int:
