@@ -13,7 +13,7 @@ import pathlib
 import sys
 
 from .conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, dump_graph
-from .errors import AapsmError, EXIT_INPUT_ERROR, EXIT_OK
+from .errors import AapsmError, EXIT_INPUT_ERROR, EXIT_OK, InputError
 from .generator import generate_layout
 from .layout import DesignRules, parse_layout, serialize_layout
 from .pipeline import correct, detect, render_report
@@ -67,18 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_rules(spec: str) -> DesignRules:
     parts = spec.split(",")
     if len(parts) != 4:
-        raise _input_error("--rules expects CW,SW,GAP,MS")
+        raise InputError("--rules expects CW,SW,GAP,MS")
     try:
         cw, sw, gap, ms = (int(p) for p in parts)
     except ValueError as exc:
-        raise _input_error(f"--rules: {exc}") from exc
+        raise InputError(f"--rules: {exc}") from exc
     return DesignRules(cw, sw, gap, ms)
-
-
-def _input_error(message: str) -> AapsmError:
-    err = AapsmError(message)
-    err.exit_code = EXIT_INPUT_ERROR
-    return err
 
 
 def _dump_path(base: str, stem: str, many: bool) -> pathlib.Path:
@@ -93,7 +87,7 @@ def _write(path: pathlib.Path, text: str, make_parent: bool = False) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
-        raise _input_error(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
@@ -104,7 +98,7 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise _input_error(f"cannot read {path}: {exc}") from exc
+            raise InputError(f"cannot read {path}: {exc}") from exc
         layout = parse_layout(text)
         if args.rules:
             layout = dataclasses.replace(layout, rules=_parse_rules(args.rules))

@@ -43,6 +43,7 @@ PHASE_B = 180
 _PERTURB_LIMIT = 16
 
 Line = tuple[int, int, int]  # primitive direction (dx, dy), offset: see _line_span
+LineIndex = dict[Line, dict[int, tuple[int, int]]]  # line -> {edge id: (lo, hi)}
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,9 @@ def _perturb_degenerate_overlaps(
     degenerate overlap nodes; when it flags none, as on most designs, nothing
     else runs.  Otherwise the flagged nodes are visited in id order, each
     re-checked and, while still degenerate, moved to the first delta where it
-    is not, against a position index and a line index kept current as it moves.
+    is not, against a position index and an index of edge spans by line
+    (_line_index) kept current as it moves; the re-check applies the flag
+    pass's rules.
 
     This is the one place general position is established:
     planar.require_general_position demands distinct node positions and no
@@ -218,27 +221,26 @@ def _perturb_degenerate_overlaps(
             if end in incident:
                 incident[end].append(e.id)
     at = Counter(n.pos for n in nodes)
-    lines: dict[Line, set[int]] = defaultdict(set)
-    for e in edges:
-        _file_edge(lines, nodes, e, set.add)
+    lines = _line_index(nodes, edges)
 
     def move(nid: int, dx: int, dy: int) -> None:
         """Put the node at its built position plus (dx, dy), keeping the
         indexes current."""
         node = nodes[nid]
         for eid in incident[nid]:
-            _file_edge(lines, nodes, edges[eid], set.discard)
+            _file_edge(lines, nodes, edges[eid], filed=False)
         at[node.pos] -= 1
         base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
         nodes[nid] = node = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
         at[node.pos] += 1
         for eid in incident[nid]:
-            _file_edge(lines, nodes, edges[eid], set.add)
+            _file_edge(lines, nodes, edges[eid], filed=True)
 
-    # Both tests are symmetric (a shared position, an overlapping pair of
-    # edges) and a node stops only where it is not degenerate, so a move
-    # never makes another node degenerate: the flagged nodes are the only
-    # ones that can need a nudge, and one visit each settles them.
+    # The re-check applies the flag pass's two symmetric rules (a shared
+    # position, an overlapping pair of spans) and a node stops only where it
+    # is not degenerate, so a move never makes another node degenerate: the
+    # flagged nodes are the only ones that can need a nudge, and one visit
+    # each settles them.
     perturbed: list[int] = []
     for nid in flagged:
         if not _is_degenerate(nid, nodes, edges, incident, at, lines):
@@ -287,11 +289,24 @@ def _line_span(a: geometry.Point, b: geometry.Point) -> tuple[Line, int, int] | 
     return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
 
 
-def _file_edge(lines: dict[Line, set[int]], nodes: list[PcgNode], e: PcgEdge, op) -> None:
-    """Apply op (set.add or set.discard) to the id set of the edge's line."""
+def _line_index(nodes: list[PcgNode], edges: list[PcgEdge]) -> LineIndex:
+    """The span of every edge of positive length, filed under its line."""
+    lines: LineIndex = defaultdict(dict)
+    for e in edges:
+        _file_edge(lines, nodes, e, filed=True)
+    return lines
+
+
+def _file_edge(lines: LineIndex, nodes: list[PcgNode], e: PcgEdge, filed: bool) -> None:
+    """File the edge's span under its line, or take it out (filed=False)."""
     span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
-    if span is not None:
-        op(lines[span[0]], e.id)
+    if span is None:
+        return
+    key, lo, hi = span
+    if filed:
+        lines[key][e.id] = (lo, hi)
+    else:
+        del lines[key][e.id]
 
 
 def _degenerate_overlap_nodes(nodes: list[PcgNode], edges: list[PcgEdge]) -> list[int]:
@@ -332,26 +347,27 @@ def _is_degenerate(
     edges: list[PcgEdge],
     incident: dict[int, list[int]],
     at: Counter,
-    lines: dict[Line, set[int]],
+    lines: LineIndex,
 ) -> bool:
     """The node shares its position with another node, or one of its edges
-    overlaps another edge along a collinear stretch.
+    overlaps another edge along a stretch of positive length.
 
-    `at` counts the nodes at each position and `lines` holds the ids of the
-    edges on each line (_line_span), both for the drawing as it stands, so
-    only the edges on the lines of the node's own edges are read.
+    `at` counts the nodes at each position and `lines` holds each edge's
+    span under its line (_line_index), both for the drawing as it stands.
+    Two edges overlap exactly when their spans on one line overlap by a
+    positive length, the rule _degenerate_overlap_nodes sweeps; only the
+    spans on the lines of the node's own edges are read.
     """
     if at[nodes[node_id].pos] > 1:
         return True
     for eid in incident[node_id]:
         e = edges[eid]
-        a, b = nodes[e.u].pos, nodes[e.v].pos
-        span = _line_span(a, b)
+        span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
         if span is None:
             continue
-        for fid in lines[span[0]]:
-            f = edges[fid]
-            if fid != eid and geometry.collinear_overlap(a, b, nodes[f.u].pos, nodes[f.v].pos):
+        key, lo, hi = span
+        for fid, (f_lo, f_hi) in lines[key].items():
+            if fid != eid and max(lo, f_lo) < min(hi, f_hi):
                 return True
     return False
 

@@ -12,6 +12,13 @@ class AapsmError(Exception):
     exit_code = EXIT_INTERNAL
 
 
+class InputError(AapsmError):
+    """An input that cannot be read or an output that cannot be written, or
+    a malformed command-line value."""
+
+    exit_code = EXIT_INPUT_ERROR
+
+
 class LayoutParseError(AapsmError):
     """Malformed layout file."""
 

@@ -1,6 +1,9 @@
-"""Exact integer predicates for 2-D segments, and a box index that feeds them.
+"""Exact integer predicates for 2-D segments and directions, and a box index
+that feeds them.
 
-Everything operates on integer points; there is no epsilon anywhere.
+Everything operates on integer points; there is no epsilon anywhere.  Whether
+two conflict-graph edges overlap along a line is not decided here:
+conflict_graph compares their spans on a shared line (_line_span).
 """
 
 from __future__ import annotations
@@ -67,21 +70,6 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     if o4 == 0 and on_segment(b, c, d):
         return True
     return False
-
-
-def collinear_overlap(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Segments ab and cd lie on one line and share a portion of positive length."""
-    if orient(a, b, c) != 0 or orient(a, b, d) != 0:
-        return False
-    # project on the axis where ab actually extends
-    axis = 0 if a[0] != b[0] else 1
-    lo1, hi1 = sorted((a[axis], b[axis]))
-    lo2, hi2 = sorted((c[axis], d[axis]))
-    if lo2 == hi2:  # cd degenerate on this axis: it extends on the other one
-        axis = 1 - axis
-        lo1, hi1 = sorted((a[axis], b[axis]))
-        lo2, hi2 = sorted((c[axis], d[axis]))
-    return max(lo1, lo2) < min(hi1, hi2)
 
 
 def _half_plane(dx: int, dy: int) -> int:

@@ -191,8 +191,9 @@ def parse_layout(text: str) -> Layout:
 
     Records: ``rect <layer> <x_lo> <y_lo> <x_hi> <y_hi>``,
     ``rules <critical_width> <shifter_width> <shifter_gap> <min_spacing>``,
-    ``bbox <x_lo> <y_lo> <x_hi> <y_hi>``; ``#`` starts a comment.  A
-    ``rules`` or ``bbox`` record may appear at most once.
+    ``bbox <x_lo> <y_lo> <x_hi> <y_hi>``; ``#`` starts a comment that runs
+    to the end of its line.  A ``rules`` or ``bbox`` record may appear at
+    most once.
     """
     rects: list[Rect] = []
     rules = DEFAULT_RULES
@@ -200,10 +201,9 @@ def parse_layout(text: str) -> Layout:
     next_id = 0
     first_line: dict[str, int] = {}  # line of each rules/bbox record
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         if kind in first_line:
             raise LayoutParseError(

@@ -150,26 +150,27 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 
 
 def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmbedding:
-    """Embed the edges `remove_crossings` left: the rotation system read off
-    the geometry, the faces traced from it, and the Euler check on each
-    component."""
+    """Embed the edges `remove_crossings` left: one direction sort of each
+    node's surviving edges gives the rotation system, the faces are traced
+    from it, and the Euler check runs on each component."""
     removed_set = set(removed_edge_ids)
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
-    rotation = _rotation(_sort_by_direction(g), removed_set)
+    rotation = _rotation(g, removed_set)
     faces, face_of = _trace_faces(g, rotation)
     _euler_check(g, rotation, faces)
     return PlanarEmbedding(g, kept, tuple(removed_edge_ids), rotation, faces, face_of)
 
 
-def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:
-    """Each node's incident edges counterclockwise from +x; in general
-    position no two of them leave on one ray."""
+def _rotation(g: PhaseConflictGraph, removed: set[int]) -> dict[int, tuple[int, ...]]:
+    """Each node's surviving edges counterclockwise from +x, for the nodes
+    that keep an edge; in general position no two of them leave on one ray."""
     incident: dict[int, list[int]] = {}
     for e in g.edges:
-        incident.setdefault(e.u, []).append(e.id)
-        incident.setdefault(e.v, []).append(e.id)
+        if e.id not in removed:
+            incident.setdefault(e.u, []).append(e.id)
+            incident.setdefault(e.v, []).append(e.id)
 
-    order: dict[int, list[int]] = {}
+    rotation: dict[int, tuple[int, ...]] = {}
     for node_id in sorted(incident):
         x, y = g.node(node_id).pos
         direction = {}
@@ -180,31 +181,20 @@ def _sort_by_direction(g: PhaseConflictGraph) -> dict[int, list[int]]:
         def cmp(e1: int, e2: int) -> int:
             return geometry.compare_directions(direction[e1], direction[e2])
 
-        order[node_id] = sorted(incident[node_id], key=functools.cmp_to_key(cmp))
-    return order
-
-
-def _rotation(
-    order: dict[int, list[int]], removed: set[int]
-) -> dict[int, tuple[int, ...]]:
-    """The direction order of each node's surviving edges; nodes left with no
-    edge are dropped."""
-    rotation = {v: tuple(eid for eid in ccw if eid not in removed) for v, ccw in order.items()}
-    return {v: rot for v, rot in rotation.items() if rot}
+        rotation[node_id] = tuple(sorted(incident[node_id], key=functools.cmp_to_key(cmp)))
+    return rotation
 
 
 def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
     """Walk half-edges: arriving at v along e, leave on the CCW successor of e
-    in v's rotation.  Interior faces come out counterclockwise."""
-    next_pos: dict[int, dict[int, int]] = {
-        v: {eid: i for i, eid in enumerate(rot)} for v, rot in rotation.items()
+    in v's rotation.  Interior faces come out clockwise, and the outer face
+    of each component counterclockwise."""
+    successor: dict[HalfEdge, int] = {
+        (v, eid): nxt for v, rot in rotation.items() for eid, nxt in zip(rot, rot[1:] + rot[:1])
     }
     faces: list[tuple[HalfEdge, ...]] = []
     face_of: dict[HalfEdge, int] = {}
-    all_half_edges = sorted(
-        (v, eid) for v, rot in rotation.items() for eid in rot
-    )
-    for start in all_half_edges:
+    for start in sorted(successor):
         if start in face_of:
             continue
         walk: list[HalfEdge] = []
@@ -216,10 +206,7 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
             walk.append(cur)
             tail, eid = cur
             head = g.edge(eid).other(tail)
-            rot = rotation[head]
-            idx = next_pos[head][eid]
-            nxt_edge = rot[(idx + 1) % len(rot)]
-            cur = (head, nxt_edge)
+            cur = (head, successor[(head, eid)])
             if cur == start:
                 break
         faces.append(tuple(walk))

@@ -1,6 +1,7 @@
 """Conflict graph construction, bipartiteness detectors, phase assignment."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -77,6 +78,22 @@ def use_whole_graph_degeneracy_scan(monkeypatch):
         "_is_degenerate",
         lambda node_id, nodes, edges, *index: is_degenerate_oracle(node_id, nodes, edges),
     )
+
+
+def nudge_test_flags(nodes, edges):
+    """The overlap nodes `_is_degenerate` holds for, against a position
+    index and a line index built the way the nudge loop builds them."""
+    incident = {n.id: [] for n in nodes if n.kind == NODE_OVERLAP}
+    for e in edges:
+        for end in (e.u, e.v):
+            if end in incident:
+                incident[end].append(e.id)
+    at = Counter(n.pos for n in nodes)
+    lines = conflict_graph._line_index(nodes, edges)
+    return [
+        nid for nid in incident
+        if conflict_graph._is_degenerate(nid, nodes, edges, incident, at, lines)
+    ]
 
 
 def oracle_cases():
@@ -292,6 +309,36 @@ class TestPerturbation:
             flagged += bool(got)
         assert flagged >= 20
 
+    def test_nudge_test_and_flag_pass_are_one_rule(self, monkeypatch):
+        """On every drawing _degenerate_overlap_nodes sees while the graphs
+        are built, _is_degenerate holds for an overlap node exactly when the
+        flag pass flags it; the nudge loop's one visit per flagged node
+        rests on this."""
+        seen = []
+        one_pass = conflict_graph._degenerate_overlap_nodes
+
+        def spy(nodes, edges):
+            seen.append((list(nodes), edges))
+            return one_pass(nodes, edges)
+
+        monkeypatch.setattr(conflict_graph, "_degenerate_overlap_nodes", spy)
+        layouts = [parse_layout(CONCENTRIC_LAYOUT)]
+        rng = random.Random(7)
+        layouts += [coarse_grid_layout(rng) for _ in range(50)]
+        cases = oracle_cases()
+        for layout in layouts:
+            shifters = generate_shifters(layout)
+            cases.append((shifters, find_overlapping_pairs(shifters, layout.rules), layout.rules))
+        for case in cases:
+            build_conflict_graph(*case)
+        assert len(seen) >= len(cases)
+        flagged = 0
+        for nodes, edges in seen:
+            got = one_pass(nodes, edges)
+            assert nudge_test_flags(nodes, edges) == got
+            flagged += len(got)
+        assert flagged >= 100, flagged
+
     @pytest.mark.parametrize(
         "spots, ends, flagged",
         [
@@ -307,8 +354,15 @@ class TestPerturbation:
             ("s-90,-30 o-60,-20 s0,0 o-30,-10", [(0, 1), (2, 3)], []),
             # parallel, one quarter-nm apart
             ("s0,0 o30,10 s0,1 o30,11", [(0, 1), (2, 3)], []),
+            # partial overlaps along x and along y, and an offset parallel on x
+            ("s0,0 o30,0 s20,0 o40,0", [(0, 1), (2, 3)], [1, 3]),
+            ("s0,0 o0,30 s0,20 o0,90", [(0, 1), (2, 3)], [1, 3]),
+            ("s0,0 o30,0 s10,10 o20,10", [(0, 1), (2, 3)], []),
         ],
-        ids=["nested", "equal", "touching", "diagonal", "vertical", "gap", "parallel"],
+        ids=[
+            "nested", "equal", "touching", "diagonal", "vertical", "gap", "parallel",
+            "partial-x", "partial-y", "offset-x",
+        ],
     )
     def test_one_pass_on_hand_built_lines(self, spots, ends, flagged):
         nodes = [
@@ -320,6 +374,7 @@ class TestPerturbation:
         assert len({n.pos for n in nodes}) == len(nodes)
         assert conflict_graph._degenerate_overlap_nodes(nodes, edges) == flagged
         assert whole_graph_degenerate_nodes(nodes, edges) == flagged
+        assert nudge_test_flags(nodes, edges) == flagged
 
     def test_line_key_ignores_direction_and_sign(self):
         key = lambda a, b: conflict_graph._line_span(a, b)[0]  # noqa: E731
@@ -342,6 +397,23 @@ class TestPerturbation:
         ]
         fast = _perturb_degenerate_overlaps(list(nodes), edges)
         assert fast[0][4].pos == (0, 2) and fast[1] == [4]
+        use_whole_graph_degeneracy_scan(monkeypatch)
+        assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
+
+    def test_moved_edge_leaves_its_old_line(self, monkeypatch):
+        """Overlap nodes 1 and 3 are flagged for one overlap on y = 0; the
+        first nudge lifts node 1's edge off that line, which settles node 3
+        only if the edge's old span is taken out of the line index."""
+        spots = [(0, 0), (60, 0), (100, 0), (40, 0), (60, 100), (40, -100)]
+        nodes = [
+            PcgNode(i, NODE_OVERLAP if i in (1, 3) else NODE_EDGE_SHIFTER, x, y)
+            for i, (x, y) in enumerate(spots)
+        ]
+        ends = [(0, 1), (3, 2), (1, 4), (3, 5)]
+        edges = [PcgEdge(k, u, v, 1, EDGE_OVERLAP_HALF, (0, 1)) for k, (u, v) in enumerate(ends)]
+        assert conflict_graph._degenerate_overlap_nodes(nodes, edges) == [1, 3]
+        fast = _perturb_degenerate_overlaps(list(nodes), edges)
+        assert fast[0][1].pos == (60, 1) and fast[0][3].pos == (40, 0) and fast[1] == [1]
         use_whole_graph_degeneracy_scan(monkeypatch)
         assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from aapsm.geometry import (
     box_pairs,
-    collinear_overlap,
     compare_directions,
     segments_intersect,
 )
@@ -29,10 +28,6 @@ def test_disjoint():
 
 def test_collinear_touching_vs_overlap():
     assert segments_intersect((0, 0), (2, 0), (2, 0), (4, 0))
-    assert not collinear_overlap((0, 0), (2, 0), (2, 0), (4, 0))
-    assert collinear_overlap((0, 0), (3, 0), (2, 0), (4, 0))
-    assert collinear_overlap((0, 0), (0, 3), (0, 2), (0, 9))
-    assert not collinear_overlap((0, 0), (3, 0), (1, 1), (2, 1))
 
 
 def test_endpoint_on_interior():

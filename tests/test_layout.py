@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from aapsm.cli import main
 from aapsm.errors import LayoutParseError, LayoutValidationError
 from aapsm.layout import (
     DEFAULT_RULES,
@@ -97,6 +98,32 @@ class TestParse:
             parse_layout(f"{first}\nrect poly 0 0 5 5\n{again}\n")
         assert str(err.value) == f"line 3: repeated {kind} record (first on line 1)"
         assert err.value.line_no == 3
+
+    def test_trailing_comments_are_ignored(self, tmp_path, capsys):
+        plain = (
+            "rules 150 200 50 200\n"
+            "bbox -1000 -1000 3000 3000\n"
+            "rect poly 0 0 100 1000\n"
+            "rect poly 400 0 500 1000\n"
+        )
+        commented = (
+            "rules 150 200 50 200 # cw sw gap spacing\n"
+            "bbox -1000 -1000 3000 3000   #frame\n"
+            "rect poly 0 0 100 1000 # wire\n"
+            "rect poly 400 0 500 1000#wire\n"
+        )
+        assert parse_layout(commented) == parse_layout(plain)
+        path = tmp_path / "commented.lay"
+        path.write_text(commented)
+        assert main(["detect", str(path)]) == 0
+        assert "error=" not in capsys.readouterr().out
+
+    def test_comment_lines_keep_line_numbers(self):
+        assert parse_layout("   # indented comment\n#\n") == parse_layout("")
+        with pytest.raises(LayoutParseError) as err:
+            parse_layout("# header\nrect poly 0 0 100 1000 # ok\n  # note\nrect poly 1 2 # x 3\n")
+        assert str(err.value) == "line 4: expected: rect <layer> <x1> <y1> <x2> <y2>"
+        assert err.value.line_no == 4
 
     def test_round_trip_is_identity(self):
         text = (

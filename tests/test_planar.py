@@ -15,6 +15,7 @@ from aapsm.conflict_graph import (
     build_conflict_graph,
 )
 from aapsm.errors import GeometryError, InternalInvariantError
+from aapsm.layout import find_overlapping_pairs, generate_shifters
 from aapsm.planar import (
     _euler_check,
     _trace_faces,
@@ -25,7 +26,7 @@ from aapsm.planar import (
     require_general_position,
 )
 
-from conftest import sample_micro_pcgs
+from conftest import manhattan_layout, sample_micro_pcgs
 from oracles import (
     adjacent_collinear_pairs_oracle,
     crossings_oracle,
@@ -45,6 +46,38 @@ def raw_graph(points, edges_spec):
         for k, (u, v, w) in enumerate(edges_spec)
     )
     return PhaseConflictGraph(nodes, edges)
+
+
+def assert_rotation_holds_survivors(emb):
+    """The rotation lists exactly the kept edges, each once at both its
+    ends; no removed edge appears and no node is left with an empty one."""
+    listed = Counter(eid for rot in emb.rotation.values() for eid in rot)
+    assert set(listed) == set(emb.kept_edge_ids)
+    assert not set(listed) & set(emb.removed_edge_ids)
+    assert all(emb.rotation.values())
+    for eid in emb.kept_edge_ids:
+        e = emb.graph.edge(eid)
+        assert eid in emb.rotation[e.u] and eid in emb.rotation[e.v]
+        assert listed[eid] == 2
+
+
+def face_component(emb, face):
+    """The lowest node id of the face's connected component."""
+    seen, stack = set(), [face[0][0]]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(emb.graph.edge(eid).other(u) for eid in emb.rotation[u])
+    return min(seen)
+
+
+def manhattan_embeddings(seeds):
+    for seed in seeds:
+        layout = manhattan_layout(seed)
+        shifters = generate_shifters(layout)
+        pairs = find_overlapping_pairs(shifters, layout.rules)
+        yield planarize(build_conflict_graph(shifters, pairs, layout.rules))
 
 
 class TestFindCrossings:
@@ -155,6 +188,8 @@ class TestPlanarize:
         g = raw_graph(points, edges)
         emb = planarize(g)
         assert find_crossings(g, emb.kept_edge_ids) == ()
+        assert emb.removed_edge_ids
+        assert_rotation_holds_survivors(emb)
 
     def test_k5_removal_matches_optimum(self):
         # K5 on convex positions: the five diagonals cross in a pentagram
@@ -203,7 +238,15 @@ class TestPlanarize:
             removed_weight = sum(weights[e] for e in emb.removed_edge_ids)
             assert removed_weight >= optimum
             assert find_crossings(g, emb.kept_edge_ids) == ()
+            assert_rotation_holds_survivors(emb)
         assert rejected == 4
+
+    def test_rotation_holds_survivors_on_designs_with_crossings(self):
+        with_crossings = 0
+        for emb in manhattan_embeddings(range(5000, 5040)):
+            assert_rotation_holds_survivors(emb)
+            with_crossings += bool(emb.removed_edge_ids)
+        assert with_crossings >= 20, with_crossings
 
 
 def random_grid_graph(rng: random.Random):
@@ -250,7 +293,7 @@ class TestAdjacentOverlaps:
             g = random_grid_graph(rng)
             oracle = adjacent_collinear_pairs_oracle(g)
             if not oracle:
-                planarize(g)
+                assert_rotation_holds_survivors(planarize(g))
                 continue
             with pytest.raises(GeometryError) as info:
                 planarize(g)
@@ -304,6 +347,22 @@ class TestRequireGeneralPosition:
 
 
 class TestFacesAndDual:
+    def test_interior_faces_clockwise(self):
+        """Each component has one face of signed area >= 0, its outer face
+        (0 for a tree); every other face is walked clockwise."""
+        for emb in manhattan_embeddings(range(5000, 5020)):
+            g = emb.graph
+            outer = Counter()
+            for face in emb.faces:
+                twice_area = 0
+                for tail, eid in face:
+                    (x1, y1), (x2, y2) = g.node(tail).pos, g.node(g.edge(eid).other(tail)).pos
+                    twice_area += x1 * y2 - x2 * y1
+                if twice_area >= 0:
+                    outer[face_component(emb, face)] += 1
+            assert set(outer.values()) == {1}
+            assert len(outer) == len({face_component(emb, f) for f in emb.faces})
+
     def test_triangle_faces_and_dual(self):
         g = raw_graph([(0, 0), (10, 0), (5, 8)], [(0, 1, 2), (1, 2, 3), (2, 0, 4)])
         emb = planarize(g)

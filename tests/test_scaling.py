@@ -5,8 +5,10 @@ neighbourhood, so an indexed search makes a number of exact-predicate calls
 proportional to the feature count; an all-pairs scan makes a number
 proportional to its square (4x the features, about 16x the calls).  The PCG
 build finds degenerate overlap nodes in one hashed pass by position and by
-line, with no box sweep; a node it does not flag is never tested again, so
-a design with none makes no degeneracy test at all.
+line, with no box sweep and no segment predicate: two edges overlap when
+their spans on one line do, and the nudge test applies the same span rule.
+A node the pass does not flag is never tested again, so a design with none
+makes no degeneracy test at all.
 
 T-join: primal series chains (overlap nodes, shifter chains) put many
 parallel edges between one pair of faces; the instance handed to the T-join
@@ -60,7 +62,6 @@ from conftest import gadget_route_tjoin, manhattan_layout, spy_blossom
 PREDICATES = (
     (layout, "rect_separation"),
     (geometry, "segments_intersect"),
-    (geometry, "collinear_overlap"),
 )
 
 
