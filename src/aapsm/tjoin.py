@@ -95,7 +95,10 @@ def _odd(ends) -> frozenset[int]:
     """Nodes that occur an odd number of times among the given edge ends."""
     odd: set[int] = set()
     for n in ends:
-        odd ^= {n}
+        if n in odd:
+            odd.discard(n)
+        else:
+            odd.add(n)
     return frozenset(odd)
 
 

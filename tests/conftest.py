@@ -9,7 +9,6 @@ import pathlib
 import random
 import sys
 
-import networkx as nx
 import pytest
 from hypothesis import settings
 
@@ -215,14 +214,14 @@ def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
 
 
 def spy_blossom(monkeypatch) -> list[int]:
-    """Patch the blossom matcher to record the node count of every graph it
-    is handed."""
+    """Patch the package's blossom matcher to record the node count of every
+    graph it is handed."""
     sizes: list[int] = []
-    blossom = nx.max_weight_matching
+    blossom = aapsm.matching._max_weight_matching
 
-    def spy(graph, *args, **kwargs):
-        sizes.append(graph.number_of_nodes())
-        return blossom(graph, *args, **kwargs)
+    def spy(nbrs, weight):
+        sizes.append(len(nbrs))
+        return blossom(nbrs, weight)
 
-    monkeypatch.setattr(nx, "max_weight_matching", spy)
+    monkeypatch.setattr(aapsm.matching, "_max_weight_matching", spy)
     return sizes

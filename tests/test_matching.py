@@ -1,12 +1,17 @@
-"""Minimum-weight perfect matching against exhaustive enumeration."""
+"""Minimum-weight perfect matching against exhaustive enumeration, and the
+package's blossom port against networkx's blossom."""
 
 import random
 
+import networkx as nx
 import pytest
 
+import aapsm.tjoin
 from aapsm.errors import MatchingInfeasibleError
-from aapsm.matching import min_weight_perfect_matching
+from aapsm.matching import _max_weight_matching, min_weight_perfect_matching
+from aapsm.pipeline import detect
 
+from conftest import manhattan_layout, spy_blossom
 from oracles import min_perfect_matching_weight
 
 
@@ -188,3 +193,132 @@ def test_large_weights_stay_exact():
     pairs, total = min_weight_perfect_matching(range(4), edges)
     assert pairs == [(0, 1), (2, 3)]
     assert total == 2 * w
+
+
+def networkx_matching(node_ids, weighted_edges):
+    """networkx's blossom on the negated cheapest weights, max-cardinality,
+    nodes and edges inserted in sorted order: (sorted pairs, matched node
+    count)."""
+    best = {}
+    for u, v, w in weighted_edges:
+        key = (min(u, v), max(u, v))
+        best[key] = min(w, best.get(key, w))
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(node_ids))
+    for (u, v), w in sorted(best.items()):
+        graph.add_edge(u, v, weight=-w)
+    mate = nx.max_weight_matching(graph, maxcardinality=True, weight="weight")
+    return sorted(tuple(sorted(p)) for p in mate), 2 * len(mate)
+
+
+def check_same_pairs(nodes, edges) -> bool:
+    """The package matches exactly the pairs networkx's blossom matches, or
+    raises the same no-perfect-matching error; returns feasibility."""
+    nodes = list(nodes)
+    expect, matched = networkx_matching(nodes, edges)
+    if len(nodes) % 2 or matched != len(nodes):
+        message = (
+            f"odd node count {len(nodes)}: no perfect matching exists"
+            if len(nodes) % 2
+            else f"no perfect matching: matched {matched} of {len(nodes)} nodes"
+        )
+        with pytest.raises(MatchingInfeasibleError) as err:
+            min_weight_perfect_matching(nodes, edges)
+        assert str(err.value) == message
+        return False
+    assert min_weight_perfect_matching(nodes, edges)[0] == expect
+    return True
+
+
+def test_same_pairs_as_networkx_on_tie_heavy_graphs():
+    """Weights in {0, 1, 2} make most optima tie, so any change in the order
+    the blossom search scans edges or picks deltas would show up as other
+    pairs."""
+    rng = random.Random(2111)
+    outcomes = set()
+    for _ in range(500):
+        n = rng.randint(2, 22)
+        density = rng.choice((1.0, 1.0, 0.5, 0.25))
+        edges = [
+            (u, v, rng.randint(0, 2))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < density
+        ]
+        if rng.random() < 0.2:
+            u, v, _ = rng.choice(edges or [(0, 1, 0)])
+            edges.append((v, u, rng.randint(0, 2)))  # a parallel edge, reversed
+        nodes = range(n)
+        if rng.random() < 0.3:
+            nodes, edges = _relabel(rng, n, edges)
+        outcomes.add((check_same_pairs(nodes, edges), density == 1.0))
+    # complete and sparse graphs, feasible and not
+    assert {(True, True), (True, False), (False, True), (False, False)} <= outcomes
+
+
+def test_same_pairs_as_networkx_on_detect_closures(monkeypatch):
+    """The closure graphs `detect` hands the matcher on fifty benchmark
+    designs."""
+    closures = []
+    matcher = aapsm.tjoin.min_weight_perfect_matching
+
+    def record(node_ids, weighted_edges):
+        closures.append((list(node_ids), list(weighted_edges)))
+        return matcher(node_ids, weighted_edges)
+
+    with monkeypatch.context() as m:
+        m.setattr(aapsm.tjoin, "min_weight_perfect_matching", record)
+        blossom_nodes = spy_blossom(m)
+        for seed in range(1000, 1050):
+            detect(manhattan_layout(seed))
+    assert len(closures) >= 50
+    assert blossom_nodes == [len(nodes) for nodes, _ in closures]
+    for nodes, edges in closures:
+        assert check_same_pairs(nodes, edges)
+
+
+def test_port_follows_networkx_on_signed_weights():
+    """The blossom port itself, fed weights of either sign (costs reach it
+    only negated), matches what networkx matches on the same graph: mixed
+    signs take the search through T-blossom relabelling and expansion, which
+    non-positive weights rarely reach."""
+    rng = random.Random(2)
+    for _ in range(1000):
+        n = rng.randint(2, 16)
+        density = rng.choice((0.2, 0.35, 0.5, 0.8, 1.0))
+        lo, hi = rng.choice(((1, 10), (-10, 10), (0, 2), (1, 100), (-100, 0)))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        nbrs = [[] for _ in range(n)]
+        weight = [[None] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    w = rng.randint(lo, hi)
+                    graph.add_edge(u, v, weight=w)
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+                    weight[u][v] = weight[v][u] = w
+        expect = sorted(tuple(sorted(p)) for p in nx.max_weight_matching(graph, True))
+        mate = _max_weight_matching(nbrs, weight)
+        assert [(i, j) for i, j in enumerate(mate) if i < j] == expect
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([0, 1, 2], [(0, 1, 1), (1, 2, 1)], "odd node count 3: no perfect matching exists"),
+        ([0, 1], [(1, 1, 1)], "self-loops cannot be matched"),
+        ([0, 1], [(0, 5, 1)], "edge (0, 5) has an endpoint not in node_ids"),
+        ([0, 1], [(0, 1, -1)], "weight -1 is not a non-negative integer"),
+        ([0, 1], [(0, 1, 1.5)], "weight 1.5 is not a non-negative integer"),
+        (range(4), [(0, 1, 1), (0, 2, 1), (0, 3, 1)], "no perfect matching: matched 2 of 4 nodes"),
+        (range(4), [], "no perfect matching: matched 0 of 4 nodes"),
+        (range(6), [(0, 1, 0), (1, 2, 0), (0, 2, 0), (3, 4, 0), (4, 5, 0), (3, 5, 0)],
+         "no perfect matching: matched 4 of 6 nodes"),
+    ],
+)
+def test_infeasible_inputs_raise(nodes, edges, message):
+    with pytest.raises(MatchingInfeasibleError) as err:
+        min_weight_perfect_matching(nodes, edges)
+    assert str(err.value) == message

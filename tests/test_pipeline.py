@@ -1,6 +1,8 @@
 """Whole-pipeline integration, including the crossing-heavy path."""
 
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,13 +27,13 @@ from aapsm.errors import (
     UncorrectableConflictError,
 )
 from aapsm.generator import generate_layout
-from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout
+from aapsm.layout import FEATURE_LAYER, DesignRules, Layout, Rect, parse_layout, serialize_layout
 from aapsm.pipeline import correct, detect, render_report
 from aapsm.planar import build_dual, planarize
 from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import gadget_route_tjoin, manhattan_layout
+from conftest import cli_env, gadget_route_tjoin, manhattan_layout, spy_blossom
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -411,3 +413,37 @@ class TestFaultsStillCaught:
         monkeypatch.setattr(conflict_graph, "_two_color", all_zero)
         with pytest.raises(InternalInvariantError, match=r"edge \d+ constraint violated"):
             detect(layout)
+
+
+NO_NETWORKX = """
+import sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+from aapsm.layout import parse_layout
+from aapsm.pipeline import correct, detect, render_report
+det = detect(parse_layout(sys.stdin.read()))
+print(render_report(det.report))
+print(render_report(correct(det, allow_uncovered=True).report))
+"""
+
+
+def test_detect_and_correct_import_no_networkx(monkeypatch):
+    """networkx is a test oracle only: `detect` and `correct` run, blossom
+    included, in a process where importing it fails, and report what they
+    report here."""
+    layout = manhattan_layout(1004)
+    with monkeypatch.context() as m:
+        blossom_nodes = spy_blossom(m)
+        det = detect(layout)
+    assert blossom_nodes  # this design reaches the matcher
+    expect = render_report(det.report) + "\n" + render_report(
+        correct(det, allow_uncovered=True).report
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX],
+        input=serialize_layout(layout),
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expect + "\n"
