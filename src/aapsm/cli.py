@@ -168,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "correct" and len(args.layouts) > 1 and args.out:
         print("error=--out needs a single input; use --out-dir", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.command == "correct" and args.out and args.out_dir:
+        print("error=--out and --out-dir are exclusive; give one", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if args.jobs < 1:
         print(f"error=--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INPUT_ERROR

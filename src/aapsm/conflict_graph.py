@@ -188,10 +188,11 @@ def _perturb_degenerate_overlaps(
     (_line_index) kept current as it moves; the re-check applies the flag
     pass's rules.
 
-    This is the one place general position is established:
-    planar.require_general_position demands distinct node positions and no
-    two edges leaving a node on the same ray, and rejects a drawing without
-    them (GeometryError, exit 2).
+    This is the one place general position is established.
+    planar.require_general_position certifies it: distinct node positions
+    and no two edges leaving a node on the same ray, or GeometryError
+    (exit 2).  `detect` runs that check once on every graph it builds, and
+    the crossing search, crossing removal and embedding assume it.
     """
     held: set[tuple[int, int]] = set()
     for node in nodes:

@@ -113,7 +113,9 @@ def detect(
 
 class _Front(NamedTuple):
     """What detection builds before removing crossings: enough to tell
-    whether the layout has any conflict at all."""
+    whether the layout has any conflict at all.  Its graph has passed
+    `require_general_position`, the one check of the drawing that the back
+    half's stages assume."""
 
     shifters: tuple[Shifter, ...]
     pairs: tuple
@@ -125,6 +127,7 @@ def _detect_front(layout: Layout, weight_mode: str) -> _Front:
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     graph = build_conflict_graph(shifters, pairs, layout.rules, weight_mode)
+    require_general_position(graph)
     return _Front(shifters, pairs, graph, is_bipartite(graph))
 
 
@@ -220,9 +223,10 @@ def correct(
     """Plan and apply spaces for the detected conflicts, then count what is left.
 
     The residual count is what `detect` of the corrected layout would report.
-    Its PCG is built and two-colored first: when that succeeds the count is
-    0, and crossing removal, the embedding, the dual and the T-join run
-    only when it fails.
+    Its PCG is built, checked for general position and two-colored first,
+    as `detect` does: when the two-coloring succeeds the count is 0, and
+    crossing removal, the embedding, the dual and the T-join run only when
+    it fails.
     Without a cut the layout is unchanged and the residual count is the
     input detection's own conflict count.
 
@@ -250,9 +254,7 @@ def correct(
     if plan.cuts:
         front = _detect_front(new_layout, detection.weight_mode)
         if front.balance.ok:
-            # detect reports no conflict for a PCG that two-colors; of its
-            # back half only the general-position check bears on the count
-            require_general_position(front.graph)
+            # detect reports no conflict for a PCG that two-colors
             residual_count = 0
         else:
             residual = _detect_back(new_layout, front, "residual", detection.weight_mode)

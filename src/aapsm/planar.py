@@ -63,9 +63,16 @@ def require_general_position(g: PhaseConflictGraph) -> None:
     earlier one; then at the lowest node where two edges leave on the same
     ray (they overlap along a collinear stretch, so no rotation system
     orders them), naming the lowest such pair.  build_conflict_graph
-    establishes general position, so a pipeline graph passes.
+    establishes general position; `detect` calls this once on each graph
+    it builds, and `planarize` on a graph handed to it.
     """
-    _require_distinct_positions(g)
+    seen: dict[tuple[int, int], int] = {}
+    for n in g.nodes:
+        if n.pos in seen:
+            raise GeometryError(
+                f"nodes {seen[n.pos]} and {n.id} share position {n.pos}"
+            )
+        seen[n.pos] = n.id
     # (node, primitive direction) -> the lowest edge leaving the node on it
     first_on_ray: dict[tuple[int, int, int], int] = {}
     ties = []
@@ -83,32 +90,15 @@ def require_general_position(g: PhaseConflictGraph) -> None:
         raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
 
 
-def _require_distinct_positions(g: PhaseConflictGraph) -> None:
-    seen: dict[tuple[int, int], int] = {}
-    for n in g.nodes:
-        if n.pos in seen:
-            raise GeometryError(
-                f"nodes {seen[n.pos]} and {n.id} share position {n.pos}"
-            )
-        seen[n.pos] = n.id
-
-
 def find_crossings(
     g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
 ) -> tuple[tuple[int, int], ...]:
     """All pairs of non-adjacent edges whose closed segments intersect.
 
-    Edges sharing an endpoint are never reported.  Raises GeometryError when
-    two distinct nodes sit at the same position (no usable drawing exists).
+    Edges sharing an endpoint are never reported.  The drawing must be in
+    general position (`require_general_position`), as build_conflict_graph
+    makes it.
     """
-    _require_distinct_positions(g)
-    return _crossings(g, edge_ids)
-
-
-def _crossings(
-    g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """find_crossings on a drawing whose node positions are known distinct."""
     edges = [g.edge(eid) for eid in (edge_ids if edge_ids is not None else range(len(g.edges)))]
     segs = [(g.node(e.u).pos, g.node(e.v).pos) for e in edges]
     out = []
@@ -122,7 +112,9 @@ def _crossings(
 
 
 def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
-    """Delete crossing edges greedily, then embed the survivors."""
+    """Check general position, delete crossing edges greedily, then embed
+    the survivors."""
+    require_general_position(g)
     return embed(g, remove_crossings(g))
 
 
@@ -131,12 +123,10 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 
     Iterated greedy: while any crossing remains, delete the minimum-weight
     edge participating in one (ties: most crossings, then lowest edge id).
-    The drawing must be in general position, as build_conflict_graph makes
-    it: two coincident nodes or two edges leaving a node on the same ray
-    raise GeometryError.
+    The drawing must be in general position (`require_general_position`),
+    as build_conflict_graph makes it.
     """
-    require_general_position(g)
-    crossings = list(_crossings(g))
+    crossings = list(find_crossings(g))
     removed: list[int] = []
     while crossings:
         count: Counter[int] = Counter()
@@ -152,7 +142,8 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmbedding:
     """Embed the edges `remove_crossings` left: one direction sort of each
     node's surviving edges gives the rotation system, the faces are traced
-    from it, and the Euler check runs on each component."""
+    from it, and the Euler check runs on each component.  The drawing must
+    be in general position (`require_general_position`)."""
     removed_set = set(removed_edge_ids)
     kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
     rotation = _rotation(g, removed_set)

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 import aapsm
 from aapsm.conflict_graph import build_conflict_graph
-from aapsm.errors import GeometryError, LayoutValidationError
+from aapsm.errors import LayoutValidationError
 from aapsm.layout import (
     DesignRules,
     FEATURE_LAYER,
@@ -149,12 +149,8 @@ def micro_pcg(rng: random.Random, max_features=4, require_planar=False, max_edge
     graph = build_conflict_graph(shifters, pairs, layout.rules)
     if max_edges is not None and len(graph.edges) > max_edges:
         return None
-    if require_planar:
-        try:
-            if find_crossings(graph):
-                return None
-        except GeometryError:
-            return None
+    if require_planar and find_crossings(graph):
+        return None
     return layout, shifters, pairs, graph
 
 

@@ -218,6 +218,20 @@ class TestOptionValidation:
         assert captured.err == f"error=--jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / "fixed").exists()
 
+    def test_out_with_out_dir_rejected(self, conflict_layout_file, tmp_path, capsys):
+        out_file, out_dir = tmp_path / "x.fixed", tmp_path / "fixed"
+        before = sorted(tmp_path.rglob("*"))
+        code = main(
+            ["correct", str(conflict_layout_file), "--out", str(out_file),
+             "--out-dir", str(out_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error=--out and --out-dir are exclusive; give one\n"
+        assert not out_file.exists() and not out_dir.exists()
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_boundary_values_accepted(self, conflict_layout_file, tmp_path, capsys):
         out_file = tmp_path / "fixed.lay"
         code, _ = run_cli(

@@ -37,7 +37,7 @@ from aapsm.layout import (
 )
 from aapsm.pipeline import detect
 
-from conftest import make_shifter, manhattan_layout, sample_micro_pcgs
+from conftest import make_shifter, manhattan_layout, micro_layout, sample_micro_pcgs
 from oracles import (
     collinear_overlap_oracle,
     is_degenerate_oracle,
@@ -229,10 +229,10 @@ class TestPerturbation:
         for nid in g.perturbed_nodes:
             dx, dy = g.node(nid).perturb
             assert 0 < max(abs(dx), abs(dy)) <= 16
-        # positions are usable afterwards: no coincident nodes remain
-        from aapsm.planar import find_crossings
+        # positions are usable afterwards: the drawing is in general position
+        from aapsm.planar import require_general_position
 
-        find_crossings(g)
+        require_general_position(g)
         # detector still matches the exhaustive oracle on this tangle
         constraints = [(2 * f, 2 * f + 1, False) for f in range(3)]
         constraints += [(a, b, True) for a, b, _ in pairs]
@@ -458,6 +458,30 @@ class TestGeneralPosition:
             self.assert_general_position(
                 graph_from(generate_layout(seed, features=40, motif_density=density))
             )
+
+    def test_builder_output_passes_the_planar_check(self):
+        """`detect` checks general position once, on the graph it builds,
+        and the crossing search and embedding trust it: every builder output
+        passes require_general_position, nudged nodes included."""
+        from aapsm.planar import require_general_position
+
+        rng = random.Random(1)
+        grid = [graph_from(coarse_grid_layout(rng)) for _ in range(1000)]
+        assert sum(len(g.perturbed_nodes) for g in grid) >= 900
+        rng = random.Random(6)
+        micro = []
+        while len(micro) < 2000:
+            layout = micro_layout(rng, 6)
+            if layout is not None:
+                micro.append(graph_from(layout))
+        generated = [
+            graph_from(generate_layout(seed, features=60, motif_density=density))
+            for seed in range(1, 11)
+            for density in (0.0, 0.3, 0.7, 1.0)
+        ]
+        manhattan = [graph_from(manhattan_layout(seed)) for seed in range(5000, 5200)]
+        for g in grid + micro + generated + manhattan:
+            require_general_position(g)
 
 
 class TestIsBipartite:

@@ -89,11 +89,11 @@ class TestReports:
 class TestRandomTangles:
     def test_correction_never_lies(self):
         """On arbitrary random tangles every run must end in one of: fully
-        corrected (residual 0), honest uncovered listing, or a geometry
-        rejection; never a silent residual."""
+        corrected (residual 0) or an honest uncovered listing; never a
+        silent residual, and never a geometry rejection, since the conflict
+        graph builder establishes general position."""
         import random
 
-        from aapsm.errors import GeometryError
         from conftest import micro_layout
 
         rng = random.Random(246810)
@@ -102,10 +102,7 @@ class TestRandomTangles:
             layout = micro_layout(rng, max_features=6)
             if layout is None:
                 continue
-            try:
-                detection = detect(layout)
-            except GeometryError:
-                continue
+            detection = detect(layout)
             correction = correct(detection, allow_uncovered=True)
             if not correction.uncovered:
                 assert correction.residual_conflicts == 0
@@ -319,9 +316,9 @@ class TestBalancedShortcut:
 
 
 class TestBalancedResidualGeometry:
-    """A corrected layout whose conflict graph two-colors gets no crossing
-    search, yet it is rejected exactly as `detect` rejects it when its
-    drawing is not in general position."""
+    """A drawing not in general position is rejected where it is built,
+    before any crossing search: `correct` rejects a corrected layout whose
+    conflict graph would two-color exactly as `detect` rejects it."""
 
     # a comb with one coverable conflict, and far right a bar whose upper
     # shifter shares its center with the lower shifter of a shorter bar
@@ -353,10 +350,10 @@ class TestBalancedResidualGeometry:
         )
         with pytest.raises(GeometryError, match="share position") as from_detect:
             detect(cor.new_layout)
-        assert len(searched) == 1
+        assert searched == []
         with pytest.raises(GeometryError) as from_correct:
             correct(det)
-        assert len(searched) == 1
+        assert searched == []
         assert str(from_correct.value) == str(from_detect.value)
 
 

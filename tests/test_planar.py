@@ -93,9 +93,10 @@ class TestFindCrossings:
         assert find_crossings(g) == ()
 
     def test_coincident_nodes_rejected(self):
+        # find_crossings assumes general position; planarize checks it
         g = raw_graph([(0, 0), (5, 5), (0, 0)], [(0, 1, 1)])
-        with pytest.raises(GeometryError):
-            find_crossings(g)
+        with pytest.raises(GeometryError, match=r"^nodes 0 and 2 share position \(0, 0\)$"):
+            planarize(g)
 
     def test_matches_oracle_on_random_graph(self):
         rng = random.Random(5150)

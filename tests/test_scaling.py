@@ -25,17 +25,19 @@ two-coloring: the `balanced_before` verdict and the phases, plus the
 greedy baseline's phases.  A design whose graph two-colors takes its phases
 from the verdict's coloring, so it is colored once fewer.
 
-Detection: a design whose conflict graph two-colors has no conflict, so
-`detect` runs only the crossing search of its back half (the report counts
-the crossing edges).  It builds no embedding, dual, T-join or conflict
-selection; the result embeds the graph when its embedding is first asked
-for.  A design that does not two-color keeps the embedding and dual
-`detect` built.
+Detection: every conflict graph `detect` builds is checked for general
+position once, before the two-coloring, and no later stage checks it again.
+A design whose conflict graph two-colors has no conflict, so `detect` runs
+only the crossing search of its back half (the report counts the crossing
+edges).  It builds no embedding, dual, T-join or conflict selection; the
+result embeds the graph when its embedding is first asked for.  A design
+that does not two-color keeps the embedding and dual `detect` built.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
 cuts builds no conflict graph at all.  A changed layout's conflict graph is
-built once; crossings are searched and the graph embedded only when it does
-not two-color, since only then can the residual count be above 0.
+built and checked once; crossings are searched and the graph embedded only
+when it does not two-color, since only then can the residual count be
+above 0.
 `apply_spaces` moves each rect once for all cuts together, so it builds at
 most one rect per rect whatever the cut count, and none for a plan without
 cuts.
@@ -48,6 +50,7 @@ import pytest
 
 import aapsm.bipartize
 import aapsm.pipeline
+import aapsm.planar
 import aapsm.tjoin
 from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
@@ -254,6 +257,23 @@ def back_half_stages(monkeypatch, design):
     return det, returned
 
 
+@pytest.mark.parametrize("density, features", [(0.7, 40), (0.0, 150)], ids=["comb", "rows"])
+def test_detect_checks_general_position_once(monkeypatch, density, features):
+    checks = 0
+    check = aapsm.planar.require_general_position
+
+    def counted(g):
+        nonlocal checks
+        checks += 1
+        check(g)
+
+    with monkeypatch.context() as m:
+        for module in (aapsm.pipeline, aapsm.planar):
+            m.setattr(module, "require_general_position", counted)
+        detect(generate_layout(1, features, density))
+    assert checks == 1
+
+
 def test_balanced_detect_embeds_on_first_access(monkeypatch):
     det, returned = back_half_stages(monkeypatch, generate_layout(1, 150, 0.0))
     assert ("balanced_before", "1") in det.report
@@ -302,11 +322,12 @@ def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, embed
         return spy
 
     with monkeypatch.context() as m:
-        for name in ("build_conflict_graph", "remove_crossings", "embed"):
+        for name in ("build_conflict_graph", "require_general_position", "remove_crossings", "embed"):
             m.setattr(aapsm.pipeline, name, counted(name))
         cor = correct(det, allow_uncovered=True)
     assert bool(cor.plan.cuts) == bool(graphs)
-    assert calls["build_conflict_graph"] == graphs
+    # each graph built is checked for general position once, balanced or not
+    assert calls["build_conflict_graph"] == calls["require_general_position"] == graphs
     assert calls["remove_crossings"] == calls["embed"] == embedded
     assert (cor.residual_conflicts > 0) == bool(embedded)
 
