@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from .conflict_graph import PhaseConflictGraph, phase_assign, signed_forest
 from .errors import InternalInvariantError
-from .planar import DualEdge, DualGraph, PlanarEmbedding
-from .tjoin import GADGET_MODES, MODE_GENERALIZED, solve_tjoin, tjoin_from_graph
+from .planar import DualGraph, PlanarEmbedding
+from .tjoin import GADGET_MODES, MODE_GENERALIZED, TJoinInstance, solve_tjoin
 
 ORIGIN_MATCHING = "matching"
 ORIGIN_PLANARIZATION = "planarization-oddcheck"
@@ -37,37 +37,16 @@ class ConflictSet:
         return len(self.conflicts)
 
 
-def collapse_parallel(dual: DualGraph) -> list[DualEdge]:
-    """The dual edges a minimum T-join needs, in id order.
-
-    Self-loops (bridges) go: a bridge lies on no cycle.  Parallel dual edges
-    (one face pair; a primal series chain such as an overlap node's two
-    halves) keep their cheapest one if the class is odd, cheapest two if
-    even, by (weight, id).  Dropping an even number per class keeps every
-    face's degree parity, so T is unchanged; some minimum T-join uses at most
-    one edge per class, the cheapest, so its weight is unchanged too.
-    """
-    classes: dict[tuple[int, int], list[DualEdge]] = {}
-    for e in dual.edges:
-        if not e.is_self_loop:
-            classes.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e)
-    kept = []
-    for cls in classes.values():
-        cls.sort(key=lambda e: (e.weight, e.id))
-        kept += cls[: 2 - len(cls) % 2]
-    return sorted(kept, key=lambda e: e.id)
-
-
 def bipartize_optimal(
     emb: PlanarEmbedding, dual: DualGraph, mode: str = MODE_GENERALIZED
 ) -> tuple[tuple[int, ...], int, float]:
     """Minimum-weight edge set M with the embedded graph minus M balanced.
 
-    T-join on the dual with T = odd-degree faces, over `collapse_parallel`'s
-    edges: at most two per face pair and no self-loops, so the shortest-path
-    searches between odd faces grow with the face pairs, not the primal
-    series chains.  Returns (edge ids, weight, matching seconds);
-    `finalize_conflicts` checks the balance.
+    A T-join on the dual with T = odd-degree faces, over the dual's own
+    edges but the self-loops (bridges lie on no cycle).  Parallel edges stay:
+    the paths between odd faces take only the cheapest of a parallel class.
+    Returns (edge ids, weight, matching seconds); `finalize_conflicts`
+    checks the balance.
 
     `emb` and `mode` are kept only for the perfbench callers, which pass them
     positionally: `emb` is ignored, and `mode` must name a gadget shape
@@ -75,10 +54,9 @@ def bipartize_optimal(
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
-    usable = collapse_parallel(dual)
-    inst = tjoin_from_graph(range(dual.n_faces), [(e.u, e.v, e.weight) for e in usable])
-    join, weight, seconds = solve_tjoin(inst)
-    m_ids = tuple(sorted(usable[j].primal_edge_id for j in join))
+    edges = tuple(e for e in dual.edges if not e.is_self_loop)
+    join, weight, seconds = solve_tjoin(TJoinInstance(tuple(range(dual.n_faces)), edges))
+    m_ids = tuple(sorted(dual.edges[j].primal_edge_id for j in join))
     return m_ids, weight, seconds
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import geometry
 from .conflict_graph import PhaseConflictGraph
 from .errors import GeometryError, InternalInvariantError
+from .tjoin import TJoinEdge
 
 HalfEdge = tuple[int, int]  # (tail node id, edge id)
 
@@ -31,11 +32,9 @@ class PlanarEmbedding:
 
 
 @dataclass(frozen=True)
-class DualEdge:
-    id: int
-    u: int  # face index
-    v: int
-    weight: int
+class DualEdge(TJoinEdge):
+    """A T-join edge between faces u and v, across edge `primal_edge_id`."""
+
     primal_edge_id: int
 
     @property

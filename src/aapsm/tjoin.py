@@ -62,17 +62,17 @@ class TJoinEdge:
 
 @dataclass(frozen=True)
 class TJoinInstance:
-    """Multigraph plus the demand set T.
+    """Multigraph whose demand set T is its odd-degree nodes.
 
     Parallel edges are allowed; self-loops are not (they never belong to an
-    optimal join, strip them before building the instance).  T must be exactly
-    the odd-degree nodes: that is the form the gadget reduction supports, and
-    the only form the bipartization pipeline produces.
+    optimal join, strip them before building the instance).  The edges may
+    be any `TJoinEdge`s with distinct ids, such as the dual's own edges.  T
+    (`t_nodes`) is derived from the edges, never given.
     """
 
     nodes: tuple[int, ...]
     edges: tuple[TJoinEdge, ...]
-    t_nodes: frozenset[int]
+    t_nodes: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         node_set = set(self.nodes)
@@ -83,12 +83,7 @@ class TJoinInstance:
                 raise InternalInvariantError(f"edge {e.id} references unknown node")
             if e.weight < 0:
                 raise InternalInvariantError(f"edge {e.id} has negative weight")
-        odd = _odd(n for e in self.edges for n in (e.u, e.v))
-        if odd != self.t_nodes:
-            raise InternalInvariantError(
-                "T must equal the odd-degree node set "
-                f"(odd={sorted(odd)}, T={sorted(self.t_nodes)})"
-            )
+        object.__setattr__(self, "t_nodes", _odd(n for e in self.edges for n in (e.u, e.v)))
 
 
 def _odd(ends) -> frozenset[int]:
@@ -103,14 +98,14 @@ def _odd(ends) -> frozenset[int]:
 
 
 def tjoin_from_graph(nodes, weighted_edges) -> TJoinInstance:
-    """Build an instance with T = odd-degree nodes, dropping self-loops."""
+    """Build an instance from (u, v, weight) triples, dropping self-loops;
+    the kept edges are numbered 0, 1, ... in the order given."""
     edges = []
     for u, v, w in weighted_edges:
         if u == v:
             continue
         edges.append(TJoinEdge(len(edges), u, v, int(w)))
-    t = _odd(n for e in edges for n in (e.u, e.v))
-    return TJoinInstance(tuple(sorted(nodes)), tuple(edges), t)
+    return TJoinInstance(tuple(sorted(nodes)), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -463,6 +458,9 @@ def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
 
     The heap key is (dist, node id), edges are relaxed in edge-id order and
     only on a strict improvement, so the paths depend on the instance alone.
+    So a via entry is always the cheapest of the parallel edges between its
+    two ends (the lowest id among equal weights): a costlier parallel edge
+    never enters a path.
     """
     dist = {source: 0}
     via: dict[int, TJoinEdge] = {}

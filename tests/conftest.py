@@ -198,11 +198,7 @@ def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
         t_comp = inst.t_nodes.intersection(comp)
         if t_comp:
             edges = {e.id: e for n in comp for e in forest.incident[n]}
-            part = TJoinInstance(
-                tuple(sorted(comp)),
-                tuple(edges[i] for i in sorted(edges)),
-                frozenset(t_comp),
-            )
+            part = TJoinInstance(tuple(sorted(comp)), tuple(edges[i] for i in sorted(edges)))
             part_join, part_weight = gadget_tjoin(part, GADGET_BUILDERS[mode])
             join += part_join
             weight += part_weight

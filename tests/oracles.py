@@ -7,7 +7,8 @@ routines a faster one replaced, kept as its references: the gadget
 matchings of the T-join solve (`gadget_tjoin` on one connected instance,
 and `unsplit_tjoin_weight` over a whole instance without splitting it into
 components), and the parity union-find phases of the signed two-coloring
-(`phase_assign_oracle`).
+(`phase_assign_oracle`).  The one solver-backed oracle, `exact_bipartization`,
+certifies its answer with the package's `phase_assign`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from fractions import Fraction
 
 import networkx as nx
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
-from aapsm.conflict_graph import PHASE_A, PHASE_B
+from aapsm.conflict_graph import PHASE_A, PHASE_B, phase_assign
 from aapsm.errors import InternalInvariantError
 from aapsm.matching import min_weight_perfect_matching
 from aapsm.tjoin import (
@@ -296,6 +299,49 @@ def min_bipartization_weight(n_nodes: int, edges) -> int:
         violated = differ == (1 if want_equal else 0)
         total += violated * int(w)
     return int(total.min())
+
+
+def exact_bipartization(g) -> tuple[tuple[int, ...], int]:
+    """(sorted edge ids, weight) of a minimum-weight edge set whose deletion
+    balances the whole conflict graph, crossings and all.
+
+    A 0/1 MILP solved by scipy's HiGHS with no optimality gap: a phase x per
+    node and a deletion y per edge.  An equal-phase edge needs
+    y >= x_u - x_v and y >= x_v - x_u; an opposite-phase edge needs
+    y >= 1 - x_u - x_v and y >= x_u + x_v - 1; the objective is sum w * y.
+    The set is the edges the optimal phases violate, certified balanced by
+    `phase_assign`.
+    """
+    n, m = len(g.nodes), len(g.edges)
+    if m == 0:
+        return (), 0
+    rows, cols, vals, lower = [], [], [], []
+    for e in g.edges:
+        signs = ((-1, 1, 0), (1, -1, 0)) if e.is_equal_constraint else ((1, 1, 1), (-1, -1, -1))
+        for su, sv, lo in signs:  # y + su * x_u + sv * x_v >= lo
+            r = len(lower)
+            rows += [r, r, r]
+            cols += [n + e.id, e.u, e.v]
+            vals += [1, su, sv]
+            lower.append(lo)
+    cost = np.concatenate([np.zeros(n), [e.weight for e in g.edges]])
+    rows_matrix = csr_array((vals, (rows, cols)), shape=(len(lower), n + m))
+    res = milp(
+        cost,
+        constraints=LinearConstraint(rows_matrix, lower, np.inf),
+        integrality=np.ones(n + m),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    phase = [round(x) for x in res.x[:n]]
+    deleted = tuple(
+        e.id for e in g.edges if (phase[e.u] == phase[e.v]) != e.is_equal_constraint
+    )
+    weight = sum(g.edge(eid).weight for eid in deleted)
+    assert weight == round(res.fun), (weight, res.fun)
+    phase_assign(g, frozenset(deleted))  # raises unless the rest is balanced
+    return deleted, weight
 
 
 def phase_feasible(n_shifters: int, constraints) -> bool:

@@ -414,7 +414,8 @@ class TestFaultsStillCaught:
 
 NO_NETWORKX = """
 import sys
-sys.modules["networkx"] = None  # any import of networkx now fails
+for oracle_dep in ("networkx", "numpy", "scipy"):
+    sys.modules[oracle_dep] = None  # any import of it now fails
 from aapsm.layout import parse_layout
 from aapsm.pipeline import correct, detect, render_report
 det = detect(parse_layout(sys.stdin.read()))
@@ -424,9 +425,9 @@ print(render_report(correct(det, allow_uncovered=True).report))
 
 
 def test_detect_and_correct_import_no_networkx(monkeypatch):
-    """networkx is a test oracle only: `detect` and `correct` run, blossom
-    included, in a process where importing it fails, and report what they
-    report here."""
+    """networkx, numpy and scipy serve the test oracles only: `detect` and
+    `correct` run, blossom included, in a process where importing any of
+    them fails, and report what they report here."""
     layout = manhattan_layout(1004)
     with monkeypatch.context() as m:
         blossom_nodes = spy_blossom(m)

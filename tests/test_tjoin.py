@@ -17,6 +17,7 @@ from aapsm.tjoin import (
     KIND_TRUE,
     MODE_GENERALIZED,
     MODE_OPTIMIZED,
+    TJoinEdge,
     TJoinInstance,
     assign_edges,
     build_generalized_gadget_graph,
@@ -42,9 +43,18 @@ class TestInstance:
         inst = tjoin_from_graph([0, 1], [(0, 0, 3), (0, 1, 2)])
         assert len(inst.edges) == 1
 
-    def test_wrong_t_rejected(self):
-        with pytest.raises(InternalInvariantError):
-            TJoinInstance((0, 1), (), frozenset({0}))
+    def test_t_derived_from_parallel_edges(self):
+        # degrees 3, 4 and 1: three parallel edges between 0 and 1, one to 2
+        edges = (
+            TJoinEdge(0, 0, 1, 2),
+            TJoinEdge(1, 1, 0, 2),
+            TJoinEdge(2, 0, 1, 0),
+            TJoinEdge(3, 1, 2, 5),
+        )
+        inst = TJoinInstance((0, 1, 2), edges)
+        assert inst.t_nodes == {0, 2}
+        with pytest.raises(TypeError):
+            TJoinInstance((0, 1), (), frozenset({0}))  # T is not an argument
 
 
 class TestAssignEdges:
@@ -435,6 +445,43 @@ class TestPathRoute:
             self.check(monkeypatch, inst, usable)
             checked += 1
         assert checked >= 5
+
+    def test_via_takes_cheapest_then_lowest_id_parallel_edge(self):
+        """Every edge Dijkstra records is the (weight, id)-least of the edges
+        between its two ends, so the costlier edges of a parallel class never
+        enter a join."""
+        rng = random.Random(2323)
+        tied = 0  # via edges with an equally cheap parallel rival
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            raw = []
+            for _ in range(rng.randint(1, 8)):
+                u, v = rng.sample(range(n), 2)
+                style = rng.choice(("equal", "zero", "mixed"))
+                base = rng.randint(0, 9)
+                for _ in range(rng.randint(1, 4)):
+                    w = {"equal": base, "zero": 0, "mixed": rng.randint(0, 9)}[style]
+                    raw.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
+            rng.shuffle(raw)
+            inst = tjoin_from_graph(range(n), raw)
+            best = {}
+            for e in inst.edges:  # in id order, so a weight tie keeps the first
+                pair = frozenset((e.u, e.v))
+                if pair not in best or e.weight < best[pair].weight:
+                    best[pair] = e
+            rivals = Counter(
+                frozenset((e.u, e.v)) for e in inst.edges
+                if e.weight == best[frozenset((e.u, e.v))].weight
+            )
+            forest = aapsm.tjoin._SpanningForest.of(inst)
+            for comp in forest.components:
+                for source in comp:
+                    _, via = aapsm.tjoin._shortest_paths(forest.incident, source, comp)
+                    for e in via.values():
+                        pair = frozenset((e.u, e.v))
+                        assert e is best[pair], (e, best[pair])
+                        tied += rivals[pair] > 1
+        assert tied >= 300, tied
 
     def test_tie_takes_first_pairing(self):
         # a unit 4-cycle 0-1-3-2-0 with a hub joined to all four: T = {0..3};
