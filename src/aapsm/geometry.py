@@ -16,25 +16,28 @@ Box = tuple[int, int, int, int]  # x_lo, y_lo, x_hi, y_hi, closed
 
 def segment_box(a: Point, b: Point) -> Box:
     """The bounding box of the closed segment ab."""
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+    (ax, ay), (bx, by) = a, b
+    return (
+        ax if ax < bx else bx, ay if ay < by else by, bx if ax < bx else ax, by if ay < by else ay
+    )
 
 
 def box_pairs(boxes: Sequence[Box]) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of closed boxes that intersect.
 
-    A sweep along x: boxes enter in x_lo order, boxes whose x_hi lies left of
-    the entering x_lo leave the active list, and each entering box is tested
-    for y overlap against the ones still active.  Touching boxes intersect.
+    A forward scan along x: with the boxes sorted by x_lo, each box is tested
+    for y overlap against the later ones until one starts right of its x_hi.
+    Touching boxes intersect.
     """
-    active: list[int] = []
+    ranked = sorted(enumerate(boxes), key=lambda item: item[1][0])
     out: list[tuple[int, int]] = []
-    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
-        x_lo, y_lo, _, y_hi = boxes[i]
-        active = [j for j in active if boxes[j][2] >= x_lo]
-        for j in active:
-            if boxes[j][1] <= y_hi and y_lo <= boxes[j][3]:
-                out.append((j, i) if j < i else (i, j))
-        active.append(i)
+    for a, (i, (_, y_lo, x_hi, y_hi)) in enumerate(ranked):
+        for b in range(a + 1, len(ranked)):
+            j, (x_lo, other_y_lo, _, other_y_hi) = ranked[b]
+            if x_lo > x_hi:
+                break
+            if other_y_lo <= y_hi and y_lo <= other_y_hi:
+                out.append((i, j) if i < j else (j, i))
     out.sort()
     return out
 

@@ -23,12 +23,17 @@ HalfEdge = tuple[int, int]  # (tail node id, edge id)
 
 @dataclass(frozen=True)
 class PlanarEmbedding:
+    """The kept edges' rotation system and faces.  A dart is one direction
+    of an edge: dart 2e leaves edge e's end u and dart 2e+1 its end v.
+    `face_of` lists the face of each dart, -1 for the darts of removed
+    edges."""
+
     graph: PhaseConflictGraph
     kept_edge_ids: tuple[int, ...]
     removed_edge_ids: tuple[int, ...]  # the potential-conflict set P
     rotation: dict[int, tuple[int, ...]]  # node -> incident edge ids, CCW
     faces: tuple[tuple[HalfEdge, ...], ...]
-    face_of: dict[HalfEdge, int]
+    face_of: list[int]  # dart -> face
 
 
 @dataclass(frozen=True)
@@ -65,17 +70,15 @@ def require_general_position(g: PhaseConflictGraph) -> None:
     establishes general position; `detect` calls this once on each graph
     it builds, and `planarize` on a graph handed to it.
     """
+    pos = [n.pos for n in g.nodes]
     seen: dict[tuple[int, int], int] = {}
-    for n in g.nodes:
-        if n.pos in seen:
-            raise GeometryError(
-                f"nodes {seen[n.pos]} and {n.id} share position {n.pos}"
-            )
-        seen[n.pos] = n.id
+    for node_id, p in enumerate(pos):
+        if p in seen:
+            raise GeometryError(f"nodes {seen[p]} and {node_id} share position {p}")
+        seen[p] = node_id
     # (node, primitive direction) -> the lowest edge leaving the node on it
     first_on_ray: dict[tuple[int, int, int], int] = {}
     ties = []
-    pos = [n.pos for n in g.nodes]
     for e in g.edges:
         (ux, uy), (vx, vy) = pos[e.u], pos[e.v]
         step = math.gcd(vx - ux, vy - uy)
@@ -92,22 +95,27 @@ def require_general_position(g: PhaseConflictGraph) -> None:
 def find_crossings(
     g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
 ) -> tuple[tuple[int, int], ...]:
-    """All pairs of non-adjacent edges whose closed segments intersect.
+    """All pairs of non-adjacent edges whose closed segments intersect, each
+    as (earlier edge in `edge_ids`, later), sorted.
 
-    Edges sharing an endpoint are never reported.  The drawing must be in
-    general position (`require_general_position`), as build_conflict_graph
-    makes it.
+    Edges sharing an endpoint are never reported; adjacency is four integer
+    comparisons of edge ends.  The drawing must be in general position
+    (`require_general_position`), as build_conflict_graph makes it.
     """
-    edges = [g.edge(eid) for eid in (edge_ids if edge_ids is not None else range(len(g.edges)))]
-    segs = [(g.node(e.u).pos, g.node(e.v).pos) for e in edges]
+    ids = range(len(g.edges)) if edge_ids is None else edge_ids
+    pos = [n.pos for n in g.nodes]
+    us = [g.edges[eid].u for eid in ids]
+    vs = [g.edges[eid].v for eid in ids]
+    segs = [(pos[u], pos[v]) for u, v in zip(us, vs)]
     out = []
-    for i, j in geometry.box_pairs([geometry.segment_box(*seg) for seg in segs]):
-        e1, e2 = edges[i], edges[j]
-        if {e1.u, e1.v} & {e2.u, e2.v}:
+    for i, j in geometry.box_pairs([geometry.segment_box(a, b) for a, b in segs]):
+        u1, v1, u2, v2 = us[i], vs[i], us[j], vs[j]
+        if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
             continue
         if geometry.segments_intersect(*segs[i], *segs[j]):
-            out.append((e1.id, e2.id))
-    return tuple(sorted(out))
+            out.append((ids[i], ids[j]))
+    out.sort()
+    return tuple(out)
 
 
 def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
@@ -151,53 +159,71 @@ def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmb
     return PlanarEmbedding(g, kept, tuple(removed_edge_ids), rotation, faces, face_of)
 
 
+_DIRECTION_KEY = functools.cmp_to_key(geometry.compare_directions)
+
+
+def _direction_key(item: tuple[int, tuple[int, int]]):
+    return _DIRECTION_KEY(item[1])
+
+
 def _rotation(g: PhaseConflictGraph, removed: set[int]) -> dict[int, tuple[int, ...]]:
     """Each node's surviving edges counterclockwise from +x, for the nodes
     that keep an edge; in general position no two of them leave on one ray."""
-    incident: dict[int, list[int]] = {}
+    pos = [n.pos for n in g.nodes]
+    incident: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in pos]
     for e in g.edges:
         if e.id not in removed:
-            incident.setdefault(e.u, []).append(e.id)
-            incident.setdefault(e.v, []).append(e.id)
-
+            u, v = e.u, e.v
+            (ux, uy), (vx, vy) = pos[u], pos[v]
+            incident[u].append((e.id, (vx - ux, vy - uy)))
+            incident[v].append((e.id, (ux - vx, uy - vy)))
     rotation: dict[int, tuple[int, ...]] = {}
-    for node_id in sorted(incident):
-        x, y = g.node(node_id).pos
-        direction = {}
-        for eid in incident[node_id]:
-            ox, oy = g.node(g.edge(eid).other(node_id)).pos
-            direction[eid] = (ox - x, oy - y)
-
-        def cmp(e1: int, e2: int) -> int:
-            return geometry.compare_directions(direction[e1], direction[e2])
-
-        rotation[node_id] = tuple(sorted(incident[node_id], key=functools.cmp_to_key(cmp)))
+    for node_id, items in enumerate(incident):
+        if len(items) == 1:
+            rotation[node_id] = (items[0][0],)
+        elif len(items) == 2:  # one comparison instead of a sort
+            (a, da), (b, db) = items
+            rotation[node_id] = (b, a) if geometry.compare_directions(da, db) > 0 else (a, b)
+        elif items:
+            items.sort(key=_direction_key)
+            rotation[node_id] = tuple([eid for eid, _ in items])
     return rotation
 
 
 def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
-    """Walk half-edges: arriving at v along e, leave on the CCW successor of e
-    in v's rotation.  Interior faces come out clockwise, and the outer face
-    of each component counterclockwise."""
-    successor: dict[HalfEdge, int] = {
-        (v, eid): nxt for v, rot in rotation.items() for eid, nxt in zip(rot, rot[1:] + rot[:1])
-    }
+    """Walk darts: dart 2e leaves edge e's end u and dart 2e+1 its end v.
+    Arriving at a node along e, the walk leaves on the CCW successor of e in
+    the node's rotation.  Start darts are visited in (tail, edge id) order:
+    node by node as `rotation` lists them (in id order), edge ids sorted.
+    Interior faces come out clockwise, and the outer face of each component
+    counterclockwise.  Returns the faces as (tail, edge id) tuples and the
+    face of each dart (-1 for the darts of edges not in the rotation)."""
+    tail = [0] * (2 * len(g.edges))
+    tail[::2] = [e.u for e in g.edges]
+    tail[1::2] = [e.v for e in g.edges]
+    successor = [-1] * len(tail)  # dart -> the dart the walk leaves on next
+    starts: list[int] = []
+    for v, rot in rotation.items():
+        darts = [2 * eid if tail[2 * eid] == v else 2 * eid + 1 for eid in rot]
+        arrive = darts[-1] ^ 1
+        for d in darts:
+            successor[arrive] = d
+            arrive = d ^ 1
+        starts += sorted(darts)
     faces: list[tuple[HalfEdge, ...]] = []
-    face_of: dict[HalfEdge, int] = {}
-    for start in sorted(successor):
-        if start in face_of:
+    face_of = [-1] * len(tail)
+    for start in starts:
+        if face_of[start] >= 0:
             continue
         walk: list[HalfEdge] = []
-        cur = start
+        d = start
         while True:
-            if cur in face_of:
+            if face_of[d] >= 0:
                 raise InternalInvariantError("face walk re-entered a closed face")
-            face_of[cur] = len(faces)
-            walk.append(cur)
-            tail, eid = cur
-            head = g.edge(eid).other(tail)
-            cur = (head, successor[(head, eid)])
-            if cur == start:
+            face_of[d] = len(faces)
+            walk.append((tail[d], d >> 1))
+            d = successor[d]
+            if d == start:
                 break
         faces.append(tuple(walk))
     return tuple(faces), face_of
@@ -205,20 +231,24 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
 
 def _euler_check(g, rotation, faces):
     """V - E + F = 2 on each connected component, named by its lowest node."""
-    component: dict[int, int] = {}
+    ends = [(e.u, e.v) for e in g.edges]
+    component = [-1] * len(g.nodes)
     for start in sorted(rotation):
-        if start in component:
+        if component[start] >= 0:
             continue
         component[start] = start
         queue = [start]
         for u in queue:
             for eid in rotation[u]:
-                v = g.edge(eid).other(u)
-                if v not in component:
+                a, b = ends[eid]
+                v = b if a == u else a
+                if component[v] < 0:
                     component[v] = start
                     queue.append(v)
-    v_count = Counter(component.values())
-    half_edges = Counter(component[u] for u, rot in rotation.items() for _ in rot)
+    v_count = Counter(component[u] for u in rotation)
+    half_edges: Counter[int] = Counter()
+    for u, rot in rotation.items():
+        half_edges[component[u]] += len(rot)
     f_count = Counter(component[face[0][0]] for face in faces)
     for comp in v_count:
         v, e, f = v_count[comp], half_edges[comp] // 2, f_count[comp]
@@ -234,14 +264,11 @@ def build_dual(emb: PlanarEmbedding) -> DualGraph:
     Bridges produce dual self-loops (flagged via is_self_loop); weights are
     copied from the primal edges.
     """
-    g = emb.graph
-    edges: list[DualEdge] = []
-    for k, eid in enumerate(emb.kept_edge_ids):
-        e = g.edge(eid)
-        f1 = emb.face_of[(e.u, eid)]
-        f2 = emb.face_of[(e.v, eid)]
-        edges.append(DualEdge(k, f1, f2, e.weight, eid))
-    dual = DualGraph(len(emb.faces), tuple(edges))
+    edges, face_of = emb.graph.edges, emb.face_of
+    dual = DualGraph(len(emb.faces), tuple([
+        DualEdge(k, face_of[2 * eid], face_of[2 * eid + 1], edges[eid].weight, eid)
+        for k, eid in enumerate(emb.kept_edge_ids)
+    ]))
     boundary_len = [len(f) for f in emb.faces]
     if dual.degrees() != boundary_len:
         raise InternalInvariantError(

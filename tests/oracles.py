@@ -6,13 +6,15 @@ None of it shares a code path with the package under test, except the
 routines a faster one replaced, kept as its references: the gadget
 matchings of the T-join solve (`gadget_tjoin` on one connected instance,
 and `unsplit_tjoin_weight` over a whole instance without splitting it into
-components), and the parity union-find phases of the signed two-coloring
-(`phase_assign_oracle`).  The one solver-backed oracle, `exact_bipartization`,
+components), the parity union-find phases of the signed two-coloring
+(`phase_assign_oracle`), and the embedding traced over half-edge keys
+(`embed_oracle`, which sorts by the package's exact `compare_directions`).  The one solver-backed oracle, `exact_bipartization`,
 certifies its answer with the package's `phase_assign`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -24,6 +26,7 @@ from scipy.sparse import csr_array
 
 from aapsm.conflict_graph import PHASE_A, PHASE_B, phase_assign
 from aapsm.errors import InternalInvariantError
+from aapsm.geometry import compare_directions
 from aapsm.matching import min_weight_perfect_matching
 from aapsm.tjoin import (
     MODE_GENERALIZED,
@@ -171,6 +174,63 @@ def find_crossings_oracle(g, edge_ids=None) -> tuple:
         if segments_intersect_oracle(p, q, r, s):
             out.append((i, j))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# the embedding's reference
+# ---------------------------------------------------------------------------
+
+
+def embed_oracle(g, removed) -> tuple:
+    """(rotation, faces, dual edges) of the edges not in `removed`, traced
+    over (tail node, edge id) half-edge keys.  Each node's surviving edges
+    are sorted by a per-node direction comparison; the faces are walked from
+    the sorted keys of a successor map; each kept edge k, in id order, gives
+    the dual edge (k, face at e.u, face at e.v, weight, edge id)."""
+    removed = set(removed)
+    incident: dict[int, list[int]] = {}
+    for e in g.edges:
+        if e.id not in removed:
+            incident.setdefault(e.u, []).append(e.id)
+            incident.setdefault(e.v, []).append(e.id)
+    rotation = {}
+    for node_id in sorted(incident):
+        x, y = g.node(node_id).pos
+        direction = {}
+        for eid in incident[node_id]:
+            ox, oy = g.node(g.edge(eid).other(node_id)).pos
+            direction[eid] = (ox - x, oy - y)
+
+        def cmp(e1, e2):
+            return compare_directions(direction[e1], direction[e2])
+
+        rotation[node_id] = tuple(sorted(incident[node_id], key=functools.cmp_to_key(cmp)))
+    successor = {
+        (v, eid): nxt for v, rot in rotation.items() for eid, nxt in zip(rot, rot[1:] + rot[:1])
+    }
+    faces: list[tuple] = []
+    face_of: dict[tuple[int, int], int] = {}
+    for start in sorted(successor):
+        if start in face_of:
+            continue
+        walk = []
+        cur = start
+        while True:
+            assert cur not in face_of, "face walk re-entered a closed face"
+            face_of[cur] = len(faces)
+            walk.append(cur)
+            tail, eid = cur
+            head = g.edge(eid).other(tail)
+            cur = (head, successor[(head, eid)])
+            if cur == start:
+                break
+        faces.append(tuple(walk))
+    kept = [e for e in g.edges if e.id not in removed]
+    dual = [
+        (k, face_of[(e.u, e.id)], face_of[(e.v, e.id)], e.weight, e.id)
+        for k, e in enumerate(kept)
+    ]
+    return rotation, tuple(faces), dual
 
 
 def is_degenerate_oracle(node_id, nodes, edges) -> bool:

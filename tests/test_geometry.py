@@ -4,12 +4,17 @@ import random
 
 from hypothesis import given, strategies as st
 
+from aapsm.conflict_graph import build_conflict_graph
+from aapsm.generator import generate_layout
 from aapsm.geometry import (
     box_pairs,
     compare_directions,
+    segment_box,
     segments_intersect,
 )
+from aapsm.layout import find_overlapping_pairs, generate_shifters
 
+from conftest import manhattan_layout
 from oracles import box_pairs_oracle, segments_intersect_oracle
 
 
@@ -102,3 +107,20 @@ class TestBoxPairs:
                 w, h = (long, thin) if rng.random() < 0.5 else (thin, long)
                 boxes.append(_box(rng.randint(-200, 200), rng.randint(-200, 200), w, h))
             assert box_pairs(boxes) == box_pairs_oracle(boxes)
+
+    def test_conflict_graph_segment_boxes_match_oracle(self):
+        # axis-parallel edges give zero-width and zero-height boxes, and
+        # edges sharing a node give shared x_lo values and corner contacts
+        layouts = [manhattan_layout(seed) for seed in range(5000, 5020)]
+        layouts += [generate_layout(seed, 40, 0.7) for seed in range(1, 6)]
+        flat = shared_x_lo = 0
+        for layout in layouts:
+            shifters = generate_shifters(layout)
+            g = build_conflict_graph(
+                shifters, find_overlapping_pairs(shifters, layout.rules), layout.rules
+            )
+            boxes = [segment_box(g.node(e.u).pos, g.node(e.v).pos) for e in g.edges]
+            assert box_pairs(boxes) == box_pairs_oracle(boxes)
+            flat += sum(b[0] == b[2] or b[1] == b[3] for b in boxes)
+            shared_x_lo += len(boxes) - len({b[0] for b in boxes})
+        assert flat and shared_x_lo

@@ -2,8 +2,9 @@
 
 `golden_reports.txt` holds, for a few generated designs, the CLI `detect`
 report (greedy baseline on), the `--dump-conflicts` lines, and the `correct`
-report.  The rows designs (density 0) two-color, so `detect` embeds their
-conflict graph only when asked; their `--dump-embedding` faces are held too.
+report, and the `--dump-embedding` faces of every design.  The rows designs
+(density 0) two-color, so `detect` embeds their conflict graph only when
+asked; the density-0.7 designs' faces pin the embedding the T-join reads.
 Section headers still name the `generalized` gadget shape that every
 report echoes as `gadget_mode`.  Regenerate it only for an intended output
 change:
@@ -43,14 +44,14 @@ def golden_text() -> str:
             lay.write_text(serialize_layout(generate_layout(seed, n, density)))
             dump = pathlib.Path(tmp, f"{name}.conflicts")
             faces = pathlib.Path(tmp, f"{name}.faces")
-            args = ["detect", str(lay), "--baseline-gb", "--dump-conflicts", str(dump)]
-            if density == 0.0:
-                args += ["--dump-embedding", str(faces)]
+            args = [
+                "detect", str(lay), "--baseline-gb", "--dump-conflicts", str(dump),
+                "--dump-embedding", str(faces),
+            ]
             chunks.append(f"## {name} detect {MODE_GENERALIZED}\n")
             chunks.append(_cli(args))
             chunks.append(f"## {name} conflicts {MODE_GENERALIZED}\n" + dump.read_text())
-            if density == 0.0:
-                chunks.append(f"## {name} embedding\n" + faces.read_text())
+            chunks.append(f"## {name} embedding\n" + faces.read_text())
             chunks.append(f"## {name} correct\n")
             chunks.append(_cli(["correct", str(lay), "--out", str(lay) + ".fixed"]))
     return "".join(chunks)

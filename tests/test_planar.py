@@ -1,5 +1,6 @@
 """Planarization, rotation/face tracing, and the dual graph."""
 
+import math
 import random
 import re
 from collections import Counter
@@ -15,14 +16,17 @@ from aapsm.conflict_graph import (
     build_conflict_graph,
 )
 from aapsm.errors import GeometryError, InternalInvariantError
+from aapsm.generator import generate_layout
 from aapsm.layout import find_overlapping_pairs, generate_shifters
 from aapsm.planar import (
     _euler_check,
     _trace_faces,
     build_dual,
     dump_embedding,
+    embed,
     find_crossings,
     planarize,
+    remove_crossings,
     require_general_position,
 )
 
@@ -30,6 +34,7 @@ from conftest import manhattan_layout, sample_micro_pcgs
 from oracles import (
     adjacent_collinear_pairs_oracle,
     crossings_oracle,
+    embed_oracle,
     find_crossings_oracle,
     min_crossing_removal_weight,
 )
@@ -72,12 +77,15 @@ def face_component(emb, face):
     return min(seen)
 
 
+def design_graph(layout):
+    shifters = generate_shifters(layout)
+    pairs = find_overlapping_pairs(shifters, layout.rules)
+    return build_conflict_graph(shifters, pairs, layout.rules)
+
+
 def manhattan_embeddings(seeds):
     for seed in seeds:
-        layout = manhattan_layout(seed)
-        shifters = generate_shifters(layout)
-        pairs = find_overlapping_pairs(shifters, layout.rules)
-        yield planarize(build_conflict_graph(shifters, pairs, layout.rules))
+        yield planarize(design_graph(manhattan_layout(seed)))
 
 
 class TestFindCrossings:
@@ -490,6 +498,78 @@ class TestFacesAndDual:
         text = dump_embedding(emb)
         assert text.count("face ") == 2
         assert "removed" in text
+
+
+def random_general_position_graph(rng: random.Random):
+    """Raw graph on a 9x9 grid with no two edges leaving a node on one ray:
+    axis-parallel, diagonal and skew edges, crossings, and nodes of degree
+    three and more."""
+    n = rng.randint(6, 14)
+    points = rng.sample([(x, y) for x in range(9) for y in range(9)], n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    rays, edges = set(), []
+    for u, v in pairs[: rng.randint(n, 3 * n)]:
+        (ux, uy), (vx, vy) = points[u], points[v]
+        step = math.gcd(vx - ux, vy - uy)
+        dx, dy = (vx - ux) // step, (vy - uy) // step
+        if (u, dx, dy) in rays or (v, -dx, -dy) in rays:
+            continue
+        rays |= {(u, dx, dy), (v, -dx, -dy)}
+        edges.append((u, v, rng.randint(1, 4)))
+    return raw_graph(points, edges)
+
+
+def assert_embedding_matches_oracle(g, removed):
+    """`embed` gives the oracle's rotation (in node order), its faces in
+    order, and its dual edges."""
+    emb = embed(g, removed)
+    rotation, faces, dual_edges = embed_oracle(g, removed)
+    assert list(emb.rotation.items()) == list(rotation.items())
+    assert emb.faces == faces
+    dual = [(d.id, d.u, d.v, d.weight, d.primal_edge_id) for d in build_dual(emb).edges]
+    assert dual == dual_edges
+    return emb
+
+
+class TestEmbeddingMatchesOracle:
+    def test_manhattan_designs_with_crossings(self):
+        with_crossings = 0
+        for seed in range(5000, 5050):
+            g = design_graph(manhattan_layout(seed))
+            removed = remove_crossings(g)
+            assert_embedding_matches_oracle(g, removed)
+            with_crossings += bool(removed)
+        assert with_crossings >= 40, with_crossings
+
+    def test_generated_designs(self):
+        designs = [(seed, 40) for seed in range(1, 11)] + [(1, 400)]
+        for seed, features in designs:
+            g = design_graph(generate_layout(seed, features, 0.7))
+            emb = assert_embedding_matches_oracle(g, remove_crossings(g))
+            assert len(emb.faces) > 1
+
+    def test_random_general_position_drawings(self):
+        rng = random.Random(9091)
+        seen = set()
+        for _ in range(120):
+            g = random_general_position_graph(rng)
+            emb = assert_embedding_matches_oracle(g, remove_crossings(g))
+            for node_id, rot in emb.rotation.items():
+                x, y = g.node(node_id).pos
+                if len(rot) >= 3:
+                    seen.add("degree 3+")
+                for eid in rot:
+                    ox, oy = g.node(g.edge(eid).other(node_id)).pos
+                    dx, dy = ox - x, oy - y
+                    if dx == 0 or dy == 0:
+                        seen.add("axis")
+                    elif abs(dx) == abs(dy):
+                        seen.add("diagonal")
+                    else:
+                        seen.add((dx > 0, dy > 0))
+        quadrants = {(sx, sy) for sx in (True, False) for sy in (True, False)}
+        assert seen == {"degree 3+", "axis", "diagonal"} | quadrants
 
 
 class TestIsolatedNodes:

@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""One digest over everything detect and correct put out on the perfbench
+workloads, to check that a change leaves the outputs byte-identical.
+
+    python3 tools/output_digest.py [SEED ...]    # default seeds: 1 2
+
+Every design of the three workloads of each seed is run in both weight
+modes with the greedy baseline on.  The digest covers the rendered
+`correct(..., allow_uncovered=True)` report, the conflict ids, the phases
+and `dump_embedding`.  Run it in two checkouts and compare the last line.
+The package is imported from this checkout's `src`, and the designs come
+from `perfbench/workloads.py`, which this script only reads.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from aapsm import correct, detect, parse_layout  # noqa: E402
+from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM  # noqa: E402
+from aapsm.errors import AapsmError  # noqa: E402
+from aapsm.pipeline import render_report  # noqa: E402
+from aapsm.planar import dump_embedding  # noqa: E402
+import workloads  # noqa: E402
+
+
+def design_output(layout, weight_mode: str) -> str:
+    try:
+        det = detect(layout, weight_mode=weight_mode, run_greedy_baseline=True)
+        cor = correct(det, allow_uncovered=True)
+    except AapsmError as err:
+        return f"error {type(err).__name__}: {err}\n"
+    return (
+        render_report(cor.report)
+        + f"conflicts {det.conflicts.edge_ids}\nphases {sorted(det.phases.items())}\n"
+        + dump_embedding(det.embedding)
+    )
+
+
+def main(argv: list[str]) -> int:
+    digest, runs = hashlib.sha256(), 0
+    for seed in [int(a) for a in argv] or [1, 2]:
+        for w in workloads.WORKLOADS.values():
+            for design_seed in workloads.design_seeds(seed, w.designs):
+                d = workloads.make_design(w, design_seed)
+                layout = parse_layout(d.text) if d.text is not None else d.layout
+                for mode in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
+                    digest.update(f"## {w.name} {design_seed} {mode}\n".encode())
+                    digest.update(design_output(layout, mode).encode())
+                    runs += 1
+    print(f"runs={runs} digest={digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
