@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geometry
 from .errors import InternalInvariantError, LayoutValidationError
@@ -46,8 +47,9 @@ Line = tuple[int, int, int]  # primitive direction (dx, dy), offset: see _line_s
 LineIndex = dict[Line, dict[int, tuple[int, int]]]  # line -> {edge id: (lo, hi)}
 
 
-@dataclass(frozen=True)
-class PcgNode:
+class PcgNode(NamedTuple):
+    """A node at (x, y); a NamedTuple, so derive moved copies with `_replace`."""
+
     id: int
     kind: str
     x: int  # quarter-nm
@@ -107,19 +109,19 @@ def build_conflict_graph(
     """Assemble the phase conflict graph from shifters and overlap pairs."""
     if weight_mode not in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
+    # one pass over the shifters in id order: node ids follow shifter ids, so
+    # each feature's node list is in id order already
     ordered = sorted(shifters, key=lambda s: s.id)
     node_of_shifter: dict[int, int] = {}
     nodes: list[PcgNode] = []
-    for s in ordered:
-        nid = len(nodes)
+    by_feature: dict[int, list[int]] = {}
+    for nid, s in enumerate(ordered):
+        r = s.rect
         node_of_shifter[s.id] = nid
-        x = 2 * (s.rect.x_lo + s.rect.x_hi)  # center * POS_SCALE, exact
-        y = 2 * (s.rect.y_lo + s.rect.y_hi)
+        x = 2 * (r.x_lo + r.x_hi)  # center * POS_SCALE, exact
+        y = 2 * (r.y_lo + r.y_hi)
         nodes.append(PcgNode(nid, NODE_EDGE_SHIFTER, x, y))
-
-    by_feature: dict[int, list[Shifter]] = {}
-    for s in ordered:
-        by_feature.setdefault(s.feature_id, []).append(s)
+        by_feature.setdefault(s.feature_id, []).append(nid)
 
     edges: list[PcgEdge] = []
     for fid in sorted(by_feature):
@@ -128,15 +130,10 @@ def build_conflict_graph(
             raise LayoutValidationError(
                 f"feature {fid} has {len(pair)} shifters, expected 2"
             )
-        a, b = sorted(pair, key=lambda s: s.id)
+        u, v = pair
         edges.append(
             PcgEdge(
-                len(edges),
-                node_of_shifter[a.id],
-                node_of_shifter[b.id],
-                FEATURE_EDGE_WEIGHT,
-                EDGE_FEATURE,
-                (a.id, b.id),
+                len(edges), u, v, FEATURE_EDGE_WEIGHT, EDGE_FEATURE, (ordered[u].id, ordered[v].id)
             )
         )
 
@@ -148,18 +145,16 @@ def build_conflict_graph(
                 f"overlap pair ({s1},{s2}) separation {sep} is not below "
                 f"the minimum spacing {spacing}"
             )
-        u = node_of_shifter[s1]
-        v = node_of_shifter[s2]
+        u, v = nodes[node_of_shifter[s1]], nodes[node_of_shifter[s2]]
         onid = len(nodes)
-        ox = (nodes[u].x + nodes[v].x) // 2  # node coords are even: exact
-        oy = (nodes[u].y + nodes[v].y) // 2
-        nodes.append(PcgNode(onid, NODE_OVERLAP, ox, oy))
+        # node coords are even: the midpoint is exact
+        nodes.append(PcgNode(onid, NODE_OVERLAP, (u.x + v.x) // 2, (u.y + v.y) // 2))
         weight = 1 if weight_mode == WEIGHT_UNIFORM else required
         edges.append(
-            PcgEdge(len(edges), u, onid, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
+            PcgEdge(len(edges), u.id, onid, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
         )
         edges.append(
-            PcgEdge(len(edges), onid, v, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
+            PcgEdge(len(edges), onid, v.id, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
         )
 
     nodes, perturbed = _perturb_degenerate_overlaps(nodes, edges)
@@ -198,7 +193,7 @@ def _perturb_degenerate_overlaps(
     for node in nodes:
         if node.kind != NODE_EDGE_SHIFTER:
             continue
-        if node.pos in held:
+        if (node.x, node.y) in held:
             free = (
                 d for d in _perturb_deltas() if (node.x + d[0], node.y + d[1]) not in held
             )
@@ -208,9 +203,9 @@ def _perturb_degenerate_overlaps(
                     f"cannot separate concentric shifter node {node.id} "
                     f"within {_PERTURB_LIMIT} quarter-nm"
                 )
-            node = replace(node, x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
+            node = node._replace(x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
             nodes[node.id] = node
-        held.add(node.pos)
+        held.add((node.x, node.y))
 
     flagged = _degenerate_overlap_nodes(nodes, edges)
     if not flagged:
@@ -232,7 +227,7 @@ def _perturb_degenerate_overlaps(
             _file_edge(lines, nodes, edges[eid], filed=False)
         at[node.pos] -= 1
         base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
-        nodes[nid] = node = replace(node, x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
+        nodes[nid] = node = node._replace(x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
         at[node.pos] += 1
         for eid in incident[nid]:
             _file_edge(lines, nodes, edges[eid], filed=True)
@@ -278,10 +273,13 @@ def _line_span(a: geometry.Point, b: geometry.Point) -> tuple[Line, int, int] | 
     The line is keyed by its primitive direction (dx, dy), signed so that
     dx > 0 or dx == 0 < dy, and by the offset dx*y - dy*x that every point of
     it shares; lo and hi project a and b onto (dx, dy).  Exact integers.
+    Axis-parallel segments, the common case, skip the gcd.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
-    if not (dx or dy):
-        return None
+    if not dy:
+        return ((1, 0, a[1]), min(a[0], b[0]), max(a[0], b[0])) if dx else None
+    if not dx:
+        return (0, 1, -a[0]), min(a[1], b[1]), max(a[1], b[1])
     step = math.gcd(dx, dy)
     if dx < 0 or (dx == 0 and dy < 0):
         step = -step

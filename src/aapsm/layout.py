@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geometry
 from .errors import LayoutParseError, LayoutValidationError
@@ -171,12 +172,12 @@ class Layout:
         )
 
 
-@dataclass(frozen=True)
-class Shifter:
+class Shifter(NamedTuple):
     """One phase shifter flanking a critical feature.
 
     `side` is low/high along the feature's short axis: left/right for vertical
-    features, below/above for horizontal ones.
+    features, below/above for horizontal ones.  A NamedTuple: cheap to build,
+    immutable; derive a changed copy with `_replace`.
     """
 
     rect: Rect
@@ -267,44 +268,48 @@ def generate_shifters(layout: Layout) -> tuple[Shifter, ...]:
     Shifters span the feature's full length at distance shifter_gap from its
     long sides, with zero line-end overhang.  Shifters falling outside a
     declared bbox are clipped (flagged and logged), never silently dropped.
+    One pass over the features: the critical and orientation tests of
+    `find_critical_features` and `Rect.is_vertical` are inline, and the clip
+    runs only for a box not inside the bbox.
     """
     rules = layout.rules
-    gap, sw = rules.shifter_gap, rules.shifter_width
+    cw, gap, sw = rules.critical_width, rules.shifter_gap, rules.shifter_width
+    bbox = layout.bbox
+    bx1, by1, bx2, by2 = bbox if bbox is not None else (None,) * 4
     out: list[Shifter] = []
-    sid = 0
-    for feat in find_critical_features(layout):
-        if feat.is_vertical:
-            lo_box = (feat.x_lo - gap - sw, feat.y_lo, feat.x_lo - gap, feat.y_hi)
-            hi_box = (feat.x_hi + gap, feat.y_lo, feat.x_hi + gap + sw, feat.y_hi)
+    for feat in layout.features:
+        x1, y1, x2, y2 = feat.x_lo, feat.y_lo, feat.x_hi, feat.y_hi
+        if y2 - y1 >= x2 - x1:  # vertical; squares count as vertical
+            if x2 - x1 >= cw:
+                continue
+            boxes = ((x1 - gap - sw, y1, x1 - gap, y2), (x2 + gap, y1, x2 + gap + sw, y2))
         else:
-            lo_box = (feat.x_lo, feat.y_lo - gap - sw, feat.x_hi, feat.y_lo - gap)
-            hi_box = (feat.x_lo, feat.y_hi + gap, feat.x_hi, feat.y_hi + gap + sw)
-        for side, box in ((SIDE_LOW, lo_box), (SIDE_HIGH, hi_box)):
-            rect, clipped = _clip_to_bbox(box, layout.bbox, sid, feat.id)
+            if y2 - y1 >= cw:
+                continue
+            boxes = ((x1, y1 - gap - sw, x2, y1 - gap), (x1, y2 + gap, x2, y2 + gap + sw))
+        for side, (lx, ly, hx, hy) in zip((SIDE_LOW, SIDE_HIGH), boxes):
+            sid = len(out)
+            if bbox is None or (bx1 <= lx and hx <= bx2 and by1 <= ly and hy <= by2):
+                rect, clipped = Rect(lx, ly, hx, hy, SHIFTER_LAYER, sid), False
+            else:
+                rect, clipped = _clip_to_bbox((lx, ly, hx, hy), bbox, sid, feat.id), True
             out.append(Shifter(rect, feat.id, side, sid, clipped))
-            sid += 1
     return tuple(out)
 
 
-def _clip_to_bbox(box, bbox, sid: int, feature_id: int) -> tuple[Rect, bool]:
+def _clip_to_bbox(box, bbox, sid: int, feature_id: int) -> Rect:
+    """The part of a box not inside the bbox that lies in it, logged as a
+    clip; an error when no part of positive area is left."""
     x1, y1, x2, y2 = box
-    clipped = False
-    if bbox is not None:
-        bx1, by1, bx2, by2 = bbox
-        cx1, cy1 = max(x1, bx1), max(y1, by1)
-        cx2, cy2 = min(x2, bx2), min(y2, by2)
-        if (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2):
-            if cx1 >= cx2 or cy1 >= cy2:
-                raise LayoutValidationError(
-                    f"shifter {sid} of feature {feature_id} lies entirely "
-                    "outside the layout bbox"
-                )
-            log.warning(
-                "shifter %d of feature %d clipped to layout bbox", sid, feature_id
-            )
-            x1, y1, x2, y2 = cx1, cy1, cx2, cy2
-            clipped = True
-    return Rect(x1, y1, x2, y2, SHIFTER_LAYER, sid), clipped
+    bx1, by1, bx2, by2 = bbox
+    cx1, cy1, cx2, cy2 = max(x1, bx1), max(y1, by1), min(x2, bx2), min(y2, by2)
+    if cx1 >= cx2 or cy1 >= cy2:
+        raise LayoutValidationError(
+            f"shifter {sid} of feature {feature_id} lies entirely "
+            "outside the layout bbox"
+        )
+    log.warning("shifter %d of feature %d clipped to layout bbox", sid, feature_id)
+    return Rect(cx1, cy1, cx2, cy2, SHIFTER_LAYER, sid)
 
 
 def find_overlapping_pairs(

@@ -233,6 +233,21 @@ def embed_oracle(g, removed) -> tuple:
     return rotation, tuple(faces), dual
 
 
+def line_span_oracle(a, b):
+    """The gcd form of conflict_graph._line_span: the line through a and b
+    keyed by its primitive direction and offset, and the span a and b cover
+    on it; None when a == b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if not (dx or dy):
+        return None
+    step = math.gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        step = -step
+    dx, dy = dx // step, dy // step
+    ta, tb = dx * a[0] + dy * a[1], dx * b[0] + dy * b[1]
+    return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
+
+
 def is_degenerate_oracle(node_id, nodes, edges) -> bool:
     """The node shares its position with any other node, or one of its edges
     overlaps any other edge along a collinear stretch; whole-graph scan."""

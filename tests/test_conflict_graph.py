@@ -24,7 +24,7 @@ from aapsm.conflict_graph import (
     phase_assign,
     signed_forest,
 )
-from aapsm.errors import InternalInvariantError
+from aapsm.errors import InternalInvariantError, LayoutValidationError
 from aapsm.generator import generate_layout
 from aapsm.layout import (
     FEATURE_LAYER,
@@ -41,6 +41,7 @@ from conftest import make_shifter, manhattan_layout, micro_layout, sample_micro_
 from oracles import (
     collinear_overlap_oracle,
     is_degenerate_oracle,
+    line_span_oracle,
     phase_assign_oracle,
     phase_feasible,
 )
@@ -218,6 +219,49 @@ class TestBuild:
         assert len(edge_lines) == len(g.edges)
         assert node_lines[0].split()[2] == NODE_EDGE_SHIFTER
 
+    @pytest.mark.parametrize(
+        "layout",
+        [generate_layout(seed, 40, 0.7) for seed in range(1, 6)]
+        + [manhattan_layout(seed) for seed in range(5000, 5010)],
+        ids=[f"comb{seed}" for seed in range(1, 6)]
+        + [f"manhattan{seed}" for seed in range(5000, 5010)],
+    )
+    def test_shifter_order_is_ignored(self, layout):
+        shifters = generate_shifters(layout)
+        pairs = find_overlapping_pairs(shifters, layout.rules)
+        g = build_conflict_graph(shifters, pairs, layout.rules)
+        rng = random.Random(len(shifters))
+        for _ in range(3):
+            shuffled = list(shifters)
+            rng.shuffle(shuffled)
+            h = build_conflict_graph(tuple(shuffled), pairs, layout.rules)
+            assert dump_graph(h) == dump_graph(g)
+            assert h.perturbed_nodes == g.perturbed_nodes
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_feature_without_two_shifters_rejected(self, count):
+        """Feature 1 gets `count` shifters; the check names it whatever
+        order the shifters come in."""
+        shifters = [make_shifter(0, 0, "low", 0, 0), make_shifter(1, 0, "high", 200, 0)]
+        shifters += [make_shifter(2 + k, 1, "low", 400 + 200 * k, 0) for k in range(count)]
+        for order in (shifters, shifters[::-1]):
+            with pytest.raises(LayoutValidationError) as err:
+                build_conflict_graph(tuple(order), (), DesignRules(150, 200, 0, 100))
+            assert str(err.value) == f"feature 1 has {count} shifters, expected 2"
+
+
+class TestRecords:
+    def test_node_is_an_immutable_hashable_record(self):
+        node = PcgNode(3, NODE_OVERLAP, 8, -4)
+        assert node.perturb == (0, 0) and node.pos == (8, -4)
+        assert node == PcgNode(id=3, kind=NODE_OVERLAP, x=8, y=-4, perturb=(0, 0))
+        assert hash(node) == hash(PcgNode(3, NODE_OVERLAP, 8, -4))
+        with pytest.raises(AttributeError):
+            node.x = 9
+        moved = node._replace(x=9, perturb=(1, 0))
+        assert moved is not node and moved.pos == (9, -4) and moved.perturb == (1, 0)
+        assert node.pos == (8, -4) and node.perturb == (0, 0)
+
 
 class TestPerturbation:
     def test_skip_overlap_row_gets_perturbed(self):
@@ -383,6 +427,18 @@ class TestPerturbation:
         assert key((7, 3), (-2, 3)) == key((-20, 3), (-30, 3))
         assert key((0, 0), (30, 10)) != key((0, 1), (30, 11))
         assert conflict_graph._line_span((5, -5), (5, -5)) is None
+
+    def test_line_span_matches_gcd_oracle(self):
+        """The axis-parallel fast path returns exactly what the gcd formula
+        does: a third of the pairs horizontal, a third vertical, the rest
+        general, plus zero-length pairs, which span nothing."""
+        rng = random.Random(2024)
+        coord = lambda: rng.randint(-2000, 2000)  # noqa: E731
+        for k in range(3000):
+            a = (coord(), coord())
+            b = [(coord(), a[1]), (a[0], coord()), (coord(), coord())][k % 3]
+            assert conflict_graph._line_span(a, b) == line_span_oracle(a, b), (a, b)
+            assert conflict_graph._line_span(a, a) is None
 
     def test_moved_node_checked_against_edges_beyond_its_box(self, monkeypatch):
         """Overlap node 4 sits on feature edge 0, and its first nudge lands on

@@ -243,6 +243,46 @@ class TestShifters:
         assert lo.clipped and lo.rect.x_lo == -100
         assert not hi.clipped
 
+    # A vertical and a horizontal feature with shifters 200 wide at gap 0:
+    # the bbox that holds both shifters exactly, and one that cuts 50 off
+    # the shifter named by its index (0 = low, 1 = high).
+    CLIP_CASES = {
+        "vertical": (Rect(0, 0, 100, 1000, FEATURE_LAYER, 0), (-200, 0, 300, 1000),
+                     (-200, 0, 250, 1000), 1),
+        "horizontal": (Rect(0, 0, 1000, 100, FEATURE_LAYER, 0), (0, -200, 1000, 300),
+                       (0, -150, 1000, 300), 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLIP_CASES))
+    def test_shifter_on_bbox_edge_is_not_clipped(self, case, caplog):
+        feature, exact, _, _ = self.CLIP_CASES[case]
+        layout = Layout((feature,), DesignRules(150, 200, 0, 100), bbox=exact)
+        with caplog.at_level("WARNING", logger="aapsm.layout"):
+            shifters = generate_shifters(layout)
+        assert not any(s.clipped for s in shifters)
+        bounds = [(s.rect.x_lo, s.rect.y_lo, s.rect.x_hi, s.rect.y_hi) for s in shifters]
+        hull = (min(b[0] for b in bounds), min(b[1] for b in bounds),
+                max(b[2] for b in bounds), max(b[3] for b in bounds))
+        assert hull == exact
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("case", sorted(CLIP_CASES))
+    def test_shifter_crossing_bbox_is_clipped_and_logged_once(self, case, caplog):
+        feature, _, cut, k = self.CLIP_CASES[case]
+        layout = Layout((feature,), DesignRules(150, 200, 0, 100), bbox=cut)
+        with caplog.at_level("WARNING", logger="aapsm.layout"):
+            shifters = generate_shifters(layout)
+        clipped, partner = shifters[k], shifters[1 - k]
+        assert clipped.clipped and not partner.clipped
+        r = clipped.rect
+        assert (r.width, r.height) in ((150, 1000), (1000, 150))
+        assert cut[0] <= r.x_lo and r.x_hi <= cut[2] and cut[1] <= r.y_lo and r.y_hi <= cut[3]
+        p = partner.rect
+        assert (p.width, p.height) in ((200, 1000), (1000, 200))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"shifter {clipped.id} of feature 0 clipped to layout bbox"
+        ]
+
     def test_fully_outside_bbox_is_error(self):
         rules = DesignRules(150, 300, 0, 100)
         layout = Layout(
@@ -263,6 +303,18 @@ class TestShifters:
             rules,
         )
         assert generate_shifters(layout) == generate_shifters(layout)
+
+    def test_shifter_is_an_immutable_hashable_record(self):
+        rect = Rect(0, 0, 100, 200, SHIFTER_LAYER, 4)
+        s = Shifter(rect, 2, SIDE_HIGH, 4)
+        assert s.clipped is False
+        assert s == Shifter(rect=rect, feature_id=2, side=SIDE_HIGH, id=4, clipped=False)
+        assert hash(s) == hash(Shifter(rect, 2, SIDE_HIGH, 4))
+        with pytest.raises(AttributeError):
+            s.clipped = True
+        flagged = s._replace(clipped=True)
+        assert flagged is not s and flagged.clipped and not s.clipped
+        assert flagged[:4] == s[:4]
 
 
 class TestSeparation:

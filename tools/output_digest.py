@@ -6,8 +6,10 @@ workloads, to check that a change leaves the outputs byte-identical.
 
 Every design of the three workloads of each seed is run in both weight
 modes with the greedy baseline on.  The digest covers the rendered
-`correct(..., allow_uncovered=True)` report, the conflict ids, the phases
-and `dump_embedding`.  Run it in two checkouts and compare the last line.
+`correct(..., allow_uncovered=True)` report, the conflict ids, the phases,
+`dump_embedding`, `dump_graph` with the perturbed node ids, and every
+shifter's id, feature, side, rect bounds and clip flag.  Run it in two
+checkouts and compare the last line.
 The package is imported from this checkout's `src`, and the designs come
 from `perfbench/workloads.py`, which this script only reads.
 """
@@ -21,7 +23,7 @@ sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from aapsm import correct, detect, parse_layout  # noqa: E402
-from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM  # noqa: E402
+from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, dump_graph  # noqa: E402
 from aapsm.errors import AapsmError  # noqa: E402
 from aapsm.pipeline import render_report  # noqa: E402
 from aapsm.planar import dump_embedding  # noqa: E402
@@ -34,10 +36,15 @@ def design_output(layout, weight_mode: str) -> str:
         cor = correct(det, allow_uncovered=True)
     except AapsmError as err:
         return f"error {type(err).__name__}: {err}\n"
+    shifters = "".join(
+        f"shifter {s.id} {s.feature_id} {s.side} {s.rect.x_lo} {s.rect.y_lo} "
+        f"{s.rect.x_hi} {s.rect.y_hi} {s.clipped}\n" for s in det.shifters
+    )
     return (
         render_report(cor.report)
         + f"conflicts {det.conflicts.edge_ids}\nphases {sorted(det.phases.items())}\n"
         + dump_embedding(det.embedding)
+        + dump_graph(det.graph) + f"perturbed {det.graph.perturbed_nodes}\n" + shifters
     )
 
 
