@@ -238,7 +238,8 @@ def correct(
     intervals, uncoverable = compute_intervals(
         layout, detection.shifters, detection.conflicts
     )
-    critical = find_critical_features(layout)
+    # the planner reads the critical features only to drop candidate cuts
+    critical = find_critical_features(layout) if intervals else ()
     plan = plan_spaces(intervals, critical)
 
     uncovered_keys = {c.shifter_pair for c in uncoverable} | set(plan.uncovered)

@@ -18,18 +18,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bipartize import Conflict, ConflictSet
 from .errors import InternalInvariantError
-from .layout import (
-    Layout,
-    Rect,
-    SIDE_LOW,
-    Shifter,
-    axis_gaps,
-    find_critical_features,
-)
+from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, Shifter, axis_gaps
 from .setcover import CoverCandidate, exact_cover, greedy_cover
 
 AXIS_VERTICAL = "v"  # vertical space: cut line x = c, widens the layout in x
@@ -140,7 +133,10 @@ def compute_intervals(
     AND cut coordinates under which the two generating features part ways
     (shifters regenerate from features, so a pair whose features sit on one
     side of every gap coordinate would ride along unseparated).
+    Without conflicts it returns at once and builds no lookup.
     """
+    if not conflicts.conflicts:
+        return (), ()
     by_id = {s.id: s for s in shifters}
     features = {f.id: f for f in layout.features}
     spacing = layout.rules.min_shifter_spacing
@@ -285,46 +281,62 @@ class AreaReport:
         return 100.0 * (self.new_area_nm2 - self.old_area_nm2) / self.old_area_nm2
 
 
+def _box_area(layout: Layout) -> int:
+    """Area of the declared bbox when there is one, else of the tight box
+    (cuts outside the hull move everything and change nothing, so no
+    identity applies); 0 for an empty layout without a bbox."""
+    box = layout.bounding_box()
+    if box is None:
+        return 0
+    x1, y1, x2, y2 = box
+    return (x2 - x1) * (y2 - y1)
+
+
 def apply_spaces(
     layout: Layout, shifters: tuple[Shifter, ...], plan: SpacePlan
 ) -> tuple[Layout, AreaReport]:
     """Insert the planned spaces, returning the new layout and area report.
 
-    One pass over the rects: per axis, the cut coordinates are sorted once
-    with prefix sums of their widths, so an edge moves by the widths of the
-    cuts that reach it -- a low edge at t by the cuts with c <= t, a high edge
-    by those with c < t -- exactly as if the cuts were inserted one by one in
-    descending order.  A rect no cut reaches is kept as is.  Cuts only grow
-    a rect, so a cut stretched a critical feature across its short axis
-    exactly when its short dimension changed; that is an internal fault
-    (exit 4), since the planner drops every such cut.
+    A plan without cuts returns the input layout itself: a Layout is frozen
+    and was validated when it was built.  Otherwise one pass over the rects:
+    per axis, the cut coordinates are sorted once with prefix sums of their
+    widths, so an edge moves by the widths of the cuts that reach it -- a
+    low edge at t by the cuts with c <= t, a high edge by those with c < t --
+    exactly as if the cuts were inserted one by one in descending order.  A
+    rect no cut reaches is kept as is.  Cuts only grow a rect, so a cut
+    stretched a critical feature across its short axis exactly when its
+    short dimension changed; that is an internal fault (exit 4), since the
+    planner drops every such cut.  Only a moved rect is asked whether it is
+    critical, by `find_critical_features`' own test.
     """
-    rects = layout.rects
-    if plan.cuts:
-        shifts = {}
-        for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL):
-            cuts = sorted((c.coord, c.width) for c in plan.cuts if c.axis == axis)
-            shifts[axis] = [c for c, _ in cuts], [0, *itertools.accumulate(w for _, w in cuts)]
-        critical_ids = {f.id for f in find_critical_features(layout)}
+    if not plan.cuts:
+        area = _box_area(layout)
+        return layout, AreaReport(area, area, 0, 0)
 
-        def moved(r: Rect, axis: str) -> tuple[int, int]:
-            coords, prefix = shifts[axis]
-            lo, hi = _span(r, axis)
-            return (
-                lo + prefix[bisect.bisect_right(coords, lo)],
-                hi + prefix[bisect.bisect_left(coords, hi)],
-            )
+    shifts = {}
+    for axis in (AXIS_VERTICAL, AXIS_HORIZONTAL):
+        cuts = sorted((c.coord, c.width) for c in plan.cuts if c.axis == axis)
+        shifts[axis] = [c for c, _ in cuts], [0, *itertools.accumulate(w for _, w in cuts)]
+    cw = layout.rules.critical_width
 
-        def move(r: Rect) -> Rect:
-            (x_lo, x_hi), (y_lo, y_hi) = moved(r, AXIS_VERTICAL), moved(r, AXIS_HORIZONTAL)
-            if (x_lo, y_lo, x_hi, y_hi) == (r.x_lo, r.y_lo, r.x_hi, r.y_hi):
-                return r
-            stretched = replace(r, x_lo=x_lo, y_lo=y_lo, x_hi=x_hi, y_hi=y_hi)
-            if r.id in critical_ids and stretched.short_dim != r.short_dim:
-                raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
-            return stretched
+    def moved(r: Rect, axis: str) -> tuple[int, int]:
+        coords, prefix = shifts[axis]
+        lo, hi = _span(r, axis)
+        return (
+            lo + prefix[bisect.bisect_right(coords, lo)],
+            hi + prefix[bisect.bisect_left(coords, hi)],
+        )
 
-        rects = tuple(move(r) for r in rects)
+    def move(r: Rect) -> Rect:
+        (x_lo, x_hi), (y_lo, y_hi) = moved(r, AXIS_VERTICAL), moved(r, AXIS_HORIZONTAL)
+        if (x_lo, y_lo, x_hi, y_hi) == (r.x_lo, r.y_lo, r.x_hi, r.y_hi):
+            return r
+        short = r.short_dim
+        if r.layer == FEATURE_LAYER and short < cw and min(x_hi - x_lo, y_hi - y_lo) != short:
+            raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
+        return Rect(x_lo, y_lo, x_hi, y_hi, r.layer, r.id)
+
+    rects = tuple(move(r) for r in layout.rects)
 
     inserted_x = sum(c.width for c in plan.cuts if c.axis == AXIS_VERTICAL)
     inserted_y = sum(c.width for c in plan.cuts if c.axis == AXIS_HORIZONTAL)
@@ -343,18 +355,8 @@ def apply_spaces(
                     f"rect {r.id} escaped the grown bounding box"
                 )
     new_layout = Layout(rects, layout.rules, new_bbox)
-
-    # the declared bbox when there is one, else the tight box (cuts outside
-    # the hull move everything and change nothing, so no identity applies)
-    def box_area(lay: Layout) -> int:
-        box = lay.bounding_box()
-        if box is None:
-            return 0
-        bx1, by1, bx2, by2 = box
-        return (bx2 - bx1) * (by2 - by1)
-
     return new_layout, AreaReport(
-        box_area(layout), box_area(new_layout), inserted_x, inserted_y
+        _box_area(layout), _box_area(new_layout), inserted_x, inserted_y
     )
 
 

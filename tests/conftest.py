@@ -53,11 +53,11 @@ def cli_env() -> dict[str, str]:
 
 
 @functools.cache
-def _perfbench_workloads():
-    """perfbench/workloads.py, loaded by path: the benchmark directory is not
-    an importable package."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path (read only): the benchmark
+    directory is not an importable package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
@@ -66,7 +66,7 @@ def _perfbench_workloads():
 
 def manhattan_layout(design_seed: int):
     """The benchmark's manhattan_batch design for this seed."""
-    return _perfbench_workloads().manhattan_layout(design_seed)
+    return perfbench_module("workloads").manhattan_layout(design_seed)
 
 
 def make_shifter(sid: int, feature_id: int, side: str, x: int, y: int, w=100, h=100):

@@ -42,7 +42,10 @@ when it does not two-color, since only then can the residual count be
 above 0.
 `apply_spaces` moves each rect once for all cuts together, so it builds at
 most one rect per rect whatever the cut count, and none for a plan without
-cuts.
+cuts.  A design without conflicts builds no layout and scans no critical
+features in `correct`: it gets the detected layout back.  A design with cuts
+scans the critical features once, for the planner, and validates one new
+layout before its residual is counted.
 """
 
 import dataclasses
@@ -53,10 +56,11 @@ import pytest
 import aapsm.bipartize
 import aapsm.pipeline
 import aapsm.planar
+import aapsm.spacing
 import aapsm.tjoin
 from aapsm import conflict_graph, geometry, layout
 from aapsm.generator import generate_layout
-from aapsm.layout import Rect
+from aapsm.layout import Layout, Rect
 from aapsm.pipeline import correct, detect
 from aapsm.planar import build_dual, planarize
 from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
@@ -363,3 +367,47 @@ def test_apply_spaces_builds_each_rect_at_most_once(monkeypatch):
     )
     assert rects_built(monkeypatch, design, cuts) <= len(design.rects)
     assert rects_built(monkeypatch, design, ()) == 0
+
+
+def correction_work(monkeypatch, design):
+    """(`detect(design)`, `correct` of it, and the `Layout` validations and
+    `find_critical_features` scans `correct` ran before its residual
+    `_detect_front`, or in all when it ran none)."""
+    det = detect(design)
+    counts, before_residual = Counter(), []
+    post_init, critical = Layout.__post_init__, layout.find_critical_features
+    front = aapsm.pipeline._detect_front
+
+    def counted_post_init(self):
+        counts["layouts"] += 1
+        post_init(self)
+
+    def counted_critical(lay):
+        counts["critical_scans"] += 1
+        return critical(lay)
+
+    def spy_front(*args):
+        before_residual.append(dict(counts))
+        return front(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Layout, "__post_init__", counted_post_init)
+        # every module that holds the name, whether it imports it or not
+        for module in (layout, aapsm.pipeline, aapsm.spacing):
+            m.setattr(module, "find_critical_features", counted_critical, raising=False)
+        m.setattr(aapsm.pipeline, "_detect_front", spy_front)
+        cor = correct(det)
+    return det, cor, before_residual[0] if before_residual else dict(counts)
+
+
+def test_correct_without_conflicts_does_no_spacing_work(monkeypatch):
+    det, cor, counts = correction_work(monkeypatch, generate_layout(1, 150, 0.0))
+    assert not det.conflicts.conflicts and not cor.plan.cuts
+    assert counts == {}
+    assert cor.new_layout is det.layout
+
+
+def test_correct_with_cuts_scans_and_validates_once(monkeypatch):
+    det, cor, counts = correction_work(monkeypatch, generate_layout(1, 40, 0.7))
+    assert cor.plan.cuts and cor.new_layout is not det.layout
+    assert counts == {"layouts": 1, "critical_scans": 1}

@@ -21,6 +21,7 @@ from aapsm.layout import (
 from aapsm.pipeline import correct as correct_pipeline, detect
 from aapsm.generator import generate_layout
 from aapsm.spacing import (
+    AreaReport,
     AXIS_HORIZONTAL,
     AXIS_VERTICAL,
     CorrectionInterval,
@@ -546,6 +547,55 @@ class TestApplySpaces:
         # the planner never plans such a cut: a fault (exit 4), not bad input
         with pytest.raises(InternalInvariantError, match="widen critical feature"):
             apply_spaces(layout, (), plan)
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            Rect(0, 0, 100, 1000, "metal", 0),  # thin, but not a feature
+            Rect(0, 0, 150, 1000, FEATURE_LAYER, 0),  # short_dim == critical_width
+        ],
+        ids=["thin-metal", "wide-poly"],
+    )
+    def test_non_critical_rect_may_stretch_across_short_axis(self, rect):
+        layout = Layout((rect,), RULES)
+        assert find_critical_features(layout) == ()
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 50, 10, ()),), (), 1, None)
+        new_layout, _ = apply_spaces(layout, (), plan)
+        r = new_layout.rects[0]
+        assert (r.width, r.height, r.layer, r.id) == (rect.width + 10, 1000, rect.layer, 0)
+
+    @pytest.mark.parametrize(
+        "w, h, axes",
+        [
+            (1000, 100, (AXIS_HORIZONTAL,)),
+            # a square's short dimension changes once both sides grow
+            (100, 100, (AXIS_VERTICAL, AXIS_HORIZONTAL)),
+        ],
+        ids=["horizontal", "square"],
+    )
+    def test_critical_rect_widening_is_hard_error(self, w, h, axes):
+        layout = Layout((Rect(0, 0, w, h, FEATURE_LAYER, 0),), RULES)
+        assert find_critical_features(layout) == layout.rects
+        plan = SpacePlan(tuple(Cut(axis, 50, 10, ()) for axis in axes), (), len(axes), None)
+        with pytest.raises(InternalInvariantError, match="widen critical feature 0"):
+            apply_spaces(layout, (), plan)
+
+    WIRE = Rect(0, 0, 100, 1000, FEATURE_LAYER, 0)
+
+    @pytest.mark.parametrize(
+        "layout, area",
+        [
+            (Layout((WIRE,), RULES, (-50, -50, 150, 1050)), 200 * 1100),
+            (Layout((WIRE, Rect(300, 0, 400, 50, "metal", 1)), RULES), 400 * 1000),
+            (empty_layout(), 0),
+        ],
+        ids=["bbox", "tight-box", "empty"],
+    )
+    def test_plan_without_cuts_returns_the_input_layout(self, layout, area):
+        new_layout, report = apply_spaces(layout, (), SpacePlan((), (), 0, None))
+        assert new_layout is layout
+        assert report == AreaReport(area, area, 0, 0)
+        assert report.pct_increase == 0.0
 
     def test_escaped_rect_is_internal_fault(self):
         # plans come from the planner, never from input: a rect leaving the

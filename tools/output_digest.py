@@ -6,8 +6,9 @@ workloads, to check that a change leaves the outputs byte-identical.
 
 Every design of the three workloads of each seed is run in both weight
 modes with the greedy baseline on.  The digest covers the rendered
-`correct(..., allow_uncovered=True)` report, the conflict ids, the phases,
-`dump_embedding`, `dump_graph` with the perturbed node ids, and every
+`correct(..., allow_uncovered=True)` report, the corrected layout
+(`serialize_layout`), the space plan (`dump_plan`), the conflict ids, the
+phases, `dump_embedding`, `dump_graph` with the perturbed node ids, and every
 shifter's id, feature, side, rect bounds and clip flag.  Run it in two
 checkouts and compare the last line.
 The package is imported from this checkout's `src`, and the designs come
@@ -22,11 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from aapsm import correct, detect, parse_layout  # noqa: E402
+from aapsm import correct, detect, parse_layout, serialize_layout  # noqa: E402
 from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, dump_graph  # noqa: E402
 from aapsm.errors import AapsmError  # noqa: E402
 from aapsm.pipeline import render_report  # noqa: E402
 from aapsm.planar import dump_embedding  # noqa: E402
+from aapsm.spacing import dump_plan  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -42,6 +44,7 @@ def design_output(layout, weight_mode: str) -> str:
     )
     return (
         render_report(cor.report)
+        + serialize_layout(cor.new_layout) + dump_plan(cor.plan)
         + f"conflicts {det.conflicts.edge_ids}\nphases {sorted(det.phases.items())}\n"
         + dump_embedding(det.embedding)
         + dump_graph(det.graph) + f"perturbed {det.graph.perturbed_nodes}\n" + shifters
