@@ -4,12 +4,13 @@ odd-cycle re-check of planarization casualties, and a greedy baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .conflict_graph import PhaseConflictGraph, phase_assign, signed_forest
+from .conflict_graph import PhaseConflictGraph, phase_assign, signed_components, signed_forest
 from .errors import InternalInvariantError
 from .planar import DualGraph, PlanarEmbedding
-from .tjoin import GADGET_MODES, MODE_GENERALIZED, TJoinInstance, solve_tjoin
+from .tjoin import GADGET_MODES, MODE_GENERALIZED, solve_on_darts
+from .unionfind import ParityUnionFind
 
 ORIGIN_MATCHING = "matching"
 ORIGIN_PLANARIZATION = "planarization-oddcheck"
@@ -26,8 +27,13 @@ class Conflict:
 
 @dataclass(frozen=True)
 class ConflictSet:
+    """The conflicts, and from `finalize_conflicts` the signed two-coloring
+    of the graph without them (each component's lowest node at 0), which
+    `phase_assign` certifies instead of coloring again."""
+
     conflicts: tuple[Conflict, ...]
     total_weight: int
+    colors: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
@@ -38,26 +44,29 @@ class ConflictSet:
 
 
 def bipartize_optimal(
-    emb: PlanarEmbedding, dual: DualGraph, mode: str = MODE_GENERALIZED
+    emb: PlanarEmbedding, dual: DualGraph | None = None, mode: str = MODE_GENERALIZED
 ) -> tuple[tuple[int, ...], int, float]:
     """Minimum-weight edge set M with the embedded graph minus M balanced.
 
-    A T-join on the dual with T = odd-degree faces, over the dual's own
-    edges but the self-loops (bridges lie on no cycle).  Parallel edges stay:
-    the paths between odd faces take only the cheapest of a parallel class.
-    Returns (edge ids, weight, matching seconds); `finalize_conflicts`
-    checks the balance.
+    A T-join on the dual with T = odd-degree faces, read off the embedding's
+    darts (`solve_on_darts`): dual edge k is kept primal edge k, between
+    faces face_of[2k] and face_of[2k+1], at the PCG weight.  Bridges are
+    dual self-loops and lie on no cycle.  Parallel edges stay: the paths
+    between odd faces take only the cheapest of a parallel class.  Returns
+    (edge ids, weight, matching seconds); `finalize_conflicts` checks the
+    balance.
 
-    `emb` and `mode` are kept only for the perfbench callers, which pass them
-    positionally: `emb` is ignored, and `mode` must name a gadget shape
-    (ValueError otherwise) but selects nothing, since no gadget is built.
+    `dual` and `mode` are kept only for the perfbench callers, which pass
+    them positionally: `dual` is not read, and `mode` must name a gadget
+    shape (ValueError otherwise) but selects nothing, since no gadget is
+    built.
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
-    edges = tuple(e for e in dual.edges if not e.is_self_loop)
-    join, weight, seconds = solve_tjoin(TJoinInstance(tuple(range(dual.n_faces)), edges))
-    m_ids = tuple(sorted(dual.edges[j].primal_edge_id for j in join))
-    return m_ids, weight, seconds
+    join, weight, seconds = solve_on_darts(
+        emb.face_of, [e.weight for e in emb.graph.edges], [len(f) for f in emb.faces]
+    )
+    return tuple(join), weight, seconds
 
 
 def finalize_conflicts(
@@ -67,12 +76,14 @@ def finalize_conflicts(
 ) -> ConflictSet:
     """Fold the planarization casualties back in.
 
-    Edges dropped for crossings never saw the matching, so each is re-tested
-    against the signed forest of the surviving graph: consistent edges rejoin
-    the graph, contradicting ones become conflicts.  Casualties go in edge-id
-    order after every survivor, so an edge bridging two color components
-    merges them instead of being charged as a conflict; a contradicting
-    survivor means M left the embedded graph unbalanced, and raises.
+    Edges dropped for crossings never saw the matching.  The survivors (the
+    edges outside P and M) are two-colored once; a contradicting survivor
+    means M left the embedded graph unbalanced, and raises.  Each casualty
+    is then re-tested in edge-id order with a parity union-find over the
+    survivor components it touches: a consistent edge rejoins the graph
+    (an edge bridging two components merges them instead of being charged
+    as a conflict), a contradicting one becomes a conflict.  The returned
+    set carries the final coloring, each component's lowest node at 0.
     """
     m_set = set(bipartization_set)
     p_set = set(planarization_removed)
@@ -80,12 +91,31 @@ def finalize_conflicts(
         raise InternalInvariantError("bipartization set intersects removed set")
 
     survivors = [e for e in g.edges if e.id not in m_set and e.id not in p_set]
-    casualties = [g.edge(eid) for eid in sorted(p_set)]
-    _, contradicted = signed_forest(g, survivors + casualties)
-    if not p_set.issuperset(contradicted):
+    colors, component, witness = signed_components(g, survivors)
+    if witness is not None:
         raise InternalInvariantError(
             "surviving embedded graph is not balanced before re-check"
         )
+
+    contradicted = []
+    if p_set:
+        # a node's parity is its survivor color plus its component's parity
+        uf = ParityUnionFind()
+        for eid in sorted(p_set):
+            e = g.edges[eid]
+            relation = (0 if e.is_equal_constraint else 1) ^ colors[e.u] ^ colors[e.v]
+            if not uf.union(component[e.u], component[e.v], relation):
+                contradicted.append(eid)
+        # flip each merged set so its lowest label, the lowest node of the
+        # final component (each label is its component's lowest node, at
+        # color 0), keeps color 0
+        anchor: dict[int, int] = {}  # final root -> parity of its lowest label
+        flip: dict[int, int] = {}
+        for label in sorted(uf.keys()):
+            root, parity = uf.find(label)
+            flip[label] = parity ^ anchor.setdefault(root, parity)
+        if any(flip.values()):
+            colors = [c ^ flip.get(label, 0) for c, label in zip(colors, component)]
 
     origin = dict.fromkeys(m_set, ORIGIN_MATCHING)
     origin.update(dict.fromkeys(contradicted, ORIGIN_PLANARIZATION))
@@ -95,7 +125,7 @@ def finalize_conflicts(
         conflicts.append(
             Conflict(eid, e.shifter_pair, e.required_separation, origin[eid], e.weight)
         )
-    return ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts))
+    return ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts), tuple(colors))
 
 
 def bipartize_greedy(

@@ -379,7 +379,8 @@ def signed_forest(
     Overlap halves demand equal phase (parity 0), feature edges opposite
     (parity 1).  Returns the union-find and the ids of the edges that
     contradicted the edges before them; each closes an unbalanced cycle and
-    stays out of the forest.  Used only where that order decides the answer.
+    stays out of the forest.  Used only where that order decides the answer:
+    the greedy baseline.
     """
     uf = ParityUnionFind()
     for n in g.nodes:
@@ -400,50 +401,58 @@ def is_bipartite(
     can certify instead of coloring again.
     """
     removed = set(removed_edge_ids)
-    color, witness = _two_color(g, [e for e in g.edges if e.id not in removed])
+    color, _, witness = signed_components(g, [e for e in g.edges if e.id not in removed])
     if witness is not None:
         return BipartiteResult(False, witness)
     return BipartiteResult(True, None, tuple(color))
 
 
-def _two_color(g: PhaseConflictGraph, kept: list[PcgEdge]) -> tuple[list[int], tuple | None]:
+def signed_components(
+    g: PhaseConflictGraph, kept: list[PcgEdge]
+) -> tuple[list[int], list[int], tuple | None]:
     """Signed two-coloring of the kept edges, from each component's lowest
     node id at color 0: a feature edge flips the color, an overlap half keeps
-    it.  Also returns the edge ids of the first unbalanced cycle it closes,
-    where it stops, or None."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in g.nodes]
+    it.  Returns the colors, each node's component label (the component's
+    lowest node id), and the edge ids of the first unbalanced cycle the
+    coloring closes, where it stops, or None."""
+    n = len(g.nodes)
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for e in kept:
-        flip = 0 if e.is_equal_constraint else 1
-        adj[e.u].append((e.v, e.id, flip))
-        adj[e.v].append((e.u, e.id, flip))
-    color = [-1] * len(g.nodes)
-    parent: dict[int, tuple[int, int] | None] = {}  # node -> (parent node, edge id)
-    for start in range(len(g.nodes)):
-        if color[start] >= 0:
+        u, v, eid = e.u, e.v, e.id
+        flip = 0 if e.kind == EDGE_OVERLAP_HALF else 1  # is_equal_constraint
+        adj[u].append((v, eid, flip))
+        adj[v].append((u, eid, flip))
+    color = [0] * n
+    component = [-1] * n
+    via = [-1] * n  # node -> the edge to its parent in the search
+    for start in range(n):
+        if component[start] >= 0:
             continue
-        color[start] = 0
-        parent[start] = None
+        component[start] = start
         stack = [start]
         while stack:
             u = stack.pop()
+            cu = color[u]
             for v, eid, flip in adj[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ flip
-                    parent[v] = (u, eid)
+                if component[v] < 0:
+                    component[v] = start
+                    color[v] = cu ^ flip
+                    via[v] = eid
                     stack.append(v)
-                elif color[v] != color[u] ^ flip:
+                elif color[v] != cu ^ flip:
                     # the tree path u..v has parity color[u] ^ color[v], so
                     # this edge closes an unbalanced cycle
-                    path = _path_to_root(u, parent) ^ _path_to_root(v, parent)
-                    return color, tuple(sorted(path | {eid}))
-    return color, None
+                    path = _path_to_root(g, u, via) ^ _path_to_root(g, v, via)
+                    return color, component, tuple(sorted(path | {eid}))
+    return color, component, None
 
 
-def _path_to_root(x: int, parent: dict[int, tuple[int, int] | None]) -> set[int]:
+def _path_to_root(g: PhaseConflictGraph, x: int, via: list[int]) -> set[int]:
     path = set()
-    while parent[x] is not None:
-        x, eid = parent[x]
+    while via[x] >= 0:
+        eid = via[x]
         path.add(eid)
+        x = g.edges[eid].other(x)
     return path
 
 
@@ -457,16 +466,16 @@ def phase_assign(
     The phases are the signed two-coloring's colors: overlap nodes carry the
     phase shared by their pair, and the lowest node id of each connected
     component gets phase 0 (canonical polarity).  `colors`, when given, is
-    that coloring of the graph minus the deleted edges as `is_bipartite`
-    returned it, and is not computed again.  Raises when a surviving
-    unbalanced cycle makes assignment impossible.  The final loop, which
-    checks every kept constraint against the phases, is the balance
-    certificate `detect` relies on.
+    that coloring of the graph minus the deleted edges, as `is_bipartite`
+    or `finalize_conflicts` returned it, and is not computed again.  Raises
+    when a surviving unbalanced cycle makes assignment impossible.  The
+    final loop, which checks every kept constraint against the phases, is
+    the balance certificate `detect` relies on.
     """
     deleted = set(deleted_edge_ids)
     kept = [e for e in g.edges if e.id not in deleted]
     if colors is None:
-        colors, witness = _two_color(g, kept)
+        colors, _, witness = signed_components(g, kept)
         if witness is not None:
             raise InternalInvariantError(
                 f"residual unbalanced cycle through edges {list(witness)}; "

@@ -56,7 +56,8 @@ class DetectionResult:
     `embedding` (the crossing-free survivors of `removed_edge_ids`, embedded)
     and `dual` are built on first access when `detect` did not need them: a
     layout whose conflict graph two-colors has no conflict, so `detect`
-    embeds it only when asked.  Otherwise they are the ones `detect` built.
+    embeds it only when asked, and the T-join reads the embedding's darts,
+    so `detect` never builds the dual.  An embedding `detect` built is kept.
     """
 
     layout: Layout
@@ -140,14 +141,14 @@ def _detect_back(
 ) -> DetectionResult:
     """Crossing removal, then conflict set, phases and report, on what
     `_detect_front` built.  A PCG that does not two-color is also embedded,
-    and its dual's T-join picks the conflicts."""
+    and a T-join over the faces of its darts picks the conflicts."""
     shifters, pairs, graph, balance = front
     balanced_before = balance.ok
     removed = remove_crossings(graph)
     if balanced_before:
         # Nothing to delete: phase_assign's loop checks every constraint
         # against the front's colors, so zero conflicts is optimal.
-        embedding = dual = None
+        embedding = None
         optimal_edge_ids, optimal_weight = (), 0
         conflicts = ConflictSet((), 0)
         try:
@@ -157,11 +158,11 @@ def _detect_back(
                 f"two-coloring and its phase certificate disagree: {err}"
             ) from err
     else:
+        # the T-join reads the embedding's darts; the dual is built on access
         embedding = embed(graph, removed)
-        dual = build_dual(embedding)
-        optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding, dual)
+        optimal_edge_ids, optimal_weight, _ = bipartize_optimal(embedding)
         conflicts = finalize_conflicts(graph, removed, optimal_edge_ids)
-        phases = phase_assign(graph, frozenset(conflicts.edge_ids))
+        phases = phase_assign(graph, frozenset(conflicts.edge_ids), conflicts.colors)
         # no conflicts would mean phase_assign verified every edge, so the
         # graph is balanced after all
         if not conflicts.conflicts:
@@ -175,7 +176,8 @@ def _detect_back(
     report: list[tuple[str, str]] = [
         ("design", design_name),
         ("polygons", str(len(layout.features))),
-        ("critical_features", str(len(find_critical_features(layout)))),
+        # generate_shifters makes two shifters per critical feature
+        ("critical_features", str(len(shifters) // 2)),
         ("shifters", str(len(shifters))),
         ("shifter_overlaps", str(len(pairs))),
         ("graph_nodes", str(len(graph.nodes))),
@@ -213,7 +215,6 @@ def _detect_back(
         report,
         weight_mode,
         embedding,
-        dual,
     )
 
 
@@ -225,8 +226,7 @@ def correct(
     The residual count is what `detect` of the corrected layout would report.
     Its PCG is built, checked for general position and two-colored first,
     as `detect` does: when the two-coloring succeeds the count is 0, and
-    crossing removal, the embedding, the dual and the T-join run only when
-    it fails.
+    crossing removal, the embedding and the T-join run only when it fails.
     Without a cut the layout is unchanged and the residual count is the
     input detection's own conflict count.
 

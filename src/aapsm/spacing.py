@@ -305,9 +305,10 @@ def apply_spaces(
     exactly as if the cuts were inserted one by one in descending order.  A
     rect no cut reaches is kept as is.  Cuts only grow a rect, so a cut
     stretched a critical feature across its short axis exactly when its
-    short dimension changed; that is an internal fault (exit 4), since the
-    planner drops every such cut.  Only a moved rect is asked whether it is
-    critical, by `find_critical_features`' own test.
+    orientation (squares count as vertical) or its short dimension changed;
+    that is an internal fault (exit 4), since the planner drops every such
+    cut.  Only a moved rect is asked whether it is critical, by
+    `find_critical_features`' own test.
     """
     if not plan.cuts:
         area = _box_area(layout)
@@ -332,8 +333,10 @@ def apply_spaces(
         if (x_lo, y_lo, x_hi, y_hi) == (r.x_lo, r.y_lo, r.x_hi, r.y_hi):
             return r
         short = r.short_dim
-        if r.layer == FEATURE_LAYER and short < cw and min(x_hi - x_lo, y_hi - y_lo) != short:
-            raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
+        if r.layer == FEATURE_LAYER and short < cw:
+            w, h = x_hi - x_lo, y_hi - y_lo
+            if (h >= w, min(w, h)) != (r.is_vertical, short):
+                raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
         return Rect(x_lo, y_lo, x_hi, y_hi, r.layer, r.id)
 
     rects = tuple(move(r) for r in layout.rects)

@@ -1,9 +1,13 @@
 """Optimal T-join by shortest paths between the T nodes.
 
-The instance is solved one connected component at a time: a minimum T-join of
-a disjoint union is the union of the components' minimum T-joins, and a
-component with no T node is skipped (all weights are non-negative, so its
-empty join is optimal).
+One solver, `solve_on_darts`, reads the planar dual straight off an
+embedding's darts: dual edge k is primal edge k, between the faces of its
+two darts, so `detect` builds no dual edge records for it.  `solve_tjoin`
+is a thin adapter that hands it a `TJoinInstance`.  The instance is solved
+one connected component at a time: a minimum T-join of a disjoint union is
+the union of the components' minimum T-joins, and a component with no T
+node is skipped (all weights are non-negative, so its empty join is
+optimal).
 
 Every other component takes one route (Edmonds & Johnson, "Matching, Euler
 tours and the Chinese postman", 1973).  With non-negative weights a minimum
@@ -386,36 +390,94 @@ _PAIRINGS = {
 def solve_tjoin(inst: TJoinInstance) -> tuple[list[int], int, float]:
     """Minimum-weight T-join: (sorted edge ids, weight, matching seconds).
 
-    A minimum T-join of a disjoint union is the union of the components'
-    minimum T-joins, so each connected component is solved on its own, and
-    a component without a T node contributes the empty join (weights are
-    non-negative).  Every component holding T is solved by shortest paths
-    between its T nodes (`_solve_by_paths`).  The seconds are the blossom
-    time summed over the components with six or more T nodes, 0 for the
-    others.  The returned set is re-validated: odd incidence exactly on T,
-    and each component's join weight must equal its pairing cost.
+    An adapter onto `solve_on_darts`, the one solver: the instance's edges,
+    in id order, become its edges 0, 1, ..., and its nodes, in id order,
+    its faces, so the incidence order and every tie break are the
+    instance's own.
     """
     if not inst.t_nodes:
         return [], 0, 0.0
-    forest = _SpanningForest.of(inst)
-    join: list[int] = []
+    rank = {n: i for i, n in enumerate(sorted(inst.nodes))}
+    edges = sorted(inst.edges, key=lambda e: e.id)
+    ends = [rank[n] for e in edges for n in (e.u, e.v)]
+    sizes = [0] * len(rank)
+    for f in ends:
+        sizes[f] += 1
+    join, weight, seconds = solve_on_darts(ends, [e.weight for e in edges], sizes)
+    return [edges[k].id for k in join], weight, seconds
+
+
+def solve_on_darts(
+    face_of: list[int], weights: list[int], face_sizes: list[int]
+) -> tuple[list[int], int, float]:
+    """Minimum-weight T-join of a planar dual read off an embedding's darts:
+    (sorted edge ids, weight, matching seconds).
+
+    Darts 2k and 2k+1 are the two directions of edge k, so dual edge k joins
+    faces face_of[2k] and face_of[2k+1] (both -1 when edge k is not
+    embedded) at weights[k], which must be non-negative.  Face f must carry
+    face_sizes[f] darts, its boundary length; T is the faces with an odd
+    count.  A bridge's self-loop lies on no cycle and never joins.
+
+    Each component of the dual is found by BFS from a T face and solved on
+    its own by shortest paths between its T faces (`_solve_by_paths`), over
+    incidence lists in edge-id order: the union of the components' minimum
+    T-joins is minimum, and a component without T contributes nothing.  The
+    seconds are the blossom time.  The join is re-validated: odd incidence
+    exactly on T.
+    """
+    n = len(face_sizes)
+    incident, darts = _dart_incidence(face_of, weights, n)
+    if darts != face_sizes:
+        raise InternalInvariantError("dual degrees do not match face boundary lengths")
+    t = [f for f in range(n) if darts[f] & 1]
+    if not t:
+        return [], 0, 0.0
+
+    seen = bytearray(n)
+    join: dict[int, tuple[int, int, int]] = {}
     total = 0
     elapsed = 0.0
-    for comp in forest.components:
-        t_comp = inst.t_nodes.intersection(comp)
-        if not t_comp:
+    for start in t:
+        if seen[start]:
             continue
-        part_join, part_weight, seconds = _solve_by_paths(forest.incident, t_comp)
-        join.extend(part_join)
-        total += part_weight
+        seen[start] = 1
+        comp = [start]
+        for u in comp:  # comp doubles as the BFS queue
+            for v, _, _ in incident[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    comp.append(v)
+        part, weight, seconds = _solve_by_paths(incident, [f for f in comp if darts[f] & 1])
+        join.update(part)
+        total += weight
         elapsed += seconds
-    _validate_join(inst, join)
+    _validate_join(join, t)
     return sorted(join), total, elapsed
 
 
-def _solve_by_paths(incident, t_nodes) -> tuple[list[int], int, float]:
-    """Minimum T-join of one connected component: (edge ids, weight,
-    matching seconds).
+def _dart_incidence(face_of: list[int], weights: list[int], n_faces: int):
+    """(incident, darts): each face's (other face, weight, edge id) per
+    non-loop edge, in edge-id order, and each face's dart count (a
+    self-loop puts both its darts on one face)."""
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n_faces)]
+    darts = [0] * n_faces
+    for k, (a, b, w) in enumerate(zip(face_of[0::2], face_of[1::2], weights)):
+        if a < 0:
+            continue
+        if w < 0:
+            raise InternalInvariantError(f"edge {k} has negative weight")
+        darts[a] += 1
+        darts[b] += 1
+        if a != b:
+            incident[a].append((b, w, k))
+            incident[b].append((a, w, k))
+    return incident, darts
+
+
+def _solve_by_paths(incident, t_nodes) -> tuple[dict, int, float]:
+    """Minimum T-join of one connected component: ({edge id: (weight, end,
+    end)}, weight, matching seconds).
 
     Dijkstra from every T node but the largest gives the shortest distances
     between all T pairs (the metric closure over T).  The cheapest pairing
@@ -441,20 +503,21 @@ def _solve_by_paths(incident, t_nodes) -> tuple[list[int], int, float]:
         start = time.perf_counter()
         pairs, cost = min_weight_perfect_matching(range(len(t)), closure)
         seconds = time.perf_counter() - start
-    join: dict[int, TJoinEdge] = {}
+    join: dict[int, tuple[int, int, int]] = {}
     for i, j in pairs:
-        for e in _tree_path(trees[i][1], t[i], t[j]):
-            if join.pop(e.id, None) is None:
-                join[e.id] = e
-    weight = sum(e.weight for e in join.values())
+        for k, step in _tree_path(trees[i][1], t[i], t[j]):
+            if join.pop(k, None) is None:
+                join[k] = step
+    weight = sum(w for w, _, _ in join.values())
     if weight != cost:
         raise InternalInvariantError(f"path join weight {weight} != pairing cost {cost}")
-    return list(join), weight, seconds
+    return join, weight, seconds
 
 
 def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
     """Dijkstra from source until every target is settled: (dist, via), with
-    via[n] the last edge of the shortest path to n.
+    via[n] = (previous node, edge id, weight) the last step of the shortest
+    path to n.
 
     The heap key is (dist, node id), edges are relaxed in edge-id order and
     only on a strict improvement, so the paths depend on the instance alone.
@@ -463,7 +526,7 @@ def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
     never enters a path.
     """
     dist = {source: 0}
-    via: dict[int, TJoinEdge] = {}
+    via: dict[int, tuple[int, int, int]] = {}
     heap = [(0, source)]
     left = set(targets)
     while left:
@@ -471,33 +534,33 @@ def _shortest_paths(incident, source: int, targets) -> tuple[dict, dict]:
         if d > dist[u]:
             continue  # stale entry
         left.discard(u)
-        for e in incident[u]:
-            v = e.v if e.u == u else e.u
-            dv = d + e.weight
+        for v, w, k in incident[u]:
+            dv = d + w
             if v not in dist or dv < dist[v]:
                 dist[v] = dv
-                via[v] = e
+                via[v] = (u, k, w)
                 heapq.heappush(heap, (dv, v))
     return dist, via
 
 
-def _tree_path(via, source: int, target: int) -> list[TJoinEdge]:
-    """Edges of the shortest path from source to target, read off `via`."""
-    edges = []
+def _tree_path(via, source: int, target: int) -> list[tuple[int, tuple[int, int, int]]]:
+    """The steps (edge id, (weight, end, end)) of the shortest path from
+    source to target, read off `via`."""
+    steps = []
     while target != source:
-        e = via[target]
-        edges.append(e)
-        target = e.u if e.v == target else e.v
-    return edges
+        prev, k, w = via[target]
+        steps.append((k, (w, prev, target)))
+        target = prev
+    return steps
 
 
-def _validate_join(inst: TJoinInstance, join: list[int]) -> None:
-    selected = set(join)
-    odd = _odd(n for e in inst.edges if e.id in selected for n in (e.u, e.v))
-    wrong = odd ^ inst.t_nodes
+def _validate_join(join: dict[int, tuple[int, int, int]], t_nodes: list[int]) -> None:
+    odd = _odd(n for _, a, b in join.values() for n in (a, b))
+    t = set(t_nodes)
+    wrong = odd ^ t
     if wrong:
         n = min(wrong)
         raise InternalInvariantError(
             f"extracted edge set is not a T-join: node {n} has odd join degree "
-            f"{n in odd} but T membership {n in inst.t_nodes}"
+            f"{n in odd} but T membership {n in t}"
         )

@@ -31,6 +31,7 @@ from aapsm.planar import find_crossings
 from aapsm.tjoin import (
     MODE_GENERALIZED,
     MODE_OPTIMIZED,
+    TJoinEdge,
     TJoinInstance,
     _SpanningForest,
     build_generalized_gadget_graph,
@@ -203,6 +204,33 @@ def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
             join += part_join
             weight += part_weight
     return sorted(join), weight
+
+
+def darts_instance(face_of, weights, face_sizes) -> TJoinInstance:
+    """The T-join instance `solve_on_darts` solves on these darts: edge k
+    between the faces of darts 2k and 2k+1, keeping its id k, with the
+    unembedded edges and the self-loops left out."""
+    edges = tuple(
+        TJoinEdge(k, a, b, w)
+        for k, (a, b, w) in enumerate(zip(face_of[0::2], face_of[1::2], weights))
+        if a >= 0 and a != b
+    )
+    return TJoinInstance(tuple(range(len(face_sizes))), edges)
+
+
+def spy_darts_solve(monkeypatch) -> list[tuple]:
+    """Patch `bipartize_optimal`'s T-join solve to record the arguments
+    (face_of, weights, face_sizes) and the weight of every call."""
+    calls: list[tuple] = []
+    solve = aapsm.bipartize.solve_on_darts
+
+    def spy(face_of, weights, face_sizes):
+        join, weight, seconds = solve(face_of, weights, face_sizes)
+        calls.append((face_of, weights, face_sizes, weight))
+        return join, weight, seconds
+
+    monkeypatch.setattr(aapsm.bipartize, "solve_on_darts", spy)
+    return calls
 
 
 def spy_blossom(monkeypatch) -> list[int]:

@@ -7,8 +7,10 @@ routines a faster one replaced, kept as its references: the gadget
 matchings of the T-join solve (`gadget_tjoin` on one connected instance,
 and `unsplit_tjoin_weight` over a whole instance without splitting it into
 components), the parity union-find phases of the signed two-coloring
-(`phase_assign_oracle`), and the embedding traced over half-edge keys
-(`embed_oracle`, which sorts by the package's exact `compare_directions`).  The one solver-backed oracle, `exact_bipartization`,
+(`phase_assign_oracle`), the casualty re-check as one parity union-find
+over every node (`finalize_oracle`, through the package's `signed_forest`),
+and the embedding traced over half-edge keys (`embed_oracle`, which sorts
+by the package's exact `compare_directions`).  The one solver-backed oracle, `exact_bipartization`,
 certifies its answer with the package's `phase_assign`.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
-from aapsm.conflict_graph import PHASE_A, PHASE_B, phase_assign
+from aapsm.bipartize import ORIGIN_MATCHING, ORIGIN_PLANARIZATION
+from aapsm.conflict_graph import PHASE_A, PHASE_B, phase_assign, signed_forest
 from aapsm.errors import InternalInvariantError
 from aapsm.geometry import compare_directions
 from aapsm.matching import min_weight_perfect_matching
@@ -305,8 +308,14 @@ def apply_spaces_oracle(layout, cuts) -> list:
     order, visiting every rect for each: a rect with lo >= c shifts by the
     width, one with lo < c < hi stretches.  Returns the new boxes
     (x_lo, y_lo, x_hi, y_hi) in rect order; raises ValueError when a cut
-    changes the short dimension of a critical feature (a "poly" rect whose
-    short dimension is below the critical width)."""
+    changes the orientation (squares count as vertical) or the short
+    dimension of a critical feature (a "poly" rect whose short dimension is
+    below the critical width)."""
+
+    def short_axis(box):
+        width, height = box[2] - box[0], box[3] - box[1]
+        return height >= width, min(width, height)
+
     boxes = [[r.x_lo, r.y_lo, r.x_hi, r.y_hi] for r in layout.rects]
     critical = [
         r.layer == "poly" and min(r.x_hi - r.x_lo, r.y_hi - r.y_lo) < layout.rules.critical_width
@@ -315,13 +324,13 @@ def apply_spaces_oracle(layout, cuts) -> list:
     for cut in sorted(cuts, key=lambda c: (c.axis, -c.coord)):
         lo_i, hi_i = (0, 2) if cut.axis == "v" else (1, 3)
         for box, is_critical in zip(boxes, critical):
-            before = min(box[2] - box[0], box[3] - box[1])
+            before = short_axis(box)
             if box[lo_i] >= cut.coord:
                 box[lo_i] += cut.width
                 box[hi_i] += cut.width
             elif box[hi_i] > cut.coord:
                 box[hi_i] += cut.width
-            if is_critical and min(box[2] - box[0], box[3] - box[1]) != before:
+            if is_critical and short_axis(box) != before:
                 raise ValueError(f"cut {cut.axis}@{cut.coord} widens a critical feature")
     return [tuple(box) for box in boxes]
 
@@ -350,6 +359,24 @@ def phase_assign_oracle(g, deleted_edge_ids=()) -> dict[int, int] | None:
         anchor_parity.setdefault(root, parity)  # first (lowest) node of the component
         phases[n.id] = PHASE_A if parity == anchor_parity[root] else PHASE_B
     return phases
+
+
+def finalize_oracle(g, planarization_removed, bipartization_set):
+    """The casualty re-check `finalize_conflicts` replaced: one parity
+    union-find over every node, fed every survivor (the edges outside P and
+    M) and then the casualties in edge-id order; the casualties that
+    contradict the edges before them are conflicts.  Returns ({edge id:
+    origin} in id order, the phases of the graph without the conflicts);
+    raises ValueError when a survivor contradicts."""
+    m_set, p_set = set(bipartization_set), set(planarization_removed)
+    survivors = [e for e in g.edges if e.id not in m_set and e.id not in p_set]
+    casualties = [g.edge(eid) for eid in sorted(p_set)]
+    _, contradicted = signed_forest(g, survivors + casualties)
+    if not p_set.issuperset(contradicted):
+        raise ValueError("surviving embedded graph is not balanced")
+    origin = dict.fromkeys(m_set, ORIGIN_MATCHING)
+    origin.update(dict.fromkeys(contradicted, ORIGIN_PLANARIZATION))
+    return dict(sorted(origin.items())), phase_assign_oracle(g, origin)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from aapsm.generator import generate_layout
 from aapsm.layout import find_overlapping_pairs, generate_shifters
 from aapsm.planar import DualEdge, DualGraph, build_dual, planarize
 from aapsm.pipeline import detect
-from aapsm.tjoin import MODE_GENERALIZED, MODE_OPTIMIZED
+from aapsm.tjoin import MODE_GENERALIZED, MODE_OPTIMIZED, solve_on_darts
 
 from conftest import manhattan_layout, sample_micro_pcgs
 from oracles import exact_bipartization, min_bipartization_weight, min_tjoin_weight
@@ -237,11 +237,22 @@ def odd_faces(edges):
     return odd
 
 
+def solve_dual_darts(dual):
+    """`bipartize_optimal`'s solve on a dual given as records: dual edge k
+    becomes darts 2k and 2k+1 on its two faces, and the join's edges map
+    back to their primal ids."""
+    face_of = [f for e in dual.edges for f in (e.u, e.v)]
+    join, weight, seconds = solve_on_darts(
+        face_of, [e.weight for e in dual.edges], dual.degrees()
+    )
+    return tuple(sorted(dual.edges[k].primal_edge_id for k in join)), weight, seconds
+
+
 class TestDualInstance:
     def test_random_duals_reach_exhaustive_optimum(self):
-        """`bipartize_optimal` solves over every non-loop dual edge, parallel
-        classes with equal, zero and mixed weights included, and its primal
-        ids map back to a minimum T-join of those edges."""
+        """The darts solve takes every non-loop dual edge, parallel classes
+        with equal, zero and mixed weights included, and its primal ids map
+        back to a minimum T-join of those edges."""
         rng = random.Random(6061)
         checked = 0
         for _ in range(150):
@@ -250,7 +261,7 @@ class TestDualInstance:
             if len(full) > 12:
                 continue
             t = odd_faces(full)
-            m_ids, weight, _ = bipartize_optimal(None, dual)
+            m_ids, weight, _ = solve_dual_darts(dual)
             triples = [(e.u, e.v, e.weight) for e in full]
             assert weight == min_tjoin_weight(range(dual.n_faces), triples, t)
             assert list(m_ids) == sorted(set(m_ids))

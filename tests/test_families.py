@@ -33,6 +33,7 @@ from aapsm.layout import (
     FEATURE_LAYER,
     Layout,
     Rect,
+    find_critical_features,
     generate_shifters,
     rect_separation,
 )
@@ -159,3 +160,24 @@ def test_family_ends_clean(family):
         assert seen["wide_stretched"] > 0, seen
     if family == "zero-margin":
         assert seen["clipped"] > 0 and seen["invalid"] > 0, seen
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_report_counts_critical_features_by_shifter_pairs(family):
+    """`detect` reports half its shifter count as `critical_features`:
+    `generate_shifters` makes two shifters per feature that passes the
+    critical test, or raises.  That equals a separate scan, clipped
+    zero-margin designs included."""
+    clipped = 0
+    for seed in range(DESIGNS):
+        layout = FAMILIES[family](random.Random(f"{family}-{seed}"))
+        try:
+            det = detect(layout)
+        except LayoutValidationError:
+            continue
+        critical = len(find_critical_features(layout))
+        assert len(det.shifters) == 2 * critical
+        assert dict(det.report)["critical_features"] == str(critical)
+        clipped += any(s.clipped for s in det.shifters)
+    if family == "zero-margin":
+        assert clipped > 0

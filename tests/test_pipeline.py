@@ -33,7 +33,14 @@ from aapsm.planar import build_dual, planarize
 from aapsm.tjoin import GADGET_MODES
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import cli_env, gadget_route_tjoin, manhattan_layout, spy_blossom
+from conftest import (
+    cli_env,
+    darts_instance,
+    gadget_route_tjoin,
+    manhattan_layout,
+    spy_blossom,
+    spy_darts_solve,
+)
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -201,15 +208,7 @@ class TestResidualCount:
     @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
     @pytest.mark.parametrize("gadget_mode", GADGET_MODES)
     def test_matches_fresh_detect(self, gadget_mode, weight_mode, monkeypatch):
-        solved = []
-        solve = aapsm.bipartize.solve_tjoin
-
-        def spy(inst):
-            join, weight, seconds = solve(inst)
-            solved.append((inst, weight))
-            return join, weight, seconds
-
-        monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", spy)
+        calls = spy_darts_solve(monkeypatch)
         reused = 0
         cut_residual_left = set()  # a corrected layout with/without conflicts
         for name, make in self.DESIGNS.items():
@@ -223,6 +222,7 @@ class TestResidualCount:
                 cut_residual_left.add(cor.residual_conflicts > 0)
         assert reused >= 2
         assert cut_residual_left == {False, True}
+        solved = [(darts_instance(*darts), weight) for *darts, weight in calls]
         assert any(inst.t_nodes for inst, _ in solved)
         for inst, weight in solved:
             assert weight == gadget_route_tjoin(inst, gadget_mode)[1]
@@ -364,13 +364,13 @@ class TestFaultsStillCaught:
 
     def test_short_tjoin_unbalances_survivors(self, monkeypatch):
         layout = generate_layout(1, 40, 0.7)
-        solve = aapsm.bipartize.solve_tjoin
+        solve = aapsm.bipartize.solve_on_darts
 
-        def short_join(inst):
-            join, weight, seconds = solve(inst)
+        def short_join(face_of, weights, face_sizes):
+            join, weight, seconds = solve(face_of, weights, face_sizes)
             return join[1:], weight, seconds
 
-        monkeypatch.setattr(aapsm.bipartize, "solve_tjoin", short_join)
+        monkeypatch.setattr(aapsm.bipartize, "solve_on_darts", short_join)
         with pytest.raises(InternalInvariantError, match="surviving embedded graph"):
             detect(layout)
 
@@ -384,8 +384,18 @@ class TestFaultsStillCaught:
         with pytest.raises(InternalInvariantError, match="disagree"):
             detect(layout)
 
-    @pytest.mark.parametrize("design", ["tangled", "comb"])
-    def test_union_find_missing_contradictions(self, monkeypatch, design):
+    @pytest.mark.parametrize(
+        "design, message",
+        [
+            # casualty 6 contradicts the survivors; readmitted, it breaks
+            # the phase certificate of the coloring finalize hands on
+            ("tangled", r"edge 6 constraint violated"),
+            # no casualty: the greedy baseline's phases find the cycle
+            ("comb", "residual unbalanced cycle"),
+        ],
+        ids=["tangled", "comb"],
+    )
+    def test_union_find_missing_contradictions(self, monkeypatch, design, message):
         if design == "tangled":
             layout = parse_layout(TANGLED_ROW)
         else:
@@ -397,7 +407,7 @@ class TestFaultsStillCaught:
             return True
 
         monkeypatch.setattr(ParityUnionFind, "union", never_contradicts)
-        with pytest.raises(InternalInvariantError, match="residual unbalanced cycle"):
+        with pytest.raises(InternalInvariantError, match=message):
             detect(layout, run_greedy_baseline=True)
 
     @pytest.mark.parametrize("density", [0.0, 0.7], ids=["rows", "comb"])
@@ -405,9 +415,9 @@ class TestFaultsStillCaught:
         layout = generate_layout(1, 40, density)
 
         def all_zero(g, kept):
-            return [0] * len(g.nodes), None
+            return [0] * len(g.nodes), list(range(len(g.nodes))), None
 
-        monkeypatch.setattr(conflict_graph, "_two_color", all_zero)
+        monkeypatch.setattr(conflict_graph, "signed_components", all_zero)
         with pytest.raises(InternalInvariantError, match=r"edge \d+ constraint violated"):
             detect(layout)
 

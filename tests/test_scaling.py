@@ -10,22 +10,24 @@ their spans on one line do, and the nudge test applies the same span rule.
 A node the pass does not flag is never tested again, so a design with none
 makes no degeneracy test at all.
 
-T-join: the instance handed to the T-join solve is the dual's own edges,
-every one but the self-loops, in id order, with no copy.  Primal series
-chains (overlap nodes, shifter chains) put many parallel edges between one
-pair of faces, and all of them stay: the shortest paths take only the
-cheapest.  Every dual component is solved by shortest paths between its
-odd faces, and no gadget graph is built.  The
-paths are paired in closed form for at most four odd faces, so the comb
-designs (|T| <= 4 in every component) never call blossom; on a larger
-component blossom sees only the complete graph over its odd faces.
+T-join: the solve reads the embedding's own darts, with no dual edge
+record, instance or spanning forest built: dual edge k is kept primal edge
+k, every one but the self-loops, in id order.  Primal series chains
+(overlap nodes, shifter chains) put many parallel edges between one pair of
+faces, and all of them stay: the shortest paths take only the cheapest.
+Every dual component is solved by shortest paths between its odd faces,
+and no gadget graph is built.  The paths are paired in closed form for at
+most four odd faces, so the comb designs (|T| <= 4 in every component)
+never call blossom; on a larger component blossom sees only the complete
+graph over its odd faces.
 
 Balance: a parity union-find is built only where the order edges are
-inserted in decides the answer (the conflict selection, and the greedy
-baseline when it runs).  Every static balance question is one signed
-two-coloring: the `balanced_before` verdict and the phases, plus the
-greedy baseline's phases.  A design whose graph two-colors takes its phases
-from the verdict's coloring, so it is colored once fewer.
+inserted in decides the answer (the casualty re-check, over survivor
+components, and the greedy baseline when it runs).  Every static balance
+question is one signed two-coloring: the `balanced_before` verdict, and
+the survivors' coloring, which serves both the casualty re-check and the
+phases, plus the greedy baseline's phases.  A design whose graph two-colors
+takes its phases from the verdict's coloring.
 
 Detection: every conflict graph `detect` builds is checked for general
 position once, before the two-coloring, and no later stage checks it again.
@@ -33,7 +35,8 @@ A design whose conflict graph two-colors has no conflict, so `detect` runs
 only the crossing search of its back half (the report counts the crossing
 edges).  It builds no embedding, dual, T-join or conflict selection; the
 result embeds the graph when its embedding is first asked for.  A design
-that does not two-color keeps the embedding and dual `detect` built.
+that does not two-color keeps the embedding `detect` built, and builds its
+dual only when asked for it.
 
 Correction: `correct` re-detects only a layout it changed, so a plan without
 cuts builds no conflict graph at all.  A changed layout's conflict graph is
@@ -66,7 +69,13 @@ from aapsm.planar import build_dual, planarize
 from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_spaces
 from aapsm.unionfind import ParityUnionFind
 
-from conftest import gadget_route_tjoin, manhattan_layout, spy_blossom
+from conftest import (
+    darts_instance,
+    gadget_route_tjoin,
+    manhattan_layout,
+    spy_blossom,
+    spy_darts_solve,
+)
 
 PREDICATES = (
     (layout, "rect_separation"),
@@ -144,29 +153,35 @@ def test_pcg_build_tests_only_flagged_nodes(monkeypatch):
     assert set(tested) == set(flagged) and sweeps == 0
 
 
-def matched_instance(monkeypatch, design, **detect_options):
-    """(the T-join instance detect solves, the dual it was built from)."""
-    seen = []
-    solve = aapsm.bipartize.solve_tjoin
-
-    def spy(inst):
-        seen.append(inst)
-        return solve(inst)
-
+def matched_darts(monkeypatch, design, **detect_options):
+    """(the darts detect's T-join solve reads, as (face_of, weights,
+    face_sizes), and the detection)."""
     with monkeypatch.context() as m:
-        m.setattr(aapsm.bipartize, "solve_tjoin", spy)
+        calls = spy_darts_solve(m)
         result = detect(design, **detect_options)
-    (inst,) = seen
-    return inst, result.dual
+    ((*darts, _),) = calls
+    return darts, result
+
+
+def matched_instance(monkeypatch, design, **detect_options):
+    """The T-join instance the darts detect solves describe."""
+    darts, _ = matched_darts(monkeypatch, design, **detect_options)
+    return darts_instance(*darts)
 
 
 def test_tjoin_instance_holds_the_dual_edges(monkeypatch):
     for features in (40, 400):
-        inst, dual = matched_instance(monkeypatch, generate_layout(1, features, 0.7))
-        expect = [e for e in dual.edges if not e.is_self_loop]
-        assert inst.nodes == tuple(range(dual.n_faces))
-        assert len(inst.edges) == len(expect)
-        assert all(a is b for a, b in zip(inst.edges, expect))
+        darts, det = matched_darts(monkeypatch, generate_layout(1, features, 0.7))
+        face_of, weights, face_sizes = darts
+        assert face_of is det.embedding.face_of  # no copy
+        assert weights == [e.weight for e in det.graph.edges]
+        inst = darts_instance(*darts)
+        expect = [e for e in det.dual.edges if not e.is_self_loop]
+        assert len(face_sizes) == det.dual.n_faces
+        assert inst.nodes == tuple(range(det.dual.n_faces))
+        assert [(e.id, e.u, e.v, e.weight) for e in inst.edges] == [
+            (e.primal_edge_id, e.u, e.v, e.weight) for e in expect
+        ]
         per_pair = Counter(frozenset((e.u, e.v)) for e in inst.edges)
         assert max(per_pair.values()) > 2  # parallel classes stay whole
 
@@ -186,15 +201,15 @@ def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
         builds += 1
         return build(*args)
 
-    def named_mode(emb, dual):
-        return bipartize(emb, dual, mode)
+    def named_mode(emb):
+        return bipartize(emb, None, mode)
 
     with monkeypatch.context() as m:
         m.setattr(aapsm.tjoin, "_build_gadget_graph", spy_build)
         m.setattr(aapsm.pipeline, "bipartize_optimal", named_mode)
         blossom_nodes = spy_blossom(m)
         # a random wire layout whose dual has a component with |T| = 8
-        inst, _ = matched_instance(monkeypatch, manhattan_layout(1004))
+        inst = matched_instance(monkeypatch, manhattan_layout(1004))
     forest = aapsm.tjoin._SpanningForest.of(inst)
     t_sizes = [len(inst.t_nodes.intersection(comp)) for comp in forest.components]
     large = sorted(k for k in t_sizes if k >= 6)
@@ -214,7 +229,7 @@ def test_comb_design_never_calls_blossom(monkeypatch):
 def balance_checks(monkeypatch, design, greedy):
     """(ParityUnionFind constructions, two-colorings) in one `detect`."""
     counts = Counter()
-    init, two_color = ParityUnionFind.__init__, conflict_graph._two_color
+    init, two_color = ParityUnionFind.__init__, conflict_graph.signed_components
 
     def counted_init(self):
         counts["forests"] += 1
@@ -226,7 +241,9 @@ def balance_checks(monkeypatch, design, greedy):
 
     with monkeypatch.context() as m:
         m.setattr(ParityUnionFind, "__init__", counted_init)
-        m.setattr(conflict_graph, "_two_color", counted_two_color)
+        # the conflict selection imports the coloring by name
+        for module in (conflict_graph, aapsm.bipartize):
+            m.setattr(module, "signed_components", counted_two_color)
         detect(design, run_greedy_baseline=greedy)
     return counts["forests"], counts["colorings"]
 
@@ -297,9 +314,13 @@ def test_balanced_detect_embeds_on_first_access(monkeypatch):
 def test_unbalanced_detect_keeps_what_it_built(monkeypatch):
     det, returned = back_half_stages(monkeypatch, manhattan_layout(1000))
     assert ("balanced_before", "0") in det.report and det.removed_edge_ids
-    assert {name: len(values) for name, values in returned.items()} == dict.fromkeys(BACK_HALF, 1)
-    (embedding,), (dual,) = returned["embed"], returned["build_dual"]
-    assert det.embedding is embedding and det.dual is dual
+    # the T-join reads the embedding's darts: the dual is built on access
+    built = dict.fromkeys(BACK_HALF, 1)
+    del built["build_dual"]
+    assert {name: len(values) for name, values in returned.items()} == built
+    (embedding,) = returned["embed"]
+    dual = build_dual(embedding)
+    assert det.embedding is embedding and det.dual == dual and det.dual is det.dual
     # built on first access, the embedding leaves out the crossing edges too
     rebuilt = dataclasses.replace(det, _embedding=None, _dual=None)
     assert rebuilt.embedding == embedding and rebuilt.dual == dual

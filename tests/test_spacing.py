@@ -570,8 +570,12 @@ class TestApplySpaces:
             (1000, 100, (AXIS_HORIZONTAL,)),
             # a square's short dimension changes once both sides grow
             (100, 100, (AXIS_VERTICAL, AXIS_HORIZONTAL)),
+            # stretched along x alone, the 110x100 square keeps its short
+            # dimension but turns horizontal: its vertical shifters no
+            # longer flank its long sides
+            (100, 100, (AXIS_VERTICAL,)),
         ],
-        ids=["horizontal", "square"],
+        ids=["horizontal", "square", "square-one-axis"],
     )
     def test_critical_rect_widening_is_hard_error(self, w, h, axes):
         layout = Layout((Rect(0, 0, w, h, FEATURE_LAYER, 0),), RULES)

@@ -22,6 +22,7 @@ from aapsm.tjoin import (
     assign_edges,
     build_generalized_gadget_graph,
     build_optimized_gadget_graph,
+    solve_on_darts,
     solve_tjoin,
     tjoin_from_graph,
 )
@@ -473,12 +474,18 @@ class TestPathRoute:
                 frozenset((e.u, e.v)) for e in inst.edges
                 if e.weight == best[frozenset((e.u, e.v))].weight
             )
+            face_of = [n for e in inst.edges for n in (e.u, e.v)]
+            incident, _ = aapsm.tjoin._dart_incidence(
+                face_of, [e.weight for e in inst.edges], n
+            )
             forest = aapsm.tjoin._SpanningForest.of(inst)
             for comp in forest.components:
                 for source in comp:
-                    _, via = aapsm.tjoin._shortest_paths(forest.incident, source, comp)
-                    for e in via.values():
+                    _, via = aapsm.tjoin._shortest_paths(incident, source, comp)
+                    for node, (prev, eid, _) in via.items():
+                        e = inst.edges[eid]
                         pair = frozenset((e.u, e.v))
+                        assert pair == {prev, node}
                         assert e is best[pair], (e, best[pair])
                         tied += rivals[pair] > 1
         assert tied >= 300, tied
@@ -510,6 +517,38 @@ class TestPathRoute:
             aapsm.tjoin, "_tree_path", lambda via, s, t: real(via, s, t)[1:]
         )
         with pytest.raises(InternalInvariantError, match="pairing cost"):
+            solve_tjoin(path_abc())
+
+
+class TestDarts:
+    """`solve_on_darts` reads edge k off darts 2k and 2k+1, and checks what
+    the dual records it replaced checked."""
+
+    def test_loops_and_unembedded_edges_stay_out(self):
+        # faces 0-1-2 in a path (edges 1 and 3), a bridge's self-loop on face
+        # 1 (edge 2) and an unembedded edge 0
+        face_of = [-1, -1, 0, 1, 1, 1, 1, 2]
+        join, weight, seconds = solve_on_darts(face_of, [9, 5, 1, 7], [1, 4, 1])
+        assert (join, weight, seconds) == ([1, 3], 12, 0.0)
+
+    def test_dart_count_off_the_face_size_is_internal_fault(self):
+        with pytest.raises(InternalInvariantError, match="face boundary lengths"):
+            solve_on_darts([0, 1, 1, 2], [5, 7], [1, 1, 1])
+
+    def test_negative_weight_is_internal_fault(self):
+        with pytest.raises(InternalInvariantError, match="edge 1 has negative weight"):
+            solve_on_darts([0, 1, 1, 2], [5, -7], [1, 2, 1])
+
+    def test_join_off_t_is_internal_fault(self, monkeypatch):
+        real = aapsm.tjoin._solve_by_paths
+
+        def one_edge_short(incident, t_nodes):
+            join, weight, seconds = real(incident, t_nodes)
+            weight -= join.pop(min(join))[0]  # the weight still adds up
+            return join, weight, seconds
+
+        monkeypatch.setattr(aapsm.tjoin, "_solve_by_paths", one_edge_short)
+        with pytest.raises(InternalInvariantError, match="not a T-join"):
             solve_tjoin(path_abc())
 
 

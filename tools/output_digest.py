@@ -9,8 +9,10 @@ modes with the greedy baseline on.  The digest covers the rendered
 `correct(..., allow_uncovered=True)` report, the corrected layout
 (`serialize_layout`), the space plan (`dump_plan`), the conflict ids, the
 phases, `dump_embedding`, `dump_graph` with the perturbed node ids, and every
-shifter's id, feature, side, rect bounds and clip flag.  Run it in two
-checkouts and compare the last line.
+shifter's id, feature, side, rect bounds and clip flag.  The extended digest
+also covers the T-join's `optimal_edge_ids` and `optimal_weight` and the
+(id, u, v, weight, primal edge) of every edge of the dual `det.dual` builds
+on access.  Run it in two checkouts and compare the last line.
 The package is imported from this checkout's `src`, and the designs come
 from `perfbench/workloads.py`, which this script only reads.
 """
@@ -32,37 +34,44 @@ from aapsm.spacing import dump_plan  # noqa: E402
 import workloads  # noqa: E402
 
 
-def design_output(layout, weight_mode: str) -> str:
+def design_output(layout, weight_mode: str) -> tuple[str, str]:
+    """(what the plain digest covers, what the extended one adds)."""
     try:
         det = detect(layout, weight_mode=weight_mode, run_greedy_baseline=True)
         cor = correct(det, allow_uncovered=True)
     except AapsmError as err:
-        return f"error {type(err).__name__}: {err}\n"
+        return f"error {type(err).__name__}: {err}\n", ""
     shifters = "".join(
         f"shifter {s.id} {s.feature_id} {s.side} {s.rect.x_lo} {s.rect.y_lo} "
         f"{s.rect.x_hi} {s.rect.y_hi} {s.clipped}\n" for s in det.shifters
     )
-    return (
+    plain = (
         render_report(cor.report)
         + serialize_layout(cor.new_layout) + dump_plan(cor.plan)
         + f"conflicts {det.conflicts.edge_ids}\nphases {sorted(det.phases.items())}\n"
         + dump_embedding(det.embedding)
         + dump_graph(det.graph) + f"perturbed {det.graph.perturbed_nodes}\n" + shifters
     )
+    extended = f"optimal {det.optimal_edge_ids} {det.optimal_weight}\n" + "".join(
+        f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n" for e in det.dual.edges
+    )
+    return plain, extended
 
 
 def main(argv: list[str]) -> int:
-    digest, runs = hashlib.sha256(), 0
+    digest, extended, runs = hashlib.sha256(), hashlib.sha256(), 0
     for seed in [int(a) for a in argv] or [1, 2]:
         for w in workloads.WORKLOADS.values():
             for design_seed in workloads.design_seeds(seed, w.designs):
                 d = workloads.make_design(w, design_seed)
                 layout = parse_layout(d.text) if d.text is not None else d.layout
                 for mode in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
-                    digest.update(f"## {w.name} {design_seed} {mode}\n".encode())
-                    digest.update(design_output(layout, mode).encode())
+                    header = f"## {w.name} {design_seed} {mode}\n".encode()
+                    plain, extra = design_output(layout, mode)
+                    digest.update(header + plain.encode())
+                    extended.update(header + plain.encode() + extra.encode())
                     runs += 1
-    print(f"runs={runs} digest={digest.hexdigest()}")
+    print(f"runs={runs} digest={digest.hexdigest()} extended={extended.hexdigest()}")
     return 0
 
 
