@@ -64,7 +64,7 @@ def bipartize_optimal(
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
     join, weight, seconds = solve_on_darts(
-        emb.face_of, [e.weight for e in emb.graph.edges], [len(f) for f in emb.faces]
+        emb.face_of, emb.graph.weights, [len(f) for f in emb.faces]
     )
     return tuple(join), weight, seconds
 
@@ -90,8 +90,7 @@ def finalize_conflicts(
     if m_set & p_set:
         raise InternalInvariantError("bipartization set intersects removed set")
 
-    survivors = [e for e in g.edges if e.id not in m_set and e.id not in p_set]
-    colors, component, witness = signed_components(g, survivors)
+    colors, component, witness = signed_components(g, m_set | p_set)
     if witness is not None:
         raise InternalInvariantError(
             "surviving embedded graph is not balanced before re-check"
@@ -100,11 +99,12 @@ def finalize_conflicts(
     contradicted = []
     if p_set:
         # a node's parity is its survivor color plus its component's parity
+        ends, flips = g.ends, g.flips
         uf = ParityUnionFind()
         for eid in sorted(p_set):
-            e = g.edges[eid]
-            relation = (0 if e.is_equal_constraint else 1) ^ colors[e.u] ^ colors[e.v]
-            if not uf.union(component[e.u], component[e.v], relation):
+            u, v = ends[2 * eid], ends[2 * eid + 1]
+            relation = flips[eid] ^ colors[u] ^ colors[v]
+            if not uf.union(component[u], component[v], relation):
                 contradicted.append(eid)
         # flip each merged set so its lowest label, the lowest node of the
         # final component (each label is its component's lowest node, at
@@ -119,12 +119,11 @@ def finalize_conflicts(
 
     origin = dict.fromkeys(m_set, ORIGIN_MATCHING)
     origin.update(dict.fromkeys(contradicted, ORIGIN_PLANARIZATION))
-    conflicts = []
-    for eid in sorted(origin):
-        e = g.edge(eid)
-        conflicts.append(
-            Conflict(eid, e.shifter_pair, e.required_separation, origin[eid], e.weight)
-        )
+    pairs, required, weights = g.shifter_pairs, g.required, g.weights
+    conflicts = [
+        Conflict(eid, pairs[eid], required[eid], origin[eid], weights[eid])
+        for eid in sorted(origin)
+    ]
     return ConflictSet(tuple(conflicts), sum(c.weight for c in conflicts), tuple(colors))
 
 
@@ -139,10 +138,12 @@ def bipartize_greedy(
     leftover edges whose cycle was already balanced, i.e. every non-forest
     edge: E - V + (component count).
     """
-    uf, contradicted = signed_forest(g, sorted(g.edges, key=lambda e: (-e.weight, e.id)))
-    components = len({uf.find(n.id)[0] for n in g.nodes})
-    leftover = len(g.edges) - len(g.nodes) + components
+    weights = g.weights
+    n_nodes, n_edges = len(g.positions), len(weights)
+    uf, contradicted = signed_forest(g, sorted(range(n_edges), key=lambda e: (-weights[e], e)))
+    components = len({uf.find(nid)[0] for nid in range(n_nodes)})
+    leftover = n_edges - n_nodes + components
     deleted = tuple(sorted(contradicted))
-    weight = sum(g.edge(eid).weight for eid in deleted)
+    weight = sum(weights[eid] for eid in deleted)
     phase_assign(g, frozenset(deleted))  # certifies the rest is balanced
     return deleted, leftover, weight

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import multiprocessing
 import pathlib
 import sys
 
@@ -193,7 +194,10 @@ def main(argv: list[str] | None = None) -> int:
     results: list[tuple[int, str]]
     if args.jobs > 1 and len(args.layouts) > 1:
         workers = min(args.jobs, len(args.layouts))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned workers start clean: forking a process that may hold
+        # threads can copy a lock some other thread held
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             futures = [
                 pool.submit(_run_one, p, args) for p in args.layouts
             ]

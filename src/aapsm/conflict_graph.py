@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from . import geometry
 from .errors import InternalInvariantError, LayoutValidationError
@@ -82,9 +82,89 @@ class PcgEdge:
 
 @dataclass(frozen=True)
 class PhaseConflictGraph:
-    nodes: tuple[PcgNode, ...]
-    edges: tuple[PcgEdge, ...]
+    """The graph as flat columns, indexed by node id and by edge id.
+
+    Node k sits at positions[k], is of kinds[k], and was moved by
+    perturbs[k] off the position the layout gave it.  Edge e joins
+    ends[2e] (its end u, the tail of dart 2e) and ends[2e+1] (its end v,
+    the tail of dart 2e+1) at weights[e]; flips[e] is 1 for a feature edge
+    (opposite phases) and 0 for an overlap half (equal phases); the edge
+    stands for the shifters shifter_pairs[e], which must move required[e]
+    apart (None for a feature edge).
+
+    `nodes`, `edges`, `node()` and `edge()` give the same graph as
+    PcgNode/PcgEdge records, built on first access; the pipeline reads the
+    columns.  `from_records` builds a graph from hand-made records.
+    """
+
+    positions: tuple[tuple[int, int], ...]
+    kinds: tuple[str, ...]
+    perturbs: tuple[tuple[int, int], ...]
+    ends: tuple[int, ...]
+    weights: tuple[int, ...]
+    flips: tuple[int, ...]
+    shifter_pairs: tuple[tuple[int, int], ...]
+    required: tuple[int | None, ...]
     perturbed_nodes: tuple[int, ...] = ()
+    _nodes: tuple[PcgNode, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _edges: tuple[PcgEdge, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_records(
+        cls,
+        nodes: Iterable[PcgNode],
+        edges: Iterable[PcgEdge],
+        perturbed_nodes: tuple[int, ...] = (),
+    ) -> PhaseConflictGraph:
+        """The graph of these records; record k must carry id k, and each
+        edge is a feature edge or an overlap half (ValueError otherwise)."""
+        nodes, edges = tuple(nodes), tuple(edges)
+        if any(n.id != k for k, n in enumerate(nodes)):
+            raise ValueError("node ids must be 0, 1, ... in order")
+        if any(e.id != k for k, e in enumerate(edges)):
+            raise ValueError("edge ids must be 0, 1, ... in order")
+        if any(e.kind not in (EDGE_FEATURE, EDGE_OVERLAP_HALF) for e in edges):
+            raise ValueError(f"edge kinds must be {EDGE_FEATURE!r} or {EDGE_OVERLAP_HALF!r}")
+        return cls(
+            tuple(n.pos for n in nodes),
+            tuple(n.kind for n in nodes),
+            tuple(n.perturb for n in nodes),
+            tuple(end for e in edges for end in (e.u, e.v)),
+            tuple(e.weight for e in edges),
+            tuple(0 if e.is_equal_constraint else 1 for e in edges),
+            tuple(e.shifter_pair for e in edges),
+            tuple(e.required_separation for e in edges),
+            tuple(perturbed_nodes),
+        )
+
+    @property
+    def nodes(self) -> tuple[PcgNode, ...]:
+        if self._nodes is None:
+            nodes = tuple(
+                PcgNode(k, kind, x, y, perturb)
+                for k, (kind, (x, y), perturb) in enumerate(
+                    zip(self.kinds, self.positions, self.perturbs)
+                )
+            )
+            object.__setattr__(self, "_nodes", nodes)
+        return self._nodes
+
+    @property
+    def edges(self) -> tuple[PcgEdge, ...]:
+        if self._edges is None:
+            it = iter(self.ends)
+            edges = tuple(
+                PcgEdge(k, u, v, weight, EDGE_FEATURE if flip else EDGE_OVERLAP_HALF, pair, need)
+                for k, (u, v, weight, flip, pair, need) in enumerate(
+                    zip(it, it, self.weights, self.flips, self.shifter_pairs, self.required)
+                )
+            )
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     def node(self, node_id: int) -> PcgNode:
         return self.nodes[node_id]
@@ -113,17 +193,17 @@ def build_conflict_graph(
     # each feature's node list is in id order already
     ordered = sorted(shifters, key=lambda s: s.id)
     node_of_shifter: dict[int, int] = {}
-    nodes: list[PcgNode] = []
+    positions: list[tuple[int, int]] = []
     by_feature: dict[int, list[int]] = {}
     for nid, s in enumerate(ordered):
         r = s.rect
         node_of_shifter[s.id] = nid
-        x = 2 * (r.x_lo + r.x_hi)  # center * POS_SCALE, exact
-        y = 2 * (r.y_lo + r.y_hi)
-        nodes.append(PcgNode(nid, NODE_EDGE_SHIFTER, x, y))
+        # center * POS_SCALE, exact
+        positions.append((2 * (r.x_lo + r.x_hi), 2 * (r.y_lo + r.y_hi)))
         by_feature.setdefault(s.feature_id, []).append(nid)
 
-    edges: list[PcgEdge] = []
+    ends: list[int] = []
+    shifter_pairs: list[tuple[int, int]] = []
     for fid in sorted(by_feature):
         pair = by_feature[fid]
         if len(pair) != 2:
@@ -131,40 +211,48 @@ def build_conflict_graph(
                 f"feature {fid} has {len(pair)} shifters, expected 2"
             )
         u, v = pair
-        edges.append(
-            PcgEdge(
-                len(edges), u, v, FEATURE_EDGE_WEIGHT, EDGE_FEATURE, (ordered[u].id, ordered[v].id)
-            )
-        )
+        ends += pair
+        shifter_pairs.append((ordered[u].id, ordered[v].id))
+    features = len(shifter_pairs)
+    weights: list[int] = [FEATURE_EDGE_WEIGHT] * features
+    required: list[int | None] = [None] * features
 
     spacing = rules.min_shifter_spacing
+    uniform = weight_mode == WEIGHT_UNIFORM
     for s1, s2, sep in sorted(overlap_pairs):
-        required = spacing - sep
-        if required <= 0:
+        need = spacing - sep
+        if need <= 0:
             raise LayoutValidationError(
                 f"overlap pair ({s1},{s2}) separation {sep} is not below "
                 f"the minimum spacing {spacing}"
             )
-        u, v = nodes[node_of_shifter[s1]], nodes[node_of_shifter[s2]]
-        onid = len(nodes)
+        u, v = node_of_shifter[s1], node_of_shifter[s2]
+        (ux, uy), (vx, vy) = positions[u], positions[v]
+        onid = len(positions)
         # node coords are even: the midpoint is exact
-        nodes.append(PcgNode(onid, NODE_OVERLAP, (u.x + v.x) // 2, (u.y + v.y) // 2))
-        weight = 1 if weight_mode == WEIGHT_UNIFORM else required
-        edges.append(
-            PcgEdge(len(edges), u.id, onid, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
-        )
-        edges.append(
-            PcgEdge(len(edges), onid, v.id, weight, EDGE_OVERLAP_HALF, (s1, s2), required)
-        )
+        positions.append(((ux + vx) // 2, (uy + vy) // 2))
+        ends += (u, onid, onid, v)  # the two halves u-o and o-v
+        weight = 1 if uniform else need
+        weights += (weight, weight)
+        shifter_pairs += ((s1, s2), (s1, s2))
+        required += (need, need)
 
-    nodes, perturbed = _perturb_degenerate_overlaps(nodes, edges)
-    return PhaseConflictGraph(tuple(nodes), tuple(edges), tuple(perturbed))
+    kinds = [NODE_EDGE_SHIFTER] * len(ordered)
+    kinds += [NODE_OVERLAP] * (len(positions) - len(ordered))
+    flips = [1] * features + [0] * (len(weights) - features)
+    perturbs, perturbed = _perturb_degenerate_overlaps(positions, kinds, ends)
+    return PhaseConflictGraph(
+        tuple(positions), tuple(kinds), tuple(perturbs), tuple(ends), tuple(weights),
+        tuple(flips), tuple(shifter_pairs), tuple(required), tuple(perturbed),
+    )
 
 
 def _perturb_degenerate_overlaps(
-    nodes: list[PcgNode], edges: list[PcgEdge]
-) -> tuple[list[PcgNode], list[int]]:
-    """Nudge overlap nodes off degenerate positions.
+    pos: list[tuple[int, int]], kinds: list[str], ends: list[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Nudge overlap nodes off degenerate positions, moving entries of
+    `pos` in place; returns each node's nudge (dx, dy) and the nudged
+    overlap nodes.
 
     An overlap node's placement is a modeling convenience, so it may be moved
     by a few quarter-nm when it coincides with another node or when one of its
@@ -189,48 +277,33 @@ def _perturb_degenerate_overlaps(
     (exit 2).  `detect` runs that check once on every graph it builds, and
     the crossing search, crossing removal and embedding assume it.
     """
-    held: set[tuple[int, int]] = set()
-    for node in nodes:
-        if node.kind != NODE_EDGE_SHIFTER:
-            continue
-        if (node.x, node.y) in held:
-            free = (
-                d for d in _perturb_deltas() if (node.x + d[0], node.y + d[1]) not in held
-            )
-            dx, dy = next(free, (None, None))
-            if dx is None:
-                raise InternalInvariantError(
-                    f"cannot separate concentric shifter node {node.id} "
-                    f"within {_PERTURB_LIMIT} quarter-nm"
-                )
-            node = node._replace(x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
-            nodes[node.id] = node
-        held.add((node.x, node.y))
+    perturbs = [(0, 0)] * len(pos)
+    if len(set(pos)) < len(pos):  # two shifter nodes may share a position
+        _separate_concentric_shifters(pos, kinds, perturbs)
 
-    flagged = _degenerate_overlap_nodes(nodes, edges)
+    flagged = _degenerate_overlap_nodes(pos, kinds, ends)
     if not flagged:
-        return nodes, []
+        return perturbs, []
 
     incident: dict[int, list[int]] = {nid: [] for nid in flagged}
-    for e in edges:
-        for end in (e.u, e.v):
-            if end in incident:
-                incident[end].append(e.id)
-    at = Counter(n.pos for n in nodes)
-    lines = _line_index(nodes, edges)
+    for dart, end in enumerate(ends):
+        if end in incident:
+            incident[end].append(dart >> 1)
+    at = Counter(pos)
+    lines = _line_index(pos, ends)
 
     def move(nid: int, dx: int, dy: int) -> None:
         """Put the node at its built position plus (dx, dy), keeping the
         indexes current."""
-        node = nodes[nid]
         for eid in incident[nid]:
-            _file_edge(lines, nodes, edges[eid], filed=False)
-        at[node.pos] -= 1
-        base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
-        nodes[nid] = node = node._replace(x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
-        at[node.pos] += 1
+            _file_edge(lines, pos, ends, eid, filed=False)
+        at[pos[nid]] -= 1
+        (x, y), (px, py) = pos[nid], perturbs[nid]
+        pos[nid] = (x - px + dx, y - py + dy)
+        perturbs[nid] = (dx, dy)
+        at[pos[nid]] += 1
         for eid in incident[nid]:
-            _file_edge(lines, nodes, edges[eid], filed=True)
+            _file_edge(lines, pos, ends, eid, filed=True)
 
     # The re-check applies the flag pass's two symmetric rules (a shared
     # position, an overlapping pair of spans) and a node stops only where it
@@ -239,11 +312,11 @@ def _perturb_degenerate_overlaps(
     # each settles them.
     perturbed: list[int] = []
     for nid in flagged:
-        if not _is_degenerate(nid, nodes, edges, incident, at, lines):
+        if not _is_degenerate(nid, pos, ends, incident, at, lines):
             continue
         for dx, dy in _perturb_deltas():
             move(nid, dx, dy)
-            if not _is_degenerate(nid, nodes, edges, incident, at, lines):
+            if not _is_degenerate(nid, pos, ends, incident, at, lines):
                 break
         else:
             raise InternalInvariantError(
@@ -251,12 +324,35 @@ def _perturb_degenerate_overlaps(
                 f"within {_PERTURB_LIMIT} quarter-nm"
             )
         perturbed.append(nid)
-    left = _degenerate_overlap_nodes(nodes, edges)
+    left = _degenerate_overlap_nodes(pos, kinds, ends)
     if left:
         raise InternalInvariantError(
             f"overlap node {left[0]} still degenerate after perturbation"
         )
-    return nodes, perturbed
+    return perturbs, perturbed
+
+
+def _separate_concentric_shifters(
+    pos: list[tuple[int, int]], kinds: list[str], perturbs: list[tuple[int, int]]
+) -> None:
+    """Move each edge-shifter node whose position an earlier one holds to
+    the first free delta, recording the nudge in `perturbs`."""
+    held: set[tuple[int, int]] = set()
+    for nid, kind in enumerate(kinds):
+        if kind != NODE_EDGE_SHIFTER:
+            continue
+        x, y = pos[nid]
+        if (x, y) in held:
+            free = (d for d in _perturb_deltas() if (x + d[0], y + d[1]) not in held)
+            dx, dy = next(free, (None, None))
+            if dx is None:
+                raise InternalInvariantError(
+                    f"cannot separate concentric shifter node {nid} "
+                    f"within {_PERTURB_LIMIT} quarter-nm"
+                )
+            x, y = pos[nid] = (x + dx, y + dy)
+            perturbs[nid] = (dx, dy)
+        held.add((x, y))
 
 
 def _perturb_deltas():
@@ -288,27 +384,31 @@ def _line_span(a: geometry.Point, b: geometry.Point) -> tuple[Line, int, int] | 
     return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
 
 
-def _line_index(nodes: list[PcgNode], edges: list[PcgEdge]) -> LineIndex:
+def _line_index(pos: list[tuple[int, int]], ends: list[int]) -> LineIndex:
     """The span of every edge of positive length, filed under its line."""
     lines: LineIndex = defaultdict(dict)
-    for e in edges:
-        _file_edge(lines, nodes, e, filed=True)
+    for eid in range(len(ends) // 2):
+        _file_edge(lines, pos, ends, eid, filed=True)
     return lines
 
 
-def _file_edge(lines: LineIndex, nodes: list[PcgNode], e: PcgEdge, filed: bool) -> None:
+def _file_edge(
+    lines: LineIndex, pos: list[tuple[int, int]], ends: list[int], eid: int, filed: bool
+) -> None:
     """File the edge's span under its line, or take it out (filed=False)."""
-    span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+    span = _line_span(pos[ends[2 * eid]], pos[ends[2 * eid + 1]])
     if span is None:
         return
     key, lo, hi = span
     if filed:
-        lines[key][e.id] = (lo, hi)
+        lines[key][eid] = (lo, hi)
     else:
-        del lines[key][e.id]
+        del lines[key][eid]
 
 
-def _degenerate_overlap_nodes(nodes: list[PcgNode], edges: list[PcgEdge]) -> list[int]:
+def _degenerate_overlap_nodes(
+    pos: list[tuple[int, int]], kinds: list[str], ends: list[int]
+) -> list[int]:
     """The overlap nodes _is_degenerate holds for, in id order, in one pass.
 
     A node is flagged when a Counter of positions holds its position twice,
@@ -317,33 +417,36 @@ def _degenerate_overlap_nodes(nodes: list[PcgNode], edges: list[PcgEdge]) -> lis
     before it exactly when its lo is below the running maximum hi before
     it, and one after it exactly when the next edge's lo is below its hi.
     """
-    pos = [n.pos for n in nodes]
-    is_overlap = [n.kind == NODE_OVERLAP for n in nodes]
+    is_overlap = [kind == NODE_OVERLAP for kind in kinds]
     count = Counter(pos)
-    flagged = {n.id for n in nodes if is_overlap[n.id] and count[pos[n.id]] > 1}
+    flagged = set()
+    if len(count) < len(pos):
+        flagged.update(nid for nid, p in enumerate(pos) if is_overlap[nid] and count[p] > 1)
     lines: dict[Line, list[tuple[int, int, int]]] = defaultdict(list)
-    for e in edges:
-        span = _line_span(pos[e.u], pos[e.v])
+    it = iter(ends)
+    for eid, (u, v) in enumerate(zip(it, it)):
+        span = _line_span(pos[u], pos[v])
         if span is not None:
             key, lo, hi = span
-            lines[key].append((lo, hi, e.id))
+            lines[key].append((lo, hi, eid))
     for group in lines.values():
         if len(group) < 2:
             continue
         group.sort()
         reach = group[0][0]
+        last = len(group) - 1
         for k, (lo, hi, eid) in enumerate(group):
-            if lo < reach or (k + 1 < len(group) and group[k + 1][0] < hi):
-                e = edges[eid]
-                flagged.update(end for end in (e.u, e.v) if is_overlap[end])
-            reach = max(reach, hi)
+            if lo < reach or (k < last and group[k + 1][0] < hi):
+                flagged.update(end for end in ends[2 * eid:2 * eid + 2] if is_overlap[end])
+            if hi > reach:
+                reach = hi
     return sorted(flagged)
 
 
 def _is_degenerate(
     node_id: int,
-    nodes: list[PcgNode],
-    edges: list[PcgEdge],
+    pos: list[tuple[int, int]],
+    ends: list[int],
     incident: dict[int, list[int]],
     at: Counter,
     lines: LineIndex,
@@ -357,11 +460,10 @@ def _is_degenerate(
     positive length, the rule _degenerate_overlap_nodes sweeps; only the
     spans on the lines of the node's own edges are read.
     """
-    if at[nodes[node_id].pos] > 1:
+    if at[pos[node_id]] > 1:
         return True
     for eid in incident[node_id]:
-        e = edges[eid]
-        span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+        span = _line_span(pos[ends[2 * eid]], pos[ends[2 * eid + 1]])
         if span is None:
             continue
         key, lo, hi = span
@@ -372,7 +474,7 @@ def _is_degenerate(
 
 
 def signed_forest(
-    g: PhaseConflictGraph, edges: list[PcgEdge]
+    g: PhaseConflictGraph, edge_ids: Iterable[int]
 ) -> tuple[ParityUnionFind, list[int]]:
     """Union each edge's parity constraint, in the order given, over all nodes.
 
@@ -383,10 +485,11 @@ def signed_forest(
     the greedy baseline.
     """
     uf = ParityUnionFind()
-    for n in g.nodes:
-        uf.add(n.id)
+    for nid in range(len(g.positions)):
+        uf.add(nid)
+    ends, flips = g.ends, g.flips
     contradicted = [
-        e.id for e in edges if not uf.union(e.u, e.v, 0 if e.is_equal_constraint else 1)
+        eid for eid in edge_ids if not uf.union(ends[2 * eid], ends[2 * eid + 1], flips[eid])
     ]
     return uf, contradicted
 
@@ -400,28 +503,27 @@ def is_bipartite(
     when there is none, the colors are that coloring, which `phase_assign`
     can certify instead of coloring again.
     """
-    removed = set(removed_edge_ids)
-    color, _, witness = signed_components(g, [e for e in g.edges if e.id not in removed])
+    color, _, witness = signed_components(g, frozenset(removed_edge_ids))
     if witness is not None:
         return BipartiteResult(False, witness)
     return BipartiteResult(True, None, tuple(color))
 
 
 def signed_components(
-    g: PhaseConflictGraph, kept: list[PcgEdge]
+    g: PhaseConflictGraph, removed: set[int] | frozenset[int]
 ) -> tuple[list[int], list[int], tuple | None]:
-    """Signed two-coloring of the kept edges, from each component's lowest
-    node id at color 0: a feature edge flips the color, an overlap half keeps
-    it.  Returns the colors, each node's component label (the component's
-    lowest node id), and the edge ids of the first unbalanced cycle the
-    coloring closes, where it stops, or None."""
-    n = len(g.nodes)
+    """Signed two-coloring of the edges not in `removed`, from each
+    component's lowest node id at color 0: a feature edge flips the color,
+    an overlap half keeps it.  Returns the colors, each node's component
+    label (the component's lowest node id), and the edge ids of the first
+    unbalanced cycle the coloring closes, where it stops, or None."""
+    n = len(g.positions)
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for e in kept:
-        u, v, eid = e.u, e.v, e.id
-        flip = 0 if e.kind == EDGE_OVERLAP_HALF else 1  # is_equal_constraint
-        adj[u].append((v, eid, flip))
-        adj[v].append((u, eid, flip))
+    it = iter(g.ends)
+    for eid, (u, v, flip) in enumerate(zip(it, it, g.flips)):
+        if eid not in removed:
+            adj[u].append((v, eid, flip))
+            adj[v].append((u, eid, flip))
     color = [0] * n
     component = [-1] * n
     via = [-1] * n  # node -> the edge to its parent in the search
@@ -448,11 +550,13 @@ def signed_components(
 
 
 def _path_to_root(g: PhaseConflictGraph, x: int, via: list[int]) -> set[int]:
+    ends = g.ends
     path = set()
     while via[x] >= 0:
         eid = via[x]
         path.add(eid)
-        x = g.edges[eid].other(x)
+        u, v = ends[2 * eid], ends[2 * eid + 1]
+        x = v if x == u else u
     return path
 
 
@@ -472,33 +576,37 @@ def phase_assign(
     final loop, which checks every kept constraint against the phases, is
     the balance certificate `detect` relies on.
     """
-    deleted = set(deleted_edge_ids)
-    kept = [e for e in g.edges if e.id not in deleted]
+    deleted = frozenset(deleted_edge_ids)
     if colors is None:
-        colors, _, witness = signed_components(g, kept)
+        colors, _, witness = signed_components(g, deleted)
         if witness is not None:
             raise InternalInvariantError(
                 f"residual unbalanced cycle through edges {list(witness)}; "
                 "cannot assign phases"
             )
-    phases = {n.id: PHASE_B if colors[n.id] else PHASE_A for n in g.nodes}
-    for e in kept:
-        same = phases[e.u] == phases[e.v]
-        if e.is_equal_constraint != same:
-            raise InternalInvariantError(f"edge {e.id} constraint violated")
+    phases = {nid: PHASE_B if c else PHASE_A for nid, c in enumerate(colors)}
+    it = iter(g.ends)
+    for eid, (u, v, flip) in enumerate(zip(it, it, g.flips)):
+        # a feature edge (flip 1) wants the phases apart, an overlap half together
+        if (phases[u] != phases[v]) != flip and eid not in deleted:
+            raise InternalInvariantError(f"edge {eid} constraint violated")
     return phases
 
 
 def dump_graph(g: PhaseConflictGraph) -> str:
     """Line format: `node <id> <kind> <x> <y>` / `edge <id> <u> <v> <weight>
     <kind> <s1> <s2> [required_separation]`."""
-    lines = []
-    for n in g.nodes:
-        lines.append(f"node {n.id} {n.kind} {n.x} {n.y}")
-    for e in g.edges:
-        s1, s2 = e.shifter_pair
-        line = f"edge {e.id} {e.u} {e.v} {e.weight} {e.kind} {s1} {s2}"
-        if e.required_separation is not None:
-            line += f" {e.required_separation}"
+    lines = [
+        f"node {nid} {kind} {x} {y}"
+        for nid, (kind, (x, y)) in enumerate(zip(g.kinds, g.positions))
+    ]
+    it = iter(g.ends)
+    for eid, (u, v, weight, flip, (s1, s2), required) in enumerate(
+        zip(it, it, g.weights, g.flips, g.shifter_pairs, g.required)
+    ):
+        kind = EDGE_FEATURE if flip else EDGE_OVERLAP_HALF
+        line = f"edge {eid} {u} {v} {weight} {kind} {s1} {s2}"
+        if required is not None:
+            line += f" {required}"
         lines.append(line)
     return "\n".join(lines) + "\n"

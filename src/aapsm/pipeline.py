@@ -180,8 +180,8 @@ def _detect_back(
         ("critical_features", str(len(shifters) // 2)),
         ("shifters", str(len(shifters))),
         ("shifter_overlaps", str(len(pairs))),
-        ("graph_nodes", str(len(graph.nodes))),
-        ("graph_edges", str(len(graph.edges))),
+        ("graph_nodes", str(len(graph.positions))),
+        ("graph_edges", str(len(graph.weights))),
         ("perturbed_overlap_nodes", str(len(graph.perturbed_nodes))),
         ("balanced_before", "1" if balanced_before else "0"),
         ("crossings_removed", str(len(removed))),

@@ -9,8 +9,9 @@ geometry and tracing faces.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import geometry
@@ -70,23 +71,25 @@ def require_general_position(g: PhaseConflictGraph) -> None:
     establishes general position; `detect` calls this once on each graph
     it builds, and `planarize` on a graph handed to it.
     """
-    pos = [n.pos for n in g.nodes]
-    seen: dict[tuple[int, int], int] = {}
-    for node_id, p in enumerate(pos):
-        if p in seen:
-            raise GeometryError(f"nodes {seen[p]} and {node_id} share position {p}")
-        seen[p] = node_id
+    pos = g.positions
+    if len(set(pos)) < len(pos):
+        seen: dict[tuple[int, int], int] = {}
+        for node_id, p in enumerate(pos):
+            if p in seen:
+                raise GeometryError(f"nodes {seen[p]} and {node_id} share position {p}")
+            seen[p] = node_id
     # (node, primitive direction) -> the lowest edge leaving the node on it
     first_on_ray: dict[tuple[int, int, int], int] = {}
     ties = []
-    for e in g.edges:
-        (ux, uy), (vx, vy) = pos[e.u], pos[e.v]
+    it = iter(g.ends)
+    for eid, (u, v) in enumerate(zip(it, it)):
+        (ux, uy), (vx, vy) = pos[u], pos[v]
         step = math.gcd(vx - ux, vy - uy)
         dx, dy = (vx - ux) // step, (vy - uy) // step
-        for ray in ((e.u, dx, dy), (e.v, -dx, -dy)):
-            first = first_on_ray.setdefault(ray, e.id)
-            if first != e.id:
-                ties.append((ray[0], first, e.id))
+        for ray in ((u, dx, dy), (v, -dx, -dy)):
+            first = first_on_ray.setdefault(ray, eid)
+            if first != eid:
+                ties.append((ray[0], first, eid))
     if ties:
         node_id, a, b = min(ties)
         raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
@@ -102,10 +105,14 @@ def find_crossings(
     comparisons of edge ends.  The drawing must be in general position
     (`require_general_position`), as build_conflict_graph makes it.
     """
-    ids = range(len(g.edges)) if edge_ids is None else edge_ids
-    pos = [n.pos for n in g.nodes]
-    us = [g.edges[eid].u for eid in ids]
-    vs = [g.edges[eid].v for eid in ids]
+    ends, pos = g.ends, g.positions
+    if edge_ids is None:
+        ids = range(len(g.weights))
+        us, vs = ends[::2], ends[1::2]
+    else:
+        ids = edge_ids
+        us = [ends[2 * eid] for eid in ids]
+        vs = [ends[2 * eid + 1] for eid in ids]
     segs = [(pos[u], pos[v]) for u, v in zip(us, vs)]
     out = []
     for i, j in geometry.box_pairs([geometry.segment_box(a, b) for a, b in segs]):
@@ -130,19 +137,33 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 
     Iterated greedy: while any crossing remains, delete the minimum-weight
     edge participating in one (ties: most crossings, then lowest edge id).
-    The drawing must be in general position (`require_general_position`),
-    as build_conflict_graph makes it.
+    Each edge keeps the edges it crosses and its count of live crossings;
+    a heap holds (weight, -count, id) entries, and an edge is pushed again
+    whenever its count drops, so an entry whose count is no longer the
+    edge's is stale and skipped.  The drawing must be in general position
+    (`require_general_position`), as build_conflict_graph makes it.
     """
-    crossings = list(find_crossings(g))
+    crossed: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in find_crossings(g):
+        crossed[a].append(b)
+        crossed[b].append(a)
+    weights = g.weights
+    count = {eid: len(others) for eid, others in crossed.items()}
+    heap = [(weights[eid], -c, eid) for eid, c in count.items()]
+    heapq.heapify(heap)
     removed: list[int] = []
-    while crossings:
-        count: Counter[int] = Counter()
-        for a, b in crossings:
-            count[a] += 1
-            count[b] += 1
-        victim = min(count, key=lambda eid: (g.edge(eid).weight, -count[eid], eid))
+    while heap:
+        _, negative, victim = heapq.heappop(heap)
+        if count[victim] != -negative:
+            continue  # stale, or the edge is gone
         removed.append(victim)
-        crossings = [c for c in crossings if victim not in c]
+        count[victim] = 0
+        for other in crossed[victim]:
+            c = count[other]
+            if c:
+                count[other] = c - 1
+                if c > 1:
+                    heapq.heappush(heap, (weights[other], 1 - c, other))
     return tuple(sorted(removed))
 
 
@@ -152,7 +173,7 @@ def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmb
     from it, and the Euler check runs on each component.  The drawing must
     be in general position (`require_general_position`)."""
     removed_set = set(removed_edge_ids)
-    kept = tuple(eid for eid in range(len(g.edges)) if eid not in removed_set)
+    kept = tuple(eid for eid in range(len(g.weights)) if eid not in removed_set)
     rotation = _rotation(g, removed_set)
     faces, face_of = _trace_faces(g, rotation)
     _euler_check(g, rotation, faces)
@@ -169,14 +190,14 @@ def _direction_key(item: tuple[int, tuple[int, int]]):
 def _rotation(g: PhaseConflictGraph, removed: set[int]) -> dict[int, tuple[int, ...]]:
     """Each node's surviving edges counterclockwise from +x, for the nodes
     that keep an edge; in general position no two of them leave on one ray."""
-    pos = [n.pos for n in g.nodes]
+    pos = g.positions
     incident: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in pos]
-    for e in g.edges:
-        if e.id not in removed:
-            u, v = e.u, e.v
+    it = iter(g.ends)
+    for eid, (u, v) in enumerate(zip(it, it)):
+        if eid not in removed:
             (ux, uy), (vx, vy) = pos[u], pos[v]
-            incident[u].append((e.id, (vx - ux, vy - uy)))
-            incident[v].append((e.id, (ux - vx, uy - vy)))
+            incident[u].append((eid, (vx - ux, vy - uy)))
+            incident[v].append((eid, (ux - vx, uy - vy)))
     rotation: dict[int, tuple[int, ...]] = {}
     for node_id, items in enumerate(incident):
         if len(items) == 1:
@@ -198,9 +219,7 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
     Interior faces come out clockwise, and the outer face of each component
     counterclockwise.  Returns the faces as (tail, edge id) tuples and the
     face of each dart (-1 for the darts of edges not in the rotation)."""
-    tail = [0] * (2 * len(g.edges))
-    tail[::2] = [e.u for e in g.edges]
-    tail[1::2] = [e.v for e in g.edges]
+    tail = g.ends
     successor = [-1] * len(tail)  # dart -> the dart the walk leaves on next
     starts: list[int] = []
     for v, rot in rotation.items():
@@ -231,8 +250,8 @@ def _trace_faces(g: PhaseConflictGraph, rotation: dict[int, tuple[int, ...]]):
 
 def _euler_check(g, rotation, faces):
     """V - E + F = 2 on each connected component, named by its lowest node."""
-    ends = [(e.u, e.v) for e in g.edges]
-    component = [-1] * len(g.nodes)
+    ends = g.ends
+    component = [-1] * len(g.positions)
     for start in sorted(rotation):
         if component[start] >= 0:
             continue
@@ -240,7 +259,7 @@ def _euler_check(g, rotation, faces):
         queue = [start]
         for u in queue:
             for eid in rotation[u]:
-                a, b = ends[eid]
+                a, b = ends[2 * eid], ends[2 * eid + 1]
                 v = b if a == u else a
                 if component[v] < 0:
                     component[v] = start
@@ -264,9 +283,9 @@ def build_dual(emb: PlanarEmbedding) -> DualGraph:
     Bridges produce dual self-loops (flagged via is_self_loop); weights are
     copied from the primal edges.
     """
-    edges, face_of = emb.graph.edges, emb.face_of
+    weights, face_of = emb.graph.weights, emb.face_of
     dual = DualGraph(len(emb.faces), tuple([
-        DualEdge(k, face_of[2 * eid], face_of[2 * eid + 1], edges[eid].weight, eid)
+        DualEdge(k, face_of[2 * eid], face_of[2 * eid + 1], weights[eid], eid)
         for k, eid in enumerate(emb.kept_edge_ids)
     ]))
     boundary_len = [len(f) for f in emb.faces]

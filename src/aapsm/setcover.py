@@ -102,5 +102,9 @@ def exact_cover(
 
 
 def _min_cover_bound(remaining: frozenset, covering: dict) -> int:
-    """Lower bound: the most expensive min-cost cover among remaining elements."""
-    return max(min(c.weight for c in covering[el]) for el in remaining)
+    """Lower bound: the most expensive min-cost cover among remaining elements.
+
+    Each covering list is in (weight, key) order, so its first candidate is
+    the cheapest one covering that element.
+    """
+    return max(covering[el][0].weight for el in remaining)

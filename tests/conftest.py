@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import os
 import pathlib
 import random
@@ -68,6 +69,38 @@ def perfbench_module(name: str):
 def manhattan_layout(design_seed: int):
     """The benchmark's manhattan_batch design for this seed."""
     return perfbench_module("workloads").manhattan_layout(design_seed)
+
+
+def big_manhattan_layout(wires: int):
+    """A dense design: manhattan_batch's wire mix (widths, lengths, 10 nm
+    grid, half of the wires horizontal, rejection-sampled to disjoint
+    interiors, bbox margin) at its density, on a square of side
+    3000 * sqrt(wires / 12) nm rounded down to the grid, drawn with
+    random.Random(1)."""
+    w = perfbench_module("workloads")
+    rng = random.Random(1)
+    side = int(w.MANHATTAN_SPAN * math.sqrt(wires / w.MANHATTAN_WIRES))
+    side -= side % w.MANHATTAN_GRID
+    rects: list[Rect] = []
+    while len(rects) < wires:
+        width = rng.choice(w.MANHATTAN_WIDTHS)
+        length = rng.randrange(*w.MANHATTAN_LENGTH, w.MANHATTAN_GRID)
+        x = rng.randrange(0, side, w.MANHATTAN_GRID)
+        y = rng.randrange(0, side, w.MANHATTAN_GRID)
+        if rng.random() < 0.5:
+            rect = Rect(x, y, x + width, y + length, FEATURE_LAYER, len(rects))
+        else:
+            rect = Rect(x, y, x + length, y + width, FEATURE_LAYER, len(rects))
+        if not any(rect.interior_overlaps(other) for other in rects):
+            rects.append(rect)
+    m = w.MANHATTAN_MARGIN
+    bbox = (
+        min(r.x_lo for r in rects) - m,
+        min(r.y_lo for r in rects) - m,
+        max(r.x_hi for r in rects) + m,
+        max(r.y_hi for r in rects) + m,
+    )
+    return Layout(tuple(rects), bbox=bbox)
 
 
 def make_shifter(sid: int, feature_id: int, side: str, x: int, y: int, w=100, h=100):

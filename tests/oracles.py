@@ -9,9 +9,13 @@ and `unsplit_tjoin_weight` over a whole instance without splitting it into
 components), the parity union-find phases of the signed two-coloring
 (`phase_assign_oracle`), the casualty re-check as one parity union-find
 over every node (`finalize_oracle`, through the package's `signed_forest`),
-and the embedding traced over half-edge keys (`embed_oracle`, which sorts
-by the package's exact `compare_directions`).  The one solver-backed oracle, `exact_bipartization`,
-certifies its answer with the package's `phase_assign`.
+the embedding traced over half-edge keys (`embed_oracle`, which sorts
+by the package's exact `compare_directions`), the record-based conflict
+graph builder (`build_conflict_graph_oracle`, with the package's
+`_line_span`), and crossing removal by recounting every round
+(`remove_crossings_oracle`, over the package's `find_crossings`).  The one
+solver-backed oracle, `exact_bipartization`, certifies its answer with the
+package's `phase_assign`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import networkx as nx
@@ -27,10 +32,28 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from aapsm.bipartize import ORIGIN_MATCHING, ORIGIN_PLANARIZATION
-from aapsm.conflict_graph import PHASE_A, PHASE_B, phase_assign, signed_forest
-from aapsm.errors import InternalInvariantError
+from aapsm.conflict_graph import (
+    EDGE_FEATURE,
+    EDGE_OVERLAP_HALF,
+    FEATURE_EDGE_WEIGHT,
+    NODE_EDGE_SHIFTER,
+    NODE_OVERLAP,
+    PHASE_A,
+    PHASE_B,
+    WEIGHT_SEPARATION,
+    WEIGHT_UNIFORM,
+    PcgEdge,
+    PcgNode,
+    PhaseConflictGraph,
+    _line_span,
+    _perturb_deltas,
+    phase_assign,
+    signed_forest,
+)
+from aapsm.errors import InternalInvariantError, LayoutValidationError
 from aapsm.geometry import compare_directions
 from aapsm.matching import min_weight_perfect_matching
+from aapsm.planar import find_crossings
 from aapsm.tjoin import (
     MODE_GENERALIZED,
     assign_edges,
@@ -251,21 +274,191 @@ def line_span_oracle(a, b):
     return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
 
 
-def is_degenerate_oracle(node_id, nodes, edges) -> bool:
+def is_degenerate_oracle(node_id, pos, ends) -> bool:
     """The node shares its position with any other node, or one of its edges
-    overlaps any other edge along a collinear stretch; whole-graph scan."""
-    pos = nodes[node_id].pos
-    if any(n.id != node_id and n.pos == pos for n in nodes):
+    overlaps any other edge along a collinear stretch; whole-graph scan of
+    the drawing's node positions and edge ends (edge e joins ends[2e] and
+    ends[2e+1])."""
+    if any(other != node_id and p == pos[node_id] for other, p in enumerate(pos)):
         return True
-    for e in edges:
-        if node_id not in (e.u, e.v):
+    segments = [(pos[u], pos[v]) for u, v in zip(ends[::2], ends[1::2])]
+    for eid, (p, q) in enumerate(segments):
+        if node_id not in ends[2 * eid:2 * eid + 2]:
             continue
-        p, q = nodes[e.u].pos, nodes[e.v].pos
-        for f in edges:
-            r, s = nodes[f.u].pos, nodes[f.v].pos
-            if f.id != e.id and collinear_overlap_oracle(p, q, r, s):
+        for fid, (r, s) in enumerate(segments):
+            if fid != eid and collinear_overlap_oracle(p, q, r, s):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the record-based conflict graph builder and crossing removal
+# ---------------------------------------------------------------------------
+
+
+def build_conflict_graph_oracle(shifters, overlap_pairs, rules, weight_mode=WEIGHT_UNIFORM):
+    """The builder the column graph replaced: one PcgNode and PcgEdge record
+    per node and edge, nudged with `_replace` by `_perturb_records`, handed
+    to `PhaseConflictGraph.from_records`.  It shares only `_line_span` and
+    `_perturb_deltas` with the package."""
+    if weight_mode not in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
+        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    ordered = sorted(shifters, key=lambda s: s.id)
+    node_of_shifter = {}
+    nodes, by_feature = [], {}
+    for nid, s in enumerate(ordered):
+        r = s.rect
+        node_of_shifter[s.id] = nid
+        nodes.append(PcgNode(nid, NODE_EDGE_SHIFTER, 2 * (r.x_lo + r.x_hi), 2 * (r.y_lo + r.y_hi)))
+        by_feature.setdefault(s.feature_id, []).append(nid)
+    edges = []
+    for fid in sorted(by_feature):
+        pair = by_feature[fid]
+        if len(pair) != 2:
+            raise LayoutValidationError(f"feature {fid} has {len(pair)} shifters, expected 2")
+        u, v = pair
+        shifter_pair = (ordered[u].id, ordered[v].id)
+        edges.append(PcgEdge(len(edges), u, v, FEATURE_EDGE_WEIGHT, EDGE_FEATURE, shifter_pair))
+    spacing = rules.min_shifter_spacing
+    for s1, s2, sep in sorted(overlap_pairs):
+        required = spacing - sep
+        if required <= 0:
+            raise LayoutValidationError(
+                f"overlap pair ({s1},{s2}) separation {sep} is not below "
+                f"the minimum spacing {spacing}"
+            )
+        u, v = nodes[node_of_shifter[s1]], nodes[node_of_shifter[s2]]
+        onid = len(nodes)
+        nodes.append(PcgNode(onid, NODE_OVERLAP, (u.x + v.x) // 2, (u.y + v.y) // 2))
+        weight = 1 if weight_mode == WEIGHT_UNIFORM else required
+        for a, b in ((u.id, onid), (onid, v.id)):
+            edges.append(PcgEdge(len(edges), a, b, weight, EDGE_OVERLAP_HALF, (s1, s2), required))
+    nodes, perturbed = _perturb_records(nodes, edges)
+    return PhaseConflictGraph.from_records(nodes, edges, tuple(perturbed))
+
+
+def _perturb_records(nodes, edges):
+    """(nodes, perturbed ids): concentric shifter nodes separated, then the
+    flagged overlap nodes nudged in id order to the first delta where they
+    are not degenerate, against a position Counter and a line index kept
+    current as they move."""
+    held = set()
+    for node in nodes:
+        if node.kind != NODE_EDGE_SHIFTER:
+            continue
+        if node.pos in held:
+            dx, dy = next(
+                (d for d in _perturb_deltas() if (node.x + d[0], node.y + d[1]) not in held),
+                (None, None),
+            )
+            if dx is None:
+                raise InternalInvariantError(f"cannot separate concentric shifter node {node.id}")
+            node = nodes[node.id] = node._replace(x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
+        held.add(node.pos)
+
+    flagged = _degenerate_records(nodes, edges)
+    if not flagged:
+        return nodes, []
+    incident = {nid: [] for nid in flagged}
+    for e in edges:
+        for end in (e.u, e.v):
+            if end in incident:
+                incident[end].append(e.id)
+    at = Counter(n.pos for n in nodes)
+    lines = defaultdict(dict)
+    for e in edges:
+        _file_edge_record(lines, nodes, e, filed=True)
+
+    def move(nid, dx, dy):
+        node = nodes[nid]
+        for eid in incident[nid]:
+            _file_edge_record(lines, nodes, edges[eid], filed=False)
+        at[node.pos] -= 1
+        base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
+        nodes[nid] = node = node._replace(x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
+        at[node.pos] += 1
+        for eid in incident[nid]:
+            _file_edge_record(lines, nodes, edges[eid], filed=True)
+
+    def degenerate(nid):
+        if at[nodes[nid].pos] > 1:
+            return True
+        for eid in incident[nid]:
+            e = edges[eid]
+            span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+            if span is None:
+                continue
+            key, lo, hi = span
+            for fid, (f_lo, f_hi) in lines[key].items():
+                if fid != eid and max(lo, f_lo) < min(hi, f_hi):
+                    return True
+        return False
+
+    perturbed = []
+    for nid in flagged:
+        if not degenerate(nid):
+            continue
+        for dx, dy in _perturb_deltas():
+            move(nid, dx, dy)
+            if not degenerate(nid):
+                break
+        else:
+            raise InternalInvariantError(f"cannot resolve degenerate overlap node {nid}")
+        perturbed.append(nid)
+    if _degenerate_records(nodes, edges):
+        raise InternalInvariantError("overlap node still degenerate after perturbation")
+    return nodes, perturbed
+
+
+def _file_edge_record(lines, nodes, e, filed):
+    span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+    if span is None:
+        return
+    key, lo, hi = span
+    if filed:
+        lines[key][e.id] = (lo, hi)
+    else:
+        del lines[key][e.id]
+
+
+def _degenerate_records(nodes, edges):
+    """The overlap nodes at a shared position or on an edge that overlaps
+    another along its line, in id order, by one sweep per line."""
+    count = Counter(n.pos for n in nodes)
+    is_overlap = [n.kind == NODE_OVERLAP for n in nodes]
+    flagged = {n.id for n in nodes if is_overlap[n.id] and count[n.pos] > 1}
+    lines = defaultdict(list)
+    for e in edges:
+        span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
+        if span is not None:
+            key, lo, hi = span
+            lines[key].append((lo, hi, e.id))
+    for group in lines.values():
+        group.sort()
+        reach = group[0][0]
+        for k, (lo, hi, eid) in enumerate(group):
+            if lo < reach or (k + 1 < len(group) and group[k + 1][0] < hi):
+                e = edges[eid]
+                flagged.update(end for end in (e.u, e.v) if is_overlap[end])
+            reach = max(reach, hi)
+    return sorted(flagged)
+
+
+def remove_crossings_oracle(g) -> tuple[int, ...]:
+    """The crossing removal the incremental one replaced: while a crossing
+    remains, recount every edge's crossings and delete the minimum of
+    (weight, -count, id); returns the sorted deleted ids."""
+    crossings = list(find_crossings(g))
+    removed = []
+    while crossings:
+        count = Counter()
+        for a, b in crossings:
+            count[a] += 1
+            count[b] += 1
+        victim = min(count, key=lambda eid: (g.edge(eid).weight, -count[eid], eid))
+        removed.append(victim)
+        crossings = [c for c in crossings if victim not in c]
+    return tuple(sorted(removed))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +562,8 @@ def finalize_oracle(g, planarization_removed, bipartization_set):
     origin} in id order, the phases of the graph without the conflicts);
     raises ValueError when a survivor contradicts."""
     m_set, p_set = set(bipartization_set), set(planarization_removed)
-    survivors = [e for e in g.edges if e.id not in m_set and e.id not in p_set]
-    casualties = [g.edge(eid) for eid in sorted(p_set)]
-    _, contradicted = signed_forest(g, survivors + casualties)
+    survivors = [e.id for e in g.edges if e.id not in m_set and e.id not in p_set]
+    _, contradicted = signed_forest(g, survivors + sorted(p_set))
     if not p_set.issuperset(contradicted):
         raise ValueError("surviving embedded graph is not balanced")
     origin = dict.fromkeys(m_set, ORIGIN_MATCHING)

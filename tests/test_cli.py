@@ -354,11 +354,13 @@ class TestJobs:
     def test_workers_capped_at_file_count(
         self, clean_layout_file, conflict_layout_file, monkeypatch, capsys
     ):
-        """Tasks run inline in a recording stand-in, so no process starts."""
+        """Tasks run inline in a recording stand-in, so no process starts;
+        the pool is asked for spawned workers."""
         built = []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 built.append(max_workers)
 
             def __enter__(self):

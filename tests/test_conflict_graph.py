@@ -1,5 +1,6 @@
 """Conflict graph construction, bipartiteness detectors, phase assignment."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -15,8 +16,11 @@ from aapsm.conflict_graph import (
     NODE_OVERLAP,
     PHASE_A,
     PHASE_B,
+    WEIGHT_SEPARATION,
+    WEIGHT_UNIFORM,
     PcgEdge,
     PcgNode,
+    PhaseConflictGraph,
     _perturb_degenerate_overlaps,
     build_conflict_graph,
     dump_graph,
@@ -35,10 +39,11 @@ from aapsm.layout import (
     generate_shifters,
     parse_layout,
 )
-from aapsm.pipeline import detect
+from aapsm.pipeline import correct, detect
 
 from conftest import make_shifter, manhattan_layout, micro_layout, sample_micro_pcgs
 from oracles import (
+    build_conflict_graph_oracle,
     collinear_overlap_oracle,
     is_degenerate_oracle,
     line_span_oracle,
@@ -65,9 +70,18 @@ def skip_overlap_row():
     return shifters, find_overlapping_pairs(shifters, rules), rules
 
 
-def whole_graph_degenerate_nodes(nodes, edges):
+def columns(nodes, edges):
+    """Hand-built records as the drawing the degeneracy pass reads: node
+    positions and kinds, and edge ends in dart order (edge e joins ends[2e]
+    and ends[2e+1]), as lists the nudge loop may move entries of."""
+    g = PhaseConflictGraph.from_records(nodes, edges)
+    return list(g.positions), list(g.kinds), list(g.ends)
+
+
+def whole_graph_degenerate_nodes(pos, kinds, ends):
     return [
-        n.id for n in nodes if n.kind == NODE_OVERLAP and is_degenerate_oracle(n.id, nodes, edges)
+        nid for nid, kind in enumerate(kinds)
+        if kind == NODE_OVERLAP and is_degenerate_oracle(nid, pos, ends)
     ]
 
 
@@ -77,24 +91,31 @@ def use_whole_graph_degeneracy_scan(monkeypatch):
     monkeypatch.setattr(
         conflict_graph,
         "_is_degenerate",
-        lambda node_id, nodes, edges, *index: is_degenerate_oracle(node_id, nodes, edges),
+        lambda node_id, pos, ends, *index: is_degenerate_oracle(node_id, pos, ends),
     )
 
 
-def nudge_test_flags(nodes, edges):
+def nudge_test_flags(pos, kinds, ends):
     """The overlap nodes `_is_degenerate` holds for, against a position
     index and a line index built the way the nudge loop builds them."""
-    incident = {n.id: [] for n in nodes if n.kind == NODE_OVERLAP}
-    for e in edges:
-        for end in (e.u, e.v):
-            if end in incident:
-                incident[end].append(e.id)
-    at = Counter(n.pos for n in nodes)
-    lines = conflict_graph._line_index(nodes, edges)
+    incident = {nid: [] for nid, kind in enumerate(kinds) if kind == NODE_OVERLAP}
+    for dart, end in enumerate(ends):
+        if end in incident:
+            incident[end].append(dart >> 1)
+    at = Counter(pos)
+    lines = conflict_graph._line_index(pos, ends)
     return [
         nid for nid in incident
-        if conflict_graph._is_degenerate(nid, nodes, edges, incident, at, lines)
+        if conflict_graph._is_degenerate(nid, pos, ends, incident, at, lines)
     ]
+
+
+def perturb_drawing(pos, kinds, ends):
+    """(positions after the nudge loop, each node's nudge, the nudged
+    overlap nodes), leaving `pos` as it was."""
+    moved = list(pos)
+    perturbs, perturbed = _perturb_degenerate_overlaps(moved, kinds, ends)
+    return moved, perturbs, perturbed
 
 
 def oracle_cases():
@@ -263,6 +284,85 @@ class TestRecords:
         assert node.pos == (8, -4) and node.perturb == (0, 0)
 
 
+class TestColumns:
+    """The graph is built as columns; its records are built on access."""
+
+    @staticmethod
+    def builder_cases():
+        designs = [manhattan_layout(s) for s in range(5000, 5050)]
+        rng = random.Random(2028)
+        designs += [coarse_grid_layout(rng) for _ in range(50)]
+        designs += [generate_layout(s, 40, 0.7) for s in range(1, 11)]
+        for design in designs:
+            shifters = generate_shifters(design)
+            yield shifters, find_overlapping_pairs(shifters, design.rules), design.rules
+
+    @pytest.mark.parametrize("weight_mode", [WEIGHT_UNIFORM, WEIGHT_SEPARATION])
+    def test_builder_matches_record_oracle(self, weight_mode):
+        """The column builder gives what the record-based builder gave:
+        the same dump, the same perturbed nodes and every node's nudge."""
+        perturbed = 0
+        for case in self.builder_cases():
+            g = build_conflict_graph(*case, weight_mode)
+            slow = build_conflict_graph_oracle(*case, weight_mode)
+            assert dump_graph(g) == dump_graph(slow)
+            assert g.perturbed_nodes == slow.perturbed_nodes
+            assert g.perturbs == tuple(n.perturb for n in slow.nodes)
+            assert g == slow
+            perturbed += len(g.perturbed_nodes)
+        assert perturbed >= 40, perturbed
+
+    def test_from_records_round_trip(self):
+        """A graph the builder made comes back equal from its own records,
+        which are built once and read off the columns."""
+        for case in itertools.islice(self.builder_cases(), 0, None, 5):
+            g = build_conflict_graph(*case)
+            assert g.nodes is g.nodes and g.edges is g.edges
+            assert g.node(3) is g.nodes[3] and g.edge(2) is g.edges[2]
+            back = PhaseConflictGraph.from_records(g.nodes, g.edges, g.perturbed_nodes)
+            assert back == g
+            assert back.nodes == g.nodes and back.edges == g.edges
+
+    def test_from_records_rejects_ids_out_of_order_and_unknown_kinds(self):
+        nodes = [PcgNode(0, NODE_EDGE_SHIFTER, 0, 0), PcgNode(1, NODE_EDGE_SHIFTER, 8, 0)]
+        edge = PcgEdge(0, 0, 1, 1, EDGE_OVERLAP_HALF, (0, 1))
+        assert PhaseConflictGraph.from_records(nodes, [edge]).ends == (0, 1)
+        with pytest.raises(ValueError, match="node ids"):
+            PhaseConflictGraph.from_records(nodes[::-1], [edge])
+        with pytest.raises(ValueError, match="edge ids"):
+            PhaseConflictGraph.from_records(nodes, [PcgEdge(1, 0, 1, 1, EDGE_FEATURE, (0, 1))])
+        with pytest.raises(ValueError, match="edge kinds"):
+            PhaseConflictGraph.from_records(nodes, [PcgEdge(0, 0, 1, 1, "other", (0, 1))])
+
+    def test_detect_and_correct_build_no_records(self, monkeypatch):
+        built = Counter()
+        node_new, edge_init = PcgNode.__new__, PcgEdge.__init__
+
+        def counted_node(cls, *args, **kwargs):
+            built["PcgNode"] += 1
+            return node_new(cls, *args, **kwargs)
+
+        def counted_edge(self, *args, **kwargs):
+            built["PcgEdge"] += 1
+            edge_init(self, *args, **kwargs)
+
+        designs = [generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7), manhattan_layout(1000)]
+        with monkeypatch.context() as m:
+            m.setattr(PcgNode, "__new__", counted_node)
+            m.setattr(PcgEdge, "__init__", counted_edge)
+            balanced = []
+            for design in designs:
+                det = detect(design)
+                cor = correct(det, allow_uncovered=True)
+                balanced.append(dict(det.report)["balanced_before"])
+            assert balanced == ["1", "0", "0"]
+            assert cor.plan.cuts and cor.residual_conflicts > 0  # residual back half ran
+            assert built == Counter()
+            g = det.graph
+            assert len(g.nodes) == len(g.positions) and len(g.edges) == len(g.weights)
+            assert built == {"PcgNode": len(g.positions), "PcgEdge": len(g.weights)}
+
+
 class TestPerturbation:
     def test_skip_overlap_row_gets_perturbed(self):
         shifters, pairs, rules = skip_overlap_row()
@@ -328,9 +428,9 @@ class TestPerturbation:
         seen = []
         one_pass = conflict_graph._degenerate_overlap_nodes
 
-        def spy(nodes, edges):
-            seen.append((list(nodes), edges))
-            return one_pass(nodes, edges)
+        def spy(pos, kinds, ends):
+            seen.append((list(pos), kinds, ends))
+            return one_pass(pos, kinds, ends)
 
         monkeypatch.setattr(conflict_graph, "_degenerate_overlap_nodes", spy)
         concentric = parse_layout(CONCENTRIC_LAYOUT)
@@ -342,14 +442,14 @@ class TestPerturbation:
             build_conflict_graph(*case)
         # the concentric overlap node sits on a shifter node: a zero-length half
         zero_length = [
-            (nodes, edges) for nodes, edges in seen
-            if any(nodes[e.u].pos == nodes[e.v].pos for e in edges)
+            (pos, ends) for pos, _, ends in seen
+            if any(pos[u] == pos[v] for u, v in zip(ends[::2], ends[1::2]))
         ]
         assert zero_length
         flagged = 0
-        for nodes, edges in seen:
-            got = one_pass(nodes, edges)
-            assert got == whole_graph_degenerate_nodes(nodes, edges)
+        for drawing in seen:
+            got = one_pass(*drawing)
+            assert got == whole_graph_degenerate_nodes(*drawing)
             flagged += bool(got)
         assert flagged >= 20
 
@@ -361,9 +461,9 @@ class TestPerturbation:
         seen = []
         one_pass = conflict_graph._degenerate_overlap_nodes
 
-        def spy(nodes, edges):
-            seen.append((list(nodes), edges))
-            return one_pass(nodes, edges)
+        def spy(pos, kinds, ends):
+            seen.append((list(pos), kinds, ends))
+            return one_pass(pos, kinds, ends)
 
         monkeypatch.setattr(conflict_graph, "_degenerate_overlap_nodes", spy)
         layouts = [parse_layout(CONCENTRIC_LAYOUT)]
@@ -377,9 +477,9 @@ class TestPerturbation:
             build_conflict_graph(*case)
         assert len(seen) >= len(cases)
         flagged = 0
-        for nodes, edges in seen:
-            got = one_pass(nodes, edges)
-            assert nudge_test_flags(nodes, edges) == got
+        for drawing in seen:
+            got = one_pass(*drawing)
+            assert nudge_test_flags(*drawing) == got
             flagged += len(got)
         assert flagged >= 100, flagged
 
@@ -416,9 +516,10 @@ class TestPerturbation:
         ]
         edges = [PcgEdge(k, u, v, 1, EDGE_OVERLAP_HALF, (0, 1)) for k, (u, v) in enumerate(ends)]
         assert len({n.pos for n in nodes}) == len(nodes)
-        assert conflict_graph._degenerate_overlap_nodes(nodes, edges) == flagged
-        assert whole_graph_degenerate_nodes(nodes, edges) == flagged
-        assert nudge_test_flags(nodes, edges) == flagged
+        drawing = columns(nodes, edges)
+        assert conflict_graph._degenerate_overlap_nodes(*drawing) == flagged
+        assert whole_graph_degenerate_nodes(*drawing) == flagged
+        assert nudge_test_flags(*drawing) == flagged
 
     def test_line_key_ignores_direction_and_sign(self):
         key = lambda a, b: conflict_graph._line_span(a, b)[0]  # noqa: E731
@@ -451,10 +552,11 @@ class TestPerturbation:
             PcgEdge(k, u, v, 1, EDGE_FEATURE if k < 2 else EDGE_OVERLAP_HALF, (0, 1))
             for k, (u, v) in enumerate(ends)
         ]
-        fast = _perturb_degenerate_overlaps(list(nodes), edges)
-        assert fast[0][4].pos == (0, 2) and fast[1] == [4]
+        drawing = columns(nodes, edges)
+        fast = perturb_drawing(*drawing)
+        assert fast[0][4] == (0, 2) and fast[2] == [4]
         use_whole_graph_degeneracy_scan(monkeypatch)
-        assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
+        assert fast == perturb_drawing(*drawing)
 
     def test_moved_edge_leaves_its_old_line(self, monkeypatch):
         """Overlap nodes 1 and 3 are flagged for one overlap on y = 0; the
@@ -467,11 +569,12 @@ class TestPerturbation:
         ]
         ends = [(0, 1), (3, 2), (1, 4), (3, 5)]
         edges = [PcgEdge(k, u, v, 1, EDGE_OVERLAP_HALF, (0, 1)) for k, (u, v) in enumerate(ends)]
-        assert conflict_graph._degenerate_overlap_nodes(nodes, edges) == [1, 3]
-        fast = _perturb_degenerate_overlaps(list(nodes), edges)
-        assert fast[0][1].pos == (60, 1) and fast[0][3].pos == (40, 0) and fast[1] == [1]
+        drawing = columns(nodes, edges)
+        assert conflict_graph._degenerate_overlap_nodes(*drawing) == [1, 3]
+        fast = perturb_drawing(*drawing)
+        assert fast[0][1] == (60, 1) and fast[0][3] == (40, 0) and fast[2] == [1]
         use_whole_graph_degeneracy_scan(monkeypatch)
-        assert fast == _perturb_degenerate_overlaps(list(nodes), edges)
+        assert fast == perturb_drawing(*drawing)
 
     def test_coarse_grid_designs_general_position(self):
         """Random wires on a coarse grid need many nudges; each graph still
@@ -592,7 +695,7 @@ class TestIsBipartite:
         for _layout, _shifters, _pairs, g in sample_micro_pcgs(303, 60, max_features=5):
             for _ in range(5):
                 removed = frozenset(e.id for e in g.edges if rng.random() < 0.3)
-                kept = [e for e in g.edges if e.id not in removed]
+                kept = [e.id for e in g.edges if e.id not in removed]
                 ok = is_bipartite(g, removed).ok
                 assert ok == (not signed_forest(g, kept)[1])
                 verdicts.add(ok)

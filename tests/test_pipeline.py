@@ -346,7 +346,9 @@ class TestBalancedResidualGeometry:
             lambda g: searched.append(g) or remove_crossings(g),
         )
         monkeypatch.setattr(
-            conflict_graph, "_perturb_degenerate_overlaps", lambda nodes, edges: (nodes, [])
+            conflict_graph,
+            "_perturb_degenerate_overlaps",
+            lambda pos, kinds, ends: ([(0, 0)] * len(pos), []),
         )
         with pytest.raises(GeometryError, match="share position") as from_detect:
             detect(cor.new_layout)
@@ -414,7 +416,7 @@ class TestFaultsStillCaught:
     def test_phases_violating_a_kept_constraint(self, monkeypatch, density):
         layout = generate_layout(1, 40, density)
 
-        def all_zero(g, kept):
+        def all_zero(g, removed):
             return [0] * len(g.nodes), list(range(len(g.nodes))), None
 
         monkeypatch.setattr(conflict_graph, "signed_components", all_zero)

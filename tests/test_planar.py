@@ -30,13 +30,14 @@ from aapsm.planar import (
     require_general_position,
 )
 
-from conftest import manhattan_layout, sample_micro_pcgs
+from conftest import big_manhattan_layout, manhattan_layout, sample_micro_pcgs
 from oracles import (
     adjacent_collinear_pairs_oracle,
     crossings_oracle,
     embed_oracle,
     find_crossings_oracle,
     min_crossing_removal_weight,
+    remove_crossings_oracle,
 )
 
 
@@ -50,7 +51,7 @@ def raw_graph(points, edges_spec):
         PcgEdge(k, u, v, w, EDGE_OVERLAP_HALF, (u, v), 1)
         for k, (u, v, w) in enumerate(edges_spec)
     )
-    return PhaseConflictGraph(nodes, edges)
+    return PhaseConflictGraph.from_records(nodes, edges)
 
 
 def assert_rotation_holds_survivors(emb):
@@ -570,6 +571,38 @@ class TestEmbeddingMatchesOracle:
                         seen.add((dx > 0, dy > 0))
         quadrants = {(sx, sy) for sx in (True, False) for sy in (True, False)}
         assert seen == {"degree 3+", "axis", "diagonal"} | quadrants
+
+
+class TestRemoveCrossingsMatchesOracle:
+    """The heap-driven crossing removal deletes what recounting every
+    crossing each round deletes (`remove_crossings_oracle`)."""
+
+    def test_manhattan_designs(self):
+        victims = 0
+        for seed in range(5000, 5100):
+            g = design_graph(manhattan_layout(seed))
+            removed = remove_crossings(g)
+            assert removed == remove_crossings_oracle(g), seed
+            victims += len(removed)
+        assert victims >= 300, victims
+
+    def test_random_general_position_drawings(self):
+        rng = random.Random(4477)
+        ties = 0
+        for _ in range(200):
+            g = random_general_position_graph(rng)
+            removed = remove_crossings(g)
+            assert removed == remove_crossings_oracle(g)
+            weights = Counter(g.edge(eid).weight for eid in removed)
+            ties += any(c > 1 for c in weights.values())
+        assert ties >= 20, ties  # equal weights: the counts and ids break ties
+
+    def test_dense_design(self):
+        g = design_graph(big_manhattan_layout(250))
+        require_general_position(g)
+        removed = remove_crossings(g)
+        assert len(removed) > 200
+        assert removed == remove_crossings_oracle(g)
 
 
 class TestIsolatedNodes:

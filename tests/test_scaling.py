@@ -122,8 +122,8 @@ def degeneracy_tests(monkeypatch, design):
         tested.append(node_id)
         return is_degenerate(node_id, *args)
 
-    def spy_pass(nodes, edges):
-        passes.append(one_pass(nodes, edges))
+    def spy_pass(*drawing):
+        passes.append(one_pass(*drawing))
         return passes[-1]
 
     def spy_boxes(boxes):
@@ -174,7 +174,8 @@ def test_tjoin_instance_holds_the_dual_edges(monkeypatch):
         darts, det = matched_darts(monkeypatch, generate_layout(1, features, 0.7))
         face_of, weights, face_sizes = darts
         assert face_of is det.embedding.face_of  # no copy
-        assert weights == [e.weight for e in det.graph.edges]
+        assert weights is det.graph.weights  # the column itself
+        assert list(weights) == [e.weight for e in det.graph.edges]
         inst = darts_instance(*darts)
         expect = [e for e in det.dual.edges if not e.is_self_loop]
         assert len(face_sizes) == det.dual.n_faces
@@ -235,9 +236,9 @@ def balance_checks(monkeypatch, design, greedy):
         counts["forests"] += 1
         init(self)
 
-    def counted_two_color(g, kept):
+    def counted_two_color(g, removed):
         counts["colorings"] += 1
-        return two_color(g, kept)
+        return two_color(g, removed)
 
     with monkeypatch.context() as m:
         m.setattr(ParityUnionFind, "__init__", counted_init)

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from aapsm import setcover
 from aapsm.errors import InternalInvariantError
 from aapsm.setcover import CoverCandidate, exact_cover, greedy_cover
 
@@ -107,6 +108,37 @@ def test_exact_matches_enumeration():
         assert weight_of(got, cs) == expect
         covered = frozenset().union(*(c.elements for c in cs if c.key in set(got)))
         assert covered >= universe
+
+
+def test_bound_reads_the_cheapest_cover_of_each_element(monkeypatch):
+    """The search's lower bound reads each element's first covering
+    candidate; on random instances, weights repeating, it equals the
+    maximum over the remaining elements of a min over every candidate
+    covering the element."""
+    bound = setcover._min_cover_bound
+    checked = 0
+
+    def spy(remaining, covering):
+        nonlocal checked
+        got = bound(remaining, covering)
+        assert got == max(min(c.weight for c in covering[el]) for el in remaining)
+        checked += 1
+        return got
+
+    monkeypatch.setattr(setcover, "_min_cover_bound", spy)
+    rng = random.Random(7331)
+    for _ in range(200):
+        n_el = rng.randint(1, 8)
+        universe = frozenset(range(n_el))
+        specs = [({el}, rng.randint(1, 9)) for el in range(n_el)]
+        specs += [
+            (frozenset(rng.sample(range(n_el), rng.randint(1, n_el))), rng.randint(1, 9))
+            for _k in range(rng.randint(0, 8))
+        ]
+        rng.shuffle(specs)
+        cs = cands(*specs)
+        exact_cover(universe, cs, greedy_cover(universe, cs))
+    assert checked >= 200, checked
 
 
 @given(

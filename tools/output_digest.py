@@ -10,9 +10,10 @@ modes with the greedy baseline on.  The digest covers the rendered
 (`serialize_layout`), the space plan (`dump_plan`), the conflict ids, the
 phases, `dump_embedding`, `dump_graph` with the perturbed node ids, and every
 shifter's id, feature, side, rect bounds and clip flag.  The extended digest
-also covers the T-join's `optimal_edge_ids` and `optimal_weight` and the
+also covers the T-join's `optimal_edge_ids` and `optimal_weight`, the
 (id, u, v, weight, primal edge) of every edge of the dual `det.dual` builds
-on access.  Run it in two checkouts and compare the last line.
+on access, and every node's `perturb` (the nudge off its built position,
+which `dump_graph` leaves out).  Run it in two checkouts and compare the last line.
 The package is imported from this checkout's `src`, and the designs come
 from `perfbench/workloads.py`, which this script only reads.
 """
@@ -52,8 +53,12 @@ def design_output(layout, weight_mode: str) -> tuple[str, str]:
         + dump_embedding(det.embedding)
         + dump_graph(det.graph) + f"perturbed {det.graph.perturbed_nodes}\n" + shifters
     )
-    extended = f"optimal {det.optimal_edge_ids} {det.optimal_weight}\n" + "".join(
-        f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n" for e in det.dual.edges
+    extended = (
+        f"optimal {det.optimal_edge_ids} {det.optimal_weight}\n"
+        + "".join(
+            f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n" for e in det.dual.edges
+        )
+        + "".join(f"perturb {n.id} {n.perturb[0]} {n.perturb[1]}\n" for n in det.graph.nodes)
     )
     return plain, extended
 
