@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from . import geometry
 from .errors import InternalInvariantError, LayoutValidationError
 from .layout import DesignRules, Shifter
 from .unionfind import ParityUnionFind
-
-POS_SCALE = 4  # quarter-nm units per nm
 
 NODE_EDGE_SHIFTER = "edge_shifter"
 NODE_OVERLAP = "overlap"
@@ -71,9 +70,6 @@ class PcgEdge:
     shifter_pair: tuple[int, int]
     required_separation: int | None = None
 
-    def other(self, node_id: int) -> int:
-        return self.v if node_id == self.u else self.u
-
     @property
     def is_equal_constraint(self) -> bool:
         """Overlap halves demand equal phase; feature edges demand opposite."""
@@ -92,9 +88,9 @@ class PhaseConflictGraph:
     stands for the shifters shifter_pairs[e], which must move required[e]
     apart (None for a feature edge).
 
-    `nodes`, `edges`, `node()` and `edge()` give the same graph as
-    PcgNode/PcgEdge records, built on first access; the pipeline reads the
-    columns.  `from_records` builds a graph from hand-made records.
+    `nodes` and `edges` give the same graph as PcgNode/PcgEdge records,
+    built once, on first access; the pipeline reads the columns.
+    `from_records` builds a graph from hand-made records.
     """
 
     positions: tuple[tuple[int, int], ...]
@@ -106,12 +102,6 @@ class PhaseConflictGraph:
     shifter_pairs: tuple[tuple[int, int], ...]
     required: tuple[int | None, ...]
     perturbed_nodes: tuple[int, ...] = ()
-    _nodes: tuple[PcgNode, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _edges: tuple[PcgEdge, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_records(
@@ -141,36 +131,24 @@ class PhaseConflictGraph:
             tuple(perturbed_nodes),
         )
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[PcgNode, ...]:
-        if self._nodes is None:
-            nodes = tuple(
-                PcgNode(k, kind, x, y, perturb)
-                for k, (kind, (x, y), perturb) in enumerate(
-                    zip(self.kinds, self.positions, self.perturbs)
-                )
+        return tuple(
+            PcgNode(k, kind, x, y, perturb)
+            for k, (kind, (x, y), perturb) in enumerate(
+                zip(self.kinds, self.positions, self.perturbs)
             )
-            object.__setattr__(self, "_nodes", nodes)
-        return self._nodes
+        )
 
-    @property
+    @cached_property
     def edges(self) -> tuple[PcgEdge, ...]:
-        if self._edges is None:
-            it = iter(self.ends)
-            edges = tuple(
-                PcgEdge(k, u, v, weight, EDGE_FEATURE if flip else EDGE_OVERLAP_HALF, pair, need)
-                for k, (u, v, weight, flip, pair, need) in enumerate(
-                    zip(it, it, self.weights, self.flips, self.shifter_pairs, self.required)
-                )
+        it = iter(self.ends)
+        return tuple(
+            PcgEdge(k, u, v, weight, EDGE_FEATURE if flip else EDGE_OVERLAP_HALF, pair, need)
+            for k, (u, v, weight, flip, pair, need) in enumerate(
+                zip(it, it, self.weights, self.flips, self.shifter_pairs, self.required)
             )
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
-
-    def node(self, node_id: int) -> PcgNode:
-        return self.nodes[node_id]
-
-    def edge(self, edge_id: int) -> PcgEdge:
-        return self.edges[edge_id]
+        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +176,7 @@ def build_conflict_graph(
     for nid, s in enumerate(ordered):
         r = s.rect
         node_of_shifter[s.id] = nid
-        # center * POS_SCALE, exact
+        # center in quarter-nm, exact
         positions.append((2 * (r.x_lo + r.x_hi), 2 * (r.y_lo + r.y_hi)))
         by_feature.setdefault(s.feature_id, []).append(nid)
 
@@ -494,16 +472,14 @@ def signed_forest(
     return uf, contradicted
 
 
-def is_bipartite(
-    g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...] | frozenset = ()
-) -> BipartiteResult:
-    """Decide whether the graph minus the removed edges is phase-assignable.
+def is_bipartite(g: PhaseConflictGraph) -> BipartiteResult:
+    """Decide whether the graph is phase-assignable.
 
     The witness is the first unbalanced cycle the signed two-coloring closes;
     when there is none, the colors are that coloring, which `phase_assign`
     can certify instead of coloring again.
     """
-    color, _, witness = signed_components(g, frozenset(removed_edge_ids))
+    color, _, witness = signed_components(g, frozenset())
     if witness is not None:
         return BipartiteResult(False, witness)
     return BipartiteResult(True, None, tuple(color))

@@ -7,6 +7,7 @@ non-deterministic (timing, paths) enters a report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .bipartize import (
@@ -73,7 +74,6 @@ class DetectionResult:
     report: list[tuple[str, str]] = field(default_factory=list)
     weight_mode: str = WEIGHT_UNIFORM
     _embedding: PlanarEmbedding | None = field(default=None, repr=False, compare=False)
-    _dual: DualGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def embedding(self) -> PlanarEmbedding:
@@ -81,11 +81,9 @@ class DetectionResult:
             self._embedding = embed(self.graph, self.removed_edge_ids)
         return self._embedding
 
-    @property
+    @cached_property
     def dual(self) -> DualGraph:
-        if self._dual is None:
-            self._dual = build_dual(self.embedding)
-        return self._dual
+        return build_dual(self.embedding)
 
 
 @dataclass

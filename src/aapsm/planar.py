@@ -95,24 +95,16 @@ def require_general_position(g: PhaseConflictGraph) -> None:
         raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
 
 
-def find_crossings(
-    g: PhaseConflictGraph, edge_ids: tuple[int, ...] | None = None
-) -> tuple[tuple[int, int], ...]:
+def find_crossings(g: PhaseConflictGraph) -> tuple[tuple[int, int], ...]:
     """All pairs of non-adjacent edges whose closed segments intersect, each
-    as (earlier edge in `edge_ids`, later), sorted.
+    as (lower edge id, higher), sorted as `geometry.box_pairs` yields them.
 
     Edges sharing an endpoint are never reported; adjacency is four integer
     comparisons of edge ends.  The drawing must be in general position
     (`require_general_position`), as build_conflict_graph makes it.
     """
     ends, pos = g.ends, g.positions
-    if edge_ids is None:
-        ids = range(len(g.weights))
-        us, vs = ends[::2], ends[1::2]
-    else:
-        ids = edge_ids
-        us = [ends[2 * eid] for eid in ids]
-        vs = [ends[2 * eid + 1] for eid in ids]
+    us, vs = ends[::2], ends[1::2]
     segs = [(pos[u], pos[v]) for u, v in zip(us, vs)]
     out = []
     for i, j in geometry.box_pairs([geometry.segment_box(a, b) for a, b in segs]):
@@ -120,8 +112,7 @@ def find_crossings(
         if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
             continue
         if geometry.segments_intersect(*segs[i], *segs[j]):
-            out.append((ids[i], ids[j]))
-    out.sort()
+            out.append((i, j))
     return tuple(out)
 
 

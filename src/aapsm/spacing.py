@@ -65,10 +65,6 @@ class SpacePlan:
     exact_total_width: int | None = None
 
     @property
-    def total_width(self) -> int:
-        return sum(c.width for c in self.cuts)
-
-    @property
     def used_exact(self) -> bool:
         """The exact solver found a strictly lighter plan than greedy."""
         exact = self.exact_total_width

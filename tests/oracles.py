@@ -136,8 +136,8 @@ def adjacent_collinear_pairs_oracle(g) -> set:
     for e in g.edges:
         for f in g.edges:
             if e.id < f.id and {e.u, e.v} & {f.u, f.v}:
-                p, q = g.node(e.u).pos, g.node(e.v).pos
-                r, s = g.node(f.u).pos, g.node(f.v).pos
+                p, q = g.nodes[e.u].pos, g.nodes[e.v].pos
+                r, s = g.nodes[f.u].pos, g.nodes[f.v].pos
                 if collinear_overlap_oracle(p, q, r, s):
                     out.add((e.id, f.id))
     return out
@@ -186,17 +186,16 @@ def overlapping_pairs_oracle(shifters, spacing: int) -> tuple:
     return tuple(out)
 
 
-def find_crossings_oracle(g, edge_ids=None) -> tuple:
-    """Sorted pairs (earlier edge in edge_ids, later) of edges sharing no node
-    whose closed segments intersect."""
-    ids = list(edge_ids) if edge_ids is not None else list(range(len(g.edges)))
+def find_crossings_oracle(g) -> tuple:
+    """Sorted pairs (i, j), i < j, of edges sharing no node whose closed
+    segments intersect."""
     out = []
-    for i, j in itertools.combinations(ids, 2):
-        e, f = g.edge(i), g.edge(j)
+    for i, j in itertools.combinations(range(len(g.edges)), 2):
+        e, f = g.edges[i], g.edges[j]
         if {e.u, e.v} & {f.u, f.v}:
             continue
-        p, q = g.node(e.u).pos, g.node(e.v).pos
-        r, s = g.node(f.u).pos, g.node(f.v).pos
+        p, q = g.nodes[e.u].pos, g.nodes[e.v].pos
+        r, s = g.nodes[f.u].pos, g.nodes[f.v].pos
         if segments_intersect_oracle(p, q, r, s):
             out.append((i, j))
     return tuple(sorted(out))
@@ -221,10 +220,11 @@ def embed_oracle(g, removed) -> tuple:
             incident.setdefault(e.v, []).append(e.id)
     rotation = {}
     for node_id in sorted(incident):
-        x, y = g.node(node_id).pos
+        x, y = g.nodes[node_id].pos
         direction = {}
         for eid in incident[node_id]:
-            ox, oy = g.node(g.edge(eid).other(node_id)).pos
+            e = g.edges[eid]
+            ox, oy = g.nodes[e.v if e.u == node_id else e.u].pos
             direction[eid] = (ox - x, oy - y)
 
         def cmp(e1, e2):
@@ -246,7 +246,8 @@ def embed_oracle(g, removed) -> tuple:
             face_of[cur] = len(faces)
             walk.append(cur)
             tail, eid = cur
-            head = g.edge(eid).other(tail)
+            e = g.edges[eid]
+            head = e.v if e.u == tail else e.u
             cur = (head, successor[(head, eid)])
             if cur == start:
                 break
@@ -455,7 +456,7 @@ def remove_crossings_oracle(g) -> tuple[int, ...]:
         for a, b in crossings:
             count[a] += 1
             count[b] += 1
-        victim = min(count, key=lambda eid: (g.edge(eid).weight, -count[eid], eid))
+        victim = min(count, key=lambda eid: (g.edges[eid].weight, -count[eid], eid))
         removed.append(victim)
         crossings = [c for c in crossings if victim not in c]
     return tuple(sorted(removed))
@@ -632,7 +633,7 @@ def exact_bipartization(g) -> tuple[tuple[int, ...], int]:
     deleted = tuple(
         e.id for e in g.edges if (phase[e.u] == phase[e.v]) != e.is_equal_constraint
     )
-    weight = sum(g.edge(eid).weight for eid in deleted)
+    weight = sum(g.edges[eid].weight for eid in deleted)
     assert weight == round(res.fun), (weight, res.fun)
     phase_assign(g, frozenset(deleted))  # raises unless the rest is balanced
     return deleted, weight

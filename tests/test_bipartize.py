@@ -12,7 +12,7 @@ from aapsm.bipartize import (
     bipartize_optimal,
     finalize_conflicts,
 )
-from aapsm.conflict_graph import build_conflict_graph, is_bipartite
+from aapsm.conflict_graph import build_conflict_graph, signed_components
 from aapsm.generator import generate_layout
 from aapsm.layout import find_overlapping_pairs, generate_shifters
 from aapsm.planar import DualEdge, DualGraph, build_dual, planarize
@@ -76,8 +76,8 @@ class TestOptimal:
         m, weight, _ = bipartize_optimal(emb, build_dual(emb))
         assert weight == 1
         assert len(m) == 1
-        assert g.edge(m[0]).is_equal_constraint  # never a feature edge
-        assert is_bipartite(g, frozenset(m)).ok
+        assert g.edges[m[0]].is_equal_constraint  # never a feature edge
+        assert signed_components(g, frozenset(m))[2] is None
 
     def test_mode_is_checked_and_selects_nothing(self, odd_ring_fixture):
         shifters, pairs, rules = odd_ring_fixture
@@ -137,7 +137,7 @@ class TestFinalize:
             dual = build_dual(emb)
             m, _, _ = bipartize_optimal(emb, dual)
             conflicts = finalize_conflicts(g, emb.removed_edge_ids, m)
-            assert is_bipartite(g, frozenset(conflicts.edge_ids)).ok
+            assert signed_components(g, frozenset(conflicts.edge_ids))[2] is None
             assert set(conflicts.edge_ids) >= set(m)
 
     def test_forced_planarization_conflict(self, odd_ring_fixture):
@@ -149,7 +149,7 @@ class TestFinalize:
         conflicts = finalize_conflicts(g, (victim,), ())
         assert conflicts.edge_ids == (victim,)
         assert conflicts.conflicts[0].origin == ORIGIN_PLANARIZATION
-        assert is_bipartite(g, frozenset({victim})).ok
+        assert signed_components(g, frozenset({victim}))[2] is None
 
 
 class TestGreedy:
@@ -169,7 +169,7 @@ class TestGreedy:
         deleted, literal, weight = bipartize_greedy(g)
         assert len(deleted) == 1
         assert literal >= 1
-        assert is_bipartite(g, frozenset(deleted)).ok
+        assert signed_components(g, frozenset(deleted))[2] is None
 
     def test_greedy_never_below_optimum(self):
         instances = sample_micro_pcgs(
@@ -201,7 +201,7 @@ class TestGreedy:
         shifters, pairs, rules = odd_ring_fixture
         g = build_conflict_graph(shifters, pairs, rules)
         deleted, _, _ = bipartize_greedy(g)
-        assert all(g.edge(eid).is_equal_constraint for eid in deleted)
+        assert all(g.edges[eid].is_equal_constraint for eid in deleted)
 
 
 def random_dual(rng: random.Random) -> DualGraph:
@@ -286,7 +286,7 @@ class TestExactOptimum:
         g = det.graph
         deleted, optimum = exact_bipartization(g)
         for ids in (det.conflicts.edge_ids, deleted):
-            assert all(g.edge(eid).is_equal_constraint for eid in ids)  # no feature edge
+            assert all(g.edges[eid].is_equal_constraint for eid in ids)  # no feature edge
         return det, det.conflicts.total_weight - optimum
 
     def test_crossing_free_designs_reach_the_optimum(self):

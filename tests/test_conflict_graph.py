@@ -1,5 +1,6 @@
 """Conflict graph construction, bipartiteness detectors, phase assignment."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -26,6 +27,7 @@ from aapsm.conflict_graph import (
     dump_graph,
     is_bipartite,
     phase_assign,
+    signed_components,
     signed_forest,
 )
 from aapsm.errors import InternalInvariantError, LayoutValidationError
@@ -197,8 +199,7 @@ class TestBuild:
                 continue
             incident = [e for e in g.edges if n.id in (e.u, e.v)]
             assert len(incident) == 2
-            u = g.node(incident[0].other(n.id))
-            v = g.node(incident[1].other(n.id))
+            u, v = (g.nodes[e.v if e.u == n.id else e.u] for e in incident)
             base = (n.x - n.perturb[0], n.y - n.perturb[1])
             assert base == ((u.x + v.x) // 2, (u.y + v.y) // 2)
             assert (u.x + v.x) % 2 == 0 and (u.y + v.y) % 2 == 0
@@ -318,10 +319,26 @@ class TestColumns:
         for case in itertools.islice(self.builder_cases(), 0, None, 5):
             g = build_conflict_graph(*case)
             assert g.nodes is g.nodes and g.edges is g.edges
-            assert g.node(3) is g.nodes[3] and g.edge(2) is g.edges[2]
             back = PhaseConflictGraph.from_records(g.nodes, g.edges, g.perturbed_nodes)
             assert back == g
             assert back.nodes == g.nodes and back.edges == g.edges
+
+    def test_cached_records_leave_equality_and_hash(self):
+        """Reading the records changes neither equality nor the hash, and a
+        copy with new positions builds its records there, not from the
+        cache of the graph it was copied from."""
+        for case in itertools.islice(self.builder_cases(), 0, None, 10):
+            g = build_conflict_graph(*case)
+            unread = hash(g)
+            nodes, edges = g.nodes, g.edges
+            back = PhaseConflictGraph.from_records(nodes, edges, g.perturbed_nodes)
+            assert g == back and hash(g) == hash(back) == unread
+            shifted = tuple((x + 4, y - 4) for x, y in g.positions)
+            moved = dataclasses.replace(g, positions=shifted)
+            assert moved != g and moved.nodes is not nodes
+            assert tuple(n.pos for n in moved.nodes) == shifted
+            assert [n._replace(x=x, y=y) for n, (x, y) in zip(moved.nodes, g.positions)] == list(nodes)
+            assert g.nodes is nodes and moved.edges == edges
 
     def test_from_records_rejects_ids_out_of_order_and_unknown_kinds(self):
         nodes = [PcgNode(0, NODE_EDGE_SHIFTER, 0, 0), PcgNode(1, NODE_EDGE_SHIFTER, 8, 0)]
@@ -371,7 +388,7 @@ class TestPerturbation:
         assert g.perturbed_nodes
         # perturbed nodes are flagged and still within a few quarter-nm
         for nid in g.perturbed_nodes:
-            dx, dy = g.node(nid).perturb
+            dx, dy = g.nodes[nid].perturb
             assert 0 < max(abs(dx), abs(dy)) <= 16
         # positions are usable afterwards: the drawing is in general position
         from aapsm.planar import require_general_position
@@ -599,9 +616,9 @@ class TestGeneralPosition:
         for e in g.edges:
             if e.kind != EDGE_OVERLAP_HALF:
                 continue
-            p, q = g.node(e.u).pos, g.node(e.v).pos
+            p, q = g.nodes[e.u].pos, g.nodes[e.v].pos
             for f in g.edges:
-                r, s = g.node(f.u).pos, g.node(f.v).pos
+                r, s = g.nodes[f.u].pos, g.nodes[f.v].pos
                 assert f.id == e.id or not collinear_overlap_oracle(p, q, r, s), (e, f)
 
     def test_micro_and_degenerate_layouts(self):
@@ -652,14 +669,14 @@ class TestIsBipartite:
         shifters, pairs, rules = odd_ring_fixture
         g = build_conflict_graph(shifters, pairs, rules)
         witness = is_bipartite(g).witness
-        unequal = sum(1 for eid in witness if not g.edge(eid).is_equal_constraint)
+        unequal = sum(1 for eid in witness if not g.edges[eid].is_equal_constraint)
         assert unequal % 2 == 1
         # every witness node is visited exactly twice (it is a cycle)
         from collections import Counter
 
         ends = Counter()
         for eid in witness:
-            e = g.edge(eid)
+            e = g.edges[eid]
             ends[e.u] += 1
             ends[e.v] += 1
         assert all(c == 2 for c in ends.values())
@@ -668,7 +685,7 @@ class TestIsBipartite:
         shifters, pairs, rules = odd_ring_fixture
         g = build_conflict_graph(shifters, pairs, rules)
         witness = is_bipartite(g).witness
-        assert is_bipartite(g, frozenset({witness[0]})).ok
+        assert signed_components(g, frozenset({witness[0]}))[2] is None
 
     def test_matches_phase_feasibility_oracle(self):
         checked = 0
@@ -696,7 +713,7 @@ class TestIsBipartite:
             for _ in range(5):
                 removed = frozenset(e.id for e in g.edges if rng.random() < 0.3)
                 kept = [e.id for e in g.edges if e.id not in removed]
-                ok = is_bipartite(g, removed).ok
+                ok = signed_components(g, removed)[2] is None
                 assert ok == (not signed_forest(g, kept)[1])
                 verdicts.add(ok)
         assert verdicts == {True, False}

@@ -119,7 +119,7 @@ class TestBoxPairs:
             g = build_conflict_graph(
                 shifters, find_overlapping_pairs(shifters, layout.rules), layout.rules
             )
-            boxes = [segment_box(g.node(e.u).pos, g.node(e.v).pos) for e in g.edges]
+            boxes = [segment_box(g.nodes[e.u].pos, g.nodes[e.v].pos) for e in g.edges]
             assert box_pairs(boxes) == box_pairs_oracle(boxes)
             flat += sum(b[0] == b[2] or b[1] == b[3] for b in boxes)
             shared_x_lo += len(boxes) - len({b[0] for b in boxes})

@@ -15,8 +15,8 @@ from aapsm.conflict_graph import (
     WEIGHT_SEPARATION,
     WEIGHT_UNIFORM,
     BipartiteResult,
-    is_bipartite,
     phase_assign,
+    signed_components,
 )
 from aapsm.errors import (
     EXIT_INPUT_ERROR,
@@ -64,7 +64,7 @@ class TestCrossingHeavyPath:
         assert any(
             c.origin == ORIGIN_PLANARIZATION for c in res.conflicts.conflicts
         )
-        assert is_bipartite(res.graph, frozenset(res.conflicts.edge_ids)).ok
+        assert signed_components(res.graph, frozenset(res.conflicts.edge_ids))[2] is None
         assert len(res.conflicts) >= len(res.optimal_edge_ids)
 
     def test_correction_still_converges(self):

@@ -323,7 +323,7 @@ def test_unbalanced_detect_keeps_what_it_built(monkeypatch):
     dual = build_dual(embedding)
     assert det.embedding is embedding and det.dual == dual and det.dual is det.dual
     # built on first access, the embedding leaves out the crossing edges too
-    rebuilt = dataclasses.replace(det, _embedding=None, _dual=None)
+    rebuilt = dataclasses.replace(det, _embedding=None)
     assert rebuilt.embedding == embedding and rebuilt.dual == dual
 
 

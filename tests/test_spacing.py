@@ -190,7 +190,7 @@ class TestPlanSpaces:
             expect = min_set_cover_weight(
                 frozenset(iv.conflict_key for iv in intervals), list(dedup.items())
             )
-            assert plan.total_width == expect
+            assert sum(c.width for c in plan.cuts) == expect
 
     # greedy takes the ratio-1 cut at x=10 for (2, 3), then pays 3 more at
     # x=30 for (0, 1); the one cut at x=30 covers both for 3
@@ -225,7 +225,7 @@ class TestPlanSpaces:
         )
         plan = plan_spaces(self.TRAP, exact_limit=30)
         assert plan.used_exact
-        assert plan.total_width == plan.exact_total_width == expect == 3
+        assert sum(c.width for c in plan.cuts) == plan.exact_total_width == expect == 3
         assert plan.greedy_total_width == 4
 
     def test_tied_optimum_keeps_greedy_plan(self):
