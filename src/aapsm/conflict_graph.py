@@ -90,7 +90,6 @@ class PhaseConflictGraph:
 
     `nodes` and `edges` give the same graph as PcgNode/PcgEdge records,
     built once, on first access; the pipeline reads the columns.
-    `from_records` builds a graph from hand-made records.
     """
 
     positions: tuple[tuple[int, int], ...]
@@ -102,34 +101,6 @@ class PhaseConflictGraph:
     shifter_pairs: tuple[tuple[int, int], ...]
     required: tuple[int | None, ...]
     perturbed_nodes: tuple[int, ...] = ()
-
-    @classmethod
-    def from_records(
-        cls,
-        nodes: Iterable[PcgNode],
-        edges: Iterable[PcgEdge],
-        perturbed_nodes: tuple[int, ...] = (),
-    ) -> PhaseConflictGraph:
-        """The graph of these records; record k must carry id k, and each
-        edge is a feature edge or an overlap half (ValueError otherwise)."""
-        nodes, edges = tuple(nodes), tuple(edges)
-        if any(n.id != k for k, n in enumerate(nodes)):
-            raise ValueError("node ids must be 0, 1, ... in order")
-        if any(e.id != k for k, e in enumerate(edges)):
-            raise ValueError("edge ids must be 0, 1, ... in order")
-        if any(e.kind not in (EDGE_FEATURE, EDGE_OVERLAP_HALF) for e in edges):
-            raise ValueError(f"edge kinds must be {EDGE_FEATURE!r} or {EDGE_OVERLAP_HALF!r}")
-        return cls(
-            tuple(n.pos for n in nodes),
-            tuple(n.kind for n in nodes),
-            tuple(n.perturb for n in nodes),
-            tuple(end for e in edges for end in (e.u, e.v)),
-            tuple(e.weight for e in edges),
-            tuple(0 if e.is_equal_constraint else 1 for e in edges),
-            tuple(e.shifter_pair for e in edges),
-            tuple(e.required_separation for e in edges),
-            tuple(perturbed_nodes),
-        )
 
     @cached_property
     def nodes(self) -> tuple[PcgNode, ...]:

@@ -7,7 +7,6 @@ non-deterministic (timing, paths) enters a report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .bipartize import (
@@ -33,9 +32,7 @@ from .layout import (
     generate_shifters,
 )
 from .planar import (
-    DualGraph,
     PlanarEmbedding,
-    build_dual,
     embed,
     remove_crossings,
     require_general_position,
@@ -55,10 +52,10 @@ class DetectionResult:
     """What `detect` found on one layout.
 
     `embedding` (the crossing-free survivors of `removed_edge_ids`, embedded)
-    and `dual` are built on first access when `detect` did not need them: a
-    layout whose conflict graph two-colors has no conflict, so `detect`
-    embeds it only when asked, and the T-join reads the embedding's darts,
-    so `detect` never builds the dual.  An embedding `detect` built is kept.
+    is built on first access when `detect` did not need it: a layout whose
+    conflict graph two-colors has no conflict, so `detect` embeds it only
+    when asked.  An embedding `detect` built is kept.  The T-join reads the
+    embedding's darts, so no dual is built (`build_dual` makes one).
     """
 
     layout: Layout
@@ -80,10 +77,6 @@ class DetectionResult:
         if self._embedding is None:
             self._embedding = embed(self.graph, self.removed_edge_ids)
         return self._embedding
-
-    @cached_property
-    def dual(self) -> DualGraph:
-        return build_dual(self.embedding)
 
 
 @dataclass

@@ -98,18 +98,17 @@ def _span(rect: Rect, axis: str) -> tuple[int, int]:
     return rect.y_lo, rect.y_hi
 
 
-def _move_limits(shifter: Shifter, feature: Rect | None, axis: str) -> tuple[int, int]:
+def _move_limits(shifter: Shifter, feature: Rect, axis: str) -> tuple[int, int]:
     """Move limits of the shifter's lo and hi edges on the cut axis: a cut at
     c moves an edge iff c <= its limit.
 
-    Shifters are regenerated from features after surgery, so a shifter edge
-    moves exactly when its generating feature edge does: a low feature edge
-    at t moves under a cut at c iff c <= t, a high one iff c < t.  Without a
-    known feature (free-standing test rects) the shifter's own edges generate
-    it.
+    The limits come from the shifter's generating feature: shifters are
+    regenerated from features after surgery, so a shifter edge moves exactly
+    when its generating feature edge does: a low feature edge at t moves
+    under a cut at c iff c <= t, a high one iff c < t.
     """
-    lo, hi = _span(shifter.rect if feature is None else feature, axis)
-    if feature is not None and feature.is_vertical == (axis == AXIS_VERTICAL):
+    lo, hi = _span(feature, axis)
+    if feature.is_vertical == (axis == AXIS_VERTICAL):
         # the feature is parallel to the cut line: both shifter edges follow
         # the feature edge the shifter flanks
         flank = lo if shifter.side == SIDE_LOW else hi - 1
@@ -128,7 +127,9 @@ def compute_intervals(
     axis needs a non-empty open gap between the two rects across the cut line
     AND cut coordinates under which the two generating features part ways
     (shifters regenerate from features, so a pair whose features sit on one
-    side of every gap coordinate would ride along unseparated).
+    side of every gap coordinate would ride along unseparated): the move
+    limits come from each shifter's generating feature in the layout, and a
+    conflict shifter whose feature the layout lacks is a ValueError.
     Without conflicts it returns at once and builds no lookup.
     """
     if not conflicts.conflicts:
@@ -149,6 +150,9 @@ def compute_intervals(
         seen.add(key)
         s1 = by_id[key[0]]
         s2 = by_id[key[1]]
+        for s in (s1, s2):
+            if s.feature_id not in features:
+                raise ValueError(f"shifter {s.id} names feature {s.feature_id}, not in the layout")
         gx, gy = axis_gaps(s1.rect, s2.rect)
         found = False
         for axis, gap_this, gap_other in ((AXIS_VERTICAL, gx, gy), (AXIS_HORIZONTAL, gy, gx)):
@@ -159,8 +163,8 @@ def compute_intervals(
             sl, sr = (s1, s2) if hi1 <= hi2 else (s2, s1)
             # the left party's gap edge must stay put and the right party's
             # must move
-            lo = max(gap_lo, _move_limits(sl, features.get(sl.feature_id), axis)[1] + 1)
-            hi = min(gap_hi, _move_limits(sr, features.get(sr.feature_id), axis)[0])
+            lo = max(gap_lo, _move_limits(sl, features[sl.feature_id], axis)[1] + 1)
+            hi = min(gap_hi, _move_limits(sr, features[sr.feature_id], axis)[0])
             width = _width_for_axis(gap_this, gap_other, spacing)
             if lo <= hi and width > 0:
                 intervals.append(CorrectionInterval(key, axis, lo, hi, width))

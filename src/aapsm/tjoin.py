@@ -253,22 +253,6 @@ class GadgetGraph:
         self.nodes.append(node)
         return node.id
 
-    def extract_join(self, mate: dict[int, int]) -> list[int]:
-        """Edge ids in the join: dummy matched to the true slot (its ghost was
-        absorbed in a gadget), or a direct both-endpoint connector matched."""
-        join = []
-        for eid in sorted(self.connectors):
-            info = self.connectors[eid]
-            if info[0] == "dummy":
-                _, dummy, true_id, _ghost = info
-                if mate[dummy] == true_id:
-                    join.append(eid)
-            else:
-                _, t1, t2 = info
-                if mate[t1] == t2:
-                    join.append(eid)
-        return join
-
 
 def build_generalized_gadget_graph(
     inst: TJoinInstance, assign: EdgeAssignment

@@ -107,6 +107,25 @@ def make_shifter(sid: int, feature_id: int, side: str, x: int, y: int, w=100, h=
     return Shifter(Rect(x, y, x + w, y + h, SHIFTER_LAYER, sid), feature_id, side, sid)
 
 
+def feature_layout(shifters, rules: DesignRules) -> Layout:
+    """The features these shifters flank, one per feature id, placed from
+    its first shifter: a wire 100 nm wide along the shifter's long axis
+    (squares count as vertical), `rules.shifter_gap` past its inner edge
+    (right of or above a low shifter)."""
+    features: dict[int, Rect] = {}
+    gap, width = rules.shifter_gap, 100
+    for s in shifters:
+        r = s.rect
+        if r.is_vertical:
+            x = r.x_hi + gap if s.side == SIDE_LOW else r.x_lo - gap - width
+            box = (x, r.y_lo, x + width, r.y_hi)
+        else:
+            y = r.y_hi + gap if s.side == SIDE_LOW else r.y_lo - gap - width
+            box = (r.x_lo, y, r.x_hi, y + width)
+        features.setdefault(s.feature_id, Rect(*box, FEATURE_LAYER, s.feature_id))
+    return Layout(tuple(features.values()), rules)
+
+
 RING_RULES = DesignRules(
     critical_width=150, shifter_width=200, shifter_gap=50, min_shifter_spacing=350
 )

@@ -5,14 +5,16 @@ segment intersection, exhaustive coloring / subset / matching enumeration.
 None of it shares a code path with the package under test, except the
 routines a faster one replaced, kept as its references: the gadget
 matchings of the T-join solve (`gadget_tjoin` on one connected instance,
-and `unsplit_tjoin_weight` over a whole instance without splitting it into
+reading the join off the connectors with `extract_join`, and
+`unsplit_tjoin_weight` over a whole instance without splitting it into
 components), the parity union-find phases of the signed two-coloring
 (`phase_assign_oracle`), the casualty re-check as one parity union-find
 over every node (`finalize_oracle`, through the package's `signed_forest`),
 the embedding traced over half-edge keys (`embed_oracle`, which sorts
 by the package's exact `compare_directions`), the record-based conflict
 graph builder (`build_conflict_graph_oracle`, with the package's
-`_line_span`), and crossing removal by recounting every round
+`_line_span`; its `graph_from_records` also builds the hand-made graphs),
+and crossing removal by recounting every round
 (`remove_crossings_oracle`, over the package's `find_crossings`).  The one
 solver-backed oracle, `exact_bipartization`, certifies its answer with the
 package's `phase_assign`.
@@ -297,10 +299,27 @@ def is_degenerate_oracle(node_id, pos, ends) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def graph_from_records(nodes, edges, perturbed_nodes=()):
+    """The column graph of these PcgNode and PcgEdge records, record k
+    carrying id k: how tests build a graph by hand."""
+    assert all(r.id == k for records in (nodes, edges) for k, r in enumerate(records))
+    return PhaseConflictGraph(
+        tuple(n.pos for n in nodes),
+        tuple(n.kind for n in nodes),
+        tuple(n.perturb for n in nodes),
+        tuple(end for e in edges for end in (e.u, e.v)),
+        tuple(e.weight for e in edges),
+        tuple(0 if e.is_equal_constraint else 1 for e in edges),
+        tuple(e.shifter_pair for e in edges),
+        tuple(e.required_separation for e in edges),
+        tuple(perturbed_nodes),
+    )
+
+
 def build_conflict_graph_oracle(shifters, overlap_pairs, rules, weight_mode=WEIGHT_UNIFORM):
     """The builder the column graph replaced: one PcgNode and PcgEdge record
     per node and edge, nudged with `_replace` by `_perturb_records`, handed
-    to `PhaseConflictGraph.from_records`.  It shares only `_line_span` and
+    to `graph_from_records`.  It shares only `_line_span` and
     `_perturb_deltas` with the package."""
     if weight_mode not in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
@@ -335,7 +354,7 @@ def build_conflict_graph_oracle(shifters, overlap_pairs, rules, weight_mode=WEIG
         for a, b in ((u.id, onid), (onid, v.id)):
             edges.append(PcgEdge(len(edges), a, b, weight, EDGE_OVERLAP_HALF, (s1, s2), required))
     nodes, perturbed = _perturb_records(nodes, edges)
-    return PhaseConflictGraph.from_records(nodes, edges, tuple(perturbed))
+    return graph_from_records(nodes, edges, perturbed)
 
 
 def _perturb_records(nodes, edges):
@@ -725,7 +744,7 @@ def gadget_tjoin(inst, build) -> tuple[list[int], int]:
     for a, b in pairs:
         mate[a] = b
         mate[b] = a
-    join = gg.extract_join(mate)
+    join = extract_join(gg, mate)
 
     weight_by_id = {e.id: e.weight for e in inst.edges}
     total = sum(weight_by_id[eid] for eid in join)
@@ -734,6 +753,23 @@ def gadget_tjoin(inst, build) -> tuple[list[int], int]:
             f"join weight {total} != matching weight {match_weight}"
         )
     return join, total
+
+
+def extract_join(gg, mate: dict[int, int]) -> list[int]:
+    """Edge ids in the join: dummy matched to the true slot (its ghost was
+    absorbed in a gadget), or a direct both-endpoint connector matched."""
+    join = []
+    for eid in sorted(gg.connectors):
+        info = gg.connectors[eid]
+        if info[0] == "dummy":
+            _, dummy, true_id, _ghost = info
+            if mate[dummy] == true_id:
+                join.append(eid)
+        else:
+            _, t1, t2 = info
+            if mate[t1] == t2:
+                join.append(eid)
+    return join
 
 
 def unsplit_tjoin_weight(inst, mode) -> int:

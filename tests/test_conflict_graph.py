@@ -21,7 +21,6 @@ from aapsm.conflict_graph import (
     WEIGHT_UNIFORM,
     PcgEdge,
     PcgNode,
-    PhaseConflictGraph,
     _perturb_degenerate_overlaps,
     build_conflict_graph,
     dump_graph,
@@ -47,6 +46,7 @@ from conftest import make_shifter, manhattan_layout, micro_layout, sample_micro_
 from oracles import (
     build_conflict_graph_oracle,
     collinear_overlap_oracle,
+    graph_from_records,
     is_degenerate_oracle,
     line_span_oracle,
     phase_assign_oracle,
@@ -76,7 +76,7 @@ def columns(nodes, edges):
     """Hand-built records as the drawing the degeneracy pass reads: node
     positions and kinds, and edge ends in dart order (edge e joins ends[2e]
     and ends[2e+1]), as lists the nudge loop may move entries of."""
-    g = PhaseConflictGraph.from_records(nodes, edges)
+    g = graph_from_records(nodes, edges)
     return list(g.positions), list(g.kinds), list(g.ends)
 
 
@@ -319,7 +319,7 @@ class TestColumns:
         for case in itertools.islice(self.builder_cases(), 0, None, 5):
             g = build_conflict_graph(*case)
             assert g.nodes is g.nodes and g.edges is g.edges
-            back = PhaseConflictGraph.from_records(g.nodes, g.edges, g.perturbed_nodes)
+            back = graph_from_records(g.nodes, g.edges, g.perturbed_nodes)
             assert back == g
             assert back.nodes == g.nodes and back.edges == g.edges
 
@@ -331,7 +331,7 @@ class TestColumns:
             g = build_conflict_graph(*case)
             unread = hash(g)
             nodes, edges = g.nodes, g.edges
-            back = PhaseConflictGraph.from_records(nodes, edges, g.perturbed_nodes)
+            back = graph_from_records(nodes, edges, g.perturbed_nodes)
             assert g == back and hash(g) == hash(back) == unread
             shifted = tuple((x + 4, y - 4) for x, y in g.positions)
             moved = dataclasses.replace(g, positions=shifted)
@@ -339,17 +339,6 @@ class TestColumns:
             assert tuple(n.pos for n in moved.nodes) == shifted
             assert [n._replace(x=x, y=y) for n, (x, y) in zip(moved.nodes, g.positions)] == list(nodes)
             assert g.nodes is nodes and moved.edges == edges
-
-    def test_from_records_rejects_ids_out_of_order_and_unknown_kinds(self):
-        nodes = [PcgNode(0, NODE_EDGE_SHIFTER, 0, 0), PcgNode(1, NODE_EDGE_SHIFTER, 8, 0)]
-        edge = PcgEdge(0, 0, 1, 1, EDGE_OVERLAP_HALF, (0, 1))
-        assert PhaseConflictGraph.from_records(nodes, [edge]).ends == (0, 1)
-        with pytest.raises(ValueError, match="node ids"):
-            PhaseConflictGraph.from_records(nodes[::-1], [edge])
-        with pytest.raises(ValueError, match="edge ids"):
-            PhaseConflictGraph.from_records(nodes, [PcgEdge(1, 0, 1, 1, EDGE_FEATURE, (0, 1))])
-        with pytest.raises(ValueError, match="edge kinds"):
-            PhaseConflictGraph.from_records(nodes, [PcgEdge(0, 0, 1, 1, "other", (0, 1))])
 
     def test_detect_and_correct_build_no_records(self, monkeypatch):
         built = Counter()

@@ -101,5 +101,5 @@ def test_unbalanced_detect_and_correct_build_no_dual_records(monkeypatch):
         assert ("balanced_before", "0") in det.report and det.removed_edge_ids
         assert cor.plan.cuts and cor.residual_conflicts > 0  # residual back half ran
         assert built == dict.fromkeys(built, 0)
-        det.dual  # built on access, which the spies see
+        build_dual(det.embedding)  # which the spies see
         assert built["DualEdge"] == len(det.embedding.kept_edge_ids)

@@ -1,6 +1,6 @@
 """`tools/output_digest.py`, the byte-identity check over the benchmark
-designs, runs against the package API it reads (`DetectionResult.dual`,
-the graph's node records and their nudges)."""
+designs, runs against the package API it reads (`build_dual` on the
+detection's embedding, the graph's node records and their nudges)."""
 
 import importlib.util
 import sys
@@ -11,6 +11,7 @@ import pytest
 from aapsm import correct, detect, parse_layout
 from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM
 from aapsm.pipeline import render_report
+from aapsm.planar import build_dual
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -54,4 +55,5 @@ def test_design_output_covers_every_part(tool, workload, weight_mode):
     assert len(perturbs) == len(det.graph.positions)
     if workload == "comb_40":
         assert ("balanced_before", "0") in det.report
-        assert len([line for line in extra if line.startswith("dual ")]) == len(det.dual.edges) > 0
+        duals = [line for line in extra if line.startswith("dual ")]
+        assert len(duals) == len(build_dual(det.embedding).edges) > 0

@@ -12,7 +12,6 @@ from aapsm.conflict_graph import (
     EDGE_OVERLAP_HALF,
     PcgEdge,
     PcgNode,
-    PhaseConflictGraph,
     build_conflict_graph,
 )
 from aapsm.errors import GeometryError, InternalInvariantError
@@ -36,6 +35,7 @@ from oracles import (
     crossings_oracle,
     embed_oracle,
     find_crossings_oracle,
+    graph_from_records,
     min_crossing_removal_weight,
     remove_crossings_oracle,
 )
@@ -51,7 +51,7 @@ def raw_graph(points, edges_spec):
         PcgEdge(k, u, v, w, EDGE_OVERLAP_HALF, (u, v), 1)
         for k, (u, v, w) in enumerate(edges_spec)
     )
-    return PhaseConflictGraph.from_records(nodes, edges)
+    return graph_from_records(nodes, edges)
 
 
 def crossings_among(g, edge_ids):

@@ -177,9 +177,10 @@ def test_tjoin_instance_holds_the_dual_edges(monkeypatch):
         assert weights is det.graph.weights  # the column itself
         assert list(weights) == [e.weight for e in det.graph.edges]
         inst = darts_instance(*darts)
-        expect = [e for e in det.dual.edges if not e.is_self_loop]
-        assert len(face_sizes) == det.dual.n_faces
-        assert inst.nodes == tuple(range(det.dual.n_faces))
+        dual = build_dual(det.embedding)
+        expect = [e for e in dual.edges if not e.is_self_loop]
+        assert len(face_sizes) == dual.n_faces
+        assert inst.nodes == tuple(range(dual.n_faces))
         assert [(e.id, e.u, e.v, e.weight) for e in inst.edges] == [
             (e.primal_edge_id, e.u, e.v, e.weight) for e in expect
         ]
@@ -261,7 +262,7 @@ def test_detect_checks_balance_once(monkeypatch, greedy, max_forests, unbalanced
         assert forests <= max_forests and colorings == expect_colorings, (forests, colorings)
 
 
-BACK_HALF = ("remove_crossings", "embed", "build_dual", "bipartize_optimal", "finalize_conflicts")
+BACK_HALF = ("remove_crossings", "embed", "bipartize_optimal", "finalize_conflicts")
 
 
 def back_half_stages(monkeypatch, design):
@@ -308,23 +309,20 @@ def test_balanced_detect_embeds_on_first_access(monkeypatch):
     assert det.removed_edge_ids == returned["remove_crossings"][0]
     emb = planarize(det.graph)
     assert det.embedding == emb
-    assert det.dual == build_dual(emb)
-    assert det.embedding is det.embedding and det.dual is det.dual
+    assert det.embedding is det.embedding
 
 
 def test_unbalanced_detect_keeps_what_it_built(monkeypatch):
     det, returned = back_half_stages(monkeypatch, manhattan_layout(1000))
     assert ("balanced_before", "0") in det.report and det.removed_edge_ids
-    # the T-join reads the embedding's darts: the dual is built on access
+    # the T-join reads the embedding's darts: no dual is built
     built = dict.fromkeys(BACK_HALF, 1)
-    del built["build_dual"]
     assert {name: len(values) for name, values in returned.items()} == built
     (embedding,) = returned["embed"]
-    dual = build_dual(embedding)
-    assert det.embedding is embedding and det.dual == dual and det.dual is det.dual
+    assert det.embedding is embedding
     # built on first access, the embedding leaves out the crossing edges too
     rebuilt = dataclasses.replace(det, _embedding=None)
-    assert rebuilt.embedding == embedding and rebuilt.dual == dual
+    assert rebuilt.embedding == embedding
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from aapsm.layout import (
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
+    parse_layout,
     rect_separation,
 )
 from aapsm.pipeline import correct as correct_pipeline, detect
@@ -35,7 +36,7 @@ from aapsm.spacing import (
 )
 from aapsm.setcover import greedy_cover
 
-from conftest import make_shifter, manhattan_layout
+from conftest import feature_layout, make_shifter, manhattan_layout
 from oracles import (
     apply_spaces_oracle,
     candidate_coverage_oracle,
@@ -55,16 +56,12 @@ def conflict_set(*conflicts):
 RULES = DesignRules(150, 200, 0, 100)
 
 
-def empty_layout(rules=RULES):
-    return Layout((), rules)
-
-
 class TestComputeIntervals:
     def test_vertical_gap(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
         intervals, uncovered = compute_intervals(
-            empty_layout(), (s1, s2), conflict_set(conflict((0, 1)))
+            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
         )
         assert uncovered == ()
         assert len(intervals) == 1
@@ -78,7 +75,7 @@ class TestComputeIntervals:
         # gaps 30, 40 -> separation 50
         assert rect_separation(s1.rect, s2.rect) == 50
         intervals, uncovered = compute_intervals(
-            empty_layout(), (s1, s2), conflict_set(conflict((0, 1)))
+            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
         )
         assert uncovered == ()
         by_axis = {iv.axis: iv for iv in intervals}
@@ -93,9 +90,8 @@ class TestComputeIntervals:
     def test_intersecting_both_axes_uncovered(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 100, 100, w=200, h=1000)
-        intervals, uncovered = compute_intervals(
-            empty_layout(), (s1, s2), conflict_set(conflict((0, 1), sep_needed=100))
-        )
+        cs = conflict_set(conflict((0, 1), sep_needed=100))
+        intervals, uncovered = compute_intervals(feature_layout((s1, s2), RULES), (s1, s2), cs)
         assert intervals == ()
         assert len(uncovered) == 1
 
@@ -103,7 +99,9 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "low", 0, 0)
         s2 = make_shifter(1, 0, "high", 500, 0)
         fc = Conflict(3, (0, 1), None, ORIGIN_MATCHING, 10**6)
-        intervals, uncovered = compute_intervals(empty_layout(), (s1, s2), conflict_set(fc))
+        intervals, uncovered = compute_intervals(
+            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(fc)
+        )
         assert intervals == ()
         assert uncovered == (fc,)
 
@@ -111,8 +109,37 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
         cs = conflict_set(conflict((0, 1), edge_id=4), conflict((0, 1), edge_id=5))
-        intervals, uncovered = compute_intervals(empty_layout(), (s1, s2), cs)
+        intervals, uncovered = compute_intervals(feature_layout((s1, s2), RULES), (s1, s2), cs)
         assert len(intervals) == 1
+
+    def test_shifter_of_a_missing_feature_rejected(self):
+        s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
+        s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
+        layout = feature_layout((s1,), RULES)
+        with pytest.raises(ValueError, match="shifter 1 names feature 1, not in the layout"):
+            compute_intervals(layout, (s1, s2), conflict_set(conflict((0, 1))))
+
+    def test_limits_come_from_the_features_not_the_shifters(self):
+        # the low shifters 0 ([100, 300]) and 2 ([320, 520]) of two diagonal
+        # wires sit 53 nm apart: the shifters' own edges would admit a cut at
+        # x=300, but it reaches feature 0's low edge, and feature 0 carries
+        # shifter 0 as far as shifter 2 moves
+        layout = parse_layout(
+            "rules 150 200 0 100\nrect poly 300 0 400 1000\nrect poly 520 1050 620 2050\n"
+        )
+        shifters = generate_shifters(layout)
+        intervals, uncovered = compute_intervals(
+            layout, shifters, conflict_set(conflict((0, 2)))
+        )
+        assert uncovered == ()
+        assert {iv.axis: (iv.lo, iv.hi, iv.width_needed) for iv in intervals} == {
+            AXIS_VERTICAL: (301, 320, 67),
+            AXIS_HORIZONTAL: (1000, 1050, 48),
+        }
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 300, 67, ()),), (), 1, None)
+        moved = generate_shifters(apply_spaces(layout, shifters, plan)[0])
+        assert rect_separation(shifters[0].rect, shifters[2].rect) == 53
+        assert rect_separation(moved[0].rect, moved[2].rect) == 53
 
 
 class TestPlanSpaces:
@@ -120,7 +147,7 @@ class TestPlanSpaces:
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
         intervals, _ = compute_intervals(
-            empty_layout(), (s1, s2), conflict_set(conflict((0, 1)))
+            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
         )
         plan = plan_spaces(intervals)
         assert len(plan.cuts) == 1
@@ -141,7 +168,7 @@ class TestPlanSpaces:
             )
             confs.append(conflict((2 * i, 2 * i + 1), edge_id=i))
         intervals, _ = compute_intervals(
-            empty_layout(), tuple(shifters), conflict_set(*confs)
+            feature_layout(shifters, RULES), tuple(shifters), conflict_set(*confs)
         )
         assert sorted(iv.width_needed for iv in intervals) == [10, 20, 30]
         # every interval starts at x=200, so one cut stabs all three
@@ -157,8 +184,9 @@ class TestPlanSpaces:
             shifters = []
             confs = []
             for i in range(n_conf):
-                # random vertical offsets make some gaps stab multiple pairs
-                y = i * rng.choice((400, 800, 5000))
+                # a pair's two rects share one y span, so the offset moves no
+                # interval; rows 6000 nm apart keep two pairs' features apart
+                y = i * 6000 + rng.choice((400, 800, 5000))
                 gap = rng.choice((20, 40, 60, 80))
                 shifters.append(
                     make_shifter(2 * i, 2 * i, "high", 0, y, w=200, h=1000)
@@ -168,7 +196,7 @@ class TestPlanSpaces:
                 )
                 confs.append(conflict((2 * i, 2 * i + 1), edge_id=i))
             intervals, _ = compute_intervals(
-                empty_layout(), tuple(shifters), conflict_set(*confs)
+                feature_layout(shifters, RULES), tuple(shifters), conflict_set(*confs)
             )
             plan = plan_spaces(intervals, exact_limit=30)
             # exact ran: its width is the enumeration optimum over candidates
@@ -251,7 +279,7 @@ class TestPlanSpaces:
         s2 = make_shifter(1, 1, "low", 250, 300, w=200, h=1000)
         blocker = Rect(200, -2000, 250, 2000, FEATURE_LAYER, 7)
         intervals, _ = compute_intervals(
-            empty_layout(), (s1, s2), conflict_set(conflict((0, 1)))
+            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
         )
         plan = plan_spaces(intervals, critical_features=(blocker,))
         assert all(
@@ -591,7 +619,7 @@ class TestApplySpaces:
         [
             (Layout((WIRE,), RULES, (-50, -50, 150, 1050)), 200 * 1100),
             (Layout((WIRE, Rect(300, 0, 400, 50, "metal", 1)), RULES), 400 * 1000),
-            (empty_layout(), 0),
+            (Layout((), RULES), 0),
         ],
         ids=["bbox", "tight-box", "empty"],
     )

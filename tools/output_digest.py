@@ -11,9 +11,10 @@ modes with the greedy baseline on.  The digest covers the rendered
 phases, `dump_embedding`, `dump_graph` with the perturbed node ids, and every
 shifter's id, feature, side, rect bounds and clip flag.  The extended digest
 also covers the T-join's `optimal_edge_ids` and `optimal_weight`, the
-(id, u, v, weight, primal edge) of every edge of the dual `det.dual` builds
-on access, and every node's `perturb` (the nudge off its built position,
-which `dump_graph` leaves out).  Run it in two checkouts and compare the last line.
+(id, u, v, weight, primal edge) of every edge of the dual
+`build_dual(det.embedding)`, and every node's `perturb` (the nudge off its
+built position, which `dump_graph` leaves out).  Run it in two checkouts and
+compare the last line.
 The package is imported from this checkout's `src`, and the designs come
 from `perfbench/workloads.py`, which this script only reads.
 """
@@ -30,7 +31,7 @@ from aapsm import correct, detect, parse_layout, serialize_layout  # noqa: E402
 from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, dump_graph  # noqa: E402
 from aapsm.errors import AapsmError  # noqa: E402
 from aapsm.pipeline import render_report  # noqa: E402
-from aapsm.planar import dump_embedding  # noqa: E402
+from aapsm.planar import build_dual, dump_embedding  # noqa: E402
 from aapsm.spacing import dump_plan  # noqa: E402
 import workloads  # noqa: E402
 
@@ -56,7 +57,8 @@ def design_output(layout, weight_mode: str) -> tuple[str, str]:
     extended = (
         f"optimal {det.optimal_edge_ids} {det.optimal_weight}\n"
         + "".join(
-            f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n" for e in det.dual.edges
+            f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n"
+            for e in build_dual(det.embedding).edges
         )
         + "".join(f"perturb {n.id} {n.perturb[0]} {n.perturb[1]}\n" for n in det.graph.nodes)
     )
