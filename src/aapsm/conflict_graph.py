@@ -12,13 +12,10 @@ and overlap midpoints are exact integers.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from . import geometry
 from .errors import InternalInvariantError, LayoutValidationError
 from .layout import DesignRules, Shifter
 from .unionfind import ParityUnionFind
@@ -40,11 +37,6 @@ WEIGHT_SEPARATION = "separation"
 PHASE_A = 0
 PHASE_B = 180
 
-_PERTURB_LIMIT = 16
-
-Line = tuple[int, int, int]  # primitive direction (dx, dy), offset: see _line_span
-LineIndex = dict[Line, dict[int, tuple[int, int]]]  # line -> {edge id: (lo, hi)}
-
 
 class PcgNode(NamedTuple):
     """A node at (x, y); a NamedTuple, so derive moved copies with `_replace`."""
@@ -53,7 +45,6 @@ class PcgNode(NamedTuple):
     kind: str
     x: int  # quarter-nm
     y: int
-    perturb: tuple[int, int] = (0, 0)
 
     @property
     def pos(self) -> tuple[int, int]:
@@ -80,13 +71,12 @@ class PcgEdge:
 class PhaseConflictGraph:
     """The graph as flat columns, indexed by node id and by edge id.
 
-    Node k sits at positions[k], is of kinds[k], and was moved by
-    perturbs[k] off the position the layout gave it.  Edge e joins
-    ends[2e] (its end u, the tail of dart 2e) and ends[2e+1] (its end v,
-    the tail of dart 2e+1) at weights[e]; flips[e] is 1 for a feature edge
-    (opposite phases) and 0 for an overlap half (equal phases); the edge
-    stands for the shifters shifter_pairs[e], which must move required[e]
-    apart (None for a feature edge).
+    Node k sits at positions[k], the position the layout gave it, and is
+    of kinds[k].  Edge e joins ends[2e] (its end u, the tail of dart 2e)
+    and ends[2e+1] (its end v, the tail of dart 2e+1) at weights[e];
+    flips[e] is 1 for a feature edge (opposite phases) and 0 for an overlap
+    half (equal phases); the edge stands for the shifters shifter_pairs[e],
+    which must move required[e] apart (None for a feature edge).
 
     `nodes` and `edges` give the same graph as PcgNode/PcgEdge records,
     built once, on first access; the pipeline reads the columns.
@@ -94,21 +84,21 @@ class PhaseConflictGraph:
 
     positions: tuple[tuple[int, int], ...]
     kinds: tuple[str, ...]
-    perturbs: tuple[tuple[int, int], ...]
     ends: tuple[int, ...]
     weights: tuple[int, ...]
     flips: tuple[int, ...]
     shifter_pairs: tuple[tuple[int, int], ...]
     required: tuple[int | None, ...]
-    perturbed_nodes: tuple[int, ...] = ()
+
+    # No node is ever moved; kept for the benchmark's per-layer metric and
+    # the report key `perturbed_overlap_nodes`, which both read it.
+    perturbed_nodes = ()
 
     @cached_property
     def nodes(self) -> tuple[PcgNode, ...]:
         return tuple(
-            PcgNode(k, kind, x, y, perturb)
-            for k, (kind, (x, y), perturb) in enumerate(
-                zip(self.kinds, self.positions, self.perturbs)
-            )
+            PcgNode(k, kind, x, y)
+            for k, (kind, (x, y)) in enumerate(zip(self.kinds, self.positions))
         )
 
     @cached_property
@@ -189,237 +179,10 @@ def build_conflict_graph(
     kinds = [NODE_EDGE_SHIFTER] * len(ordered)
     kinds += [NODE_OVERLAP] * (len(positions) - len(ordered))
     flips = [1] * features + [0] * (len(weights) - features)
-    perturbs, perturbed = _perturb_degenerate_overlaps(positions, kinds, ends)
     return PhaseConflictGraph(
-        tuple(positions), tuple(kinds), tuple(perturbs), tuple(ends), tuple(weights),
-        tuple(flips), tuple(shifter_pairs), tuple(required), tuple(perturbed),
+        tuple(positions), tuple(kinds), tuple(ends), tuple(weights), tuple(flips),
+        tuple(shifter_pairs), tuple(required),
     )
-
-
-def _perturb_degenerate_overlaps(
-    pos: list[tuple[int, int]], kinds: list[str], ends: list[int]
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Nudge overlap nodes off degenerate positions, moving entries of
-    `pos` in place; returns each node's nudge (dx, dy) and the nudged
-    overlap nodes.
-
-    An overlap node's placement is a modeling convenience, so it may be moved
-    by a few quarter-nm when it coincides with another node or when one of its
-    incident segments overlaps another segment along a collinear stretch of
-    positive length (either situation breaks the rotation system or fabricates
-    crossings).  Edge-shifter positions are fixed by the layout; the one
-    exception is two shifters with the same center, where the later node is
-    nudged off the position the earlier one holds (moving overlap nodes alone
-    could never separate them).  Only overlap nodes are listed as perturbed.
-
-    One hashed pass over the drawing (_degenerate_overlap_nodes) flags the
-    degenerate overlap nodes; when it flags none, as on most designs, nothing
-    else runs.  Otherwise the flagged nodes are visited in id order, each
-    re-checked and, while still degenerate, moved to the first delta where it
-    is not, against a position index and an index of edge spans by line
-    (_line_index) kept current as it moves; the re-check applies the flag
-    pass's rules.
-
-    This is the one place general position is established.
-    planar.require_general_position certifies it: distinct node positions
-    and no two edges leaving a node on the same ray, or GeometryError
-    (exit 2).  `detect` runs that check once on every graph it builds, and
-    the crossing search, crossing removal and embedding assume it.
-    """
-    perturbs = [(0, 0)] * len(pos)
-    if len(set(pos)) < len(pos):  # two shifter nodes may share a position
-        _separate_concentric_shifters(pos, kinds, perturbs)
-
-    flagged = _degenerate_overlap_nodes(pos, kinds, ends)
-    if not flagged:
-        return perturbs, []
-
-    incident: dict[int, list[int]] = {nid: [] for nid in flagged}
-    for dart, end in enumerate(ends):
-        if end in incident:
-            incident[end].append(dart >> 1)
-    at = Counter(pos)
-    lines = _line_index(pos, ends)
-
-    def move(nid: int, dx: int, dy: int) -> None:
-        """Put the node at its built position plus (dx, dy), keeping the
-        indexes current."""
-        for eid in incident[nid]:
-            _file_edge(lines, pos, ends, eid, filed=False)
-        at[pos[nid]] -= 1
-        (x, y), (px, py) = pos[nid], perturbs[nid]
-        pos[nid] = (x - px + dx, y - py + dy)
-        perturbs[nid] = (dx, dy)
-        at[pos[nid]] += 1
-        for eid in incident[nid]:
-            _file_edge(lines, pos, ends, eid, filed=True)
-
-    # The re-check applies the flag pass's two symmetric rules (a shared
-    # position, an overlapping pair of spans) and a node stops only where it
-    # is not degenerate, so a move never makes another node degenerate: the
-    # flagged nodes are the only ones that can need a nudge, and one visit
-    # each settles them.
-    perturbed: list[int] = []
-    for nid in flagged:
-        if not _is_degenerate(nid, pos, ends, incident, at, lines):
-            continue
-        for dx, dy in _perturb_deltas():
-            move(nid, dx, dy)
-            if not _is_degenerate(nid, pos, ends, incident, at, lines):
-                break
-        else:
-            raise InternalInvariantError(
-                f"cannot resolve degenerate overlap node {nid} "
-                f"within {_PERTURB_LIMIT} quarter-nm"
-            )
-        perturbed.append(nid)
-    left = _degenerate_overlap_nodes(pos, kinds, ends)
-    if left:
-        raise InternalInvariantError(
-            f"overlap node {left[0]} still degenerate after perturbation"
-        )
-    return perturbs, perturbed
-
-
-def _separate_concentric_shifters(
-    pos: list[tuple[int, int]], kinds: list[str], perturbs: list[tuple[int, int]]
-) -> None:
-    """Move each edge-shifter node whose position an earlier one holds to
-    the first free delta, recording the nudge in `perturbs`."""
-    held: set[tuple[int, int]] = set()
-    for nid, kind in enumerate(kinds):
-        if kind != NODE_EDGE_SHIFTER:
-            continue
-        x, y = pos[nid]
-        if (x, y) in held:
-            free = (d for d in _perturb_deltas() if (x + d[0], y + d[1]) not in held)
-            dx, dy = next(free, (None, None))
-            if dx is None:
-                raise InternalInvariantError(
-                    f"cannot separate concentric shifter node {nid} "
-                    f"within {_PERTURB_LIMIT} quarter-nm"
-                )
-            x, y = pos[nid] = (x + dx, y + dy)
-            perturbs[nid] = (dx, dy)
-        held.add((x, y))
-
-
-def _perturb_deltas():
-    for k in range(1, _PERTURB_LIMIT + 1):
-        yield (0, k)
-    for k in range(1, _PERTURB_LIMIT + 1):
-        yield (k, _PERTURB_LIMIT)
-
-
-def _line_span(a: geometry.Point, b: geometry.Point) -> tuple[Line, int, int] | None:
-    """The line through a and b, and the interval lo < hi the segment covers
-    on it; None when a == b, since a point has no line and overlaps nothing.
-
-    The line is keyed by its primitive direction (dx, dy), signed so that
-    dx > 0 or dx == 0 < dy, and by the offset dx*y - dy*x that every point of
-    it shares; lo and hi project a and b onto (dx, dy).  Exact integers.
-    Axis-parallel segments, the common case, skip the gcd.
-    """
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if not dy:
-        return ((1, 0, a[1]), min(a[0], b[0]), max(a[0], b[0])) if dx else None
-    if not dx:
-        return (0, 1, -a[0]), min(a[1], b[1]), max(a[1], b[1])
-    step = math.gcd(dx, dy)
-    if dx < 0 or (dx == 0 and dy < 0):
-        step = -step
-    dx, dy = dx // step, dy // step
-    ta, tb = dx * a[0] + dy * a[1], dx * b[0] + dy * b[1]
-    return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
-
-
-def _line_index(pos: list[tuple[int, int]], ends: list[int]) -> LineIndex:
-    """The span of every edge of positive length, filed under its line."""
-    lines: LineIndex = defaultdict(dict)
-    for eid in range(len(ends) // 2):
-        _file_edge(lines, pos, ends, eid, filed=True)
-    return lines
-
-
-def _file_edge(
-    lines: LineIndex, pos: list[tuple[int, int]], ends: list[int], eid: int, filed: bool
-) -> None:
-    """File the edge's span under its line, or take it out (filed=False)."""
-    span = _line_span(pos[ends[2 * eid]], pos[ends[2 * eid + 1]])
-    if span is None:
-        return
-    key, lo, hi = span
-    if filed:
-        lines[key][eid] = (lo, hi)
-    else:
-        del lines[key][eid]
-
-
-def _degenerate_overlap_nodes(
-    pos: list[tuple[int, int]], kinds: list[str], ends: list[int]
-) -> list[int]:
-    """The overlap nodes _is_degenerate holds for, in id order, in one pass.
-
-    A node is flagged when a Counter of positions holds its position twice,
-    or when one of its edges overlaps another along a stretch of positive
-    length.  Edges are grouped by line; sorted by lo, an edge overlaps one
-    before it exactly when its lo is below the running maximum hi before
-    it, and one after it exactly when the next edge's lo is below its hi.
-    """
-    is_overlap = [kind == NODE_OVERLAP for kind in kinds]
-    count = Counter(pos)
-    flagged = set()
-    if len(count) < len(pos):
-        flagged.update(nid for nid, p in enumerate(pos) if is_overlap[nid] and count[p] > 1)
-    lines: dict[Line, list[tuple[int, int, int]]] = defaultdict(list)
-    it = iter(ends)
-    for eid, (u, v) in enumerate(zip(it, it)):
-        span = _line_span(pos[u], pos[v])
-        if span is not None:
-            key, lo, hi = span
-            lines[key].append((lo, hi, eid))
-    for group in lines.values():
-        if len(group) < 2:
-            continue
-        group.sort()
-        reach = group[0][0]
-        last = len(group) - 1
-        for k, (lo, hi, eid) in enumerate(group):
-            if lo < reach or (k < last and group[k + 1][0] < hi):
-                flagged.update(end for end in ends[2 * eid:2 * eid + 2] if is_overlap[end])
-            if hi > reach:
-                reach = hi
-    return sorted(flagged)
-
-
-def _is_degenerate(
-    node_id: int,
-    pos: list[tuple[int, int]],
-    ends: list[int],
-    incident: dict[int, list[int]],
-    at: Counter,
-    lines: LineIndex,
-) -> bool:
-    """The node shares its position with another node, or one of its edges
-    overlaps another edge along a stretch of positive length.
-
-    `at` counts the nodes at each position and `lines` holds each edge's
-    span under its line (_line_index), both for the drawing as it stands.
-    Two edges overlap exactly when their spans on one line overlap by a
-    positive length, the rule _degenerate_overlap_nodes sweeps; only the
-    spans on the lines of the node's own edges are read.
-    """
-    if at[pos[node_id]] > 1:
-        return True
-    for eid in incident[node_id]:
-        span = _line_span(pos[ends[2 * eid]], pos[ends[2 * eid + 1]])
-        if span is None:
-            continue
-        key, lo, hi = span
-        for fid, (f_lo, f_hi) in lines[key].items():
-            if fid != eid and max(lo, f_lo) < min(hi, f_hi):
-                return True
-    return False
 
 
 def signed_forest(

@@ -38,8 +38,9 @@ class LayoutValidationError(AapsmError):
 
 
 class GeometryError(AapsmError):
-    """A drawing not in general position, which the planarizer cannot embed:
-    two nodes at one position, or two edges leaving a node on the same ray."""
+    """A hand-made graph the planarizer cannot embed: two edges with the same
+    two ends, which draw one segment that no perturbation separates.  A
+    conflict graph built from a layout never has them."""
 
     exit_code = EXIT_INPUT_ERROR
 

@@ -58,9 +58,8 @@ def generate_layout(
 
     motif_density is the fraction of the feature budget spent on combs (the
     conflict-inducing motif); 0 yields a phase-assignable layout.  The result
-    is self-checked: it validates, its conflict graph builds (which puts its
-    nodes in general position or raises), and it is unassignable exactly when
-    at least one comb was placed.
+    is self-checked: it validates, its conflict graph builds, and it is
+    unassignable exactly when at least one comb was placed.
     """
     if features < 1:
         raise ValueError("features must be >= 1")

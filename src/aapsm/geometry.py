@@ -1,9 +1,11 @@
 """Exact integer predicates for 2-D segments and directions, and a box index
 that feeds them.
 
-Everything operates on integer points; there is no epsilon anywhere.  Whether
-two conflict-graph edges overlap along a line is not decided here:
-conflict_graph compares their spans on a shared line (_line_span).
+Everything operates on integer points; there is no epsilon anywhere.  Ties
+in a drawing (nodes at one position, edges along one line, a node on another
+edge) are decided by simulation of simplicity (Edelsbrunner and Muecke, ACM
+TOG 9(1), 1990): `orient_sos` reads the points as symbolically perturbed by
+their node ids, so it never reports three distinct nodes collinear.
 """
 
 from __future__ import annotations
@@ -42,37 +44,43 @@ def box_pairs(boxes: Sequence[Box]) -> list[tuple[int, int]]:
     return out
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a): >0 left turn, <0 right, 0 collinear."""
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
+def orient_sos(pos: Sequence[Point], i: int, j: int, k: int) -> int:
+    """The sign of the cross product (pos[j]-pos[i]) x (pos[k]-pos[i]), >0
+    for a left turn and <0 for a right one, with node m symbolically moved
+    to (x_m + e^(2^(2m+1)), y_m + e^(2^(2m+2))) for an infinitesimal e > 0;
+    never 0 for three distinct ids.
+
+    When the exact determinant is 0, the ids are sorted ascending (each swap
+    flips the sign) and the sign is that of the first non-zero term of
+    y_j - y_k, x_k - x_j, y_k - y_i, the coefficients of the moves of x_i,
+    y_i and x_j; when all three are 0 the coefficient of the product of the
+    moves of y_i and x_j, -1, decides.
+    """
+    (ax, ay), (bx, by), (cx, cy) = pos[i], pos[j], pos[k]
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if v:
+        return 1 if v > 0 else -1
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -sign
+    if j > k:
+        j, k, sign = k, j, -sign
+    if i > j:
+        i, j, sign = j, i, -sign
+    (_, yi), (xj, yj), (xk, yk) = pos[i], pos[j], pos[k]
+    for term in (yj - yk, xk - xj, yk - yi):
+        if term:
+            return sign if term > 0 else -sign
+    return -sign
 
 
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p lies on the closed segment ab (p assumed collinear with a, b)."""
+def segments_cross(pos: Sequence[Point], a: int, b: int, c: int, d: int) -> bool:
+    """Segments ab and cd, of four distinct node ids, cross once their ends
+    are perturbed as `orient_sos` perturbs them."""
     return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+        orient_sos(pos, a, b, c) != orient_sos(pos, a, b, d)
+        and orient_sos(pos, c, d, a) != orient_sos(pos, c, d, b)
     )
-
-
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Closed segments ab and cd share at least one point."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(c, a, b):
-        return True
-    if o2 == 0 and on_segment(d, a, b):
-        return True
-    if o3 == 0 and on_segment(a, c, d):
-        return True
-    if o4 == 0 and on_segment(b, c, d):
-        return True
-    return False
 
 
 def _half_plane(dx: int, dy: int) -> int:

@@ -31,12 +31,7 @@ from .layout import (
     find_overlapping_pairs,
     generate_shifters,
 )
-from .planar import (
-    PlanarEmbedding,
-    embed,
-    remove_crossings,
-    require_general_position,
-)
+from .planar import PlanarEmbedding, embed, remove_crossings
 from .spacing import (
     AreaReport,
     SpacePlan,
@@ -105,9 +100,9 @@ def detect(
 
 class _Front(NamedTuple):
     """What detection builds before removing crossings: enough to tell
-    whether the layout has any conflict at all.  Its graph has passed
-    `require_general_position`, the one check of the drawing that the back
-    half's stages assume."""
+    whether the layout has any conflict at all.  Its graph keeps every node
+    at its built position; the back half's crossing search and embedding
+    decide the drawing's ties by symbolic perturbation."""
 
     shifters: tuple[Shifter, ...]
     pairs: tuple
@@ -119,7 +114,6 @@ def _detect_front(layout: Layout, weight_mode: str) -> _Front:
     shifters = generate_shifters(layout)
     pairs = find_overlapping_pairs(shifters, layout.rules)
     graph = build_conflict_graph(shifters, pairs, layout.rules, weight_mode)
-    require_general_position(graph)
     return _Front(shifters, pairs, graph, is_bipartite(graph))
 
 
@@ -215,9 +209,9 @@ def correct(
     """Plan and apply spaces for the detected conflicts, then count what is left.
 
     The residual count is what `detect` of the corrected layout would report.
-    Its PCG is built, checked for general position and two-colored first,
-    as `detect` does: when the two-coloring succeeds the count is 0, and
-    crossing removal, the embedding and the T-join run only when it fails.
+    Its PCG is built and two-colored first, as `detect` does: when the
+    two-coloring succeeds the count is 0, and crossing removal, the
+    embedding and the T-join run only when it fails.
     Without a cut the layout is unchanged and the residual count is the
     input detection's own conflict count.
 

@@ -2,15 +2,16 @@
 
 The drawing is fixed by the layout (node positions are data, not layout
 freedom), so planarization means deleting a cheap set of edges until no two
-surviving closed segments intersect, then reading the rotation system off the
-geometry and tracing faces.
+surviving edges cross, then reading the rotation system off the geometry and
+tracing faces.  Both predicates that read the drawing, the crossing test and
+the angular order, decide ties under one symbolic perturbation of the node
+positions (`geometry.orient_sos`), so they describe one real drawing.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -61,66 +62,50 @@ class DualGraph:
         return deg
 
 
-def require_general_position(g: PhaseConflictGraph) -> None:
-    """Reject a drawing that is not in general position, in O(V + E).
-
-    Raises GeometryError at the lowest node that shares its position with an
-    earlier one; then at the lowest node where two edges leave on the same
-    ray (they overlap along a collinear stretch, so no rotation system
-    orders them), naming the lowest such pair.  build_conflict_graph
-    establishes general position; `detect` calls this once on each graph
-    it builds, and `planarize` on a graph handed to it.
-    """
-    pos = g.positions
-    if len(set(pos)) < len(pos):
-        seen: dict[tuple[int, int], int] = {}
-        for node_id, p in enumerate(pos):
-            if p in seen:
-                raise GeometryError(f"nodes {seen[p]} and {node_id} share position {p}")
-            seen[p] = node_id
-    # (node, primitive direction) -> the lowest edge leaving the node on it
-    first_on_ray: dict[tuple[int, int, int], int] = {}
-    ties = []
-    it = iter(g.ends)
-    for eid, (u, v) in enumerate(zip(it, it)):
-        (ux, uy), (vx, vy) = pos[u], pos[v]
-        step = math.gcd(vx - ux, vy - uy)
-        dx, dy = (vx - ux) // step, (vy - uy) // step
-        for ray in ((u, dx, dy), (v, -dx, -dy)):
-            first = first_on_ray.setdefault(ray, eid)
-            if first != eid:
-                ties.append((ray[0], first, eid))
-    if ties:
-        node_id, a, b = min(ties)
-        raise GeometryError(f"edges {a} and {b} leave node {node_id} on the same ray")
-
-
 def find_crossings(g: PhaseConflictGraph) -> tuple[tuple[int, int], ...]:
-    """All pairs of non-adjacent edges whose closed segments intersect, each
-    as (lower edge id, higher), sorted as `geometry.box_pairs` yields them.
+    """All pairs of non-adjacent edges that cross, each as (lower edge id,
+    higher), sorted as `geometry.box_pairs` yields them.
 
     Edges sharing an endpoint are never reported; adjacency is four integer
-    comparisons of edge ends.  The drawing must be in general position
-    (`require_general_position`), as build_conflict_graph makes it.
+    comparisons of edge ends.  Ties (a node on another edge, two edges along
+    one line, nodes at one position) are decided by the symbolic
+    perturbation of `geometry.segments_cross`, so the crossings are those of
+    one real drawing, the one `_rotation` reads.
     """
     ends, pos = g.ends, g.positions
     us, vs = ends[::2], ends[1::2]
-    segs = [(pos[u], pos[v]) for u, v in zip(us, vs)]
+    boxes = [geometry.segment_box(pos[u], pos[v]) for u, v in zip(us, vs)]
     out = []
-    for i, j in geometry.box_pairs([geometry.segment_box(a, b) for a, b in segs]):
+    for i, j in geometry.box_pairs(boxes):
         u1, v1, u2, v2 = us[i], vs[i], us[j], vs[j]
         if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
             continue
-        if geometry.segments_intersect(*segs[i], *segs[j]):
+        if geometry.segments_cross(pos, u1, v1, u2, v2):
             out.append((i, j))
     return tuple(out)
 
 
 def planarize(g: PhaseConflictGraph) -> PlanarEmbedding:
-    """Check general position, delete crossing edges greedily, then embed
+    """Reject parallel edges, delete crossing edges greedily, then embed
     the survivors."""
-    require_general_position(g)
+    _reject_parallel_edges(g)
     return embed(g, remove_crossings(g))
+
+
+def _reject_parallel_edges(g: PhaseConflictGraph) -> None:
+    """Raise GeometryError at the first edge whose two ends an earlier edge
+    joins too, naming both: the two draw one segment, which no perturbation
+    separates.  An edge from a node to itself is rejected too.  A PCG has
+    neither, so `detect` does not check."""
+    first: dict[tuple[int, int], int] = {}
+    it = iter(g.ends)
+    for eid, (u, v) in enumerate(zip(it, it)):
+        if u == v:
+            raise GeometryError(f"edge {eid} joins node {u} to itself")
+        key = (u, v) if u < v else (v, u)
+        earlier = first.setdefault(key, eid)
+        if earlier != eid:
+            raise GeometryError(f"edges {earlier} and {eid} both join nodes {key[0]} and {key[1]}")
 
 
 def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
@@ -131,8 +116,7 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
     Each edge keeps the edges it crosses and its count of live crossings;
     a heap holds (weight, -count, id) entries, and an edge is pushed again
     whenever its count drops, so an entry whose count is no longer the
-    edge's is stale and skipped.  The drawing must be in general position
-    (`require_general_position`), as build_conflict_graph makes it.
+    edge's is stale and skipped.
     """
     crossed: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in find_crossings(g):
@@ -161,8 +145,8 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmbedding:
     """Embed the edges `remove_crossings` left: one direction sort of each
     node's surviving edges gives the rotation system, the faces are traced
-    from it, and the Euler check runs on each component.  The drawing must
-    be in general position (`require_general_position`)."""
+    from it, and the Euler check runs on each component, which certifies
+    that the rotation system and the crossings describe one plane drawing."""
     removed_set = set(removed_edge_ids)
     kept = tuple(eid for eid in range(len(g.weights)) if eid not in removed_set)
     rotation = _rotation(g, removed_set)
@@ -171,34 +155,41 @@ def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmb
     return PlanarEmbedding(g, kept, tuple(removed_edge_ids), rotation, faces, face_of)
 
 
-_DIRECTION_KEY = functools.cmp_to_key(geometry.compare_directions)
-
-
-def _direction_key(item: tuple[int, tuple[int, int]]):
-    return _DIRECTION_KEY(item[1])
+def _compare_darts(pos, node: int, a, b) -> int:
+    """Order two edges leaving `node`, each as (edge id, direction, far
+    end), counterclockwise from +x; edges on one ray in the order the
+    perturbation gives them: a first when b is counterclockwise of a."""
+    return geometry.compare_directions(a[1], b[1]) or -geometry.orient_sos(pos, node, a[2], b[2])
 
 
 def _rotation(g: PhaseConflictGraph, removed: set[int]) -> dict[int, tuple[int, ...]]:
     """Each node's surviving edges counterclockwise from +x, for the nodes
-    that keep an edge; in general position no two of them leave on one ray."""
+    that keep an edge.  A zero-length edge leaves along (1, 0) when its far
+    end has the lower id and along (-1, 0) otherwise: the perturbation moves
+    the lower id farther, and first along +x.  Ties on one ray are broken by
+    `_compare_darts`."""
     pos = g.positions
-    incident: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in pos]
+    incident: list[list[tuple[int, tuple[int, int], int]]] = [[] for _ in pos]
     it = iter(g.ends)
     for eid, (u, v) in enumerate(zip(it, it)):
         if eid not in removed:
             (ux, uy), (vx, vy) = pos[u], pos[v]
-            incident[u].append((eid, (vx - ux, vy - uy)))
-            incident[v].append((eid, (ux - vx, uy - vy)))
+            dx, dy = vx - ux, vy - uy
+            if not (dx or dy):
+                dx = 1 if v < u else -1
+            incident[u].append((eid, (dx, dy), v))
+            incident[v].append((eid, (-dx, -dy), u))
     rotation: dict[int, tuple[int, ...]] = {}
     for node_id, items in enumerate(incident):
         if len(items) == 1:
             rotation[node_id] = (items[0][0],)
         elif len(items) == 2:  # one comparison instead of a sort
-            (a, da), (b, db) = items
-            rotation[node_id] = (b, a) if geometry.compare_directions(da, db) > 0 else (a, b)
+            a, b = items
+            swap = _compare_darts(pos, node_id, a, b) > 0
+            rotation[node_id] = (b[0], a[0]) if swap else (a[0], b[0])
         elif items:
-            items.sort(key=_direction_key)
-            rotation[node_id] = tuple([eid for eid, _ in items])
+            items.sort(key=functools.cmp_to_key(functools.partial(_compare_darts, pos, node_id)))
+            rotation[node_id] = tuple([item[0] for item in items])
     return rotation
 
 

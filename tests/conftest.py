@@ -39,7 +39,7 @@ from aapsm.tjoin import (
     build_optimized_gadget_graph,
 )
 
-from oracles import gadget_tjoin
+from oracles import cyclic_form, find_crossings_oracle, gadget_tjoin, perturbed_angular_order
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -69,6 +69,37 @@ def perfbench_module(name: str):
 def manhattan_layout(design_seed: int):
     """The benchmark's manhattan_batch design for this seed."""
     return perfbench_module("workloads").manhattan_layout(design_seed)
+
+
+def built_positions(shifters, pairs):
+    """Each node's position as the layout gives it, in quarter-nm: shifter
+    centers in shifter id order, then the midpoint of each overlap pair's
+    two centers in pair order."""
+    center = {
+        s.id: (2 * (s.rect.x_lo + s.rect.x_hi), 2 * (s.rect.y_lo + s.rect.y_hi))
+        for s in shifters
+    }
+    out = [center[sid] for sid in sorted(center)]
+    for a, b, _ in sorted(pairs):
+        (ax, ay), (bx, by) = center[a], center[b]
+        out.append(((ax + bx) // 2, (ay + by) // 2))
+    return tuple(out)
+
+
+def assert_perturbed_plane_embedding(emb):
+    """Each node's rotation is, as a cyclic order, the angular order of its
+    kept edges' far ends in the perturbed drawing, and no two kept edges
+    cross there, both by the oracles; the graph must be simple."""
+    g = emb.graph
+    for node_id, rot in emb.rotation.items():
+        far = {}
+        for eid in rot:
+            e = g.edges[eid]
+            far[e.v if e.u == node_id else e.u] = eid
+        order = perturbed_angular_order(g.positions, node_id, list(far))
+        assert cyclic_form(rot) == cyclic_form([far[m] for m in order]), node_id
+    kept = set(emb.kept_edge_ids)
+    assert not [c for c in find_crossings_oracle(g) if kept.issuperset(c)]
 
 
 def big_manhattan_layout(wires: int):

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here recomputes results from first principles: rational-arithmetic
-segment intersection, exhaustive coloring / subset / matching enumeration.
-None of it shares a code path with the package under test, except the
+segment intersection, the symbolically perturbed orientation expanded as a
+polynomial (`orient_sos_oracle`), exhaustive coloring / subset / matching
+enumeration.  None of it shares a code path with the package under test, except the
 routines a faster one replaced, kept as its references: the gadget
 matchings of the T-join solve (`gadget_tjoin` on one connected instance,
 reading the join off the connectors with `extract_join`, and
@@ -10,12 +11,11 @@ reading the join off the connectors with `extract_join`, and
 components), the parity union-find phases of the signed two-coloring
 (`phase_assign_oracle`), the casualty re-check as one parity union-find
 over every node (`finalize_oracle`, through the package's `signed_forest`),
-the embedding traced over half-edge keys (`embed_oracle`, which sorts
-by the package's exact `compare_directions`), the record-based conflict
-graph builder (`build_conflict_graph_oracle`, with the package's
-`_line_span`; its `graph_from_records` also builds the hand-made graphs),
-and crossing removal by recounting every round
-(`remove_crossings_oracle`, over the package's `find_crossings`).  The one
+the embedding traced over half-edge keys (`embed_oracle`), the
+record-based conflict graph builder (`build_conflict_graph_oracle`; its
+`graph_from_records` also builds the hand-made graphs), and crossing
+removal by recounting every round (`remove_crossings_oracle`, over the
+package's `find_crossings`).  The one
 solver-backed oracle, `exact_bipartization`, certifies its answer with the
 package's `phase_assign`.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -47,13 +47,10 @@ from aapsm.conflict_graph import (
     PcgEdge,
     PcgNode,
     PhaseConflictGraph,
-    _line_span,
-    _perturb_deltas,
     phase_assign,
     signed_forest,
 )
 from aapsm.errors import InternalInvariantError, LayoutValidationError
-from aapsm.geometry import compare_directions
 from aapsm.matching import min_weight_perfect_matching
 from aapsm.planar import find_crossings
 from aapsm.tjoin import (
@@ -146,6 +143,90 @@ def adjacent_collinear_pairs_oracle(g) -> set:
 
 
 # ---------------------------------------------------------------------------
+# simulation of simplicity (polynomials in the perturbation's epsilon)
+# ---------------------------------------------------------------------------
+
+
+def _poly_sub(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) - c
+    return out
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            out[a + b] = out.get(a + b, 0) + c * d
+    return out
+
+
+def _poly_sign(p: dict) -> int:
+    """The sign of a polynomial in e, {exponent: coefficient}, as e -> 0+:
+    that of its lowest-order non-zero coefficient."""
+    for k in sorted(p):
+        if p[k]:
+            return 1 if p[k] > 0 else -1
+    return 0
+
+
+def perturbed_point(pos, m) -> tuple[dict, dict]:
+    """Node m at (x_m + e^(2^(2m+1)), y_m + e^(2^(2m+2))), as polynomials."""
+    x, y = pos[m]
+    return {0: x, 2 ** (2 * m + 1): 1}, {0: y, 2 ** (2 * m + 2): 1}
+
+
+def _perturbed_cross(pos, i, j, k) -> dict:
+    """(p_j - p_i) x (p_k - p_i) of the perturbed points, as a polynomial."""
+    (ax, ay), (bx, by), (cx, cy) = (perturbed_point(pos, m) for m in (i, j, k))
+    return _poly_sub(
+        _poly_mul(_poly_sub(bx, ax), _poly_sub(cy, ay)),
+        _poly_mul(_poly_sub(by, ay), _poly_sub(cx, ax)),
+    )
+
+
+def orient_sos_oracle(pos, i, j, k) -> int:
+    """The sign of the perturbed orientation determinant, expanded in full
+    as a polynomial in e; shares nothing with `geometry.orient_sos`."""
+    return _poly_sign(_perturbed_cross(pos, i, j, k))
+
+
+def segments_cross_oracle(pos, a, b, c, d) -> bool:
+    """The perturbed segments ab and cd (four distinct ids) cross: each
+    separates the other's ends."""
+    return (
+        orient_sos_oracle(pos, a, b, c) != orient_sos_oracle(pos, a, b, d)
+        and orient_sos_oracle(pos, c, d, a) != orient_sos_oracle(pos, c, d, b)
+    )
+
+
+def perturbed_angular_order(pos, node, far_ends) -> list:
+    """The ids in `far_ends` sorted by the angle, counterclockwise from +x,
+    at which the perturbed `node` sees them: the half-plane of each
+    direction polynomial, then the sign of the cross product."""
+    x0, y0 = perturbed_point(pos, node)
+
+    def half(m):
+        x1, y1 = perturbed_point(pos, m)
+        dx, dy = _poly_sign(_poly_sub(x1, x0)), _poly_sign(_poly_sub(y1, y0))
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(a, b):
+        if half(a) != half(b):
+            return -1 if half(a) < half(b) else 1
+        return -_poly_sign(_perturbed_cross(pos, node, a, b))
+
+    return sorted(far_ends, key=functools.cmp_to_key(cmp))
+
+
+def cyclic_form(order) -> tuple:
+    """A cyclic order written from its lowest element."""
+    k = order.index(min(order))
+    return tuple(order[k:]) + tuple(order[:k])
+
+
+# ---------------------------------------------------------------------------
 # all-pairs geometry scans (the box index's references)
 # ---------------------------------------------------------------------------
 
@@ -189,16 +270,23 @@ def overlapping_pairs_oracle(shifters, spacing: int) -> tuple:
 
 
 def find_crossings_oracle(g) -> tuple:
-    """Sorted pairs (i, j), i < j, of edges sharing no node whose closed
-    segments intersect."""
+    """Sorted pairs (i, j), i < j, of edges sharing no node that cross once
+    the nodes are perturbed (`segments_cross_oracle`); segments whose closed
+    bounding boxes are apart cannot, so only the others are tested."""
+    pos = g.positions
+    boxes = []
+    for e in g.edges:
+        (ax, ay), (bx, by) = pos[e.u], pos[e.v]
+        boxes.append((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
     out = []
     for i, j in itertools.combinations(range(len(g.edges)), 2):
         e, f = g.edges[i], g.edges[j]
+        a, b = boxes[i], boxes[j]
+        if a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]:
+            continue
         if {e.u, e.v} & {f.u, f.v}:
             continue
-        p, q = g.nodes[e.u].pos, g.nodes[e.v].pos
-        r, s = g.nodes[f.u].pos, g.nodes[f.v].pos
-        if segments_intersect_oracle(p, q, r, s):
+        if segments_cross_oracle(pos, e.u, e.v, f.u, f.v):
             out.append((i, j))
     return tuple(sorted(out))
 
@@ -211,7 +299,9 @@ def find_crossings_oracle(g) -> tuple:
 def embed_oracle(g, removed) -> tuple:
     """(rotation, faces, dual edges) of the edges not in `removed`, traced
     over (tail node, edge id) half-edge keys.  Each node's surviving edges
-    are sorted by a per-node direction comparison; the faces are walked from
+    are sorted by the angle of their far ends at the node in the perturbed
+    drawing (`perturbed_angular_order`), so a graph with two edges between
+    one pair of nodes is out of its scope; the faces are walked from
     the sorted keys of a successor map; each kept edge k, in id order, gives
     the dual edge (k, face at e.u, face at e.v, weight, edge id)."""
     removed = set(removed)
@@ -222,17 +312,12 @@ def embed_oracle(g, removed) -> tuple:
             incident.setdefault(e.v, []).append(e.id)
     rotation = {}
     for node_id in sorted(incident):
-        x, y = g.nodes[node_id].pos
-        direction = {}
+        far = {}
         for eid in incident[node_id]:
             e = g.edges[eid]
-            ox, oy = g.nodes[e.v if e.u == node_id else e.u].pos
-            direction[eid] = (ox - x, oy - y)
-
-        def cmp(e1, e2):
-            return compare_directions(direction[e1], direction[e2])
-
-        rotation[node_id] = tuple(sorted(incident[node_id], key=functools.cmp_to_key(cmp)))
+            far[e.v if e.u == node_id else e.u] = eid
+        order = perturbed_angular_order(g.positions, node_id, list(far))
+        rotation[node_id] = tuple(far[m] for m in order)
     successor = {
         (v, eid): nxt for v, rot in rotation.items() for eid, nxt in zip(rot, rot[1:] + rot[:1])
     }
@@ -262,65 +347,29 @@ def embed_oracle(g, removed) -> tuple:
     return rotation, tuple(faces), dual
 
 
-def line_span_oracle(a, b):
-    """The gcd form of conflict_graph._line_span: the line through a and b
-    keyed by its primitive direction and offset, and the span a and b cover
-    on it; None when a == b."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if not (dx or dy):
-        return None
-    step = math.gcd(dx, dy)
-    if dx < 0 or (dx == 0 and dy < 0):
-        step = -step
-    dx, dy = dx // step, dy // step
-    ta, tb = dx * a[0] + dy * a[1], dx * b[0] + dy * b[1]
-    return (dx, dy, dx * a[1] - dy * a[0]), min(ta, tb), max(ta, tb)
-
-
-def is_degenerate_oracle(node_id, pos, ends) -> bool:
-    """The node shares its position with any other node, or one of its edges
-    overlaps any other edge along a collinear stretch; whole-graph scan of
-    the drawing's node positions and edge ends (edge e joins ends[2e] and
-    ends[2e+1])."""
-    if any(other != node_id and p == pos[node_id] for other, p in enumerate(pos)):
-        return True
-    segments = [(pos[u], pos[v]) for u, v in zip(ends[::2], ends[1::2])]
-    for eid, (p, q) in enumerate(segments):
-        if node_id not in ends[2 * eid:2 * eid + 2]:
-            continue
-        for fid, (r, s) in enumerate(segments):
-            if fid != eid and collinear_overlap_oracle(p, q, r, s):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # the record-based conflict graph builder and crossing removal
 # ---------------------------------------------------------------------------
 
 
-def graph_from_records(nodes, edges, perturbed_nodes=()):
+def graph_from_records(nodes, edges):
     """The column graph of these PcgNode and PcgEdge records, record k
     carrying id k: how tests build a graph by hand."""
     assert all(r.id == k for records in (nodes, edges) for k, r in enumerate(records))
     return PhaseConflictGraph(
         tuple(n.pos for n in nodes),
         tuple(n.kind for n in nodes),
-        tuple(n.perturb for n in nodes),
         tuple(end for e in edges for end in (e.u, e.v)),
         tuple(e.weight for e in edges),
         tuple(0 if e.is_equal_constraint else 1 for e in edges),
         tuple(e.shifter_pair for e in edges),
         tuple(e.required_separation for e in edges),
-        tuple(perturbed_nodes),
     )
 
 
 def build_conflict_graph_oracle(shifters, overlap_pairs, rules, weight_mode=WEIGHT_UNIFORM):
     """The builder the column graph replaced: one PcgNode and PcgEdge record
-    per node and edge, nudged with `_replace` by `_perturb_records`, handed
-    to `graph_from_records`.  It shares only `_line_span` and
-    `_perturb_deltas` with the package."""
+    per node and edge, handed to `graph_from_records`."""
     if weight_mode not in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     ordered = sorted(shifters, key=lambda s: s.id)
@@ -353,115 +402,7 @@ def build_conflict_graph_oracle(shifters, overlap_pairs, rules, weight_mode=WEIG
         weight = 1 if weight_mode == WEIGHT_UNIFORM else required
         for a, b in ((u.id, onid), (onid, v.id)):
             edges.append(PcgEdge(len(edges), a, b, weight, EDGE_OVERLAP_HALF, (s1, s2), required))
-    nodes, perturbed = _perturb_records(nodes, edges)
-    return graph_from_records(nodes, edges, perturbed)
-
-
-def _perturb_records(nodes, edges):
-    """(nodes, perturbed ids): concentric shifter nodes separated, then the
-    flagged overlap nodes nudged in id order to the first delta where they
-    are not degenerate, against a position Counter and a line index kept
-    current as they move."""
-    held = set()
-    for node in nodes:
-        if node.kind != NODE_EDGE_SHIFTER:
-            continue
-        if node.pos in held:
-            dx, dy = next(
-                (d for d in _perturb_deltas() if (node.x + d[0], node.y + d[1]) not in held),
-                (None, None),
-            )
-            if dx is None:
-                raise InternalInvariantError(f"cannot separate concentric shifter node {node.id}")
-            node = nodes[node.id] = node._replace(x=node.x + dx, y=node.y + dy, perturb=(dx, dy))
-        held.add(node.pos)
-
-    flagged = _degenerate_records(nodes, edges)
-    if not flagged:
-        return nodes, []
-    incident = {nid: [] for nid in flagged}
-    for e in edges:
-        for end in (e.u, e.v):
-            if end in incident:
-                incident[end].append(e.id)
-    at = Counter(n.pos for n in nodes)
-    lines = defaultdict(dict)
-    for e in edges:
-        _file_edge_record(lines, nodes, e, filed=True)
-
-    def move(nid, dx, dy):
-        node = nodes[nid]
-        for eid in incident[nid]:
-            _file_edge_record(lines, nodes, edges[eid], filed=False)
-        at[node.pos] -= 1
-        base_x, base_y = node.x - node.perturb[0], node.y - node.perturb[1]
-        nodes[nid] = node = node._replace(x=base_x + dx, y=base_y + dy, perturb=(dx, dy))
-        at[node.pos] += 1
-        for eid in incident[nid]:
-            _file_edge_record(lines, nodes, edges[eid], filed=True)
-
-    def degenerate(nid):
-        if at[nodes[nid].pos] > 1:
-            return True
-        for eid in incident[nid]:
-            e = edges[eid]
-            span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
-            if span is None:
-                continue
-            key, lo, hi = span
-            for fid, (f_lo, f_hi) in lines[key].items():
-                if fid != eid and max(lo, f_lo) < min(hi, f_hi):
-                    return True
-        return False
-
-    perturbed = []
-    for nid in flagged:
-        if not degenerate(nid):
-            continue
-        for dx, dy in _perturb_deltas():
-            move(nid, dx, dy)
-            if not degenerate(nid):
-                break
-        else:
-            raise InternalInvariantError(f"cannot resolve degenerate overlap node {nid}")
-        perturbed.append(nid)
-    if _degenerate_records(nodes, edges):
-        raise InternalInvariantError("overlap node still degenerate after perturbation")
-    return nodes, perturbed
-
-
-def _file_edge_record(lines, nodes, e, filed):
-    span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
-    if span is None:
-        return
-    key, lo, hi = span
-    if filed:
-        lines[key][e.id] = (lo, hi)
-    else:
-        del lines[key][e.id]
-
-
-def _degenerate_records(nodes, edges):
-    """The overlap nodes at a shared position or on an edge that overlaps
-    another along its line, in id order, by one sweep per line."""
-    count = Counter(n.pos for n in nodes)
-    is_overlap = [n.kind == NODE_OVERLAP for n in nodes]
-    flagged = {n.id for n in nodes if is_overlap[n.id] and count[n.pos] > 1}
-    lines = defaultdict(list)
-    for e in edges:
-        span = _line_span(nodes[e.u].pos, nodes[e.v].pos)
-        if span is not None:
-            key, lo, hi = span
-            lines[key].append((lo, hi, e.id))
-    for group in lines.values():
-        group.sort()
-        reach = group[0][0]
-        for k, (lo, hi, eid) in enumerate(group):
-            if lo < reach or (k + 1 < len(group) and group[k + 1][0] < hi):
-                e = edges[eid]
-                flagged.update(end for end in (e.u, e.v) if is_overlap[end])
-            reach = max(reach, hi)
-    return sorted(flagged)
+    return graph_from_records(nodes, edges)
 
 
 def remove_crossings_oracle(g) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ from aapsm.layout import (
 )
 from aapsm.pipeline import correct, detect
 
-from conftest import perfbench_module
+from conftest import built_positions, manhattan_layout, perfbench_module
 
 DESIGNS = 40
 SPAN = 3000  # nm square the wires start in
@@ -181,3 +181,21 @@ def test_report_counts_critical_features_by_shifter_pairs(family):
         clipped += any(s.clipped for s in det.shifters)
     if family == "zero-margin":
         assert clipped > 0
+
+
+def test_detect_keeps_built_positions():
+    """Every PCG node stays where the layout puts it, the shifter center or
+    the midpoint of the pair's two centers, on the coarse-grid family and on
+    manhattan_batch design 107135, whose concentric shifters once ended in
+    exit 4; each design finishes `correct`."""
+    coarse = FAMILIES["coarse-grid"]
+    layouts = [coarse(random.Random(f"coarse-grid-{seed}")) for seed in range(DESIGNS)]
+    layouts.append(manhattan_layout(107135))
+    concentric = 0
+    for layout in layouts:
+        det = detect(layout)
+        correct(det, allow_uncovered=True)
+        assert det.graph.positions == built_positions(det.shifters, det.overlap_pairs)
+        centers = det.graph.positions[:len(det.shifters)]
+        concentric += len(set(centers)) < len(centers)
+    assert concentric >= 1

@@ -1,5 +1,8 @@
-"""Exact segment predicates against the rational-arithmetic oracle."""
+"""Exact segment predicates under the symbolic perturbation, against
+oracles that expand the perturbed determinant as a polynomial and, on
+drawings without ties, intersect the segments in rational arithmetic."""
 
+import itertools
 import random
 
 from hypothesis import given, strategies as st
@@ -9,44 +12,96 @@ from aapsm.generator import generate_layout
 from aapsm.geometry import (
     box_pairs,
     compare_directions,
+    orient_sos,
     segment_box,
-    segments_intersect,
+    segments_cross,
 )
 from aapsm.layout import find_overlapping_pairs, generate_shifters
 
 from conftest import manhattan_layout
-from oracles import box_pairs_oracle, segments_intersect_oracle
+from oracles import (
+    box_pairs_oracle,
+    orient_sos_oracle,
+    segments_cross_oracle,
+    segments_intersect_oracle,
+)
 
 
 def test_x_crossing():
-    assert segments_intersect((0, 0), (2, 2), (0, 2), (2, 0))
-
-
-def test_shared_endpoint_counts_as_intersecting():
-    # adjacency filtering happens at the graph level, not here
-    assert segments_intersect((0, 0), (2, 2), (2, 2), (5, 0))
+    assert segments_cross([(0, 0), (2, 2), (0, 2), (2, 0)], 0, 1, 2, 3)
 
 
 def test_disjoint():
-    assert not segments_intersect((0, 0), (1, 0), (0, 1), (1, 1))
+    assert not segments_cross([(0, 0), (1, 0), (0, 1), (1, 1)], 0, 1, 2, 3)
+
+
+def crossings_under_every_labeling(points):
+    """segments_cross of segments 01 and 23 of `points` under every
+    assignment of node ids to the four ends, each checked against the
+    oracle; returns the set of answers."""
+    seen = set()
+    for ids in itertools.permutations(range(4)):
+        pos = [None] * 4
+        for point, nid in zip(points, ids):
+            pos[nid] = point
+        got = segments_cross(pos, *ids)
+        assert got == segments_cross_oracle(pos, *ids), ids
+        seen.add(got)
+    return seen
 
 
 def test_collinear_touching_vs_overlap():
-    assert segments_intersect((0, 0), (2, 0), (2, 0), (4, 0))
+    """Collinear segments, touching end to end or overlapping, cross or
+    not as the perturbation of their ends' ids decides."""
+    assert crossings_under_every_labeling([(0, 0), (2, 0), (2, 0), (4, 0)]) == {False, True}
+    assert crossings_under_every_labeling([(0, 0), (3, 0), (1, 0), (4, 0)]) == {False, True}
+    # apart on one line: no labeling makes them meet
+    assert crossings_under_every_labeling([(0, 0), (1, 0), (2, 0), (4, 0)]) == {False}
 
 
 def test_endpoint_on_interior():
-    assert segments_intersect((0, 0), (4, 0), (2, 0), (2, 3))
+    """A T-touch crosses or not as the perturbation decides; a lower id
+    moves farther.  Node 0's upward move tilts segment 0-1 over node 2, so
+    2-3 crosses it; touching segment 1-2, node 0 moves along it and then
+    up, to the side of node 3, so 0-3 does not cross."""
+    assert segments_cross([(0, 0), (4, 0), (2, 0), (2, 3)], 0, 1, 2, 3)
+    assert not segments_cross([(2, 0), (0, 0), (4, 0), (2, 3)], 1, 2, 0, 3)
+    assert crossings_under_every_labeling([(0, 0), (4, 0), (2, 0), (2, 3)]) == {False, True}
 
 
 def test_random_against_oracle():
+    """On a 3x3 grid, where ties are the rule, segments_cross is the
+    polynomial oracle's answer; with no three ends collinear it is also
+    the rational intersection of the closed segments."""
     rng = random.Random(20240)
+    general = 0
     for _ in range(4000):
-        pts = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(4)]
-        a, b, c, d = pts
-        if a == b or c == d:
-            continue
-        assert segments_intersect(a, b, c, d) == segments_intersect_oracle(a, b, c, d)
+        pos = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(6)]
+        a, b, c, d = rng.sample(range(6), 4)
+        got = segments_cross(pos, a, b, c, d)
+        assert got == segments_cross_oracle(pos, a, b, c, d)
+        exact = [
+            (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+            for p, q, r in itertools.combinations([pos[a], pos[b], pos[c], pos[d]], 3)
+        ]
+        if all(exact):
+            general += 1
+            assert got == segments_intersect_oracle(pos[a], pos[b], pos[c], pos[d])
+    assert general > 200, general
+
+
+def test_orient_sos_matches_polynomial_oracle():
+    """Random triples of distinct ids on a 3x3 grid, most of them
+    collinear or coincident: the closed form is the sign of the fully
+    expanded perturbed determinant, never 0, and flips with each swap."""
+    rng = random.Random(1990)
+    for _ in range(20000):
+        pos = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(3, 12))]
+        i, j, k = rng.sample(range(len(pos)), 3)
+        sign = orient_sos(pos, i, j, k)
+        assert sign == orient_sos_oracle(pos, i, j, k) != 0, (pos, i, j, k)
+        assert orient_sos(pos, j, i, k) == orient_sos(pos, i, k, j) == -sign
+        assert orient_sos(pos, j, k, i) == sign
 
 
 def test_direction_ordering_is_ccw_from_positive_x():

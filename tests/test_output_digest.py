@@ -1,6 +1,6 @@
 """`tools/output_digest.py`, the byte-identity check over the benchmark
-designs, runs against the package API it reads (`build_dual` on the
-detection's embedding, the graph's node records and their nudges)."""
+designs, runs against the package API it reads (`dump_graph`, and
+`build_dual` on the detection's embedding)."""
 
 import importlib.util
 import sys
@@ -51,8 +51,8 @@ def test_design_output_covers_every_part(tool, workload, weight_mode):
     assert {"conflicts", "phases", "face", "node"} <= line_kinds(plain[len(report):])
     extra = extended.splitlines()
     assert extra[0] == f"optimal {det.optimal_edge_ids} {det.optimal_weight}"
-    perturbs = [line for line in extra if line.startswith("perturb ")]
-    assert len(perturbs) == len(det.graph.positions)
+    nodes = [line for line in plain.splitlines() if line.startswith("node ")]
+    assert len(nodes) == len(det.graph.positions)
     if workload == "comb_40":
         assert ("balanced_before", "0") in det.report
         duals = [line for line in extra if line.startswith("dual ")]

@@ -21,7 +21,6 @@ from aapsm.conflict_graph import (
 from aapsm.errors import (
     EXIT_INPUT_ERROR,
     AapsmError,
-    GeometryError,
     InternalInvariantError,
     LayoutValidationError,
     UncorrectableConflictError,
@@ -52,13 +51,14 @@ rect poly 700 0 800 800
 
 class TestCrossingHeavyPath:
     """Every shifter center sits on one horizontal line and outer shifters
-    overlap across the middle wire, so node perturbation, crossing removal,
-    and the post-planarization odd-cycle re-check all engage."""
+    overlap across the middle wire, so coincident nodes and collinear edges
+    (decided by the symbolic perturbation), crossing removal, and the
+    post-planarization odd-cycle re-check all engage."""
 
     def test_detect_via_planarization_recheck(self):
         layout = parse_layout(TANGLED_ROW)
         res = detect(layout, run_greedy_baseline=True)
-        assert res.graph.perturbed_nodes
+        assert len(set(res.graph.positions)) < len(res.graph.positions)
         assert res.embedding.removed_edge_ids
         assert len(res.conflicts) > 0
         assert any(
@@ -97,8 +97,8 @@ class TestRandomTangles:
     def test_correction_never_lies(self):
         """On arbitrary random tangles every run must end in one of: fully
         corrected (residual 0) or an honest uncovered listing; never a
-        silent residual, and never a geometry rejection, since the conflict
-        graph builder establishes general position."""
+        silent residual, and never a geometry rejection, since the symbolic
+        perturbation decides every tie of the drawing."""
         import random
 
         from conftest import micro_layout
@@ -315,50 +315,6 @@ class TestBalancedShortcut:
             assert render_report(expected) == render_report(det.report)
 
 
-class TestBalancedResidualGeometry:
-    """A drawing not in general position is rejected where it is built,
-    before any crossing search: `correct` rejects a corrected layout whose
-    conflict graph would two-color exactly as `detect` rejects it."""
-
-    # a comb with one coverable conflict, and far right a bar whose upper
-    # shifter shares its center with the lower shifter of a shorter bar
-    # above it, until the conflict graph nudges one of them
-    COMB_AND_CONCENTRIC_BARS = (
-        "rules 150 200 50 200\n"
-        "bbox -2500 -2270 7731 4388\n"
-        "rect poly 0 230 1131 330\n"
-        "rect poly 400 688 500 1888\n"
-        "rect poly 1131 688 1231 1888\n"
-        "rect poly 4731 0 5731 100\n"
-        "rect poly 4831 400 5631 500\n"
-    )
-
-    def test_unperturbed_drawing_raises_like_detect(self, monkeypatch):
-        det = detect(parse_layout(self.COMB_AND_CONCENTRIC_BARS))
-        cor = correct(det)
-        assert cor.plan.cuts and cor.residual_conflicts == 0
-
-        searched = []
-        remove_crossings = aapsm.pipeline.remove_crossings
-        monkeypatch.setattr(
-            aapsm.pipeline,
-            "remove_crossings",
-            lambda g: searched.append(g) or remove_crossings(g),
-        )
-        monkeypatch.setattr(
-            conflict_graph,
-            "_perturb_degenerate_overlaps",
-            lambda pos, kinds, ends: ([(0, 0)] * len(pos), []),
-        )
-        with pytest.raises(GeometryError, match="share position") as from_detect:
-            detect(cor.new_layout)
-        assert searched == []
-        with pytest.raises(GeometryError) as from_correct:
-            correct(det)
-        assert searched == []
-        assert str(from_correct.value) == str(from_detect.value)
-
-
 class TestFaultsStillCaught:
     """`detect` checks balance once, on its output; each fault below breaks
     an invariant whose own re-check was dropped as implied by a kept one,
@@ -389,9 +345,9 @@ class TestFaultsStillCaught:
     @pytest.mark.parametrize(
         "design, message",
         [
-            # casualty 6 contradicts the survivors; readmitted, it breaks
+            # casualty 4 contradicts the survivors; readmitted, it breaks
             # the phase certificate of the coloring finalize hands on
-            ("tangled", r"edge 6 constraint violated"),
+            ("tangled", r"edge 4 constraint violated"),
             # no casualty: the greedy baseline's phases find the cycle
             ("comb", "residual unbalanced cycle"),
         ],

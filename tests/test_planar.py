@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -26,13 +25,18 @@ from aapsm.planar import (
     find_crossings,
     planarize,
     remove_crossings,
-    require_general_position,
 )
 
-from conftest import big_manhattan_layout, manhattan_layout, sample_micro_pcgs
+from conftest import (
+    assert_perturbed_plane_embedding,
+    big_manhattan_layout,
+    manhattan_layout,
+    sample_micro_pcgs,
+)
 from oracles import (
     adjacent_collinear_pairs_oracle,
     crossings_oracle,
+    cyclic_form,
     embed_oracle,
     find_crossings_oracle,
     graph_from_records,
@@ -108,12 +112,6 @@ class TestFindCrossings:
     def test_shared_endpoint_excluded(self):
         g = raw_graph([(0, 0), (2, 2), (4, 0)], [(0, 1, 1), (1, 2, 1)])
         assert find_crossings(g) == ()
-
-    def test_coincident_nodes_rejected(self):
-        # find_crossings assumes general position; planarize checks it
-        g = raw_graph([(0, 0), (5, 5), (0, 0)], [(0, 1, 1)])
-        with pytest.raises(GeometryError, match=r"^nodes 0 and 2 share position \(0, 0\)$"):
-            planarize(g)
 
     def test_matches_oracle_on_random_graph(self):
         rng = random.Random(5150)
@@ -218,10 +216,10 @@ class TestPlanarize:
         assert len(emb.removed_edge_ids) == optimum == 3
 
     def test_greedy_never_beats_optimum(self):
-        # graphs with two edges leaving a node on one ray are not in general
-        # position and are rejected; the optimality bound holds on the rest
+        # two edges leaving a node on one ray are ordered by the perturbation,
+        # so every graph embeds and the optimality bound holds on all of them
         rng = random.Random(4242)
-        rejected = 0
+        same_ray = 0
         for _ in range(40):
             n = rng.randint(4, 7)
             points = []
@@ -241,11 +239,7 @@ class TestPlanarize:
                 used.add((min(u, v), max(u, v)))
                 edges.append((u, v, rng.randint(1, 6)))
             g = raw_graph(points, edges)
-            if adjacent_collinear_pairs_oracle(g):
-                with pytest.raises(GeometryError, match="on the same ray"):
-                    planarize(g)
-                rejected += 1
-                continue
+            same_ray += bool(adjacent_collinear_pairs_oracle(g))
             crossings = find_crossings(g)
             weights = {e.id: e.weight for e in g.edges}
             optimum = min_crossing_removal_weight(weights, crossings)
@@ -254,7 +248,7 @@ class TestPlanarize:
             assert removed_weight >= optimum
             assert crossings_among(g, emb.kept_edge_ids) == []
             assert_rotation_holds_survivors(emb)
-        assert rejected == 4
+        assert same_ray == 4
 
     def test_rotation_holds_survivors_on_designs_with_crossings(self):
         with_crossings = 0
@@ -274,91 +268,129 @@ def random_grid_graph(rng: random.Random):
     return raw_graph(points, edges)
 
 
-def same_ray_ties(g, pairs):
-    """node -> the pairs among `pairs` whose two edges leave it on one ray.
-
-    The pairs are adjacent collinear overlaps, so the edges of a pair leave
-    each node they share on one ray; a parallel pair ties at both ends.
-    """
-    ties: dict[int, list[tuple[int, int]]] = {}
-    for a, b in pairs:
-        ea, eb = g.edges[a], g.edges[b]
-        for v in {ea.u, ea.v} & {eb.u, eb.v}:
-            ties.setdefault(v, []).append((a, b))
-    return ties
+def parallel_pairs(g):
+    """Pairs (a, b), a < b, of edges with the same two ends."""
+    return [
+        (e.id, f.id) for e in g.edges for f in g.edges
+        if e.id < f.id and {e.u, e.v} == {f.u, f.v}
+    ]
 
 
 class TestAdjacentOverlaps:
-    """Two edges leaving a node on the same ray break general position:
-    planarize rejects them, naming the lowest node and its lowest pair."""
+    """Two edges leaving a node on the same ray are ordered by the
+    perturbation of their far ends; only two edges with the same two ends
+    draw one segment, and planarize rejects them."""
 
     def test_three_edges_on_one_ray_and_parallel_edges(self):
-        g = raw_graph(
-            [(0, 0), (1, 0), (2, 0), (3, 0), (0, 5)],
-            [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1), (0, 4, 1)],
-        )
+        points = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 5)]
+        spec = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1), (0, 4, 1)]
+        g = raw_graph(points, spec)
         assert adjacent_collinear_pairs_oracle(g) == {(0, 1), (0, 2), (1, 2), (3, 4)}
-        with pytest.raises(GeometryError, match=r"^edges 0 and 1 leave node 0 on the same ray"):
+        with pytest.raises(GeometryError, match=r"^edges 3 and 4 both join nodes 0 and 4$"):
             planarize(g)
+        # without the parallel edge: node 0 moves up, so the nearer far end
+        # is seen at the lower angle; the three edges are one path of faces
+        emb = planarize(raw_graph(points, spec[:4]))
+        assert emb.rotation[0] == (0, 1, 2, 3)
+        assert_perturbed_plane_embedding(emb)
+        assert len(emb.faces) == 1
 
     def test_direction_ties_match_all_pairs_oracle(self):
         rng = random.Random(2718)
-        with_pairs = with_long_run = 0
+        rejected = ties = long_runs = 0
         for _ in range(300):
             g = random_grid_graph(rng)
-            oracle = adjacent_collinear_pairs_oracle(g)
-            if not oracle:
-                assert_rotation_holds_survivors(planarize(g))
-                continue
-            with pytest.raises(GeometryError) as info:
-                planarize(g)
-            named = re.match(r"edges (\d+) and (\d+) leave node (\d+) ", str(info.value))
-            a, b, node = map(int, named.groups())
-            assert (a, b) in oracle
-            ties = same_ray_ties(g, oracle)
-            assert node == min(ties) and (a, b) == min(ties[node])
-            with_pairs += 1
-            # an edge in two pairs at one node: three edges leave it on one ray
-            with_long_run += any(
-                max(Counter(e for pair in pairs for e in pair).values()) >= 2
-                for pairs in ties.values()
-            )
-        assert with_pairs > 100 and with_long_run > 50
+            parallel = parallel_pairs(g)
+            if parallel:
+                with pytest.raises(GeometryError) as info:
+                    planarize(g)
+                a, b = min(parallel, key=lambda pair: pair[::-1])
+                assert str(info.value).startswith(f"edges {a} and {b} both join")
+                rejected += 1
+                # the graph without the later edge of each parallel pair embeds
+                later = {b for _, b in parallel}
+                g = raw_graph(
+                    g.positions, [(e.u, e.v, e.weight) for e in g.edges if e.id not in later]
+                )
+            emb = planarize(g)
+            assert_rotation_holds_survivors(emb)
+            assert_perturbed_plane_embedding(emb)
+            pairs = adjacent_collinear_pairs_oracle(g)
+            ties += bool(pairs)
+            # an edge in two pairs: three edges along one line at a node
+            long_runs += bool(pairs) and max(Counter(e for p in pairs for e in p).values()) >= 2
+        assert rejected > 50 and ties > 50 and long_runs > 10, (rejected, ties, long_runs)
+
+
+def random_simple_drawing(rng: random.Random):
+    """A simple graph drawn on a 3x3 grid: several nodes at most points,
+    so coincident nodes, zero-length edges, collinear overlaps and
+    T-touches are the rule; no two edges join the same two nodes."""
+    n = rng.randint(3, 14)
+    points = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = rng.sample(pairs, rng.randint(1, min(len(pairs), 2 * n)))
+    return raw_graph(points, [(u, v, rng.randint(1, 4)) for u, v in chosen])
+
+
+class TestSimulationOfSimplicity:
+    """Every tie of a simple drawing is decided by one symbolic perturbation,
+    so the crossings and the rotation system describe one plane drawing."""
+
+    def test_fuzz_simple_drawings_on_a_3x3_grid(self):
+        rng = random.Random(31415)
+        seen = Counter()
+        for _ in range(1500):
+            g = random_simple_drawing(rng)
+            emb = planarize(g)  # the Euler check passes on every component
+            assert_rotation_holds_survivors(emb)
+            assert_perturbed_plane_embedding(emb)
+            pos = g.positions
+            seen["coincident"] += len(set(pos)) < len(pos)
+            seen["zero-length"] += any(pos[e.u] == pos[e.v] for e in g.edges)
+            seen["collinear"] += bool(adjacent_collinear_pairs_oracle(g))
+            seen["removed"] += bool(emb.removed_edge_ids)
+        assert min(seen.values()) > 300, seen
+
+    def test_crossings_match_oracle_on_ties(self):
+        rng = random.Random(2790)
+        for _ in range(300):
+            g = random_simple_drawing(rng)
+            assert find_crossings(g) == find_crossings_oracle(g)
+
+    def test_self_loop_rejected(self):
+        g = raw_graph([(0, 0), (4, 0)], [(0, 1, 1), (1, 1, 1)])
+        with pytest.raises(GeometryError, match=r"^edge 1 joins node 1 to itself$"):
+            planarize(g)
 
 
 class TestRequireGeneralPosition:
-    def test_coincident_nodes_rejected(self):
-        g = raw_graph([(0, 0), (5, 5), (0, 0), (5, 5)], [(0, 1, 1)])
-        with pytest.raises(GeometryError, match=r"^nodes 0 and 2 share position \(0, 0\)$"):
-            require_general_position(g)
+    """What planarize requires of a drawing: no two edges with the same two
+    ends.  Every other tie is put in general position by the perturbation."""
 
     def test_same_ray_names_lowest_node_and_pair(self):
-        # node 1 ties on two rays: edges 2 and 3, of different lengths, leave
-        # it along (1, 1), and edges 1, 4 and 5 along (1, 0); node 0 ties on
-        # no ray, and nodes 2 and 3 tie on (1, 1) and (-1, -1) but are higher
+        # edges 1 and 4 join nodes 1 and 4 and so leave node 1 on one ray;
+        # edges 2 and 3 of different lengths do too, but are two segments
         g = raw_graph(
-            [(10, 10), (0, 0), (2, 2), (6, 6), (3, 0), (7, 0), (9, 0), (2, 8)],
-            [(0, 7, 1), (1, 4, 1), (2, 1, 1), (1, 3, 1), (1, 5, 1), (6, 1, 1),
-             (2, 3, 1), (2, 0, 9)],
+            [(10, 10), (0, 0), (2, 2), (6, 6), (3, 0), (7, 0)],
+            [(0, 5, 1), (1, 4, 1), (2, 1, 1), (1, 3, 1), (4, 1, 1), (1, 5, 1), (3, 1, 2)],
         )
-        with pytest.raises(GeometryError, match=r"^edges 1 and 4 leave node 1 on the same ray$"):
-            require_general_position(g)
-        g = raw_graph(
-            [(10, 10), (0, 0), (2, 2), (6, 6), (-4, 6), (-2, 3)],
-            [(0, 2, 1), (1, 3, 1), (4, 1, 1), (5, 1, 1)],
-        )
-        # directions reduce by their gcd whatever their signs: (-4, 6) and
-        # (-2, 3) are one ray
-        with pytest.raises(GeometryError, match=r"^edges 2 and 3 leave node 1 on the same ray$"):
-            require_general_position(g)
+        with pytest.raises(GeometryError, match=r"^edges 1 and 4 both join nodes 1 and 4$"):
+            planarize(g)
+        emb = planarize(raw_graph(
+            [(10, 10), (0, 0), (2, 2), (6, 6), (3, 0), (7, 0)],
+            [(0, 5, 1), (1, 4, 1), (2, 1, 1), (1, 3, 1), (1, 5, 1)],
+        ))
+        assert_perturbed_plane_embedding(emb)
 
     def test_opposite_rays_pass(self):
         g = raw_graph(
             [(0, 0), (3, 0), (-5, 0), (0, 4), (0, -2), (6, 9), (-2, -3)],
             [(0, 1, 1), (2, 0, 1), (0, 3, 1), (4, 0, 1), (0, 5, 1), (6, 0, 1)],
         )
-        require_general_position(g)
-        planarize(g)
+        emb = planarize(g)
+        assert emb.rotation[0] == (0, 4, 2, 1, 5, 3)
+        assert_perturbed_plane_embedding(emb)
 
 
 class TestFacesAndDual:
@@ -431,10 +463,7 @@ class TestFacesAndDual:
 
     def test_dual_degree_equals_boundary_length(self):
         for layout, shifters, pairs, g in sample_micro_pcgs(77, 25, max_features=4):
-            try:
-                emb = planarize(g)
-            except GeometryError:
-                continue
+            emb = planarize(g)
             dual = build_dual(emb)
             assert dual.degrees() == [len(f) for f in emb.faces]
             assert len(dual.edges) == len(emb.kept_edge_ids)
@@ -442,10 +471,7 @@ class TestFacesAndDual:
     def test_euler_formula_per_component_independent_check(self):
         # recompute V - E + F = 2 per component with plain dict traversal
         for layout, shifters, pairs, g in sample_micro_pcgs(555, 25, max_features=4):
-            try:
-                emb = planarize(g)
-            except GeometryError:
-                continue
+            emb = planarize(g)
             adj: dict[int, set[int]] = {}
             for eid in emb.kept_edge_ids:
                 e = g.edges[eid]
@@ -529,11 +555,12 @@ def random_general_position_graph(rng: random.Random):
 
 
 def assert_embedding_matches_oracle(g, removed):
-    """`embed` gives the oracle's rotation (in node order), its faces in
-    order, and its dual edges."""
+    """`embed` gives the oracle's rotation (in node order, each node's as a
+    cyclic order), its faces in order, and its dual edges."""
     emb = embed(g, removed)
     rotation, faces, dual_edges = embed_oracle(g, removed)
-    assert list(emb.rotation.items()) == list(rotation.items())
+    assert list(emb.rotation) == list(rotation)
+    assert all(cyclic_form(rot) == cyclic_form(rotation[v]) for v, rot in emb.rotation.items())
     assert emb.faces == faces
     dual = [(d.id, d.u, d.v, d.weight, d.primal_edge_id) for d in build_dual(emb).edges]
     assert dual == dual_edges
@@ -607,7 +634,6 @@ class TestRemoveCrossingsMatchesOracle:
 
     def test_dense_design(self):
         g = design_graph(big_manhattan_layout(250))
-        require_general_position(g)
         removed = remove_crossings(g)
         assert len(removed) > 200
         assert removed == remove_crossings_oracle(g)

@@ -79,7 +79,7 @@ from conftest import (
 
 PREDICATES = (
     (layout, "rect_separation"),
-    (geometry, "segments_intersect"),
+    (geometry, "orient_sos"),
 )
 
 
@@ -108,49 +108,29 @@ def test_predicate_calls_grow_linearly(monkeypatch):
     assert many / few < 8, (few, many)
 
 
-def degeneracy_tests(monkeypatch, design):
-    """(the graph, the node ids `_is_degenerate` was asked about, the nodes
-    the first hashed pass flagged, `box_pairs` calls) in one PCG build."""
+def predicates_in_pcg_build(monkeypatch, design) -> list[str]:
+    """The geometric predicates and box sweeps one PCG build calls, by name."""
     shifters = layout.generate_shifters(design)
     pairs = layout.find_overlapping_pairs(shifters, design.rules)
-    tested, passes, sweeps = [], [], 0
-    is_degenerate = conflict_graph._is_degenerate
-    one_pass = conflict_graph._degenerate_overlap_nodes
-    box_pairs = geometry.box_pairs
+    called = []
 
-    def spy_test(node_id, *args):
-        tested.append(node_id)
-        return is_degenerate(node_id, *args)
-
-    def spy_pass(*drawing):
-        passes.append(one_pass(*drawing))
-        return passes[-1]
-
-    def spy_boxes(boxes):
-        nonlocal sweeps
-        sweeps += 1
-        return box_pairs(boxes)
+    def spy(name):
+        fn = getattr(geometry, name)
+        return lambda *args: called.append(name) or fn(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(conflict_graph, "_is_degenerate", spy_test)
-        m.setattr(conflict_graph, "_degenerate_overlap_nodes", spy_pass)
-        m.setattr(geometry, "box_pairs", spy_boxes)
+        for name in ("orient_sos", "segments_cross", "compare_directions", "box_pairs"):
+            m.setattr(geometry, name, spy(name))
         g = conflict_graph.build_conflict_graph(shifters, pairs, design.rules)
-    return g, tested, passes[0], sweeps
+    assert g.perturbed_nodes == ()
+    return called
 
 
 @pytest.mark.parametrize("density", [0.0, 0.7])
 def test_pcg_build_without_degeneracy_tests_nothing(monkeypatch, density):
-    g, tested, flagged, sweeps = degeneracy_tests(monkeypatch, generate_layout(1, 600, density))
-    assert g.perturbed_nodes == () and flagged == []
-    assert tested == [] and sweeps == 0
-
-
-def test_pcg_build_tests_only_flagged_nodes(monkeypatch):
-    # two flagged overlap nodes; nudging the first one settles the second
-    g, tested, flagged, sweeps = degeneracy_tests(monkeypatch, manhattan_layout(1165))
-    assert 0 < len(g.perturbed_nodes) < len(flagged)
-    assert set(tested) == set(flagged) and sweeps == 0
+    """Ties in the drawing are left to the crossing search and the
+    embedding, so building the graph reads no predicate at all."""
+    assert predicates_in_pcg_build(monkeypatch, generate_layout(1, 600, density)) == []
 
 
 def matched_darts(monkeypatch, design, **detect_options):
@@ -285,23 +265,6 @@ def back_half_stages(monkeypatch, design):
     return det, returned
 
 
-@pytest.mark.parametrize("density, features", [(0.7, 40), (0.0, 150)], ids=["comb", "rows"])
-def test_detect_checks_general_position_once(monkeypatch, density, features):
-    checks = 0
-    check = aapsm.planar.require_general_position
-
-    def counted(g):
-        nonlocal checks
-        checks += 1
-        check(g)
-
-    with monkeypatch.context() as m:
-        for module in (aapsm.pipeline, aapsm.planar):
-            m.setattr(module, "require_general_position", counted)
-        detect(generate_layout(1, features, density))
-    assert checks == 1
-
-
 def test_balanced_detect_embeds_on_first_access(monkeypatch):
     det, returned = back_half_stages(monkeypatch, generate_layout(1, 150, 0.0))
     assert ("balanced_before", "1") in det.report
@@ -351,12 +314,11 @@ def test_correct_redetects_only_changed_layouts(monkeypatch, make, graphs, embed
         return spy
 
     with monkeypatch.context() as m:
-        for name in ("build_conflict_graph", "require_general_position", "remove_crossings", "embed"):
+        for name in ("build_conflict_graph", "remove_crossings", "embed"):
             m.setattr(aapsm.pipeline, name, counted(name))
         cor = correct(det, allow_uncovered=True)
     assert bool(cor.plan.cuts) == bool(graphs)
-    # each graph built is checked for general position once, balanced or not
-    assert calls["build_conflict_graph"] == calls["require_general_position"] == graphs
+    assert calls["build_conflict_graph"] == graphs
     assert calls["remove_crossings"] == calls["embed"] == embedded
     assert (cor.residual_conflicts > 0) == bool(embedded)
 

@@ -8,13 +8,12 @@ Every design of the three workloads of each seed is run in both weight
 modes with the greedy baseline on.  The digest covers the rendered
 `correct(..., allow_uncovered=True)` report, the corrected layout
 (`serialize_layout`), the space plan (`dump_plan`), the conflict ids, the
-phases, `dump_embedding`, `dump_graph` with the perturbed node ids, and every
-shifter's id, feature, side, rect bounds and clip flag.  The extended digest
-also covers the T-join's `optimal_edge_ids` and `optimal_weight`, the
-(id, u, v, weight, primal edge) of every edge of the dual
-`build_dual(det.embedding)`, and every node's `perturb` (the nudge off its
-built position, which `dump_graph` leaves out).  Run it in two checkouts and
-compare the last line.
+phases, `dump_embedding`, `dump_graph` (every node's position included),
+and every shifter's id, feature, side, rect bounds and clip flag.  The
+extended digest also covers the T-join's `optimal_edge_ids` and
+`optimal_weight`, and the (id, u, v, weight, primal edge) of every edge of
+the dual `build_dual(det.embedding)`.  Run it in two checkouts and compare
+the last line.
 The package is imported from this checkout's `src`, and the designs come
 from `perfbench/workloads.py`, which this script only reads.
 """
@@ -52,7 +51,7 @@ def design_output(layout, weight_mode: str) -> tuple[str, str]:
         + serialize_layout(cor.new_layout) + dump_plan(cor.plan)
         + f"conflicts {det.conflicts.edge_ids}\nphases {sorted(det.phases.items())}\n"
         + dump_embedding(det.embedding)
-        + dump_graph(det.graph) + f"perturbed {det.graph.perturbed_nodes}\n" + shifters
+        + dump_graph(det.graph) + shifters
     )
     extended = (
         f"optimal {det.optimal_edge_ids} {det.optimal_weight}\n"
@@ -60,7 +59,6 @@ def design_output(layout, weight_mode: str) -> tuple[str, str]:
             f"dual {e.id} {e.u} {e.v} {e.weight} {e.primal_edge_id}\n"
             for e in build_dual(det.embedding).edges
         )
-        + "".join(f"perturb {n.id} {n.perturb[0]} {n.perturb[1]}\n" for n in det.graph.nodes)
     )
     return plain, extended
 
