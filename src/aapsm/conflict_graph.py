@@ -39,7 +39,7 @@ PHASE_B = 180
 
 
 class PcgNode(NamedTuple):
-    """A node at (x, y); a NamedTuple, so derive moved copies with `_replace`."""
+    """A node at (x, y)."""
 
     id: int
     kind: str

@@ -1,4 +1,4 @@
-"""Exact integer predicates for 2-D segments and directions, and a box index
+"""Exact integer predicates for 2-D points and segments, and a box index
 that feeds them.
 
 Everything operates on integer points; there is no epsilon anywhere.  Ties
@@ -82,25 +82,3 @@ def segments_cross(pos: Sequence[Point], a: int, b: int, c: int, d: int) -> bool
         and orient_sos(pos, c, d, a) != orient_sos(pos, c, d, b)
     )
 
-
-def _half_plane(dx: int, dy: int) -> int:
-    """0 for directions in [0, pi), 1 for [pi, 2pi); angle 0 is +x."""
-    if dy > 0 or (dy == 0 and dx > 0):
-        return 0
-    return 1
-
-
-def compare_directions(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Order two nonzero direction vectors by angle counterclockwise from +x.
-
-    Returns -1/0/+1; 0 means the directions coincide exactly.
-    """
-    hu, hv = _half_plane(*u), _half_plane(*v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0

@@ -143,7 +143,7 @@ def remove_crossings(g: PhaseConflictGraph) -> tuple[int, ...]:
 
 
 def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmbedding:
-    """Embed the edges `remove_crossings` left: one direction sort of each
+    """Embed the edges `remove_crossings` left: one angular sort of each
     node's surviving edges gives the rotation system, the faces are traced
     from it, and the Euler check runs on each component, which certifies
     that the rotation system and the crossings describe one plane drawing."""
@@ -156,29 +156,29 @@ def embed(g: PhaseConflictGraph, removed_edge_ids: tuple[int, ...]) -> PlanarEmb
 
 
 def _compare_darts(pos, node: int, a, b) -> int:
-    """Order two edges leaving `node`, each as (edge id, direction, far
-    end), counterclockwise from +x; edges on one ray in the order the
-    perturbation gives them: a first when b is counterclockwise of a."""
-    return geometry.compare_directions(a[1], b[1]) or -geometry.orient_sos(pos, node, a[2], b[2])
+    """Order two edges leaving `node`, each as (edge id, half-plane, far
+    end), counterclockwise from +x: by half-plane, then a first when b is
+    counterclockwise of a under the perturbation."""
+    return a[1] - b[1] or -geometry.orient_sos(pos, node, a[2], b[2])
 
 
 def _rotation(g: PhaseConflictGraph, removed: set[int]) -> dict[int, tuple[int, ...]]:
     """Each node's surviving edges counterclockwise from +x, for the nodes
-    that keep an edge.  A zero-length edge leaves along (1, 0) when its far
-    end has the lower id and along (-1, 0) otherwise: the perturbation moves
-    the lower id farther, and first along +x.  Ties on one ray are broken by
-    `_compare_darts`."""
+    that keep an edge.  An edge's half-plane is 0 for directions in
+    [0, pi) and 1 for [pi, 2pi); a zero-length edge's is 0 at the end whose
+    far end has the lower id, since the perturbation moves the lower id
+    farther, and first along +x.  Within a half-plane `orient_sos` orders
+    the edges (`_compare_darts`)."""
     pos = g.positions
-    incident: list[list[tuple[int, tuple[int, int], int]]] = [[] for _ in pos]
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in pos]
     it = iter(g.ends)
     for eid, (u, v) in enumerate(zip(it, it)):
         if eid not in removed:
             (ux, uy), (vx, vy) = pos[u], pos[v]
-            dx, dy = vx - ux, vy - uy
-            if not (dx or dy):
-                dx = 1 if v < u else -1
-            incident[u].append((eid, (dx, dy), v))
-            incident[v].append((eid, (-dx, -dy), u))
+            dy = vy - uy
+            half = 0 if dy > 0 or (dy == 0 and (vx > ux or (vx == ux and v < u))) else 1
+            incident[u].append((eid, half, v))
+            incident[v].append((eid, 1 - half, u))
     rotation: dict[int, tuple[int, ...]] = {}
     for node_id, items in enumerate(incident):
         if len(items) == 1:

@@ -775,12 +775,3 @@ def min_crossing_removal_weight(edge_weights: dict, crossing_pairs) -> int:
         # early, but weights vary so the full sweep stays.
     return 0 if best is None else best
 
-
-def two_coloring_feasible(n_nodes: int, edges) -> bool:
-    """Plain structural bipartiteness via coloring enumeration."""
-    if n_nodes == 0:
-        return True
-    for mask in range(1 << n_nodes):
-        if all((mask >> u & 1) != (mask >> v & 1) for u, v in edges):
-            return True
-    return False

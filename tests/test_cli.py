@@ -108,6 +108,22 @@ class TestDetect:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ("150,200", "--rules expects CW,SW,GAP,MS"),
+            ("150,200,a,200", "--rules: invalid literal for int() with base 10: 'a'"),
+            ("0,200,50,200", "critical_width must be > 0"),
+            ("150,0,50,200", "shifter_width must be > 0"),
+            ("150,200,-1,200", "shifter_gap must be >= 0"),
+            ("150,200,50,0", "min_shifter_spacing must be > 0"),
+        ],
+    )
+    def test_bad_rules_exit_2(self, clean_layout_file, rules, message, capsys):
+        code, out = run_cli(["detect", str(clean_layout_file), "--rules", rules], capsys)
+        assert code == 2
+        assert out == f"design=clean\nerror={message}\n"
+
     def test_separation_weights(self, conflict_layout_file, capsys):
         code, out = run_cli(
             ["detect", str(conflict_layout_file), "--weights", "separation"], capsys
@@ -231,6 +247,19 @@ class TestOptionValidation:
         assert captured.err == "error=--out and --out-dir are exclusive; give one\n"
         assert not out_file.exists() and not out_dir.exists()
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_with_several_inputs_rejected(
+        self, clean_layout_file, conflict_layout_file, tmp_path, capsys
+    ):
+        out_file = tmp_path / "x.fixed"
+        code = main(
+            ["correct", str(clean_layout_file), str(conflict_layout_file), "--out", str(out_file)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error=--out needs a single input; use --out-dir\n"
+        assert not out_file.exists()
 
     def test_boundary_values_accepted(self, conflict_layout_file, tmp_path, capsys):
         out_file = tmp_path / "fixed.lay"

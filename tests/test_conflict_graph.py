@@ -159,6 +159,10 @@ class TestBuild:
             if e.kind == EDGE_OVERLAP_HALF:
                 assert e.weight == e.required_separation
 
+    def test_unknown_weight_mode_rejected(self, odd_ring_fixture):
+        with pytest.raises(ValueError, match="unknown weight mode 'bogus'"):
+            build_conflict_graph(*odd_ring_fixture, weight_mode="bogus")
+
     def test_ring_is_odd(self, odd_ring_fixture):
         shifters, pairs, rules = odd_ring_fixture
         g = build_conflict_graph(shifters, pairs, rules)

@@ -11,7 +11,6 @@ from aapsm.conflict_graph import build_conflict_graph
 from aapsm.generator import generate_layout
 from aapsm.geometry import (
     box_pairs,
-    compare_directions,
     orient_sos,
     segment_box,
     segments_cross,
@@ -102,19 +101,6 @@ def test_orient_sos_matches_polynomial_oracle():
         assert sign == orient_sos_oracle(pos, i, j, k) != 0, (pos, i, j, k)
         assert orient_sos(pos, j, i, k) == orient_sos(pos, i, k, j) == -sign
         assert orient_sos(pos, j, k, i) == sign
-
-
-def test_direction_ordering_is_ccw_from_positive_x():
-    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-    for i, u in enumerate(dirs):
-        for j, v in enumerate(dirs):
-            expect = 0 if i == j else (-1 if i < j else 1)
-            assert compare_directions(u, v) == expect
-
-
-def test_direction_equal_for_parallel_same_direction():
-    assert compare_directions((2, 4), (1, 2)) == 0
-    assert compare_directions((2, 4), (-1, -2)) != 0
 
 
 def _box(x, y, w, h):

@@ -81,8 +81,27 @@ class TestParse:
         assert "line 2" in str(err.value)
 
     def test_unknown_record(self):
-        with pytest.raises(LayoutParseError):
+        with pytest.raises(LayoutParseError) as err:
             parse_layout("polygon 0 0 1 1\n")
+        assert str(err.value) == "line 1: unknown record 'polygon'"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("rules 150 200 50", "expected: rules <cw> <sw> <gap> <min_spacing>"),
+            ("bbox 0 0 10", "expected: bbox <x1> <y1> <x2> <y2>"),
+        ],
+    )
+    def test_record_of_wrong_length_named_at_its_line(self, record, message):
+        with pytest.raises(LayoutParseError) as err:
+            parse_layout(f"rect poly 0 0 5 5\n{record}\n")
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.line_no == 2
+
+    def test_duplicate_rect_ids_rejected(self):
+        rects = (Rect(0, 0, 100, 1000, FEATURE_LAYER, 0), Rect(500, 0, 600, 1000, "metal", 0))
+        with pytest.raises(LayoutValidationError, match="^duplicate rect ids in layout$"):
+            Layout(rects)
 
     @pytest.mark.parametrize(
         "first, again",
@@ -164,6 +183,13 @@ class TestBboxContainment:
     def test_rect_outside_bbox_rejected(self, rect):
         with pytest.raises(LayoutValidationError, match=f"rect 1 on layer {rect.layer}"):
             Layout((Rect(300, 100, 400, 900, FEATURE_LAYER, 0), rect), bbox=self.BBOX)
+
+    @pytest.mark.parametrize("bbox", [(0, 0, 0, 10), (0, 10, 10, 10), (5, 0, 0, 10)])
+    def test_degenerate_bbox_rejected(self, bbox):
+        with pytest.raises(LayoutValidationError, match="^degenerate bbox$"):
+            Layout((), bbox=bbox)
+        with pytest.raises(LayoutValidationError, match="^degenerate bbox$"):
+            parse_layout("bbox {} {} {} {}\n".format(*bbox))
 
     def test_parse_rejects_rect_outside_bbox(self):
         with pytest.raises(LayoutValidationError, match="outside the bbox"):

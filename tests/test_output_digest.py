@@ -57,3 +57,13 @@ def test_design_output_covers_every_part(tool, workload, weight_mode):
         assert ("balanced_before", "0") in det.report
         duals = [line for line in extra if line.startswith("dual ")]
         assert len(duals) == len(build_dual(det.embedding).edges) > 0
+
+
+def test_outputs_match_the_pinned_digest(tool, capsys):
+    """Every output of seeds 1 and 2, pinned.  A change meant to alter the
+    outputs updates these digests and gives its reason in CHANGES.md."""
+    assert tool.main(["1", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "runs=1072 digest=f5c6d4667eabd89ec8cba7b9390f8f4d236db0f358ca4b18116797ef6370b38d"
+        " extended=84b70e9c9dbdb8249abe9ef4437577b6f62b3d4d9953a3487544cb1a208c6aa9\n"
+    )

@@ -119,7 +119,7 @@ def predicates_in_pcg_build(monkeypatch, design) -> list[str]:
         return lambda *args: called.append(name) or fn(*args)
 
     with monkeypatch.context() as m:
-        for name in ("orient_sos", "segments_cross", "compare_directions", "box_pairs"):
+        for name in ("orient_sos", "segments_cross", "box_pairs"):
             m.setattr(geometry, name, spy(name))
         g = conflict_graph.build_conflict_graph(shifters, pairs, design.rules)
     assert g.perturbed_nodes == ()
