@@ -82,8 +82,9 @@ def finalize_conflicts(
     is then re-tested in edge-id order with a parity union-find over the
     survivor components it touches: a consistent edge rejoins the graph
     (an edge bridging two components merges them instead of being charged
-    as a conflict), a contradicting one becomes a conflict.  The returned
-    set carries the final coloring, each component's lowest node at 0.
+    as a conflict), a contradicting one becomes a conflict.  The graph
+    without the conflicts is then two-colored again, which both certifies
+    its balance and gives the returned set its canonical coloring.
     """
     m_set = set(bipartization_set)
     p_set = set(planarization_removed)
@@ -106,16 +107,12 @@ def finalize_conflicts(
             relation = flips[eid] ^ colors[u] ^ colors[v]
             if not uf.union(component[u], component[v], relation):
                 contradicted.append(eid)
-        # flip each merged set so its lowest label, the lowest node of the
-        # final component (each label is its component's lowest node, at
-        # color 0), keeps color 0
-        anchor: dict[int, int] = {}  # final root -> parity of its lowest label
-        flip: dict[int, int] = {}
-        for label in sorted(uf.keys()):
-            root, parity = uf.find(label)
-            flip[label] = parity ^ anchor.setdefault(root, parity)
-        if any(flip.values()):
-            colors = [c ^ flip.get(label, 0) for c, label in zip(colors, component)]
+        colors, _, witness = signed_components(g, m_set.union(contradicted))
+        if witness is not None:
+            raise InternalInvariantError(
+                f"graph without the conflicts is not balanced after re-check: "
+                f"unbalanced cycle {witness}"
+            )
 
     origin = dict.fromkeys(m_set, ORIGIN_MATCHING)
     origin.update(dict.fromkeys(contradicted, ORIGIN_PLANARIZATION))

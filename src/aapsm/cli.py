@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from .conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM, dump_graph
-from .errors import AapsmError, EXIT_INPUT_ERROR, EXIT_OK, InputError
+from .errors import AapsmError, EXIT_INPUT_ERROR, EXIT_OK, InputError, LayoutValidationError
 from .generator import generate_layout
 from .layout import DesignRules, parse_layout, serialize_layout
 from .pipeline import correct, detect, render_report
@@ -91,8 +91,11 @@ def _write(path: pathlib.Path, text: str, make_parent: bool = False) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
-    """Process one layout file; returns (exit code, report text)."""
+def _run_one(
+    path_str: str, args: argparse.Namespace, rules: DesignRules | None
+) -> tuple[int, str]:
+    """Process one layout file, under `rules` when given instead of the
+    file's own; returns (exit code, report text)."""
     path = pathlib.Path(path_str)
     many = len(args.layouts) > 1
     try:
@@ -101,8 +104,8 @@ def _run_one(path_str: str, args: argparse.Namespace) -> tuple[int, str]:
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         layout = parse_layout(text)
-        if args.rules:
-            layout = dataclasses.replace(layout, rules=_parse_rules(args.rules))
+        if rules is not None:
+            layout = dataclasses.replace(layout, rules=rules)
 
         detection = detect(
             layout,
@@ -175,6 +178,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"error=--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    try:
+        rules = _parse_rules(args.rules) if args.rules else None
+    except (InputError, LayoutValidationError) as exc:
+        print(f"error={exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     # with several inputs, --out-dir and --dump-* name each output by its
     # input's stem, so two inputs with one stem would write the same files
     per_stem_outputs = ("out_dir", "dump_graph", "dump_embedding", "dump_conflicts", "dump_plan")
@@ -199,11 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         spawn = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             futures = [
-                pool.submit(_run_one, p, args) for p in args.layouts
+                pool.submit(_run_one, p, args, rules) for p in args.layouts
             ]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one(p, args) for p in args.layouts]
+        results = [_run_one(p, args, rules) for p in args.layouts]
 
     code = EXIT_OK
     for idx, (rc, text) in enumerate(results):

@@ -119,6 +119,13 @@ DEFAULT_RULES = DesignRules(
 )
 
 
+def _check_bbox(bbox: tuple[int, int, int, int]) -> None:
+    """Reject a bbox without interior."""
+    x_lo, y_lo, x_hi, y_hi = bbox
+    if not (x_lo < x_hi and y_lo < y_hi):
+        raise LayoutValidationError("degenerate bbox")
+
+
 @dataclass(frozen=True)
 class Layout:
     """A bag of rectangles plus the rules that govern them.
@@ -138,9 +145,8 @@ class Layout:
         if len(ids) != len(set(ids)):
             raise LayoutValidationError("duplicate rect ids in layout")
         if self.bbox is not None:
+            _check_bbox(self.bbox)
             x_lo, y_lo, x_hi, y_hi = self.bbox
-            if not (x_lo < x_hi and y_lo < y_hi):
-                raise LayoutValidationError("degenerate bbox")
             for r in self.rects:
                 if not (x_lo <= r.x_lo and r.x_hi <= x_hi and y_lo <= r.y_lo and r.y_hi <= y_hi):
                     raise LayoutValidationError(
@@ -229,11 +235,10 @@ def parse_layout(text: str) -> Layout:
                 if len(parts) != 5:
                     raise ValueError("expected: bbox <x1> <y1> <x2> <y2>")
                 bbox = tuple(int(p) for p in parts[1:])
+                _check_bbox(bbox)
             else:
                 raise ValueError(f"unknown record {kind!r}")
-        except LayoutValidationError as exc:
-            raise LayoutParseError(str(exc), line_no) from exc
-        except ValueError as exc:
+        except (LayoutValidationError, ValueError) as exc:
             raise LayoutParseError(str(exc), line_no) from exc
     return Layout(tuple(rects), rules, bbox)
 

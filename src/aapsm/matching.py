@@ -11,7 +11,11 @@ iteration order are networkx's, so it makes the same choice on every tie and
 returns the same matching as networkx does on the graph built from the same
 nodes and edges in the same order.  Only what this module never asks for is
 left out: non-integer weights, the maximum-weight (not max-cardinality)
-variant and self-loops.
+variant and self-loops.  Nor does it keep networkx's table of allowable
+edges: an edge between two top-level blossoms is allowable exactly when its
+slack, computed in the scan, is zero, since the table only ever marks
+zero-slack edges and within a stage a dual update leaves the slack of an
+S-T edge unchanged.
 
 Minimization is the max-cardinality maximum-weight matching of the negated
 weights: all perfect matchings share the same cardinality, so maximizing
@@ -124,7 +128,9 @@ def _max_weight_matching(
 
     nbrs[v] lists v's neighbours (not v itself) in the order they are
     scanned; weight[v][w] = weight[w][v] is the integer weight of edge vw,
-    and entries for non-edges are never read.
+    and entries for non-edges are never read.  No edge is cached as
+    allowable: the scan takes zero slack as the test, so `weight` is the one
+    n x n table.
     """
     n = len(nbrs)
 
@@ -184,10 +190,6 @@ def _max_weight_matching(
 
     # blossomdual[b] = z(b) of each live non-trivial blossom.
     blossomdual: dict[int, int] = {}
-
-    # allowed[v][w] = allowed[w][v] = 1: edge vw is known to have zero slack
-    # (0: it may or may not).
-    allowed = [bytearray(n) for _ in range(n)]
 
     # Newly discovered S-vertices.
     queue: list[int] = []
@@ -377,22 +379,17 @@ def _max_weight_matching(
                 v, w = labeledge[b]
                 while j != 0:
                     # Relabel the T-sub-blossom.
-                    if jstep == 1:
-                        p, q = edges[j]
-                    else:
-                        q, p = edges[j - 1]
+                    q = edges[j][1] if jstep == 1 else edges[j - 1][0]
                     label[w] = 0
                     label[q] = 0
                     assign_label(w, 2, v)
-                    # Step to the next S-sub-blossom and note its forward edge.
-                    allowed[p][q] = allowed[q][p] = 1
+                    # Step to the next S-sub-blossom.
                     j += jstep
                     if jstep == 1:
                         v, w = edges[j]
                     else:
                         w, v = edges[j - 1]
                     # Step to the next T-sub-blossom.
-                    allowed[v][w] = allowed[w][v] = 1
                     j += jstep
                 # Relabel the base T-sub-blossom without stepping through to
                 # its mate (so not through assign_label).
@@ -579,9 +576,6 @@ def _max_weight_matching(
         bestedge[:] = [None] * (2 * n)
         for b in blossomdual:
             mybestedges[b] = None
-        # Currently allowable edges may not stay so through this stage.
-        for row in allowed:
-            row[:] = bytes(n)
         queue.clear()
 
         # Label single blossoms/vertices with S and put them in the queue.
@@ -603,18 +597,14 @@ def _max_weight_matching(
                 bv = inblossom[v]
                 dv = dualvar[v]
                 wv = weight[v]
-                allowv = allowed[v]
                 for w in nbrs[v]:
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    if not allowv[w]:
-                        kslack = dv + dualvar[w] - 2 * wv[w]
-                        if kslack <= 0:
-                            # zero slack: the edge is allowable
-                            allowv[w] = allowed[w][v] = 1
-                    if allowv[w]:
+                    kslack = dv + dualvar[w] - 2 * wv[w]
+                    if kslack <= 0:
+                        # zero slack: the edge is allowable
                         if label[bw] == 0:
                             # (C1) w is free: label w T and its mate S.
                             assign_label(w, 2, v)
@@ -725,16 +715,10 @@ def _max_weight_matching(
             if deltatype == 1:
                 # No further improvement possible; optimum reached.
                 break
-            elif deltatype == 2:
-                # Use the least-slack edge to continue the search.
-                v, w = deltaedge
-                assert label[inblossom[v]] == 1
-                allowed[v][w] = allowed[w][v] = 1
-                queue.append(v)
-            elif deltatype == 3:
-                # Use the least-slack edge to continue the search.
-                v, w = deltaedge
-                allowed[v][w] = allowed[w][v] = 1
+            elif deltatype in (2, 3):
+                # Use the least-slack edge, now of zero slack, to continue
+                # the search.
+                v = deltaedge[0]
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:

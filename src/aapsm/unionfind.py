@@ -20,10 +20,6 @@ class ParityUnionFind:
             self._rank[x] = 0
             self._parity[x] = 0
 
-    def keys(self):
-        """The elements added so far."""
-        return self._parent.keys()
-
     def find(self, x: int) -> tuple[int, int]:
         """Root of x's set and x's parity relative to that root."""
         self.add(x)

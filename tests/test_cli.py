@@ -120,9 +120,22 @@ class TestDetect:
         ],
     )
     def test_bad_rules_exit_2(self, clean_layout_file, rules, message, capsys):
-        code, out = run_cli(["detect", str(clean_layout_file), "--rules", rules], capsys)
+        code = main(["detect", str(clean_layout_file), "--rules", rules])
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == f"design=clean\nerror={message}\n"
+        assert captured.out == ""
+        assert captured.err == f"error={message}\n"
+
+    def test_bad_rules_reported_once_before_any_layout_is_read(
+        self, clean_layout_file, tmp_path, capsys
+    ):
+        # the second input does not exist: reading it would be an error too
+        missing = tmp_path / "missing.lay"
+        code = main(["detect", str(clean_layout_file), str(missing), "--rules", "150,200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error=--rules expects CW,SW,GAP,MS\n"
 
     def test_separation_weights(self, conflict_layout_file, capsys):
         code, out = run_cli(

@@ -3,9 +3,9 @@
 The T-join is read off the embedding's darts (`solve_on_darts` through
 `bipartize_optimal`); it must pick what `solve_tjoin` picks over the dual's
 own edge records, with the same blossom calls.  The conflict selection
-two-colors the survivors once and re-tests the casualties over their
-components; it must charge what one parity union-find over every node
-charged (`finalize_oracle`), with the same phases.
+two-colors the survivors, re-tests the casualties over their components and
+two-colors the graph without the conflicts; it must charge what one parity
+union-find over every node charged (`finalize_oracle`), with the same phases.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 import aapsm.tjoin
 from aapsm import planar
 from aapsm.bipartize import ORIGIN_PLANARIZATION, bipartize_optimal
-from aapsm.conflict_graph import PHASE_B, WEIGHT_SEPARATION, WEIGHT_UNIFORM
+from aapsm.conflict_graph import PHASE_B, WEIGHT_SEPARATION, WEIGHT_UNIFORM, signed_components
 from aapsm.generator import generate_layout
 from aapsm.pipeline import correct, detect
 from aapsm.planar import build_dual
@@ -62,7 +62,7 @@ def test_darts_route_matches_dual_records(monkeypatch, detections):
 
 
 def test_finalize_matches_signed_forest_oracle(detections):
-    readmitted = charged = 0
+    readmitted = charged = recolored = 0
     for name, det in detections:
         origin, phases = finalize_oracle(det.graph, det.removed_edge_ids, det.optimal_edge_ids)
         assert {c.edge_id: c.origin for c in det.conflicts.conflicts} == origin, name
@@ -74,8 +74,11 @@ def test_finalize_matches_signed_forest_oracle(detections):
         charged_here = {e for e, o in origin.items() if o == ORIGIN_PLANARIZATION}
         charged += bool(charged_here)
         readmitted += bool(casualties - charged_here)
-    # casualties both rejoin the graph and get charged
-    assert charged > 0 and readmitted > 0, (charged, readmitted)
+        survivors_only = signed_components(det.graph, casualties | set(det.optimal_edge_ids))[0]
+        recolored += det.conflicts.colors != tuple(survivors_only)
+    # casualties both rejoin the graph and get charged, and some rejoining
+    # casualty merges components so that one of them flips
+    assert charged > 0 and readmitted > 0 and recolored > 0, (charged, readmitted, recolored)
 
 
 def test_unbalanced_detect_and_correct_build_no_dual_records(monkeypatch):

@@ -188,7 +188,7 @@ class TestBboxContainment:
     def test_degenerate_bbox_rejected(self, bbox):
         with pytest.raises(LayoutValidationError, match="^degenerate bbox$"):
             Layout((), bbox=bbox)
-        with pytest.raises(LayoutValidationError, match="^degenerate bbox$"):
+        with pytest.raises(LayoutParseError, match="^line 1: degenerate bbox$"):
             parse_layout("bbox {} {} {} {}\n".format(*bbox))
 
     def test_parse_rejects_rect_outside_bbox(self):

@@ -11,7 +11,7 @@ from aapsm.errors import MatchingInfeasibleError
 from aapsm.matching import _max_weight_matching, min_weight_perfect_matching
 from aapsm.pipeline import detect
 
-from conftest import manhattan_layout, spy_blossom
+from conftest import big_manhattan_layout, manhattan_layout, spy_blossom
 from oracles import min_perfect_matching_weight
 
 
@@ -277,14 +277,44 @@ def test_same_pairs_as_networkx_on_detect_closures(monkeypatch):
         assert check_same_pairs(nodes, edges)
 
 
+# the conflict ids of `detect(big_manhattan_layout(125))`, uniform weights
+BIG_MANHATTAN_125_CONFLICTS = (
+    134, 140, 143, 147, 152, 156, 161, 165, 169, 177, 181, 186, 190, 195, 197, 199,
+    205, 208, 209, 216, 223, 229, 231, 241, 245, 251, 255, 264, 269, 271, 280, 285,
+    297, 301, 308, 317, 329, 331, 333, 335, 341, 349, 351, 355, 357, 359, 364, 367,
+    377, 384, 388, 390, 391, 399, 407, 421, 435, 437, 439, 443, 447, 449, 455, 463,
+    467, 471, 473, 479, 482, 485, 487, 494, 498, 501, 503, 517, 520, 521, 527, 532,
+    535, 537, 539, 542, 547, 555, 559, 563, 569, 574, 577, 581, 585, 600, 601, 604,
+    607, 615, 622, 623, 631, 639, 641, 643, 653, 655, 661, 673, 677, 681, 683, 689,
+    695, 701, 709, 716, 719, 721, 725, 727, 741, 753, 759, 761, 765, 769, 775, 779,
+    789, 796, 803, 813, 819, 823, 825, 829, 833, 835, 839, 844, 850, 853, 859, 863,
+    871, 873, 877, 883, 887, 890, 899, 903, 908, 913, 923, 929, 937, 941, 950, 959,
+    963, 967, 971, 975, 983, 987, 995, 999, 1003, 1015, 1027, 1037, 1041, 1047, 1057,
+)
+
+
+def test_dense_design_pins_one_large_blossom_call(monkeypatch):
+    """A dense design hands the matcher one closure over 152 odd faces, far
+    above the benchmark designs' 20 at most; its conflicts stay pinned."""
+    with monkeypatch.context() as m:
+        blossom_nodes = spy_blossom(m)
+        det = detect(big_manhattan_layout(125))
+    assert blossom_nodes == [152]
+    report = dict(det.report)
+    assert (report["conflicts_np"], report["weight_np"]) == ("106", "106")
+    assert report["conflicts_pcg"] == "175"
+    assert det.conflicts.edge_ids == BIG_MANHATTAN_125_CONFLICTS
+
+
 def test_port_follows_networkx_on_signed_weights():
     """The blossom port itself, fed weights of either sign (costs reach it
     only negated), matches what networkx matches on the same graph: mixed
     signs take the search through T-blossom relabelling and expansion, which
-    non-positive weights rarely reach."""
+    non-positive weights rarely reach.  The larger graphs reach expansion of
+    T-blossoms nested in T-blossoms, which the small ones seldom do."""
     rng = random.Random(2)
-    for _ in range(1000):
-        n = rng.randint(2, 16)
+    for trial in range(1060):
+        n = rng.randint(2, 16) if trial < 1000 else (30, 45, 60)[trial % 3]
         density = rng.choice((0.2, 0.35, 0.5, 0.8, 1.0))
         lo, hi = rng.choice(((1, 10), (-10, 10), (0, 2), (1, 100), (-100, 0)))
         graph = nx.Graph()

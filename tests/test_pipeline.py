@@ -345,9 +345,13 @@ class TestFaultsStillCaught:
     @pytest.mark.parametrize(
         "design, message",
         [
-            # casualty 4 contradicts the survivors; readmitted, it breaks
-            # the phase certificate of the coloring finalize hands on
-            ("tangled", r"edge 4 constraint violated"),
+            # casualty 4 contradicts the survivors; readmitted, it leaves
+            # the final two-coloring of finalize an unbalanced cycle
+            (
+                "tangled",
+                r"^graph without the conflicts is not balanced after re-check: "
+                r"unbalanced cycle \(1, 15, 16, 19, 20\)$",
+            ),
             # no casualty: the greedy baseline's phases find the cycle
             ("comb", "residual unbalanced cycle"),
         ],
@@ -365,8 +369,9 @@ class TestFaultsStillCaught:
             return True
 
         monkeypatch.setattr(ParityUnionFind, "union", never_contradicts)
-        with pytest.raises(InternalInvariantError, match=message):
+        with pytest.raises(InternalInvariantError, match=message) as caught:
             detect(layout, run_greedy_baseline=True)
+        assert caught.value.exit_code == 4
 
     @pytest.mark.parametrize("density", [0.0, 0.7], ids=["rows", "comb"])
     def test_phases_violating_a_kept_constraint(self, monkeypatch, density):
