@@ -37,6 +37,7 @@ from .layout import (
     Layout,
     Rect,
     Shifter,
+    ShifterSet,
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,

@@ -1,12 +1,12 @@
 """Phase conflict graph over shifters and their overlap pairs.
 
-Nodes are edge-shifter nodes (one per shifter, at the shifter rect center) and
+Nodes are edge-shifter nodes (one per shifter, at the shifter box center) and
 overlap nodes (one per overlapping pair, at the midpoint between the two
 shifter centers).  Edges either join the two shifters of one feature
 (opposite-phase constraint) or join a shifter to an overlap node (same-phase
 constraint, two halves per overlap pair).
 
-Positions are stored in quarter-nm units (nm * 4) so that both rect centers
+Positions are stored in quarter-nm units (nm * 4) so that both box centers
 and overlap midpoints are exact integers.
 """
 
@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, LayoutValidationError
-from .layout import DesignRules, Shifter
+from .layout import DesignRules, ShifterSet
 from .unionfind import ParityUnionFind
 
 NODE_EDGE_SHIFTER = "edge_shifter"
@@ -120,26 +120,21 @@ class BipartiteResult:
 
 
 def build_conflict_graph(
-    shifters: tuple[Shifter, ...],
+    shifters: ShifterSet,
     overlap_pairs: tuple[tuple[int, int, int], ...],
     rules: DesignRules,
     weight_mode: str = WEIGHT_UNIFORM,
 ) -> PhaseConflictGraph:
-    """Assemble the phase conflict graph from shifters and overlap pairs."""
+    """Assemble the phase conflict graph from the shifter columns and the
+    overlap pairs.  Node k is shifter k, at its box center; each feature's
+    two shifters, in id order, make its feature edge."""
     if weight_mode not in (WEIGHT_UNIFORM, WEIGHT_SEPARATION):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
-    # one pass over the shifters in id order: node ids follow shifter ids, so
-    # each feature's node list is in id order already
-    ordered = sorted(shifters, key=lambda s: s.id)
-    node_of_shifter: dict[int, int] = {}
-    positions: list[tuple[int, int]] = []
+    # centers in quarter-nm, exact
+    positions = [(2 * (x1 + x2), 2 * (y1 + y2)) for x1, y1, x2, y2 in shifters.boxes]
     by_feature: dict[int, list[int]] = {}
-    for nid, s in enumerate(ordered):
-        r = s.rect
-        node_of_shifter[s.id] = nid
-        # center in quarter-nm, exact
-        positions.append((2 * (r.x_lo + r.x_hi), 2 * (r.y_lo + r.y_hi)))
-        by_feature.setdefault(s.feature_id, []).append(nid)
+    for sid, fid in enumerate(shifters.feature_ids):
+        by_feature.setdefault(fid, []).append(sid)
 
     ends: list[int] = []
     shifter_pairs: list[tuple[int, int]] = []
@@ -149,9 +144,8 @@ def build_conflict_graph(
             raise LayoutValidationError(
                 f"feature {fid} has {len(pair)} shifters, expected 2"
             )
-        u, v = pair
         ends += pair
-        shifter_pairs.append((ordered[u].id, ordered[v].id))
+        shifter_pairs.append(tuple(pair))
     features = len(shifter_pairs)
     weights: list[int] = [FEATURE_EDGE_WEIGHT] * features
     required: list[int | None] = [None] * features
@@ -165,19 +159,18 @@ def build_conflict_graph(
                 f"overlap pair ({s1},{s2}) separation {sep} is not below "
                 f"the minimum spacing {spacing}"
             )
-        u, v = node_of_shifter[s1], node_of_shifter[s2]
-        (ux, uy), (vx, vy) = positions[u], positions[v]
+        (ux, uy), (vx, vy) = positions[s1], positions[s2]
         onid = len(positions)
         # node coords are even: the midpoint is exact
         positions.append(((ux + vx) // 2, (uy + vy) // 2))
-        ends += (u, onid, onid, v)  # the two halves u-o and o-v
+        ends += (s1, onid, onid, s2)  # the two halves s1-o and o-s2
         weight = 1 if uniform else need
         weights += (weight, weight)
         shifter_pairs += ((s1, s2), (s1, s2))
         required += (need, need)
 
-    kinds = [NODE_EDGE_SHIFTER] * len(ordered)
-    kinds += [NODE_OVERLAP] * (len(positions) - len(ordered))
+    kinds = [NODE_EDGE_SHIFTER] * len(shifters)
+    kinds += [NODE_OVERLAP] * (len(positions) - len(shifters))
     flips = [1] * features + [0] * (len(weights) - features)
     return PhaseConflictGraph(
         tuple(positions), tuple(kinds), tuple(ends), tuple(weights), tuple(flips),

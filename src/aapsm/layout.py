@@ -12,10 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import geometry
 from .errors import LayoutParseError, LayoutValidationError
+from .geometry import Box
 
 log = logging.getLogger(__name__)
 
@@ -70,25 +72,29 @@ class Rect:
         )
 
 
-def axis_gaps(a: Rect, b: Rect) -> tuple[int, int]:
-    """Per-axis clearance between two rects; 0 where projections overlap or touch."""
-    gx = max(0, a.x_lo - b.x_hi, b.x_lo - a.x_hi)
-    gy = max(0, a.y_lo - b.y_hi, b.y_lo - a.y_hi)
-    return gx, gy
+def box_gaps(a: Box, b: Box) -> tuple[int, int]:
+    """Per-axis clearance between two boxes (x_lo, y_lo, x_hi, y_hi); 0
+    where their projections overlap or touch."""
+    return max(0, a[0] - b[2], b[0] - a[2]), max(0, a[1] - b[3], b[1] - a[3])
 
 
-def rect_separation(a: Rect, b: Rect) -> int:
-    """Separation between two rects in nm.
+def box_separation(a: Box, b: Box) -> int:
+    """Separation between two boxes in nm.
 
     Per-axis gaps gx, gy (0 when the projections overlap); the separation is
     the nonzero gap when only one axis is open, and floor(sqrt(gx^2 + gy^2))
-    when the rects are diagonal to each other.  Intersecting rects have
+    when the boxes are diagonal to each other.  Intersecting boxes have
     separation 0.
     """
-    gx, gy = axis_gaps(a, b)
+    gx, gy = box_gaps(a, b)
     if gx == 0 or gy == 0:
         return max(gx, gy)
     return math.isqrt(gx * gx + gy * gy)
+
+
+def rect_separation(a: Rect, b: Rect) -> int:
+    """`box_separation` of the two rects' boxes."""
+    return box_separation((a.x_lo, a.y_lo, a.x_hi, a.y_hi), (b.x_lo, b.y_lo, b.x_hi, b.y_hi))
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,8 @@ class Shifter(NamedTuple):
     """One phase shifter flanking a critical feature.
 
     `side` is low/high along the feature's short axis: left/right for vertical
-    features, below/above for horizontal ones.  A NamedTuple: cheap to build,
-    immutable; derive a changed copy with `_replace`.
+    features, below/above for horizontal ones.  A NamedTuple: immutable;
+    derive a changed copy with `_replace`.  `ShifterSet.records` builds them.
     """
 
     rect: Rect
@@ -191,6 +197,42 @@ class Shifter(NamedTuple):
     side: str
     id: int
     clipped: bool = False
+
+
+@dataclass(frozen=True)
+class ShifterSet:
+    """The shifters as flat columns, indexed by shifter id.
+
+    Shifter k is the box boxes[k] on side sides[k] of feature
+    feature_ids[k]; clipped[k] tells whether the layout bbox clipped it.
+
+    `records` gives the same shifters as Shifter records on shifter-layer
+    Rects (each validates itself), built once, on first access; iterating
+    and indexing read them.  The pipeline reads the columns.
+    """
+
+    boxes: tuple[Box, ...]
+    feature_ids: tuple[int, ...]
+    sides: tuple[str, ...]
+    clipped: tuple[bool, ...]
+
+    @cached_property
+    def records(self) -> tuple[Shifter, ...]:
+        return tuple(
+            Shifter(Rect(*box, SHIFTER_LAYER, sid), fid, side, sid, clip)
+            for sid, (box, fid, side, clip) in enumerate(
+                zip(self.boxes, self.feature_ids, self.sides, self.clipped)
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __getitem__(self, k):
+        return self.records[k]
 
 
 def parse_layout(text: str) -> Layout:
@@ -267,8 +309,9 @@ def find_critical_features(layout: Layout) -> tuple[Rect, ...]:
     return tuple(r for r in layout.features if r.short_dim < cw)
 
 
-def generate_shifters(layout: Layout) -> tuple[Shifter, ...]:
-    """Two flanking shifters per critical feature.
+def generate_shifters(layout: Layout) -> ShifterSet:
+    """Two flanking shifters per critical feature, filled into the columns
+    of a ShifterSet; no Shifter or Rect is built.
 
     Shifters span the feature's full length at distance shifter_gap from its
     long sides, with zero line-end overhang.  Shifters falling outside a
@@ -281,28 +324,32 @@ def generate_shifters(layout: Layout) -> tuple[Shifter, ...]:
     cw, gap, sw = rules.critical_width, rules.shifter_gap, rules.shifter_width
     bbox = layout.bbox
     bx1, by1, bx2, by2 = bbox if bbox is not None else (None,) * 4
-    out: list[Shifter] = []
+    boxes: list[Box] = []
+    feature_ids: list[int] = []
+    clipped: list[bool] = []
     for feat in layout.features:
         x1, y1, x2, y2 = feat.x_lo, feat.y_lo, feat.x_hi, feat.y_hi
         if y2 - y1 >= x2 - x1:  # vertical; squares count as vertical
             if x2 - x1 >= cw:
                 continue
-            boxes = ((x1 - gap - sw, y1, x1 - gap, y2), (x2 + gap, y1, x2 + gap + sw, y2))
+            pair = ((x1 - gap - sw, y1, x1 - gap, y2), (x2 + gap, y1, x2 + gap + sw, y2))
         else:
             if y2 - y1 >= cw:
                 continue
-            boxes = ((x1, y1 - gap - sw, x2, y1 - gap), (x1, y2 + gap, x2, y2 + gap + sw))
-        for side, (lx, ly, hx, hy) in zip((SIDE_LOW, SIDE_HIGH), boxes):
-            sid = len(out)
-            if bbox is None or (bx1 <= lx and hx <= bx2 and by1 <= ly and hy <= by2):
-                rect, clipped = Rect(lx, ly, hx, hy, SHIFTER_LAYER, sid), False
-            else:
-                rect, clipped = _clip_to_bbox((lx, ly, hx, hy), bbox, sid, feat.id), True
-            out.append(Shifter(rect, feat.id, side, sid, clipped))
-    return tuple(out)
+            pair = ((x1, y1 - gap - sw, x2, y1 - gap), (x1, y2 + gap, x2, y2 + gap + sw))
+        for box in pair:
+            lx, ly, hx, hy = box
+            clip = bbox is not None and not (bx1 <= lx and hx <= bx2 and by1 <= ly and hy <= by2)
+            if clip:
+                box = _clip_to_bbox(box, bbox, len(boxes), feat.id)
+            boxes.append(box)
+            clipped.append(clip)
+        feature_ids += (feat.id, feat.id)
+    sides = (SIDE_LOW, SIDE_HIGH) * (len(boxes) // 2)
+    return ShifterSet(tuple(boxes), tuple(feature_ids), sides, tuple(clipped))
 
 
-def _clip_to_bbox(box, bbox, sid: int, feature_id: int) -> Rect:
+def _clip_to_bbox(box: Box, bbox: Box, sid: int, feature_id: int) -> Box:
     """The part of a box not inside the bbox that lies in it, logged as a
     clip; an error when no part of positive area is left."""
     x1, y1, x2, y2 = box
@@ -314,33 +361,29 @@ def _clip_to_bbox(box, bbox, sid: int, feature_id: int) -> Rect:
             "outside the layout bbox"
         )
     log.warning("shifter %d of feature %d clipped to layout bbox", sid, feature_id)
-    return Rect(cx1, cy1, cx2, cy2, SHIFTER_LAYER, sid)
+    return cx1, cy1, cx2, cy2
 
 
 def find_overlapping_pairs(
-    shifters: tuple[Shifter, ...], rules: DesignRules
+    shifters: ShifterSet, rules: DesignRules
 ) -> tuple[tuple[int, int, int], ...]:
     """All unordered pairs of shifters from different features closer than the
     minimum shifter spacing, as (id_lo, id_hi, separation_nm).
 
     Pairs from the same feature are never reported: those two shifters are
-    already bound to opposite phases.  Candidates come from the box index over
-    the rects grown by the spacing on their high sides: two grown boxes meet
-    exactly when both axis gaps are at most the spacing, which every pair
-    closer than the spacing satisfies.
+    already bound to opposite phases.  Reads the `boxes` and `feature_ids`
+    columns.  Candidates come from the box index over the boxes grown by the
+    spacing on their high sides: two grown boxes meet exactly when both axis
+    gaps are at most the spacing, which every pair closer than the spacing
+    satisfies.
     """
     spacing = rules.min_shifter_spacing
-    ordered = sorted(shifters, key=lambda s: s.id)
-    boxes = [
-        (r.x_lo, r.y_lo, r.x_hi + spacing, r.y_hi + spacing)
-        for r in (s.rect for s in ordered)
-    ]
+    boxes, feature_ids = shifters.boxes, shifters.feature_ids
+    grown = [(x1, y1, x2 + spacing, y2 + spacing) for x1, y1, x2, y2 in boxes]
     out = []
-    for i, j in geometry.box_pairs(boxes):
-        a, b = ordered[i], ordered[j]
-        if a.feature_id == b.feature_id:
-            continue
-        sep = rect_separation(a.rect, b.rect)
-        if sep < spacing:
-            out.append((a.id, b.id, sep))
+    for i, j in geometry.box_pairs(grown):
+        if feature_ids[i] != feature_ids[j]:
+            sep = box_separation(boxes[i], boxes[j])
+            if sep < spacing:
+                out.append((i, j, sep))
     return tuple(out)

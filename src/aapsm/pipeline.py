@@ -26,7 +26,7 @@ from .conflict_graph import (
 from .errors import InternalInvariantError, UncorrectableConflictError
 from .layout import (
     Layout,
-    Shifter,
+    ShifterSet,
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
@@ -54,7 +54,7 @@ class DetectionResult:
     """
 
     layout: Layout
-    shifters: tuple[Shifter, ...]
+    shifters: ShifterSet
     overlap_pairs: tuple
     graph: PhaseConflictGraph
     removed_edge_ids: tuple[int, ...]  # deleted by planarization (the set P)
@@ -104,7 +104,7 @@ class _Front(NamedTuple):
     at its built position; the back half's crossing search and embedding
     decide the drawing's ties by symbolic perturbation."""
 
-    shifters: tuple[Shifter, ...]
+    shifters: ShifterSet
     pairs: tuple
     graph: PhaseConflictGraph
     balance: BipartiteResult  # ok when the PCG two-colors, with its colors

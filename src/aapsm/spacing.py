@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bipartize import Conflict, ConflictSet
 from .errors import InternalInvariantError
-from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, Shifter, axis_gaps
+from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, ShifterSet, box_gaps
 from .setcover import CoverCandidate, exact_cover, greedy_cover
 
 AXIS_VERTICAL = "v"  # vertical space: cut line x = c, widens the layout in x
@@ -98,9 +98,9 @@ def _span(rect: Rect, axis: str) -> tuple[int, int]:
     return rect.y_lo, rect.y_hi
 
 
-def _move_limits(shifter: Shifter, feature: Rect, axis: str) -> tuple[int, int]:
-    """Move limits of the shifter's lo and hi edges on the cut axis: a cut at
-    c moves an edge iff c <= its limit.
+def _move_limits(side: str, feature: Rect, axis: str) -> tuple[int, int]:
+    """Move limits of the lo and hi edges, on the cut axis, of the shifter on
+    this side of the feature: a cut at c moves an edge iff c <= its limit.
 
     The limits come from the shifter's generating feature: shifters are
     regenerated from features after surgery, so a shifter edge moves exactly
@@ -111,30 +111,31 @@ def _move_limits(shifter: Shifter, feature: Rect, axis: str) -> tuple[int, int]:
     if feature.is_vertical == (axis == AXIS_VERTICAL):
         # the feature is parallel to the cut line: both shifter edges follow
         # the feature edge the shifter flanks
-        flank = lo if shifter.side == SIDE_LOW else hi - 1
+        flank = lo if side == SIDE_LOW else hi - 1
         return flank, flank
     return lo, hi - 1
 
 
 def compute_intervals(
-    layout: Layout, shifters: tuple[Shifter, ...], conflicts: ConflictSet
+    layout: Layout, shifters: ShifterSet, conflicts: ConflictSet
 ) -> tuple[tuple[CorrectionInterval, ...], tuple[Conflict, ...]]:
     """Correction intervals per conflict, plus the conflicts no space can fix.
 
     Feature-edge conflicts would need feature widening and are always routed
     to the uncovered list.  Overlap conflicts are deduplicated per shifter
     pair (both halves of one overlap name the same pair).  An interval on an
-    axis needs a non-empty open gap between the two rects across the cut line
+    axis needs a non-empty open gap between the two boxes across the cut line
     AND cut coordinates under which the two generating features part ways
     (shifters regenerate from features, so a pair whose features sit on one
     side of every gap coordinate would ride along unseparated): the move
     limits come from each shifter's generating feature in the layout, and a
     conflict shifter whose feature the layout lacks is a ValueError.
-    Without conflicts it returns at once and builds no lookup.
+    Reads the shifter columns; without conflicts it returns at once and
+    builds no lookup.
     """
     if not conflicts.conflicts:
         return (), ()
-    by_id = {s.id: s for s in shifters}
+    boxes, feature_ids, sides = shifters.boxes, shifters.feature_ids, shifters.sides
     features = {f.id: f for f in layout.features}
     spacing = layout.rules.min_shifter_spacing
     intervals: list[CorrectionInterval] = []
@@ -148,23 +149,26 @@ def compute_intervals(
         if key in seen:
             continue
         seen.add(key)
-        s1 = by_id[key[0]]
-        s2 = by_id[key[1]]
-        for s in (s1, s2):
-            if s.feature_id not in features:
-                raise ValueError(f"shifter {s.id} names feature {s.feature_id}, not in the layout")
-        gx, gy = axis_gaps(s1.rect, s2.rect)
+        for s in key:
+            if feature_ids[s] not in features:
+                raise ValueError(f"shifter {s} names feature {feature_ids[s]}, not in the layout")
+        s1, s2 = key
+        b1, b2 = boxes[s1], boxes[s2]
+        gx, gy = box_gaps(b1, b2)
         found = False
-        for axis, gap_this, gap_other in ((AXIS_VERTICAL, gx, gy), (AXIS_HORIZONTAL, gy, gx)):
-            (lo1, hi1), (lo2, hi2) = _span(s1.rect, axis), _span(s2.rect, axis)
-            gap_lo, gap_hi = min(hi1, hi2), max(lo1, lo2)
+        # a box's span across the cut line is (box[k], box[k + 2])
+        for axis, k, gap_this, gap_other in (
+            (AXIS_VERTICAL, 0, gx, gy), (AXIS_HORIZONTAL, 1, gy, gx)
+        ):
+            hi1, hi2 = b1[k + 2], b2[k + 2]
+            gap_lo, gap_hi = min(hi1, hi2), max(b1[k], b2[k])
             if gap_lo >= gap_hi:
                 continue
             sl, sr = (s1, s2) if hi1 <= hi2 else (s2, s1)
             # the left party's gap edge must stay put and the right party's
             # must move
-            lo = max(gap_lo, _move_limits(sl, features[sl.feature_id], axis)[1] + 1)
-            hi = min(gap_hi, _move_limits(sr, features[sr.feature_id], axis)[0])
+            lo = max(gap_lo, _move_limits(sides[sl], features[feature_ids[sl]], axis)[1] + 1)
+            hi = min(gap_hi, _move_limits(sides[sr], features[feature_ids[sr]], axis)[0])
             width = _width_for_axis(gap_this, gap_other, spacing)
             if lo <= hi and width > 0:
                 intervals.append(CorrectionInterval(key, axis, lo, hi, width))
@@ -293,7 +297,7 @@ def _box_area(layout: Layout) -> int:
 
 
 def apply_spaces(
-    layout: Layout, shifters: tuple[Shifter, ...], plan: SpacePlan
+    layout: Layout, shifters: ShifterSet, plan: SpacePlan
 ) -> tuple[Layout, AreaReport]:
     """Insert the planned spaces, returning the new layout and area report.
 

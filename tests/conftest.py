@@ -39,7 +39,14 @@ from aapsm.tjoin import (
     build_optimized_gadget_graph,
 )
 
-from oracles import cyclic_form, find_crossings_oracle, gadget_tjoin, perturbed_angular_order
+from oracles import (
+    cyclic_form,
+    find_crossings_oracle,
+    gadget_tjoin,
+    generate_shifters_oracle,
+    perturbed_angular_order,
+    shifters_from_records,
+)
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -84,6 +91,34 @@ def built_positions(shifters, pairs):
         (ax, ay), (bx, by) = center[a], center[b]
         out.append(((ax + bx) // 2, (ay + by) // 2))
     return tuple(out)
+
+
+def shifter_columns_against_oracle(layout, caplog) -> str:
+    """Assert that `generate_shifters` fills its columns with the record
+    oracle's shifters, in id, feature, side, box and clip flag, logging the
+    same clip warnings, or raises the oracle's error message.  Returns
+    "invalid", "clipped" or "plain" for what the design exercised."""
+    outcomes = []
+    for build in (generate_shifters, generate_shifters_oracle):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="aapsm.layout"):
+            try:
+                built = build(layout)
+            except LayoutValidationError as err:
+                built = str(err)
+        outcomes.append((built, [r.getMessage() for r in caplog.records]))
+    (columns, warned), (records, expected) = outcomes
+    assert warned == expected
+    if isinstance(records, str):
+        assert columns == records
+        return "invalid"
+    rows = zip(columns.feature_ids, columns.sides, columns.boxes, columns.clipped)
+    assert [(sid, *row) for sid, row in enumerate(rows)] == [
+        (s.id, s.feature_id, s.side, (s.rect.x_lo, s.rect.y_lo, s.rect.x_hi, s.rect.y_hi),
+         s.clipped)
+        for s in records
+    ]
+    return "clipped" if expected else "plain"
 
 
 def assert_perturbed_plane_embedding(emb):
@@ -175,7 +210,7 @@ def odd_ring_fixture():
         (400, 450),
         (0, 400),
     ]
-    shifters = tuple(
+    shifters = shifters_from_records(
         make_shifter(i, i // 2, SIDE_LOW if i % 2 == 0 else SIDE_HIGH, x, y)
         for i, (x, y) in enumerate(anchors)
     )

@@ -15,7 +15,9 @@ the embedding traced over half-edge keys (`embed_oracle`), the
 record-based conflict graph builder (`build_conflict_graph_oracle`; its
 `graph_from_records` also builds the hand-made graphs), and crossing
 removal by recounting every round (`remove_crossings_oracle`, over the
-package's `find_crossings`).  The one
+package's `find_crossings`), and the record-based shifter builder
+(`generate_shifters_oracle`; its `shifters_from_records` also builds the
+hand-made shifter sets).  The one
 solver-backed oracle, `exact_bipartization`, certifies its answer with the
 package's `phase_assign`.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +54,7 @@ from aapsm.conflict_graph import (
     signed_forest,
 )
 from aapsm.errors import InternalInvariantError, LayoutValidationError
+from aapsm.layout import SHIFTER_LAYER, SIDE_HIGH, SIDE_LOW, Rect, Shifter, ShifterSet
 from aapsm.matching import min_weight_perfect_matching
 from aapsm.planar import find_crossings
 from aapsm.tjoin import (
@@ -224,6 +228,61 @@ def cyclic_form(order) -> tuple:
     """A cyclic order written from its lowest element."""
     k = order.index(min(order))
     return tuple(order[k:]) + tuple(order[:k])
+
+
+# ---------------------------------------------------------------------------
+# the record-based shifter builder
+# ---------------------------------------------------------------------------
+
+
+def shifters_from_records(shifters) -> ShifterSet:
+    """The shifter columns of these Shifter records, sorted by id, which
+    must run 0..n-1: how tests build a shifter set by hand."""
+    ordered = sorted(shifters, key=lambda s: s.id)
+    assert [s.id for s in ordered] == list(range(len(ordered)))
+    return ShifterSet(
+        tuple((s.rect.x_lo, s.rect.y_lo, s.rect.x_hi, s.rect.y_hi) for s in ordered),
+        tuple(s.feature_id for s in ordered),
+        tuple(s.side for s in ordered),
+        tuple(s.clipped for s in ordered),
+    )
+
+
+def generate_shifters_oracle(layout) -> tuple[Shifter, ...]:
+    """The builder the shifter columns replaced: one Shifter on a
+    shifter-layer Rect per shifter, two per critical feature in feature
+    order, clipped to the bbox with a warning on the package's layout
+    logger, or an error when nothing of positive area is left."""
+    rules = layout.rules
+    gap, sw = rules.shifter_gap, rules.shifter_width
+    out = []
+    for feat in layout.features:
+        x1, y1, x2, y2 = feat.x_lo, feat.y_lo, feat.x_hi, feat.y_hi
+        if feat.short_dim >= rules.critical_width:
+            continue
+        if feat.is_vertical:
+            boxes = ((x1 - gap - sw, y1, x1 - gap, y2), (x2 + gap, y1, x2 + gap + sw, y2))
+        else:
+            boxes = ((x1, y1 - gap - sw, x2, y1 - gap), (x1, y2 + gap, x2, y2 + gap + sw))
+        for side, (lx, ly, hx, hy) in zip((SIDE_LOW, SIDE_HIGH), boxes):
+            sid = len(out)
+            clipped = False
+            if layout.bbox is not None:
+                bx1, by1, bx2, by2 = layout.bbox
+                if not (bx1 <= lx and hx <= bx2 and by1 <= ly and hy <= by2):
+                    lx, ly, hx, hy = max(lx, bx1), max(ly, by1), min(hx, bx2), min(hy, by2)
+                    if lx >= hx or ly >= hy:
+                        raise LayoutValidationError(
+                            f"shifter {sid} of feature {feat.id} lies entirely "
+                            "outside the layout bbox"
+                        )
+                    logging.getLogger("aapsm.layout").warning(
+                        "shifter %d of feature %d clipped to layout bbox", sid, feat.id
+                    )
+                    clipped = True
+            rect = Rect(lx, ly, hx, hy, SHIFTER_LAYER, sid)
+            out.append(Shifter(rect, feat.id, side, sid, clipped))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from oracles import (
     graph_from_records,
     phase_assign_oracle,
     phase_feasible,
+    shifters_from_records,
 )
 
 
@@ -70,7 +71,7 @@ def skip_overlap_row():
     the middle wire: the long overlaps' segments run along the middle
     feature edge and one overlap midpoint lands on a shifter node."""
     rules = DesignRules(150, 100, 0, 501)
-    shifters = tuple(
+    shifters = shifters_from_records(
         make_shifter(i, i // 2, "low" if i % 2 == 0 else "high", x, 0, w=100, h=800)
         for i, x in enumerate((-150, 50, 250, 450, 650, 850))
     )
@@ -201,7 +202,7 @@ class TestBuild:
         for _ in range(3):
             shuffled = list(shifters)
             rng.shuffle(shuffled)
-            h = build_conflict_graph(tuple(shuffled), pairs, layout.rules)
+            h = build_conflict_graph(shifters_from_records(shuffled), pairs, layout.rules)
             assert dump_graph(h) == dump_graph(g)
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -212,7 +213,9 @@ class TestBuild:
         shifters += [make_shifter(2 + k, 1, "low", 400 + 200 * k, 0) for k in range(count)]
         for order in (shifters, shifters[::-1]):
             with pytest.raises(LayoutValidationError) as err:
-                build_conflict_graph(tuple(order), (), DesignRules(150, 200, 0, 100))
+                build_conflict_graph(
+                    shifters_from_records(order), (), DesignRules(150, 200, 0, 100)
+                )
             assert str(err.value) == f"feature 1 has {count} shifters, expected 2"
 
 
@@ -461,7 +464,7 @@ class TestGeneralPosition:
 
 class TestIsBipartite:
     def test_empty(self):
-        g = build_conflict_graph((), (), DesignRules(150, 200, 0, 100))
+        g = build_conflict_graph(shifters_from_records(()), (), DesignRules(150, 200, 0, 100))
         assert is_bipartite(g).ok
 
     def test_witness_is_unbalanced_cycle(self, odd_ring_fixture):

@@ -39,7 +39,12 @@ from aapsm.layout import (
 )
 from aapsm.pipeline import correct, detect
 
-from conftest import built_positions, manhattan_layout, perfbench_module
+from conftest import (
+    built_positions,
+    manhattan_layout,
+    perfbench_module,
+    shifter_columns_against_oracle,
+)
 
 DESIGNS = 40
 SPAN = 3000  # nm square the wires start in
@@ -181,6 +186,16 @@ def test_report_counts_critical_features_by_shifter_pairs(family):
         clipped += any(s.clipped for s in det.shifters)
     if family == "zero-margin":
         assert clipped > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shifter_columns_match_record_oracle(family, caplog):
+    """`generate_shifters` agrees with the record oracle on every design,
+    clip warnings and the fully-outside error included."""
+    layouts = (FAMILIES[family](random.Random(f"{family}-{seed}")) for seed in range(DESIGNS))
+    seen = Counter(shifter_columns_against_oracle(layout, caplog) for layout in layouts)
+    if family == "zero-margin":
+        assert seen["clipped"] > 0 and seen["invalid"] > 0, seen
 
 
 def test_detect_keeps_built_positions():

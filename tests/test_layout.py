@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aapsm.cli import main
 from aapsm.errors import LayoutParseError, LayoutValidationError
+from aapsm.generator import generate_layout
 from aapsm.layout import (
     DEFAULT_RULES,
     DesignRules,
@@ -25,8 +27,10 @@ from aapsm.layout import (
     rect_separation,
     serialize_layout,
 )
+from aapsm.pipeline import correct, detect
 
-from oracles import interior_overlap_pairs_oracle, overlapping_pairs_oracle
+from conftest import manhattan_layout, shifter_columns_against_oracle
+from oracles import interior_overlap_pairs_oracle, overlapping_pairs_oracle, shifters_from_records
 
 
 class TestParse:
@@ -241,7 +245,7 @@ class TestShifters:
     def test_no_critical_features_no_shifters(self):
         rules = DesignRules(100, 200, 0, 100)
         layout = Layout((Rect(0, 0, 500, 1000, FEATURE_LAYER, 0),), rules)
-        assert generate_shifters(layout) == ()
+        assert generate_shifters(layout).records == ()
 
     def test_close_parallel_features_both_emitted(self):
         # inner shifters geometrically overlap; both still exist
@@ -316,7 +320,10 @@ class TestShifters:
             rules,
             bbox=(0, 0, 100, 1000),
         )
-        with pytest.raises(LayoutValidationError):
+        with pytest.raises(
+            LayoutValidationError,
+            match=r"^shifter 0 of feature 0 lies entirely outside the layout bbox$",
+        ):
             generate_shifters(layout)
 
     def test_deterministic(self):
@@ -341,6 +348,48 @@ class TestShifters:
         flagged = s._replace(clipped=True)
         assert flagged is not s and flagged.clipped and not s.clipped
         assert flagged[:4] == s[:4]
+
+
+class TestColumns:
+    """The shifters are built as columns; their records are built on access."""
+
+    def test_columns_match_record_oracle(self, caplog):
+        designs = [generate_layout(seed, 40, 0.7) for seed in range(1, 11)]
+        designs += [manhattan_layout(seed) for seed in range(5000, 5050)]
+        for design in designs:
+            assert shifter_columns_against_oracle(design, caplog) == "plain"
+
+    def test_detect_and_correct_build_no_records(self, monkeypatch):
+        built = Counter()
+        shifter_new, rect_check = Shifter.__new__, Rect.__post_init__
+
+        def counted_shifter(cls, *args, **kwargs):
+            built["Shifter"] += 1
+            return shifter_new(cls, *args, **kwargs)
+
+        def counted_rect(self):
+            built["Rect"] += self.layer == SHIFTER_LAYER
+            rect_check(self)
+
+        designs = [generate_layout(1, 150, 0.0), generate_layout(1, 40, 0.7), manhattan_layout(1000)]
+        with monkeypatch.context() as m:
+            m.setattr(Shifter, "__new__", counted_shifter)
+            m.setattr(Rect, "__post_init__", counted_rect)
+            cuts = []
+            for design in designs:
+                det = detect(design)
+                cor = correct(det, allow_uncovered=True)
+                cuts.append(len(cor.plan.cuts))
+            assert cuts[0] == 0 and cuts[1] > 0 and cuts[2] > 0, cuts
+            assert cor.residual_conflicts > 0  # the residual back half ran
+            assert +built == Counter()
+            shifters = det.shifters
+            assert shifters == generate_shifters(design)
+            assert +built == Counter()
+            assert list(shifters) == list(shifters) and shifters[0] is shifters.records[0]
+            count = len(shifters.boxes)
+            assert count and len(shifters) == count
+            assert built == {"Shifter": count, "Rect": count}
 
 
 class TestSeparation:
@@ -429,7 +478,7 @@ class TestOverlappingPairs:
             x, y = 100 + gx, -gy  # right of and below shifter 0
             rect = Rect(x, y - 100, x + 100, y, SHIFTER_LAYER, k)
             shifters.append(Shifter(rect, k, SIDE_LOW, k))
-        pairs = find_overlapping_pairs(tuple(shifters), rules)
+        pairs = find_overlapping_pairs(shifters_from_records(shifters), rules)
         assert pairs == overlapping_pairs_oracle(shifters, spacing)
         assert {b: sep for a, b, sep in pairs if a == 0} == {
             1: 0, 2: 49, 4: 49, 6: 49, 8: 49,
@@ -461,6 +510,6 @@ class TestOverlappingPairs:
             huge = Rect(-5000, -20, 5000, 20, SHIFTER_LAYER, len(shifters))
             shifters.append(Shifter(huge, -1, SIDE_HIGH, len(shifters)))
         rng.shuffle(shifters)
-        assert find_overlapping_pairs(tuple(shifters), rules) == overlapping_pairs_oracle(
-            shifters, spacing
-        )
+        assert find_overlapping_pairs(
+            shifters_from_records(shifters), rules
+        ) == overlapping_pairs_oracle(shifters, spacing)

@@ -78,7 +78,7 @@ from conftest import (
 )
 
 PREDICATES = (
-    (layout, "rect_separation"),
+    (layout, "box_separation"),
     (geometry, "orient_sos"),
 )
 

@@ -41,6 +41,7 @@ from oracles import (
     apply_spaces_oracle,
     candidate_coverage_oracle,
     min_set_cover_weight,
+    shifters_from_records,
     widening_cut_blocked_oracle,
 )
 
@@ -56,13 +57,18 @@ def conflict_set(*conflicts):
 RULES = DesignRules(150, 200, 0, 100)
 
 
+def hand_intervals(records, conflicts, layout=None):
+    """`compute_intervals` over hand-made shifter records, on the layout of
+    the features they flank unless one is given."""
+    layout = feature_layout(records, RULES) if layout is None else layout
+    return compute_intervals(layout, shifters_from_records(records), conflicts)
+
+
 class TestComputeIntervals:
     def test_vertical_gap(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
-        intervals, uncovered = compute_intervals(
-            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
-        )
+        intervals, uncovered = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         assert uncovered == ()
         assert len(intervals) == 1
         iv = intervals[0]
@@ -74,9 +80,7 @@ class TestComputeIntervals:
         s2 = make_shifter(1, 1, "low", 130, 140, w=100, h=100)
         # gaps 30, 40 -> separation 50
         assert rect_separation(s1.rect, s2.rect) == 50
-        intervals, uncovered = compute_intervals(
-            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
-        )
+        intervals, uncovered = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         assert uncovered == ()
         by_axis = {iv.axis: iv for iv in intervals}
         assert set(by_axis) == {AXIS_VERTICAL, AXIS_HORIZONTAL}
@@ -91,7 +95,7 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 100, 100, w=200, h=1000)
         cs = conflict_set(conflict((0, 1), sep_needed=100))
-        intervals, uncovered = compute_intervals(feature_layout((s1, s2), RULES), (s1, s2), cs)
+        intervals, uncovered = hand_intervals((s1, s2), cs)
         assert intervals == ()
         assert len(uncovered) == 1
 
@@ -99,9 +103,7 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "low", 0, 0)
         s2 = make_shifter(1, 0, "high", 500, 0)
         fc = Conflict(3, (0, 1), None, ORIGIN_MATCHING, 10**6)
-        intervals, uncovered = compute_intervals(
-            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(fc)
-        )
+        intervals, uncovered = hand_intervals((s1, s2), conflict_set(fc))
         assert intervals == ()
         assert uncovered == (fc,)
 
@@ -109,7 +111,7 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
         cs = conflict_set(conflict((0, 1), edge_id=4), conflict((0, 1), edge_id=5))
-        intervals, uncovered = compute_intervals(feature_layout((s1, s2), RULES), (s1, s2), cs)
+        intervals, uncovered = hand_intervals((s1, s2), cs)
         assert len(intervals) == 1
 
     def test_shifter_of_a_missing_feature_rejected(self):
@@ -117,7 +119,7 @@ class TestComputeIntervals:
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
         layout = feature_layout((s1,), RULES)
         with pytest.raises(ValueError, match="shifter 1 names feature 1, not in the layout"):
-            compute_intervals(layout, (s1, s2), conflict_set(conflict((0, 1))))
+            hand_intervals((s1, s2), conflict_set(conflict((0, 1))), layout)
 
     def test_limits_come_from_the_features_not_the_shifters(self):
         # the low shifters 0 ([100, 300]) and 2 ([320, 520]) of two diagonal
@@ -146,9 +148,7 @@ class TestPlanSpaces:
     def test_single_conflict_single_cut(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 0, w=200, h=1000)
-        intervals, _ = compute_intervals(
-            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
-        )
+        intervals, _ = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         plan = plan_spaces(intervals)
         assert len(plan.cuts) == 1
         cut = plan.cuts[0]
@@ -167,9 +167,7 @@ class TestPlanSpaces:
                 make_shifter(2 * i + 1, 2 * i + 1, "low", 200 + gap, y, w=200, h=1000)
             )
             confs.append(conflict((2 * i, 2 * i + 1), edge_id=i))
-        intervals, _ = compute_intervals(
-            feature_layout(shifters, RULES), tuple(shifters), conflict_set(*confs)
-        )
+        intervals, _ = hand_intervals(shifters, conflict_set(*confs))
         assert sorted(iv.width_needed for iv in intervals) == [10, 20, 30]
         # every interval starts at x=200, so one cut stabs all three
         plan = plan_spaces(intervals)
@@ -195,9 +193,7 @@ class TestPlanSpaces:
                     make_shifter(2 * i + 1, 2 * i + 1, "low", 200 + gap, y, w=200, h=1000)
                 )
                 confs.append(conflict((2 * i, 2 * i + 1), edge_id=i))
-            intervals, _ = compute_intervals(
-                feature_layout(shifters, RULES), tuple(shifters), conflict_set(*confs)
-            )
+            intervals, _ = hand_intervals(shifters, conflict_set(*confs))
             plan = plan_spaces(intervals, exact_limit=30)
             # exact ran: its width is the enumeration optimum over candidates
             dedup: dict[frozenset, int] = {}
@@ -278,9 +274,7 @@ class TestPlanSpaces:
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
         s2 = make_shifter(1, 1, "low", 250, 300, w=200, h=1000)
         blocker = Rect(200, -2000, 250, 2000, FEATURE_LAYER, 7)
-        intervals, _ = compute_intervals(
-            feature_layout((s1, s2), RULES), (s1, s2), conflict_set(conflict((0, 1)))
-        )
+        intervals, _ = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         plan = plan_spaces(intervals, critical_features=(blocker,))
         assert all(
             not (c.axis == AXIS_VERTICAL and 200 < c.coord < 250) for c in plan.cuts
