@@ -42,7 +42,6 @@ from .layout import (
     find_overlapping_pairs,
     generate_shifters,
     parse_layout,
-    rect_separation,
     serialize_layout,
 )
 from .matching import min_weight_perfect_matching

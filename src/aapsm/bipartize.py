@@ -63,9 +63,7 @@ def bipartize_optimal(
     """
     if mode not in GADGET_MODES:
         raise ValueError(f"unknown gadget mode {mode!r}")
-    join, weight, seconds = solve_on_darts(
-        emb.face_of, emb.graph.weights, [len(f) for f in emb.faces]
-    )
+    join, weight, seconds = solve_on_darts(emb.face_of, emb.graph.weights)
     return tuple(join), weight, seconds
 
 

@@ -92,11 +92,6 @@ def box_separation(a: Box, b: Box) -> int:
     return math.isqrt(gx * gx + gy * gy)
 
 
-def rect_separation(a: Rect, b: Rect) -> int:
-    """`box_separation` of the two rects' boxes."""
-    return box_separation((a.x_lo, a.y_lo, a.x_hi, a.y_hi), (b.x_lo, b.y_lo, b.x_hi, b.y_hi))
-
-
 @dataclass(frozen=True)
 class DesignRules:
     """Numeric design rules driving shifter generation and spacing checks."""

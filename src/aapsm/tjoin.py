@@ -147,80 +147,40 @@ def _incidence(inst: TJoinInstance) -> dict[int, list[TJoinEdge]]:
     return incident
 
 
-@dataclass(frozen=True)
-class _SpanningForest:
-    """BFS forest in node-id order, neighbors in edge-id order."""
-
-    incident: dict[int, list[TJoinEdge]]
-    parent: dict[int, tuple[int, TJoinEdge] | None]
-    depth: dict[int, int]
-    components: list[list[int]]  # nodes of each tree, in BFS order
-
-    @classmethod
-    def of(cls, inst: TJoinInstance) -> "_SpanningForest":
-        incident = _incidence(inst)
-        parent: dict[int, tuple[int, TJoinEdge] | None] = {}
-        depth: dict[int, int] = {}
-        components: list[list[int]] = []
-        for start in inst.nodes:
-            if start in parent:
-                continue
-            parent[start] = None
-            depth[start] = 0
-            comp = [start]
-            for u in comp:  # comp doubles as the BFS queue
-                for e in incident[u]:
-                    v = e.u if e.v == u else e.v
-                    if v not in parent:
-                        parent[v] = (u, e)
-                        depth[v] = depth[u] + 1
-                        comp.append(v)
-            components.append(comp)
-        return cls(incident, parent, depth, components)
-
-    def path(self, a: int, b: int) -> list[TJoinEdge]:
-        """Tree edges on the path between a and b (same tree)."""
-        edges = []
-        while a != b:
-            if self.depth[a] < self.depth[b]:
-                a, b = b, a
-            a, e = self.parent[a]
-            edges.append(e)
-        return edges
-
-
 def assign_edges(inst: TJoinInstance) -> EdgeAssignment:
     """Pick an owner per edge so each node owns edges matching its degree parity.
 
-    Start with the lower endpoint, then repair parity defects pairwise by
-    flipping owners along spanning-tree paths (a flip toggles both endpoint
-    parities).  A component with an odd edge count keeps one defect, resolved
-    by assigning one of its incident edges to both endpoints.
+    Start with the lower endpoint, then fix parities in one leaves-up pass
+    over each component's BFS order (roots and neighbors in id order): a
+    non-root node off parity flips the owner of the edge it was reached
+    through, which toggles it and the node it was reached from.  Only the
+    root can be left off parity, exactly when the component has an odd edge
+    count; then it owns the first of its edges it did not own as well.
     """
     owner = {e.id: min(e.u, e.v) for e in inst.edges}
-    forest = _SpanningForest.of(inst)
-    incident = forest.incident
-
-    for comp in forest.components:
-        bad = sorted(
-            n
-            for n in comp
-            if sum(1 for e in incident[n] if owner[e.id] == n) % 2
-            != len(incident[n]) % 2
-        )
-        # a path flip toggles the parity of its two end nodes only, so the
-        # sorted defects pair off in order
-        for a, b in zip(bad[0::2], bad[1::2]):
-            for e in forest.path(a, b):
-                owner[e.id] = e.v if owner[e.id] == e.u else e.u
-        if len(bad) % 2:
-            d = bad[-1]
-            candidates = [e for e in incident[d] if owner[e.id] != d]
-            if not candidates:
-                raise InternalInvariantError(
-                    f"defect node {d} owns all its incident edges"
-                )
-            owner[candidates[0].id] = BOTH
+    incident = _incidence(inst)
+    # off parity: the node owns an odd number of edges fewer than its degree
+    off = {n: sum(owner[e.id] != n for e in es) & 1 for n, es in incident.items()}
+    reached: dict[int, TJoinEdge | None] = {}
+    for root in inst.nodes:
+        if root in reached:
+            continue
+        reached[root] = None
+        comp = [root]
+        for u in comp:  # comp doubles as the BFS queue
+            for e in incident[u]:
+                v = e.u if e.v == u else e.v
+                if v not in reached:
+                    reached[v] = e
+                    comp.append(v)
+        for v in reversed(comp[1:]):
+            if off[v]:
+                e = reached[v]
+                parent = e.u if e.v == v else e.v
+                owner[e.id] = parent if owner[e.id] == v else v
+                off[parent] ^= 1
+        if off[root]:
+            owner[next(e.id for e in incident[root] if owner[e.id] != root)] = BOTH
 
     assignment = EdgeAssignment(owner)
     assignment.validate(inst)
@@ -384,24 +344,19 @@ def solve_tjoin(inst: TJoinInstance) -> tuple[list[int], int, float]:
     rank = {n: i for i, n in enumerate(sorted(inst.nodes))}
     edges = sorted(inst.edges, key=lambda e: e.id)
     ends = [rank[n] for e in edges for n in (e.u, e.v)]
-    sizes = [0] * len(rank)
-    for f in ends:
-        sizes[f] += 1
-    join, weight, seconds = solve_on_darts(ends, [e.weight for e in edges], sizes)
+    join, weight, seconds = solve_on_darts(ends, [e.weight for e in edges])
     return [edges[k].id for k in join], weight, seconds
 
 
-def solve_on_darts(
-    face_of: list[int], weights: list[int], face_sizes: list[int]
-) -> tuple[list[int], int, float]:
+def solve_on_darts(face_of: list[int], weights: list[int]) -> tuple[list[int], int, float]:
     """Minimum-weight T-join of a planar dual read off an embedding's darts:
     (sorted edge ids, weight, matching seconds).
 
     Darts 2k and 2k+1 are the two directions of edge k, so dual edge k joins
     faces face_of[2k] and face_of[2k+1] (both -1 when edge k is not
-    embedded) at weights[k], which must be non-negative.  Face f must carry
-    face_sizes[f] darts, its boundary length; T is the faces with an odd
-    count.  A bridge's self-loop lies on no cycle and never joins.
+    embedded) at weights[k], which must be non-negative.  A face's dart
+    count is its boundary length, and T is the faces with an odd count.  A
+    bridge's self-loop lies on no cycle and never joins.
 
     Each component of the dual is found by BFS from a T face and solved on
     its own by shortest paths between its T faces (`_solve_by_paths`), over
@@ -410,10 +365,8 @@ def solve_on_darts(
     seconds are the blossom time.  The join is re-validated: odd incidence
     exactly on T.
     """
-    n = len(face_sizes)
+    n = max(face_of, default=-1) + 1
     incident, darts = _dart_incidence(face_of, weights, n)
-    if darts != face_sizes:
-        raise InternalInvariantError("dual degrees do not match face boundary lengths")
     t = [f for f in range(n) if darts[f] & 1]
     if not t:
         return [], 0, 0.0

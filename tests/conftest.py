@@ -34,7 +34,6 @@ from aapsm.tjoin import (
     MODE_OPTIMIZED,
     TJoinEdge,
     TJoinInstance,
-    _SpanningForest,
     build_generalized_gadget_graph,
     build_optimized_gadget_graph,
 )
@@ -307,44 +306,62 @@ GADGET_BUILDERS = {
 }
 
 
+def component_instances(inst: TJoinInstance) -> list[TJoinInstance]:
+    """The instance split into its connected components, in order of their
+    lowest node; each keeps its nodes and its edges in id order."""
+    incident = aapsm.tjoin._incidence(inst)
+    seen: set[int] = set()
+    parts = []
+    for root in sorted(inst.nodes):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for u in comp:  # comp doubles as the BFS queue
+            for e in incident[u]:
+                v = e.u if e.v == u else e.v
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+        edges = {e.id: e for n in comp for e in incident[n]}
+        parts.append(TJoinInstance(tuple(sorted(comp)), tuple(edges[k] for k in sorted(edges))))
+    return parts
+
+
 def gadget_route_tjoin(inst, mode) -> tuple[list[int], int]:
     """(sorted join, weight) from gadget matching in the given mode on every
     component that holds a T node: the paper's reduction, which `solve_tjoin`
     replaces by shortest paths between the T nodes."""
-    forest = _SpanningForest.of(inst)
     join, weight = [], 0
-    for comp in forest.components:
-        t_comp = inst.t_nodes.intersection(comp)
-        if t_comp:
-            edges = {e.id: e for n in comp for e in forest.incident[n]}
-            part = TJoinInstance(tuple(sorted(comp)), tuple(edges[i] for i in sorted(edges)))
+    for part in component_instances(inst):
+        if part.t_nodes:
             part_join, part_weight = gadget_tjoin(part, GADGET_BUILDERS[mode])
             join += part_join
             weight += part_weight
     return sorted(join), weight
 
 
-def darts_instance(face_of, weights, face_sizes) -> TJoinInstance:
-    """The T-join instance `solve_on_darts` solves on these darts: edge k
-    between the faces of darts 2k and 2k+1, keeping its id k, with the
-    unembedded edges and the self-loops left out."""
+def darts_instance(face_of, weights) -> TJoinInstance:
+    """The T-join instance `solve_on_darts` solves on these darts: one node
+    per face, and edge k between the faces of darts 2k and 2k+1, keeping
+    its id k, with the unembedded edges and the self-loops left out."""
     edges = tuple(
         TJoinEdge(k, a, b, w)
         for k, (a, b, w) in enumerate(zip(face_of[0::2], face_of[1::2], weights))
         if a >= 0 and a != b
     )
-    return TJoinInstance(tuple(range(len(face_sizes))), edges)
+    return TJoinInstance(tuple(range(max(face_of, default=-1) + 1)), edges)
 
 
 def spy_darts_solve(monkeypatch) -> list[tuple]:
     """Patch `bipartize_optimal`'s T-join solve to record the arguments
-    (face_of, weights, face_sizes) and the weight of every call."""
+    (face_of, weights) and the weight of every call."""
     calls: list[tuple] = []
     solve = aapsm.bipartize.solve_on_darts
 
-    def spy(face_of, weights, face_sizes):
-        join, weight, seconds = solve(face_of, weights, face_sizes)
-        calls.append((face_of, weights, face_sizes, weight))
+    def spy(face_of, weights):
+        join, weight, seconds = solve(face_of, weights)
+        calls.append((face_of, weights, weight))
         return join, weight, seconds
 
     monkeypatch.setattr(aapsm.bipartize, "solve_on_darts", spy)

@@ -242,9 +242,7 @@ def solve_dual_darts(dual):
     becomes darts 2k and 2k+1 on its two faces, and the join's edges map
     back to their primal ids."""
     face_of = [f for e in dual.edges for f in (e.u, e.v)]
-    join, weight, seconds = solve_on_darts(
-        face_of, [e.weight for e in dual.edges], dual.degrees()
-    )
+    join, weight, seconds = solve_on_darts(face_of, [e.weight for e in dual.edges])
     return tuple(sorted(dual.edges[k].primal_edge_id for k in join)), weight, seconds
 
 

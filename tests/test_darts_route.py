@@ -82,12 +82,8 @@ def test_finalize_matches_signed_forest_oracle(detections):
 
 
 def test_unbalanced_detect_and_correct_build_no_dual_records(monkeypatch):
-    built = {"DualEdge": 0, "TJoinInstance": 0, "_SpanningForest": 0}
-    classes = {
-        "DualEdge": planar.DualEdge,
-        "TJoinInstance": aapsm.tjoin.TJoinInstance,
-        "_SpanningForest": aapsm.tjoin._SpanningForest,
-    }
+    built = {"DualEdge": 0, "TJoinInstance": 0}
+    classes = {"DualEdge": planar.DualEdge, "TJoinInstance": aapsm.tjoin.TJoinInstance}
 
     def counted(name, init):
         def spy(self, *args, **kwargs):

@@ -33,9 +33,9 @@ from aapsm.layout import (
     FEATURE_LAYER,
     Layout,
     Rect,
+    box_separation,
     find_critical_features,
     generate_shifters,
-    rect_separation,
 )
 from aapsm.pipeline import correct, detect
 
@@ -145,10 +145,11 @@ def run_design(layout: Layout, check_design) -> Counter:
         r.short_dim >= cw and moved[r.id].short_dim != r.short_dim for r in layout.features
     )
     spacing = layout.rules.min_shifter_spacing
-    after = {s.id: s.rect for s in generate_shifters(cor.new_layout)}
-    for a, b in itertools.combinations(det.shifters, 2):
-        if rect_separation(a.rect, b.rect) >= spacing:
-            assert rect_separation(after[a.id], after[b.id]) >= spacing, (a.id, b.id)
+    before = det.shifters.boxes
+    after = generate_shifters(cor.new_layout).boxes
+    for a, b in itertools.combinations(range(len(before)), 2):
+        if box_separation(before[a], before[b]) >= spacing:
+            assert box_separation(after[a], after[b]) >= spacing, (a, b)
     return seen
 
 

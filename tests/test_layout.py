@@ -20,11 +20,11 @@ from aapsm.layout import (
     SIDE_HIGH,
     SIDE_LOW,
     Shifter,
+    box_separation,
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
     parse_layout,
-    rect_separation,
     serialize_layout,
 )
 from aapsm.pipeline import correct, detect
@@ -394,22 +394,16 @@ class TestColumns:
 
 class TestSeparation:
     def test_aligned_gap(self):
-        a = Rect(0, 0, 100, 1000)
-        b = Rect(150, 0, 250, 1000, id=1)
-        assert rect_separation(a, b) == 50
+        assert box_separation((0, 0, 100, 1000), (150, 0, 250, 1000)) == 50
 
     def test_intersecting_is_zero(self):
-        a = Rect(0, 0, 100, 100)
-        b = Rect(50, 50, 150, 150, id=1)
-        assert rect_separation(a, b) == 0
+        assert box_separation((0, 0, 100, 100), (50, 50, 150, 150)) == 0
 
     def test_diagonal_euclidean_floor(self):
-        a = Rect(0, 0, 100, 100)
-        b = Rect(130, 140, 200, 200, id=1)
+        a = (0, 0, 100, 100)
         # gaps 30, 40 -> hypotenuse 50
-        assert rect_separation(a, b) == 50
-        c = Rect(131, 140, 200, 200, id=2)
-        assert rect_separation(a, c) == math.isqrt(31 * 31 + 40 * 40)
+        assert box_separation(a, (130, 140, 200, 200)) == 50
+        assert box_separation(a, (131, 140, 200, 200)) == math.isqrt(31 * 31 + 40 * 40)
 
     @given(
         st.tuples(*[st.integers(-300, 300) for _ in range(4)]),
@@ -418,9 +412,9 @@ class TestSeparation:
     def test_symmetric_and_nonnegative(self, raw_a, raw_b):
         ax, ay, aw, ah = raw_a
         bx, by, bw, bh = raw_b
-        a = Rect(ax, ay, ax + abs(aw) + 1, ay + abs(ah) + 1)
-        b = Rect(bx, by, bx + abs(bw) + 1, by + abs(bh) + 1, id=1)
-        assert rect_separation(a, b) == rect_separation(b, a) >= 0
+        a = (ax, ay, ax + abs(aw) + 1, ay + abs(ah) + 1)
+        b = (bx, by, bx + abs(bw) + 1, by + abs(bh) + 1)
+        assert box_separation(a, b) == box_separation(b, a) >= 0
 
 
 class TestOverlappingPairs:

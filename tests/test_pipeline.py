@@ -324,13 +324,34 @@ class TestFaultsStillCaught:
         layout = generate_layout(1, 40, 0.7)
         solve = aapsm.bipartize.solve_on_darts
 
-        def short_join(face_of, weights, face_sizes):
-            join, weight, seconds = solve(face_of, weights, face_sizes)
+        def short_join(face_of, weights):
+            join, weight, seconds = solve(face_of, weights)
             return join[1:], weight, seconds
 
         monkeypatch.setattr(aapsm.bipartize, "solve_on_darts", short_join)
         with pytest.raises(InternalInvariantError, match="surviving embedded graph"):
             detect(layout)
+
+    def test_dart_on_its_twins_face_unbalances_survivors(self, monkeypatch):
+        """The T-join reads each face's dart count off `face_of` alone.  A
+        kept dart moved onto its twin's face flips the parity of both
+        faces, so the join solves for the wrong T."""
+        layout = generate_layout(1, 40, 0.7)
+        embed = aapsm.pipeline.embed
+
+        def dart_2_moved(g, removed):
+            emb = embed(g, removed)
+            face_of = list(emb.face_of)
+            assert face_of[2] != face_of[3]  # edge 1 is kept and not a bridge
+            face_of[2] = face_of[3]
+            return dataclasses.replace(emb, face_of=face_of)
+
+        monkeypatch.setattr(aapsm.pipeline, "embed", dart_2_moved)
+        with pytest.raises(
+            InternalInvariantError, match="surviving embedded graph is not balanced"
+        ) as caught:
+            detect(layout)
+        assert caught.value.exit_code == 4
 
     @pytest.mark.parametrize(
         "density, witness", [(0.7, None), (0.0, (0, 1, 2))], ids=["comb", "rows"]

@@ -70,6 +70,7 @@ from aapsm.spacing import AXIS_HORIZONTAL, AXIS_VERTICAL, Cut, SpacePlan, apply_
 from aapsm.unionfind import ParityUnionFind
 
 from conftest import (
+    component_instances,
     darts_instance,
     gadget_route_tjoin,
     manhattan_layout,
@@ -134,8 +135,8 @@ def test_pcg_build_without_degeneracy_tests_nothing(monkeypatch, density):
 
 
 def matched_darts(monkeypatch, design, **detect_options):
-    """(the darts detect's T-join solve reads, as (face_of, weights,
-    face_sizes), and the detection)."""
+    """(the darts detect's T-join solve reads, as (face_of, weights), and
+    the detection)."""
     with monkeypatch.context() as m:
         calls = spy_darts_solve(m)
         result = detect(design, **detect_options)
@@ -152,14 +153,13 @@ def matched_instance(monkeypatch, design, **detect_options):
 def test_tjoin_instance_holds_the_dual_edges(monkeypatch):
     for features in (40, 400):
         darts, det = matched_darts(monkeypatch, generate_layout(1, features, 0.7))
-        face_of, weights, face_sizes = darts
+        face_of, weights = darts
         assert face_of is det.embedding.face_of  # no copy
         assert weights is det.graph.weights  # the column itself
         assert list(weights) == [e.weight for e in det.graph.edges]
         inst = darts_instance(*darts)
         dual = build_dual(det.embedding)
         expect = [e for e in dual.edges if not e.is_self_loop]
-        assert len(face_sizes) == dual.n_faces
         assert inst.nodes == tuple(range(dual.n_faces))
         assert [(e.id, e.u, e.v, e.weight) for e in inst.edges] == [
             (e.primal_edge_id, e.u, e.v, e.weight) for e in expect
@@ -192,8 +192,7 @@ def test_blossom_sees_one_closure_graph_per_large_component(monkeypatch, mode):
         blossom_nodes = spy_blossom(m)
         # a random wire layout whose dual has a component with |T| = 8
         inst = matched_instance(monkeypatch, manhattan_layout(1004))
-    forest = aapsm.tjoin._SpanningForest.of(inst)
-    t_sizes = [len(inst.t_nodes.intersection(comp)) for comp in forest.components]
+    t_sizes = [len(part.t_nodes) for part in component_instances(inst)]
     large = sorted(k for k in t_sizes if k >= 6)
     assert builds == 0
     assert large and sorted(blossom_nodes) == large, (blossom_nodes, large)

@@ -13,11 +13,11 @@ from aapsm.layout import (
     FEATURE_LAYER,
     Layout,
     Rect,
+    box_separation,
     find_critical_features,
     find_overlapping_pairs,
     generate_shifters,
     parse_layout,
-    rect_separation,
 )
 from aapsm.pipeline import correct as correct_pipeline, detect
 from aapsm.generator import generate_layout
@@ -79,7 +79,7 @@ class TestComputeIntervals:
         s1 = make_shifter(0, 0, "high", 0, 0, w=100, h=100)
         s2 = make_shifter(1, 1, "low", 130, 140, w=100, h=100)
         # gaps 30, 40 -> separation 50
-        assert rect_separation(s1.rect, s2.rect) == 50
+        assert box_separation((0, 0, 100, 100), (130, 140, 230, 240)) == 50
         intervals, uncovered = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         assert uncovered == ()
         by_axis = {iv.axis: iv for iv in intervals}
@@ -140,8 +140,8 @@ class TestComputeIntervals:
         }
         plan = SpacePlan((Cut(AXIS_VERTICAL, 300, 67, ()),), (), 1, None)
         moved = generate_shifters(apply_spaces(layout, shifters, plan)[0])
-        assert rect_separation(shifters[0].rect, shifters[2].rect) == 53
-        assert rect_separation(moved[0].rect, moved[2].rect) == 53
+        assert box_separation(shifters.boxes[0], shifters.boxes[2]) == 53
+        assert box_separation(moved.boxes[0], moved.boxes[2]) == 53
 
 
 class TestPlanSpaces:
@@ -712,11 +712,12 @@ class TestApplySpaces:
             except InternalInvariantError as exc:
                 assert "widen critical feature" in str(exc)
                 continue  # the random cut would widen a critical feature
-            for a in range(5):
-                for b in range(a + 1, 5):
-                    before = rect_separation(layout.rects[a], layout.rects[b])
-                    after = rect_separation(new_layout.rects[a], new_layout.rects[b])
-                    assert after >= before
+            before, after = (
+                [(r.x_lo, r.y_lo, r.x_hi, r.y_hi) for r in lay.rects]
+                for lay in (layout, new_layout)
+            )
+            for a, b in itertools.combinations(range(5), 2):
+                assert box_separation(after[a], after[b]) >= box_separation(before[a], before[b])
 
     @given(layouts_and_cuts())
     def test_matches_cut_by_cut_surgery(self, case):
@@ -793,10 +794,9 @@ class TestEndToEnd:
                 continue
             corrected += 1
             spacing = layout.rules.min_shifter_spacing
-            after = {s.id: s.rect for s in generate_shifters(correction.new_layout)}
-            for a, b in itertools.combinations(detection.shifters, 2):
-                if rect_separation(a.rect, b.rect) >= spacing:
-                    assert rect_separation(after[a.id], after[b.id]) >= spacing, (
-                        name, a.id, b.id,
-                    )
+            before = detection.shifters.boxes
+            after = generate_shifters(correction.new_layout).boxes
+            for a, b in itertools.combinations(range(len(before)), 2):
+                if box_separation(before[a], before[b]) >= spacing:
+                    assert box_separation(after[a], after[b]) >= spacing, (name, a, b)
         assert corrected >= 200
