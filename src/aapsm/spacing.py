@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bipartize import Conflict, ConflictSet
 from .errors import InternalInvariantError
-from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, ShifterSet, box_gaps
+from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, ShifterSet
 from .setcover import CoverCandidate, exact_cover, greedy_cover
 
 AXIS_VERTICAL = "v"  # vertical space: cut line x = c, widens the layout in x
@@ -71,25 +71,6 @@ class SpacePlan:
         return exact is not None and exact < self.greedy_total_width
 
 
-def _ceil_sqrt(value: int) -> int:
-    if value <= 0:
-        return 0
-    r = math.isqrt(value - 1)
-    return r + 1
-
-
-def _width_for_axis(gap_this: int, gap_other: int, spacing: int) -> int:
-    """Widening of this axis' gap so the pair separation reaches spacing.
-
-    With the other axis closed (gap 0) this is simply spacing - gap; diagonal
-    pairs need the full hypotenuse to clear, so the deficit is computed against
-    sqrt(spacing^2 - gap_other^2) exactly.
-    """
-    if gap_other >= spacing:
-        return 0
-    return max(0, _ceil_sqrt(spacing * spacing - gap_other * gap_other) - gap_this)
-
-
 def _span(rect: Rect, axis: str) -> tuple[int, int]:
     """The rect's extent across a cut line on this axis: x for a vertical
     cut, y for a horizontal one."""
@@ -130,6 +111,15 @@ def compute_intervals(
     side of every gap coordinate would ride along unseparated): the move
     limits come from each shifter's generating feature in the layout, and a
     conflict shifter whose feature the layout lacks is a ValueError.
+
+    Every interval's width is the spacing minus the open gap on its own
+    axis, with the gap on the other axis taken as closed: another cut of the
+    plan may close that gap, but none can narrow this one (a cut that moves
+    the left party's gap edge moves the right party's too), so a cut from the
+    interval separates the pair whatever else the plan holds.  A conflict's
+    gap on either axis is at most its separation, which is below the
+    spacing, so the width is at least 1.
+
     Reads the shifter columns; without conflicts it returns at once and
     builds no lookup.
     """
@@ -154,12 +144,9 @@ def compute_intervals(
                 raise ValueError(f"shifter {s} names feature {feature_ids[s]}, not in the layout")
         s1, s2 = key
         b1, b2 = boxes[s1], boxes[s2]
-        gx, gy = box_gaps(b1, b2)
         found = False
         # a box's span across the cut line is (box[k], box[k + 2])
-        for axis, k, gap_this, gap_other in (
-            (AXIS_VERTICAL, 0, gx, gy), (AXIS_HORIZONTAL, 1, gy, gx)
-        ):
+        for axis, k in ((AXIS_VERTICAL, 0), (AXIS_HORIZONTAL, 1)):
             hi1, hi2 = b1[k + 2], b2[k + 2]
             gap_lo, gap_hi = min(hi1, hi2), max(b1[k], b2[k])
             if gap_lo >= gap_hi:
@@ -169,9 +156,10 @@ def compute_intervals(
             # must move
             lo = max(gap_lo, _move_limits(sides[sl], features[feature_ids[sl]], axis)[1] + 1)
             hi = min(gap_hi, _move_limits(sides[sr], features[feature_ids[sr]], axis)[0])
-            width = _width_for_axis(gap_this, gap_other, spacing)
-            if lo <= hi and width > 0:
-                intervals.append(CorrectionInterval(key, axis, lo, hi, width))
+            if lo <= hi:
+                intervals.append(
+                    CorrectionInterval(key, axis, lo, hi, spacing - (gap_hi - gap_lo))
+                )
                 found = True
 
         if not found:

@@ -72,6 +72,21 @@ def perfbench_module(name: str):
     return module
 
 
+def tool_module(name: str):
+    """tools/<name>.py, loaded by path.  A tool puts the directories it
+    imports from on sys.path and may turn bytecode writing off; both are
+    restored."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    sys_path, no_bytecode = list(sys.path), sys.dont_write_bytecode
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = sys_path, no_bytecode
+    return module
+
+
 def manhattan_layout(design_seed: int):
     """The benchmark's manhattan_batch design for this seed."""
     return perfbench_module("workloads").manhattan_layout(design_seed)

@@ -172,6 +172,31 @@ class TestCorrect:
         assert len(fixed.features) == len(parse_layout(conflict_layout_file.read_text()).features)
         assert plan_file.read_text().startswith("cut ")
 
+    def test_cut_across_a_diagonal_pair_keeps_it_separated(self, tmp_path, capsys):
+        # pair 5-6 is diagonal: x gap 70, y gap 84 under a 151 nm spacing.
+        # The plan's h cut at y=558 moves feature 3 and not feature 2, which
+        # closes the y gap to 50, so the v cut must be sized as 151 - 70
+        path = tmp_path / "diagonal.lay"
+        path.write_text(
+            "rules 169 71 62 151\n"
+            "rect poly 200 750 540 840\n"
+            "rect poly 300 130 430 500\n"
+            "rect poly 780 410 1250 550\n"
+            "rect poly 1320 590 1490 650\n"
+        )
+        plan_file = tmp_path / "plan.txt"
+        code, out = run_cli(
+            ["correct", str(path), "--out", str(tmp_path / "fixed.lay"),
+             "--dump-plan", str(plan_file)],
+            capsys,
+        )
+        assert code == 0
+        report = dict(l.split("=", 1) for l in out.strip().splitlines())
+        assert (report["uncovered"], report["residual_conflicts"]) == ("0", "0")
+        assert plan_file.read_text() == (
+            "cut h 558 34 conflicts=0-2\ncut v 1250 81 conflicts=5-6\n"
+        )
+
     def test_clean_layout_identity(self, clean_layout_file, tmp_path, capsys):
         out_file = tmp_path / "fixed.lay"
         code, out = run_cli(

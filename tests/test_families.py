@@ -16,8 +16,11 @@ Five seeded families of random wire layouts, 40 designs each:
 Every design either ends in a report or is rejected as invalid input
 (`LayoutValidationError`, exit 2).  A report passes the benchmark's own
 output checker (`perfbench/check.py`); when every conflict was covered no
-conflict remains; and no shifter pair at or beyond the spacing rule before
-`correct` ends below it.
+conflict remains; every pair a planned cut covers ends at or beyond the
+spacing rule, whatever the plan's other cuts do to it; and no shifter pair
+at or beyond the spacing rule before `correct` ends below it (on these
+designs: a cut between two features can still bring a compliant pair
+below it elsewhere, ROADMAP item 12's second fault).
 """
 
 import itertools
@@ -147,6 +150,8 @@ def run_design(layout: Layout, check_design) -> Counter:
     spacing = layout.rules.min_shifter_spacing
     before = det.shifters.boxes
     after = generate_shifters(cor.new_layout).boxes
+    for a, b in itertools.chain.from_iterable(cut.covered for cut in cor.plan.cuts):
+        assert box_separation(after[a], after[b]) >= spacing, ("covered", a, b)
     for a, b in itertools.combinations(range(len(before)), 2):
         if box_separation(before[a], before[b]) >= spacing:
             assert box_separation(after[a], after[b]) >= spacing, (a, b)

@@ -2,10 +2,6 @@
 designs, runs against the package API it reads (`dump_graph`, and
 `build_dual` on the detection's embedding)."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from aapsm import correct, detect, parse_layout
@@ -13,21 +9,14 @@ from aapsm.conflict_graph import WEIGHT_SEPARATION, WEIGHT_UNIFORM
 from aapsm.pipeline import render_report
 from aapsm.planar import build_dual
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+from conftest import tool_module
 
 
 @pytest.fixture(scope="module")
 def tool():
-    """The tool loaded from its path.  Loading puts `src` and `perfbench`
-    on sys.path and turns bytecode writing off; both are restored."""
-    path, no_bytecode = list(sys.path), sys.dont_write_bytecode
-    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:], sys.dont_write_bytecode = path, no_bytecode
-    return module
+    """The tool loaded from its path, with `src` and `perfbench` off
+    sys.path again and bytecode writing restored."""
+    return tool_module("output_digest")
 
 
 def first_design(tool, workload: str):
@@ -65,11 +54,11 @@ def test_outputs_match_the_pinned_digest(tool, capsys):
     reason in CHANGES.md."""
     assert tool.main(["1", "2"]) == 0
     assert capsys.readouterr().out == (
-        "runs=1072 digest=f5c6d4667eabd89ec8cba7b9390f8f4d236db0f358ca4b18116797ef6370b38d"
-        " extended=84b70e9c9dbdb8249abe9ef4437577b6f62b3d4d9953a3487544cb1a208c6aa9\n"
+        "runs=1072 digest=47e01147cd43ad880026aee3baae35456ca920cc30e5c69da449311a2822ff95"
+        " extended=f5df8a82706d9df3f2943c63b86f4c372ec2c340efd1d8f210ee4d1c7694008b\n"
     )
     assert tool.main(["3"]) == 0
     assert capsys.readouterr().out == (
-        "runs=536 digest=66c754caebbafd08d1d3012b669e2696c4839a8c8a53e965677bb5c1cdd774ab"
-        " extended=fc30115e0dfe391227972d5818498fcf39a5fa7f2c5d33295480d9e54752fb59\n"
+        "runs=536 digest=3f17741604f7b6c470620791beaa614e9353903e29783dc63617d767a5812994"
+        " extended=dd5bf258fa8dbfa466eabe7f7894efdf243426558a47d8cabab96bb5c78838db\n"
     )

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aapsm.bipartize import Conflict, ConflictSet, ORIGIN_MATCHING
 from aapsm.errors import InternalInvariantError
@@ -64,6 +64,50 @@ def hand_intervals(records, conflicts, layout=None):
     return compute_intervals(layout, shifters_from_records(records), conflicts)
 
 
+@st.composite
+def layouts_with_cuts(draw):
+    """A few interior-disjoint poly rects under small random rules, a
+    position for a cut inside each interval, and up to three cuts on either
+    axis, most of them on rect edges."""
+    rects = []
+    for x, y, w, h in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30), st.integers(0, 30), st.integers(1, 12), st.integers(1, 12)
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    ):
+        rect = Rect(x, y, x + w, y + h, FEATURE_LAYER, len(rects))
+        if not any(rect.interior_overlaps(r) for r in rects):
+            rects.append(rect)
+    rules = DesignRules(
+        draw(st.integers(2, 16)), draw(st.integers(1, 30)), draw(st.integers(0, 20)),
+        draw(st.integers(2, 60)),
+    )
+    edges = {
+        AXIS_VERTICAL: [c for r in rects for c in (r.x_lo, r.x_hi)],
+        AXIS_HORIZONTAL: [c for r in rects for c in (r.y_lo, r.y_hi)],
+    }
+    extra = []
+    for axis, on_edge, coord, width in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((AXIS_VERTICAL, AXIS_HORIZONTAL)),
+                st.integers(0, 15),
+                st.integers(-5, 60),
+                st.integers(1, 20),
+            ),
+            max_size=3,
+        )
+    ):
+        if on_edge < 12:
+            coord = edges[axis][on_edge % len(edges[axis])]
+        extra.append((axis, coord, width))
+    return Layout(tuple(rects), rules), draw(st.integers(0, 10**6)), extra
+
+
 class TestComputeIntervals:
     def test_vertical_gap(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
@@ -75,21 +119,47 @@ class TestComputeIntervals:
         assert (iv.axis, iv.lo, iv.hi) == (AXIS_VERTICAL, 200, 250)
         assert iv.width_needed == 50  # 100 - 50 current gap
 
-    def test_diagonal_pair_gets_both_axes_with_hypotenuse_widths(self):
+    def test_diagonal_pair_gets_both_axes_with_closed_gap_widths(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=100, h=100)
         s2 = make_shifter(1, 1, "low", 130, 140, w=100, h=100)
         # gaps 30, 40 -> separation 50
         assert box_separation((0, 0, 100, 100), (130, 140, 230, 240)) == 50
         intervals, uncovered = hand_intervals((s1, s2), conflict_set(conflict((0, 1))))
         assert uncovered == ()
-        by_axis = {iv.axis: iv for iv in intervals}
-        assert set(by_axis) == {AXIS_VERTICAL, AXIS_HORIZONTAL}
-        # after widening, sqrt(gx'^2 + gy^2) must reach 100
-        vx = by_axis[AXIS_VERTICAL]
-        assert (30 + vx.width_needed) ** 2 + 40 * 40 >= 100 * 100
-        assert (30 + vx.width_needed - 1) ** 2 + 40 * 40 < 100 * 100
-        hy = by_axis[AXIS_HORIZONTAL]
-        assert 30 * 30 + (40 + hy.width_needed) ** 2 >= 100 * 100
+        # each width is spacing minus the gap on its own axis: another cut of
+        # the plan may close the other axis' gap, so it counts as closed
+        widths = {iv.axis: iv.width_needed for iv in intervals}
+        assert widths == {AXIS_VERTICAL: 70, AXIS_HORIZONTAL: 60}
+        # the widened gap alone reaches the spacing, the other one closed
+        assert box_separation((0, 0, 100, 100), (200, 100, 300, 200)) == 100
+        assert box_separation((0, 0, 100, 100), (100, 200, 200, 300)) == 100
+
+    @settings(max_examples=200)
+    @given(layouts_with_cuts())
+    def test_a_cut_in_the_interval_separates_the_pair_whatever_else_is_cut(self, case):
+        """A cut anywhere in an interval, as wide as it needs, brings the pair
+        to the spacing next to any other cuts that widen no critical
+        feature: they may close the gap on the other axis, never this one."""
+        layout, pick, extra = case
+        shifters = generate_shifters(layout)
+        conflicts = conflict_set(*(
+            conflict((a, b), sep, edge_id=i)
+            for i, (a, b, sep) in enumerate(find_overlapping_pairs(shifters, layout.rules))
+        ))
+        intervals, _ = compute_intervals(layout, shifters, conflicts)
+        critical = find_critical_features(layout)
+        others = [Cut(axis, c, w, ()) for axis, c, w in extra
+                  if not widening_cut_blocked_oracle(axis, c, critical)]
+        spacing = layout.rules.min_shifter_spacing
+        for iv in intervals:
+            coord = iv.lo + pick % (iv.hi - iv.lo + 1)
+            if widening_cut_blocked_oracle(iv.axis, coord, critical):
+                continue  # the planner never cuts there
+            cut = Cut(iv.axis, coord, iv.width_needed, (iv.conflict_key,))
+            plan = SpacePlan((cut, *others), (), len(others) + 1, None)
+            after = generate_shifters(apply_spaces(layout, shifters, plan)[0]).boxes
+            a, b = iv.conflict_key
+            assert box_separation(after[a], after[b]) >= spacing, (iv, others)
 
     def test_intersecting_both_axes_uncovered(self):
         s1 = make_shifter(0, 0, "high", 0, 0, w=200, h=1000)
@@ -135,10 +205,10 @@ class TestComputeIntervals:
         )
         assert uncovered == ()
         assert {iv.axis: (iv.lo, iv.hi, iv.width_needed) for iv in intervals} == {
-            AXIS_VERTICAL: (301, 320, 67),
-            AXIS_HORIZONTAL: (1000, 1050, 48),
+            AXIS_VERTICAL: (301, 320, 80),
+            AXIS_HORIZONTAL: (1000, 1050, 50),
         }
-        plan = SpacePlan((Cut(AXIS_VERTICAL, 300, 67, ()),), (), 1, None)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 300, 80, ()),), (), 1, None)
         moved = generate_shifters(apply_spaces(layout, shifters, plan)[0])
         assert box_separation(shifters.boxes[0], shifters.boxes[2]) == 53
         assert box_separation(moved.boxes[0], moved.boxes[2]) == 53
