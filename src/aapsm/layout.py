@@ -72,21 +72,15 @@ class Rect:
         )
 
 
-def box_gaps(a: Box, b: Box) -> tuple[int, int]:
-    """Per-axis clearance between two boxes (x_lo, y_lo, x_hi, y_hi); 0
-    where their projections overlap or touch."""
-    return max(0, a[0] - b[2], b[0] - a[2]), max(0, a[1] - b[3], b[1] - a[3])
-
-
 def box_separation(a: Box, b: Box) -> int:
-    """Separation between two boxes in nm.
+    """Separation between two boxes (x_lo, y_lo, x_hi, y_hi) in nm.
 
-    Per-axis gaps gx, gy (0 when the projections overlap); the separation is
-    the nonzero gap when only one axis is open, and floor(sqrt(gx^2 + gy^2))
-    when the boxes are diagonal to each other.  Intersecting boxes have
-    separation 0.
+    Per-axis gaps gx, gy (0 where the projections overlap or touch); the
+    separation is the nonzero gap when only one axis is open, and
+    floor(sqrt(gx^2 + gy^2)) when the boxes are diagonal to each other.
+    Intersecting boxes have separation 0.
     """
-    gx, gy = box_gaps(a, b)
+    gx, gy = max(0, a[0] - b[2], b[0] - a[2]), max(0, a[1] - b[3], b[1] - a[3])
     if gx == 0 or gy == 0:
         return max(gx, gy)
     return math.isqrt(gx * gx + gy * gy)

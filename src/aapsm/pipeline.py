@@ -246,9 +246,9 @@ def correct(
             residual = _detect_back(new_layout, front, "residual", detection.weight_mode)
             residual_count = len(residual.conflicts)
     else:
-        # no space inserted: detect is deterministic, so re-detecting the
-        # unchanged layout would reproduce the input detection
-        if new_layout.rects != layout.rects or new_layout.bbox != layout.bbox:
+        # no space inserted: apply_spaces returns its input, and detect is
+        # deterministic, so re-detecting it would reproduce the input detection
+        if new_layout is not layout:
             raise InternalInvariantError("a plan without cuts changed the layout")
         residual_count = len(detection.conflicts)
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .bipartize import Conflict, ConflictSet
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, LayoutValidationError
 from .layout import FEATURE_LAYER, Layout, Rect, SIDE_LOW, ShifterSet
 from .setcover import CoverCandidate, exact_cover, greedy_cover
 
@@ -295,12 +295,15 @@ def apply_spaces(
     widths, so an edge moves by the widths of the cuts that reach it -- a
     low edge at t by the cuts with c <= t, a high edge by those with c < t --
     exactly as if the cuts were inserted one by one in descending order.  A
-    rect no cut reaches is kept as is.  Cuts only grow a rect, so a cut
-    stretched a critical feature across its short axis exactly when its
-    orientation (squares count as vertical) or its short dimension changed;
-    that is an internal fault (exit 4), since the planner drops every such
-    cut.  Only a moved rect is asked whether it is critical, by
-    `find_critical_features`' own test.
+    rect no cut reaches is kept as is.  A declared bbox grows by the inserted
+    widths.
+
+    Plans come from the planner, never from input, so whatever the surgery
+    gets wrong is an internal fault (exit 4), not an invalid layout (exit 2):
+    a moved critical feature whose orientation (squares count as vertical)
+    or short dimension changed was stretched across its short axis, which
+    the planner rules out, and a moved rect or a new Layout that fails its
+    own validation is re-raised as one.
     """
     if not plan.cuts:
         area = _box_area(layout)
@@ -324,14 +327,13 @@ def apply_spaces(
         (x_lo, x_hi), (y_lo, y_hi) = moved(r, AXIS_VERTICAL), moved(r, AXIS_HORIZONTAL)
         if (x_lo, y_lo, x_hi, y_hi) == (r.x_lo, r.y_lo, r.x_hi, r.y_hi):
             return r
+        new = Rect(x_lo, y_lo, x_hi, y_hi, r.layer, r.id)
         short = r.short_dim
-        if r.layer == FEATURE_LAYER and short < cw:
-            w, h = x_hi - x_lo, y_hi - y_lo
-            if (h >= w, min(w, h)) != (r.is_vertical, short):
-                raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
-        return Rect(x_lo, y_lo, x_hi, y_hi, r.layer, r.id)
-
-    rects = tuple(move(r) for r in layout.rects)
+        if r.layer == FEATURE_LAYER and short < cw and (
+            (new.is_vertical, new.short_dim) != (r.is_vertical, short)
+        ):
+            raise InternalInvariantError(f"a cut would widen critical feature {r.id}")
+        return new
 
     inserted_x = sum(c.width for c in plan.cuts if c.axis == AXIS_VERTICAL)
     inserted_y = sum(c.width for c in plan.cuts if c.axis == AXIS_HORIZONTAL)
@@ -342,14 +344,10 @@ def apply_spaces(
         # widths, so the area identity (W+Wx)*(H+Wy) holds by construction
         x1, y1, x2, y2 = layout.bbox
         new_bbox = (x1, y1, x2 + inserted_x, y2 + inserted_y)
-        # checked before the new Layout rejects it as invalid input: a rect
-        # that escapes the grown box is a fault of the surgery, not the input
-        for r in rects:
-            if not (x1 <= r.x_lo and r.x_hi <= new_bbox[2] and y1 <= r.y_lo and r.y_hi <= new_bbox[3]):
-                raise InternalInvariantError(
-                    f"rect {r.id} escaped the grown bounding box"
-                )
-    new_layout = Layout(rects, layout.rules, new_bbox)
+    try:
+        new_layout = Layout(tuple(move(r) for r in layout.rects), layout.rules, new_bbox)
+    except LayoutValidationError as err:
+        raise InternalInvariantError(f"the surgery made an invalid layout: {err}") from err
     return new_layout, AreaReport(
         _box_area(layout), _box_area(new_layout), inserted_x, inserted_y
     )

@@ -4,7 +4,9 @@ first fault), and no seed ends in an internal fault or any other exception.
 
 A compliant pair brought below the spacing by a cut between two features
 (item 12's second fault), and a design that covers every conflict yet keeps
-a residual, are printed but not gated: that fault is still open.
+a residual, are still open; their counts are ratcheted at what `correct`
+does today (11 and 1 designs).  A change that makes either more frequent
+must raise its bound and say why.
 """
 
 import logging
@@ -20,6 +22,7 @@ def test_fuzz_seeds_keep_the_covered_pairs_apart(caplog):
     assert counts["designs"] + counts["rejected"] == 2000
     assert counts["designs"] > 1000
     assert {name: seeds_of[name] for name in fuzz.GATED} == {name: [] for name in fuzz.GATED}
+    assert counts["fault2"] <= 11 and counts["covered_residual"] <= 1, dict(counts)
 
 
 def test_main_prints_every_count_and_fails_on_a_gated_one(capsys, caplog, monkeypatch):

@@ -39,7 +39,10 @@ from conftest import (
     manhattan_layout,
     spy_blossom,
     spy_darts_solve,
+    tool_module,
 )
+
+broken_promises = tool_module("fuzz_correct").broken_promises
 
 TANGLED_ROW = """rules 150 100 0 501
 bbox -1500 -1500 2500 2500
@@ -162,7 +165,8 @@ def arbitrary_layouts(draw):
 class TestFuzzGate:
     """Any layout ends in a report or an input error (exit 2) in either
     weight mode, never in an internal failure (exit 4) or a Python exception;
-    and when every conflict was covered, none remains."""
+    when every conflict was covered, none remains; and no pair a planned cut
+    covers ends below the spacing (`broken_promises`' fault 1)."""
 
     @given(arbitrary_layouts())
     def test_only_input_errors_and_covered_means_clean(self, case):
@@ -182,6 +186,8 @@ class TestFuzzGate:
                 continue
             if not cor.uncovered:
                 assert cor.residual_conflicts == 0
+            broken = broken_promises(det, cor)
+            assert "fault1" not in broken, broken
 
 
 class TestResidualCount:

@@ -36,7 +36,7 @@ from aapsm.spacing import (
 )
 from aapsm.setcover import greedy_cover
 
-from conftest import feature_layout, make_shifter, manhattan_layout
+from conftest import feature_layout, make_shifter, manhattan_layout, tool_module
 from oracles import (
     apply_spaces_oracle,
     candidate_coverage_oracle,
@@ -44,6 +44,8 @@ from oracles import (
     shifters_from_records,
     widening_cut_blocked_oracle,
 )
+
+broken_promises = tool_module("fuzz_correct").broken_promises
 
 
 def conflict(pair, sep_needed=50, weight=1, edge_id=0):
@@ -699,7 +701,15 @@ class TestApplySpaces:
         # an invalid layout (exit 2)
         layout = Layout((Rect(0, 0, 10, 50, "metal", 0),), RULES, bbox=(0, 0, 100, 100))
         plan = SpacePlan((Cut(AXIS_VERTICAL, 0, -5, ()),), (), 1, None)
-        with pytest.raises(InternalInvariantError, match="escaped the grown bounding box"):
+        with pytest.raises(InternalInvariantError, match="invalid layout: rect 0 .* bbox"):
+            apply_spaces(layout, (), plan)
+
+    def test_inverted_rect_is_internal_fault(self):
+        # a negative width through the rect's interior turns it inside out:
+        # the surgery's fault (exit 4), not a degenerate input rect (exit 2)
+        layout = Layout((Rect(0, 0, 10, 50, "metal", 0),), RULES)
+        plan = SpacePlan((Cut(AXIS_VERTICAL, 5, -20, ()),), (), 1, None)
+        with pytest.raises(InternalInvariantError, match="invalid layout: degenerate rect id=0"):
             apply_spaces(layout, (), plan)
 
     def test_lengthwise_stretch_of_critical_feature_allowed(self):
@@ -852,8 +862,9 @@ class TestEndToEnd:
 
     def test_compliant_shifter_pairs_stay_compliant(self):
         """No shifter pair at or beyond the spacing rule before `correct`
-        ends below it: shifters are regenerated from the moved features
-        (matched by id), and a cut may bring a pair closer, never under."""
+        ends below it, and no pair a planned cut covers does: shifters are
+        regenerated from the moved features (matched by id), and a cut may
+        bring a pair closer, never under."""
         designs = [(f"manhattan{seed}", manhattan_layout(seed)) for seed in range(5000, 5200)]
         designs += [(f"comb{seed}", generate_layout(seed, 40, 0.7)) for seed in range(1000, 1040)]
         corrected = 0
@@ -863,10 +874,5 @@ class TestEndToEnd:
             if not correction.plan.cuts:
                 continue
             corrected += 1
-            spacing = layout.rules.min_shifter_spacing
-            before = detection.shifters.boxes
-            after = generate_shifters(correction.new_layout).boxes
-            for a, b in itertools.combinations(range(len(before)), 2):
-                if box_separation(before[a], before[b]) >= spacing:
-                    assert box_separation(after[a], after[b]) >= spacing, (name, a, b)
+            assert broken_promises(detection, correction) == {}, name
         assert corrected >= 200

@@ -11,8 +11,9 @@ shifter gap 0-150, spacing 1-400); 1 to 14 interior-disjoint poly rects of
 draw that overlaps an earlier rect is dropped, and drawing stops after 100
 draws per rect); a bbox 0, 10, 100 or 600 nm past their hull; and a weight
 mode.  `detect` (greedy baseline on)
-and `correct(..., allow_uncovered=True)` run on it.  One `key=value` line
-per count:
+and `correct(..., allow_uncovered=True)` run on it, and `broken_promises`
+finds the pairs behind the two faults below.  One `key=value` line per
+count:
 
 - designs: seeds that ended in a report;
 - rejected: seeds rejected as invalid input (exit 2);
@@ -31,7 +32,6 @@ its first seeds.  The exit status is 1 when fault1, exit4 or tracebacks is
 nonzero, else 0.  Clip warnings are not shown.
 """
 
-import itertools
 import logging
 import random
 import sys
@@ -49,7 +49,7 @@ from aapsm.layout import (  # noqa: E402
     FEATURE_LAYER,
     Layout,
     Rect,
-    box_separation,
+    find_overlapping_pairs,
     generate_shifters,
 )
 
@@ -89,15 +89,37 @@ def design(seed: int) -> tuple[Layout, str]:
     return Layout(tuple(rects), rules, bbox), mode
 
 
+def broken_promises(det, cor) -> dict[str, list[tuple[int, int]]]:
+    """The shifter pairs below the spacing after `correct` that it promised
+    to keep apart, by fault: "fault1" for a pair a planned cut covers,
+    "fault2" for a pair at or beyond the spacing before; a fault without
+    pairs has no key, so a kept promise is {}.
+
+    Shifters are regenerated from the corrected layout and matched to
+    `det.shifters` by id, and the pairs below the spacing on either side
+    are `detect`'s overlap search.  That search skips only pairs of one
+    feature, which a cut never brings closer: it never narrows a feature's
+    short side.
+    """
+    close_before = {(a, b) for a, b, _ in det.overlap_pairs}
+    covered = {key for cut in cor.plan.cuts for key in cut.covered}
+    after = generate_shifters(cor.new_layout)
+    broken: dict[str, list[tuple[int, int]]] = {}
+    for a, b, _ in find_overlapping_pairs(after, cor.new_layout.rules):
+        if (a, b) in covered:
+            broken.setdefault("fault1", []).append((a, b))
+        elif (a, b) not in close_before:
+            broken.setdefault("fault2", []).append((a, b))
+    return broken
+
+
 def run_seed(seed: int) -> set[str]:
     """The counts one seed adds to."""
     try:
         layout, mode = design(seed)
         det = detect(layout, weight_mode=mode, run_greedy_baseline=True)
         cor = correct(det, allow_uncovered=True)
-        spacing = layout.rules.min_shifter_spacing
-        before = det.shifters.boxes
-        after = generate_shifters(cor.new_layout).boxes
+        broken = broken_promises(det, cor)
     except AapsmError as err:
         if err.exit_code == EXIT_INPUT_ERROR:
             return {"rejected"}
@@ -108,16 +130,7 @@ def run_seed(seed: int) -> set[str]:
         print(f"seed {seed}:", file=sys.stderr)
         traceback.print_exc()
         return {"tracebacks"}
-    seen = {"designs"}
-    covered = itertools.chain.from_iterable(cut.covered for cut in cor.plan.cuts)
-    if any(box_separation(after[a], after[b]) < spacing for a, b in covered):
-        seen.add("fault1")
-    if any(
-        box_separation(before[a], before[b]) >= spacing
-        and box_separation(after[a], after[b]) < spacing
-        for a, b in itertools.combinations(range(len(before)), 2)
-    ):
-        seen.add("fault2")
+    seen = {"designs", *broken}
     if not cor.uncovered and cor.residual_conflicts:
         seen.add("covered_residual")
     return seen
